@@ -1,0 +1,197 @@
+"""Characters of finite fields and their Gauss sums, in exact arithmetic.
+
+For a base field k of characteristic p and a nonzero multiplier c in k, the
+additive character is psi_k(x) = zeta_p^Tr_{k/F_p}(c*x), and on an extension
+L/k it is pulled back through the relative trace:
+
+    psi_{L/k}(u) = zeta_p^Tr_{k/F_p}(c * Tr_{L/k}(u)) = zeta_p^Tr_{L/F_p}(c*u),
+
+the second form because the relative trace is k-linear; it is what the code
+evaluates (one absolute-trace lookup after embedding c into L).
+
+The quadratic character chi_2 of L^x is discrete-log parity; chi_2(0) = 0.
+Composing the base quadratic character with the norm gives the same function,
+since the norm of a generator generates.
+
+The Gauss sum g_L = sum_x psi(x) chi_2(x) satisfies, as exact identities,
+g * conj(g) = #L, g^2 = chi_2(-1) * #L and conj(g) = chi_2(-1) * g; these are
+verified objects here, not assumptions.  The normalization constant of the
+twisted sums is A(L, n, psi) = -chi_2(n * (-1)^((n-1)/2)) * g_L, and building
+it over every extension at once exposes the power law A(L) = A(k)^[L:k].
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from functools import lru_cache
+
+import numpy as np
+
+from .cyclotomic import CycInt
+from .fields import FieldDescriptor, FieldElement, build_field, embed
+
+
+@dataclass(frozen=True)
+class CharacterContext:
+    """Base field plus the additive-character multiplier c (nonzero)."""
+
+    base: FieldDescriptor
+    multiplier_code: int = 1  # code of c in the base field; 1 is the element 1
+
+    def __post_init__(self):
+        if not 1 <= self.multiplier_code < self.base.order:
+            raise ValueError("psi multiplier must be a nonzero base-field element")
+
+    @property
+    def multiplier(self) -> FieldElement:
+        return self.base.element(self.multiplier_code)
+
+    @classmethod
+    def make(cls, base: FieldDescriptor, multiplier=1) -> "CharacterContext":
+        if isinstance(multiplier, FieldElement):
+            if multiplier.field != base:
+                raise ValueError("multiplier from a different field")
+            return cls(base, multiplier.code)
+        return cls(base, base.from_int(int(multiplier)).code)
+
+    def extension(self, degree: int) -> FieldDescriptor:
+        return build_field(self.base.p, self.base.d * degree)
+
+
+def chi2_code(L: FieldDescriptor, code: int) -> int:
+    """Quadratic character by dlog parity; 0 on the zero element."""
+    if code == 0:
+        return 0
+    return 1 if (code - 1) % 2 == 0 else -1
+
+
+def chi2(L: FieldDescriptor, x: FieldElement) -> int:
+    if x.field != L:
+        raise ValueError("element not in the stated field")
+    return chi2_code(L, x.code)
+
+
+def chi2_minus_one(L: FieldDescriptor) -> int:
+    """chi_2(-1) = +1 iff #L = 1 mod 4."""
+    return 1 if L.order % 4 == 1 else -1
+
+
+@lru_cache(maxsize=None)
+def psi_exponent_table(ctx: CharacterContext, L: FieldDescriptor) -> np.ndarray:
+    """Exponent a(u) with psi_{L/k}(u) = zeta_p^a(u), indexed by element code."""
+    if L.p != ctx.base.p or L.d % ctx.base.d != 0:
+        raise ValueError("L is not an extension of the context base field")
+    c_L = embed(ctx.base, L, ctx.multiplier)
+    M = L.order - 1
+    table = np.empty(L.order, dtype=np.int64)
+    table[0] = 0
+    shifted = 1 + (c_L.code - 1 + np.arange(M, dtype=np.int64)) % M
+    table[1:] = L.trace_abs_by_code[shifted]
+    table.setflags(write=False)
+    return table
+
+
+def psi_exponent(ctx: CharacterContext, L: FieldDescriptor, x: FieldElement) -> int:
+    return int(psi_exponent_table(ctx, L)[x.code])
+
+
+def psi(ctx: CharacterContext, L: FieldDescriptor, x: FieldElement) -> CycInt:
+    return CycInt.root(ctx.base.p, psi_exponent(ctx, L, x))
+
+
+def sum_psi(ctx: CharacterContext, L: FieldDescriptor) -> CycInt:
+    """sum over all of L of psi(u); orthogonality says 0 for nontrivial psi."""
+    p = ctx.base.p
+    counts = np.bincount(psi_exponent_table(ctx, L), minlength=p)
+    return CycInt.from_power_counts(p, counts.tolist())
+
+
+def sum_chi2(L: FieldDescriptor) -> int:
+    """sum over L^x of chi_2; orthogonality says 0."""
+    return sum(chi2_code(L, c) for c in range(1, L.order))
+
+
+def gauss_sum(ctx: CharacterContext, L: FieldDescriptor) -> CycInt:
+    """g_L = sum over L^x of psi(x) chi_2(x)."""
+    p = ctx.base.p
+    e = psi_exponent_table(ctx, L)[1:]
+    even = np.bincount(e[0::2], minlength=p)
+    odd = np.bincount(e[1::2], minlength=p)
+    return CycInt.from_power_counts(p, (even - odd).tolist())
+
+
+@dataclass(frozen=True)
+class GaussIdentityReport:
+    field_text: str
+    g: CycInt
+    norm_ok: bool        # g * conj(g) = #L
+    square_ok: bool      # g^2 = chi_2(-1) * #L
+    conj_ok: bool        # conj(g) = chi_2(-1) * g
+
+    @property
+    def all_ok(self) -> bool:
+        return self.norm_ok and self.square_ok and self.conj_ok
+
+
+def gauss_identities(ctx: CharacterContext, L: FieldDescriptor) -> GaussIdentityReport:
+    g = gauss_sum(ctx, L)
+    s = chi2_minus_one(L)
+    N = L.order
+    return GaussIdentityReport(
+        field_text=L.canonical_text(),
+        g=g,
+        norm_ok=(g * g.conj()) == CycInt.rational(ctx.base.p, N),
+        square_ok=(g * g) == CycInt.rational(ctx.base.p, s * N),
+        conj_ok=g.conj() == (s * g),
+    )
+
+
+def normalization_constant(ctx: CharacterContext, L: FieldDescriptor, n: int) -> CycInt:
+    """A(L, n, psi) = -chi_2(n * (-1)^((n-1)/2)) * g_L; needs n odd, prime to p."""
+    p = ctx.base.p
+    if n % 2 == 0:
+        raise ValueError("n must be odd")
+    if n % p == 0:
+        raise ValueError("n must be prime to the characteristic")
+    d = (n - 1) // 2
+    arg = L.from_int(n * (-1) ** (d % 2))
+    sign = chi2(L, arg)
+    return (-sign) * gauss_sum(ctx, L)
+
+
+@dataclass(frozen=True)
+class HasseDavenportRow:
+    degree: int
+    field_text: str
+    direct: CycInt
+    powered: CycInt
+
+    @property
+    def equal(self) -> bool:
+        return self.direct == self.powered
+
+
+@dataclass(frozen=True)
+class HasseDavenportReport:
+    n: int
+    base_text: str
+    rows: tuple[HasseDavenportRow, ...]
+
+    @property
+    def all_equal(self) -> bool:
+        return all(r.equal for r in self.rows)
+
+
+def hasse_davenport_check(ctx: CharacterContext, n: int,
+                          degrees) -> HasseDavenportReport:
+    """Exact check of A(L_D, n, psi_{L/k}) == A(k, n, psi_k)^D over extensions."""
+    base_A = normalization_constant(ctx, ctx.base, n)
+    rows = []
+    for D in degrees:
+        L = ctx.extension(D)
+        direct = normalization_constant(ctx, L, n)
+        rows.append(HasseDavenportRow(
+            degree=D, field_text=L.canonical_text(),
+            direct=direct, powered=base_A**D))
+    return HasseDavenportReport(n=n, base_text=ctx.base.canonical_text(),
+                                rows=tuple(rows))

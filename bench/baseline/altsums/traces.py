@@ -1,0 +1,417 @@
+"""Exact trace functions of the twisted sums S(t) = sum psi(x^n + t*x) chi_2(x).
+
+For an odd prime power q = p^f, set n = 2q - 1.  Over each extension L of the
+base field k, the raw sum
+
+    S(t) = sum over x in L of psi_{L/k}(x^n + t*x) * chi_2(x)
+
+is a cyclotomic integer, and the normalized trace T(t) = -S(t) / A(L, n, psi)
+is a rational number with denominator dividing #L (computed exactly as
+-S * conj(A) / #L, since A * conj(A) = #L).  That every T(t) is a rational
+*integer* is a verification target, stored per entry, never assumed.
+
+The production kernel buckets x by the exponent of psi at x^n + t*x using the
+Zech table, so each t costs a handful of vectorized passes over L^x plus two
+bincounts; a deliberately naive term-by-term accumulation is kept alongside
+as an independent cross-check.  Tables can be cached to disk with a checksum
+and rebuilt byte-identically for any worker count: the t-range is split into
+fixed-size chunks regardless of how many threads serve them.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import math
+import os
+import time
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass, field
+from fractions import Fraction
+from pathlib import Path
+
+import numpy as np
+
+from .characters import (CharacterContext, chi2_code, chi2_minus_one,
+                         normalization_constant, psi_exponent_table)
+from .cyclotomic import CycInt
+from .fields import FieldDescriptor, build_field
+
+CHUNK = 512  # fixed chunking of the t-range; independent of worker count
+
+
+class NonRationalTraceError(RuntimeError):
+    """A normalized trace failed to be rational; falsifies the design."""
+
+
+class CacheCorruptionError(RuntimeError):
+    """A trace-table cache file failed its checksum or shape checks."""
+
+
+@dataclass(frozen=True)
+class SystemParams:
+    """Configuration (p, q = p^f, base field degree, psi multiplier)."""
+
+    p: int
+    f: int
+    base_degree: int = 1
+    multiplier: int = 1
+
+    def __post_init__(self):
+        build_field(self.p, self.base_degree)  # validates p odd prime
+        if self.f < 1:
+            raise ValueError("f must be >= 1")
+        if self.multiplier % self.p == 0:
+            raise ValueError("psi multiplier must be nonzero mod p")
+
+    @property
+    def q(self) -> int:
+        return self.p**self.f
+
+    @property
+    def n(self) -> int:
+        return 2 * self.q - 1
+
+    def base_field(self) -> FieldDescriptor:
+        return build_field(self.p, self.base_degree)
+
+    def context(self) -> CharacterContext:
+        return CharacterContext.make(self.base_field(), self.multiplier)
+
+    def extension(self, degree: int) -> FieldDescriptor:
+        return build_field(self.p, self.base_degree * degree)
+
+    def label(self) -> str:
+        return (f"p={self.p} f={self.f} base_degree={self.base_degree} "
+                f"multiplier={self.multiplier % self.p} n={self.n}")
+
+
+class _Kernel:
+    """Per-(params, L) precomputation for the bucketing kernel."""
+
+    def __init__(self, params: SystemParams, L: FieldDescriptor):
+        self.p = params.p
+        self.N = L.order
+        self.M = L.order - 1
+        self.e_tab = psi_exponent_table(params.context(), L)
+        self.zech = L.zech_log
+        logs = np.arange(self.M, dtype=np.int64)
+        self.xn_log = (params.n * logs) % self.M
+        self.en0 = self.e_tab[1 + self.xn_log]  # exponents of psi(x^n)
+
+    def counts_row(self, t_code: int) -> np.ndarray:
+        """Coefficient counts of S(t) on zeta powers: counts[a] = #even - #odd."""
+        p = self.p
+        if t_code == 0:
+            exps = self.en0
+        else:
+            tau = t_code - 1
+            tx_log = np.arange(tau, tau + self.M, dtype=np.int64) % self.M
+            z = self.zech[(self.xn_log - tx_log) % self.M]
+            codes = np.where(z < 0, 0, 1 + (tx_log + z) % self.M)
+            exps = self.e_tab[codes]
+        even = np.bincount(exps[0::2], minlength=p)
+        odd = np.bincount(exps[1::2], minlength=p)
+        return even - odd
+
+
+_KERNELS: dict[tuple[SystemParams, FieldDescriptor], _Kernel] = {}
+
+
+def _kernel(params: SystemParams, L: FieldDescriptor) -> _Kernel:
+    key = (params, L)
+    k = _KERNELS.get(key)
+    if k is None:
+        k = _Kernel(params, L)
+        _KERNELS[key] = k
+    return k
+
+
+def raw_sum(params: SystemParams, L: FieldDescriptor, t) -> CycInt:
+    """S(t) through the production bucketing kernel."""
+    t_code = t.code if hasattr(t, "code") else L.from_int(int(t)).code
+    counts = _kernel(params, L).counts_row(t_code)
+    return CycInt.from_power_counts(params.p, counts.tolist())
+
+
+def raw_sum_naive(params: SystemParams, L: FieldDescriptor, t) -> CycInt:
+    """S(t) by scalar term-by-term accumulation; cross-check implementation."""
+    t_code = t.code if hasattr(t, "code") else L.from_int(int(t)).code
+    e_tab = psi_exponent_table(params.context(), L)
+    acc = CycInt.zero(params.p)
+    n = params.n
+    for code in range(1, L.order):
+        arg = L.add_code(L.pow_code(code, n), L.mul_code(t_code, code))
+        acc = acc + chi2_code(L, code) * CycInt.root(params.p, int(e_tab[arg]))
+    return acc
+
+
+def normalized_trace(params: SystemParams, L: FieldDescriptor, t) -> Fraction:
+    """T(t) = -S(t)/A as an exact rational; raises if not rational."""
+    S = raw_sum(params, L, t)
+    A = normalization_constant(params.context(), L, params.n)
+    num = (-S) * A.conj()
+    r = num.as_rational()
+    if r is None:
+        t_code = t.code if hasattr(t, "code") else L.from_int(int(t)).code
+        raise NonRationalTraceError(
+            f"non-rational normalized trace at t_code={t_code} over {L.canonical_text()}")
+    return Fraction(r, L.order)
+
+
+@dataclass(frozen=True)
+class TraceTable:
+    """All N normalized traces over one extension, as numerator/#L pairs.
+
+    Entry order is element-code order: index 0 is t = 0, index j >= 1 is
+    t = g^(j-1) for the field generator g.
+    """
+
+    params: SystemParams
+    degree: int
+    field_text: str
+    denominator: int
+    numerators: tuple[int, ...]
+    is_integer: tuple[bool, ...]
+    strategy: str = "zech-bucket"
+    wall_time: float = field(default=0.0, compare=False)
+
+    @property
+    def integral(self) -> bool:
+        return all(self.is_integer)
+
+    def values(self) -> list[Fraction]:
+        return [Fraction(c, self.denominator) for c in self.numerators]
+
+    def int_values(self) -> list[int]:
+        if not self.integral:
+            bad = next(i for i, ok in enumerate(self.is_integer) if not ok)
+            raise ValueError(f"non-integer trace at t_index={bad}")
+        return [c // self.denominator for c in self.numerators]
+
+    def moment(self, power: int) -> Fraction:
+        N = self.denominator
+        return Fraction(sum(c**power for c in self.numerators), N ** (power + 1))
+
+
+def _finish_entry(p: int, N: int, counts_row, conjA: CycInt, t_index: int,
+                  field_text: str) -> tuple[int, bool]:
+    S = CycInt.from_power_counts(p, list(counts_row))
+    num = (-S) * conjA
+    r = num.as_rational()
+    if r is None:
+        raise NonRationalTraceError(
+            f"non-rational normalized trace at t_index={t_index} over {field_text}")
+    return r, r % N == 0
+
+
+def _compute_counts(params: SystemParams, L: FieldDescriptor,
+                    workers: int) -> np.ndarray:
+    kern = _kernel(params, L)
+    N = L.order
+    starts = list(range(0, N, CHUNK))
+
+    def run(start: int) -> np.ndarray:
+        stop = min(start + CHUNK, N)
+        block = np.empty((stop - start, params.p), dtype=np.int64)
+        for i, t_code in enumerate(range(start, stop)):
+            block[i] = kern.counts_row(t_code)
+        return block
+
+    if workers <= 1 or len(starts) == 1:
+        blocks = [run(s) for s in starts]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            blocks = list(pool.map(run, starts))
+    return np.concatenate(blocks, axis=0)
+
+
+def trace_table(params: SystemParams, degree: int, *, cache_dir=None,
+                workers: int = 1) -> TraceTable:
+    """Compute (or load from a verified cache) the full trace table."""
+    L = params.extension(degree)
+    path = _cache_path(cache_dir, params, degree) if cache_dir else None
+    if path is not None and path.exists():
+        return _load_table(path, params, degree, L)
+
+    start = time.perf_counter()
+    counts = _compute_counts(params, L, workers)
+    conjA = normalization_constant(params.context(), L, params.n).conj()
+    numerators = []
+    flags = []
+    for t_index in range(L.order):
+        r, ok = _finish_entry(params.p, L.order, counts[t_index], conjA,
+                              t_index, L.canonical_text())
+        numerators.append(r)
+        flags.append(ok)
+    table = TraceTable(
+        params=params, degree=degree, field_text=L.canonical_text(),
+        denominator=L.order, numerators=tuple(numerators),
+        is_integer=tuple(flags), wall_time=time.perf_counter() - start)
+    if path is not None:
+        _save_table(path, table)
+    return table
+
+
+# -- disk cache ---------------------------------------------------------------
+
+def _cache_path(cache_dir, params: SystemParams, degree: int) -> Path:
+    name = (f"altsums_trace_p{params.p}_f{params.f}_b{params.base_degree}"
+            f"_c{params.multiplier % params.p}_D{degree}.csv")
+    return Path(cache_dir) / name
+
+
+def _table_payload(table: TraceTable) -> bytes:
+    lines = [
+        f"# altsums-trace-v1 {table.params.label()} D={table.degree}",
+        f"# field: {table.field_text}",
+        "t_index,numerator,denominator,is_integer",
+    ]
+    for i, num in enumerate(table.numerators):
+        flag = 1 if table.is_integer[i] else 0
+        lines.append(f"{i},{num},{table.denominator},{flag}")
+    return ("\n".join(lines) + "\n").encode()
+
+
+def _save_table(path: Path, table: TraceTable) -> None:
+    payload = _table_payload(table)
+    digest = hashlib.sha256(payload).hexdigest()
+    data = payload + f"# sha256={digest}\n".encode()
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_suffix(".tmp")
+    tmp.write_bytes(data)
+    os.replace(tmp, path)
+
+
+def _load_table(path: Path, params: SystemParams, degree: int,
+                L: FieldDescriptor) -> TraceTable:
+    data = path.read_bytes()
+    lines = data.split(b"\n")
+    if len(lines) < 5 or not lines[-2].startswith(b"# sha256="):
+        raise CacheCorruptionError(f"{path}: missing checksum trailer")
+    payload = b"\n".join(lines[:-2]) + b"\n"
+    want = lines[-2].decode().removeprefix("# sha256=")
+    got = hashlib.sha256(payload).hexdigest()
+    if got != want:
+        raise CacheCorruptionError(f"{path}: checksum mismatch")
+    text = payload.decode().splitlines()
+    head = f"# altsums-trace-v1 {params.label()} D={degree}"
+    if text[0] != head or text[1] != f"# field: {L.canonical_text()}":
+        raise CacheCorruptionError(f"{path}: header does not match the request")
+    if text[2] != "t_index,numerator,denominator,is_integer":
+        raise CacheCorruptionError(f"{path}: bad column header")
+    rows = text[3:]
+    if len(rows) != L.order:
+        raise CacheCorruptionError(f"{path}: expected {L.order} rows, found {len(rows)}")
+    numerators = []
+    flags = []
+    for i, row in enumerate(rows):
+        parts = row.split(",")
+        if len(parts) != 4 or int(parts[0]) != i or int(parts[2]) != L.order:
+            raise CacheCorruptionError(f"{path}: malformed row {i}")
+        num = int(parts[1])
+        flag = parts[3] == "1"
+        if flag != (num % L.order == 0):
+            raise CacheCorruptionError(f"{path}: inconsistent integrality flag at row {i}")
+        numerators.append(num)
+        flags.append(flag)
+    return TraceTable(params=params, degree=degree, field_text=L.canonical_text(),
+                      denominator=L.order, numerators=tuple(numerators),
+                      is_integer=tuple(flags), strategy="cache")
+
+
+# -- descent form -------------------------------------------------------------
+
+def descent_trace(params: SystemParams, L: FieldDescriptor, t) -> CycInt:
+    """-sum over x in L^x of psi(x^n / t + x) chi_2(x / t); t must be nonzero."""
+    t_code = t.code if hasattr(t, "code") else L.from_int(int(t)).code
+    if t_code == 0:
+        raise ValueError("descent trace is only defined for nonzero t")
+    p = params.p
+    kern = _kernel(params, L)
+    M = kern.M
+    tau = t_code - 1
+    logs = np.arange(M, dtype=np.int64)
+    a_log = (params.n * logs - tau) % M  # dlog of x^n / t; the addend is x itself
+    z = kern.zech[(a_log - logs) % M]
+    codes = np.where(z < 0, 0, 1 + (logs + z) % M)
+    exps = kern.e_tab[codes]
+    signs_even = ((logs - tau) % 2) == 0  # chi_2(x/t) by parity of its dlog
+    even = np.bincount(exps[signs_even], minlength=p)
+    odd = np.bincount(exps[~signs_even], minlength=p)
+    return -CycInt.from_power_counts(p, (even - odd).tolist())
+
+
+@dataclass(frozen=True)
+class DescentReport:
+    degree: int
+    applicable: bool      # gcd(n, #L - 1) = 1, so x -> x^n is a bijection
+    equal: bool | None
+    lhs: CycInt | None    # sum over s != 0 of |S(s)|^2
+    rhs: CycInt | None    # sum over t != 0 of |D(t)|^2
+
+
+def descent_consistency(params: SystemParams, degree: int) -> DescentReport:
+    """Exact equality of sum |S|^2 and sum |D|^2 over nonzero parameters."""
+    L = params.extension(degree)
+    if math.gcd(params.n, L.order - 1) != 1:
+        return DescentReport(degree, False, None, None, None)
+    lhs = CycInt.zero(params.p)
+    rhs = CycInt.zero(params.p)
+    for code in range(1, L.order):
+        s_val = raw_sum(params, L, L.element(code))
+        d_val = descent_trace(params, L, L.element(code))
+        lhs = lhs + s_val.abs_squared()
+        rhs = rhs + d_val.abs_squared()
+    return DescentReport(degree, True, lhs == rhs, lhs, rhs)
+
+
+# -- moments -------------------------------------------------------------------
+
+def empirical_moment(params: SystemParams, degree: int, power: int, *,
+                     table: TraceTable | None = None, cache_dir=None,
+                     workers: int = 1) -> Fraction:
+    if table is None:
+        table = trace_table(params, degree, cache_dir=cache_dir, workers=workers)
+    return table.moment(power)
+
+
+@dataclass(frozen=True)
+class MomentRow:
+    degree: int
+    field_order: int
+    m1: Fraction
+    m2: Fraction
+    m3: Fraction
+    m3_target: int
+    m3_deviation: float
+    integral: bool
+
+
+@dataclass(frozen=True)
+class MomentReport:
+    params: SystemParams
+    rows: tuple[MomentRow, ...]
+
+
+def moment_report(params: SystemParams, max_degree: int, *, cache_dir=None,
+                  workers: int = 1,
+                  tables: dict[int, TraceTable] | None = None) -> MomentReport:
+    """First three exact moments per degree, with the third-moment target.
+
+    The target is chi_2(-1) on the degree-D extension: +1 when #L = 1 mod 4,
+    -1 otherwise.
+    """
+    rows = []
+    for D in range(1, max_degree + 1):
+        table = (tables or {}).get(D)
+        if table is None:
+            table = trace_table(params, D, cache_dir=cache_dir, workers=workers)
+        L = params.extension(D)
+        target = chi2_minus_one(L)
+        m3 = table.moment(3)
+        rows.append(MomentRow(
+            degree=D, field_order=L.order,
+            m1=table.moment(1), m2=table.moment(2), m3=m3,
+            m3_target=target, m3_deviation=abs(float(m3 - target)),
+            integral=table.integral))
+    return MomentReport(params=params, rows=tuple(rows))

@@ -1,0 +1,226 @@
+"""Statistical verdict layer: joins trace tables with exact group spectra.
+
+Regime dichotomy: the trace values at extension degree D must land in the
+spectrum of the deleted-permutation character of Alt(2q) when -1 is a
+square in the base field or D is even, and in the sgn-twisted spectrum of
+the odd coset of Sym(2q) otherwise.  Both conditions reduce to the sign
+chi_2(-1) on the degree-D extension (#L = 1 mod 4 or not), which is also
+the third-moment target.
+
+All comparison statistics are exact rationals; the only floats are the
+configured tolerances.
+"""
+
+from __future__ import annotations
+
+from dataclasses import asdict, dataclass
+from fractions import Fraction
+
+from .characters import chi2_minus_one
+from .groups import build_stats, spectrum
+from .traces import SystemParams, TraceTable, trace_table
+
+
+def regime_for(params: SystemParams, degree: int) -> tuple[str, str]:
+    """(regime, twist): ('alt', 'plain') when #L = 1 mod 4, else ('coset', 'sgn')."""
+    L = params.extension(degree)
+    if chi2_minus_one(L) == 1:
+        return ("alt", "plain")
+    return ("coset", "sgn")
+
+
+def oracle_spectrum(params: SystemParams, degree: int) -> dict[int, Fraction]:
+    regime, twist = regime_for(params, degree)
+    return spectrum(build_stats(2 * params.q), regime, twist)
+
+
+@dataclass(frozen=True)
+class MembershipResult:
+    rate: Fraction
+    offenders: tuple[tuple[int, int], ...]  # (t_index, integer trace value)
+
+    @property
+    def full(self) -> bool:
+        return self.rate == 1
+
+
+def spectrum_membership(table: TraceTable,
+                        oracle: dict[int, Fraction]) -> MembershipResult:
+    """Fraction of entries whose value lies in the oracle support.
+
+    Requires an integral table; a non-integer entry is an upstream hard
+    error, not a membership miss.
+    """
+    support = set(oracle)
+    values = table.int_values()
+    offenders = tuple((i, v) for i, v in enumerate(values) if v not in support)
+    return MembershipResult(
+        rate=Fraction(len(values) - len(offenders), len(values)),
+        offenders=offenders)
+
+
+def distribution_distance(table: TraceTable,
+                          oracle: dict[int, Fraction]) -> Fraction:
+    """Exact total-variation distance between the empirical law and the oracle."""
+    values = table.int_values()
+    N = len(values)
+    emp: dict[int, int] = {}
+    for v in values:
+        emp[v] = emp.get(v, 0) + 1
+    keys = set(emp) | set(oracle)
+    gap = sum(abs(Fraction(emp.get(v, 0), N) - oracle.get(v, Fraction(0)))
+              for v in keys)
+    return gap / 2
+
+
+@dataclass(frozen=True)
+class VerdictConfig:
+    tv_max: float = 0.05       # TV threshold, enforced at the largest degree
+    m3_tol: float = 0.2        # third-moment deviation threshold
+    m3_min_order: int = 3**8   # enforce m3_tol on degrees with #L at least this
+
+    def as_dict(self) -> dict:
+        return asdict(self)
+
+
+def _frac(x: Fraction | None):
+    if x is None:
+        return None
+    return {"num": x.numerator, "den": x.denominator}
+
+
+@dataclass(frozen=True)
+class VerdictRow:
+    degree: int
+    field_order: int
+    regime: str
+    twist: str
+    integral: bool
+    membership_rate: Fraction | None   # None when the table is not integral
+    offenders: tuple[tuple[int, int], ...]
+    tv_distance: Fraction | None
+    m1: Fraction
+    m2: Fraction
+    m3: Fraction
+    m3_target: int
+    m3_deviation: float
+
+    def as_dict(self) -> dict:
+        return {
+            "degree": self.degree,
+            "field_order": self.field_order,
+            "regime": self.regime,
+            "twist": self.twist,
+            "integral": self.integral,
+            "membership_rate": _frac(self.membership_rate),
+            "offender_count": len(self.offenders),
+            "offenders": [list(o) for o in self.offenders[:10]],
+            "tv_distance": _frac(self.tv_distance),
+            "m1": _frac(self.m1),
+            "m2": _frac(self.m2),
+            "m3": _frac(self.m3),
+            "m3_target": self.m3_target,
+            "m3_deviation": self.m3_deviation,
+        }
+
+
+@dataclass(frozen=True)
+class VerdictReport:
+    params: SystemParams
+    max_degree: int
+    config: VerdictConfig
+    rows: tuple[VerdictRow, ...]
+    passed: bool
+    failures: tuple[str, ...]
+
+    def as_dict(self) -> dict:
+        return {
+            "params": {
+                "p": self.params.p, "f": self.params.f,
+                "base_degree": self.params.base_degree,
+                "multiplier": self.params.multiplier,
+                "q": self.params.q, "n": self.params.n,
+            },
+            "max_degree": self.max_degree,
+            "config": self.config.as_dict(),
+            "rows": [r.as_dict() for r in self.rows],
+            "passed": self.passed,
+            "failures": list(self.failures),
+        }
+
+
+def verdict(params: SystemParams, max_degree: int, *,
+            config: VerdictConfig | None = None, cache_dir=None,
+            workers: int = 1,
+            tables: dict[int, TraceTable] | None = None) -> VerdictReport:
+    """Assemble per-degree checks and the overall pass/fail decision.
+
+    PASS requires: every table integral, spectrum membership 100%
+    everywhere, |M3 - target| within tolerance on every degree with
+    #L >= m3_min_order, TV within tolerance at the largest degree, and a
+    smaller TV at the largest degree than at degree 1 (when max_degree > 1).
+    """
+    cfg = config or VerdictConfig()
+    rows = []
+    failures: list[str] = []
+    stats = build_stats(2 * params.q)
+
+    for D in range(1, max_degree + 1):
+        table = (tables or {}).get(D)
+        if table is None:
+            table = trace_table(params, D, cache_dir=cache_dir, workers=workers)
+        L = params.extension(D)
+        regime, twist = regime_for(params, D)
+        oracle = spectrum(stats, regime, twist)
+        target = chi2_minus_one(L)
+        m3 = table.moment(3)
+        m3_dev = abs(float(m3 - target))
+
+        if table.integral:
+            member = spectrum_membership(table, oracle)
+            tv = distribution_distance(table, oracle)
+            membership_rate = member.rate
+            offenders = member.offenders
+            if offenders:
+                first = offenders[0]
+                failures.append(
+                    f"degree {D}: {len(offenders)} trace value(s) outside the "
+                    f"{regime}/{twist} spectrum, first t_index={first[0]} "
+                    f"value={first[1]}")
+        else:
+            membership_rate = None
+            tv = None
+            offenders = ()
+            bad = next(i for i, ok in enumerate(table.is_integer) if not ok)
+            failures.append(
+                f"degree {D}: non-integer trace at t_index={bad} "
+                f"({table.numerators[bad]}/{table.denominator})")
+
+        if L.order >= cfg.m3_min_order and m3_dev > cfg.m3_tol:
+            failures.append(
+                f"degree {D}: |M3 - ({target})| = {m3_dev:.4f} exceeds "
+                f"{cfg.m3_tol} at #L = {L.order}")
+
+        rows.append(VerdictRow(
+            degree=D, field_order=L.order, regime=regime, twist=twist,
+            integral=table.integral, membership_rate=membership_rate,
+            offenders=offenders, tv_distance=tv,
+            m1=table.moment(1), m2=table.moment(2), m3=m3,
+            m3_target=target, m3_deviation=m3_dev))
+
+    top = rows[-1]
+    if top.tv_distance is not None:
+        if float(top.tv_distance) > cfg.tv_max:
+            failures.append(
+                f"degree {max_degree}: TV distance {float(top.tv_distance):.4f} "
+                f"exceeds {cfg.tv_max}")
+        first_tv = rows[0].tv_distance
+        if (max_degree > 1 and first_tv is not None
+                and top.tv_distance >= first_tv):
+            failures.append(
+                f"TV distance did not shrink: degree {max_degree} has "
+                f"{float(top.tv_distance):.4f} vs {float(first_tv):.4f} at degree 1")
+
+    return VerdictReport(params=params, max_degree=max_degree, config=cfg,
+                         rows=tuple(rows), passed=not failures,
+                         failures=tuple(failures))
