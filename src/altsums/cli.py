@@ -457,7 +457,7 @@ def _add_common(sp):
                     help="largest #L enumerated by the curve counter "
                          f"(default {DEFAULT_POINT_BUDGET})")
     sp.add_argument("--threads", type=int, default=None,
-                    help="worker threads; never affects output bytes")
+                    help="curve-enumeration worker threads; never affects output bytes")
     sp.add_argument("--cache-dir", default=None,
                     help=f"trace-table cache directory (env {CACHE_ENV})")
     sp.add_argument("--format", choices=("csv", "json"), default=None)

@@ -10,12 +10,12 @@ is a rational number with denominator dividing #L (computed exactly as
 -S * conj(A) / #L, since A * conj(A) = #L).  That every T(t) is a rational
 *integer* is a verification target, stored per entry, never assumed.
 
-The production kernel buckets x by the exponent of psi at x^n + t*x using the
-Zech table, so each t costs a handful of vectorized passes over L^x plus two
-bincounts; a deliberately naive term-by-term accumulation is kept alongside
-as an independent cross-check.  Tables can be cached to disk with a checksum
-and rebuilt byte-identically for any worker count: the t-range is split into
-fixed-size chunks regardless of how many threads serve them.
+The production kernel computes every S(t) at once as an exact additive
+Fourier transform over Z[zeta_p] (see _additive_fft_counts) and finishes
+all rows with one circulant product against conj(A).  A single-t O(#L) path
+serves raw_sum and the descent form; a deliberately naive term-by-term
+accumulation is kept as an independent cross-check.  Tables can be cached
+to disk with a checksum; no worker count affects them.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ from __future__ import annotations
 import hashlib
 import math
 import os
+import secrets
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -34,9 +34,7 @@ import numpy as np
 from .characters import (CharacterContext, chi2_code, chi2_minus_one,
                          normalization_constant, psi_exponent_table)
 from .cyclotomic import CycInt
-from .fields import FieldDescriptor, build_field
-
-CHUNK = 512  # fixed chunking of the t-range; independent of worker count
+from .fields import BudgetExceededError, FieldDescriptor, build_field
 
 
 class NonRationalTraceError(RuntimeError):
@@ -85,57 +83,31 @@ class SystemParams:
                 f"multiplier={self.multiplier % self.p} n={self.n}")
 
 
-class _Kernel:
-    """Per-(params, L) precomputation for the bucketing kernel."""
-
-    def __init__(self, params: SystemParams, L: FieldDescriptor):
-        self.p = params.p
-        self.N = L.order
-        self.M = L.order - 1
-        self.e_tab = psi_exponent_table(params.context(), L)
-        self.zech = L.zech_log
-        logs = np.arange(self.M, dtype=np.int64)
-        self.xn_log = (params.n * logs) % self.M
-        self.en0 = self.e_tab[1 + self.xn_log]  # exponents of psi(x^n)
-
-    def counts_row(self, t_code: int) -> np.ndarray:
-        """Coefficient counts of S(t) on zeta powers: counts[a] = #even - #odd."""
-        p = self.p
-        if t_code == 0:
-            exps = self.en0
-        else:
-            tau = t_code - 1
-            tx_log = np.arange(tau, tau + self.M, dtype=np.int64) % self.M
-            z = self.zech[(self.xn_log - tx_log) % self.M]
-            codes = np.where(z < 0, 0, 1 + (tx_log + z) % self.M)
-            exps = self.e_tab[codes]
-        even = np.bincount(exps[0::2], minlength=p)
-        odd = np.bincount(exps[1::2], minlength=p)
-        return even - odd
+def _t_code(L: FieldDescriptor, t) -> int:
+    return t.code if hasattr(t, "code") else L.from_int(int(t)).code
 
 
-_KERNELS: dict[tuple[SystemParams, FieldDescriptor], _Kernel] = {}
-
-
-def _kernel(params: SystemParams, L: FieldDescriptor) -> _Kernel:
-    key = (params, L)
-    k = _KERNELS.get(key)
-    if k is None:
-        k = _Kernel(params, L)
-        _KERNELS[key] = k
-    return k
+def _signed_sum(params: SystemParams, L: FieldDescriptor, codes: np.ndarray,
+                plus: np.ndarray) -> CycInt:
+    """sum of +-psi(u) over the element codes u, + where `plus` holds."""
+    p = params.p
+    exps = psi_exponent_table(params.context(), L)[codes]
+    counts = np.bincount(exps[plus], minlength=p) - np.bincount(exps[~plus], minlength=p)
+    return CycInt.from_power_counts(p, counts.tolist())
 
 
 def raw_sum(params: SystemParams, L: FieldDescriptor, t) -> CycInt:
-    """S(t) through the production bucketing kernel."""
-    t_code = t.code if hasattr(t, "code") else L.from_int(int(t)).code
-    counts = _kernel(params, L).counts_row(t_code)
-    return CycInt.from_power_counts(params.p, counts.tolist())
+    """S(t) for one t in O(#L); trace_table computes every t at once."""
+    M = L.order - 1
+    logs = np.arange(M, dtype=np.int64)  # x = g^log runs over L^x
+    codes = L.add_codes_vec(1 + (params.n * logs) % M,
+                            L.mul_codes_vec(np.int64(_t_code(L, t)), 1 + logs))
+    return _signed_sum(params, L, codes, logs % 2 == 0)
 
 
 def raw_sum_naive(params: SystemParams, L: FieldDescriptor, t) -> CycInt:
     """S(t) by scalar term-by-term accumulation; cross-check implementation."""
-    t_code = t.code if hasattr(t, "code") else L.from_int(int(t)).code
+    t_code = _t_code(L, t)
     e_tab = psi_exponent_table(params.context(), L)
     acc = CycInt.zero(params.p)
     n = params.n
@@ -152,9 +124,8 @@ def normalized_trace(params: SystemParams, L: FieldDescriptor, t) -> Fraction:
     num = (-S) * A.conj()
     r = num.as_rational()
     if r is None:
-        t_code = t.code if hasattr(t, "code") else L.from_int(int(t)).code
         raise NonRationalTraceError(
-            f"non-rational normalized trace at t_code={t_code} over {L.canonical_text()}")
+            f"non-rational normalized trace at t_code={_t_code(L, t)} over {L.canonical_text()}")
     return Fraction(r, L.order)
 
 
@@ -172,7 +143,7 @@ class TraceTable:
     denominator: int
     numerators: tuple[int, ...]
     is_integer: tuple[bool, ...]
-    strategy: str = "zech-bucket"
+    strategy: str = "additive-fft"
     wall_time: float = field(default=0.0, compare=False)
 
     @property
@@ -193,56 +164,83 @@ class TraceTable:
         return Fraction(sum(c**power for c in self.numerators), N ** (power + 1))
 
 
-def _finish_entry(p: int, N: int, counts_row, conjA: CycInt, t_index: int,
-                  field_text: str) -> tuple[int, bool]:
-    S = CycInt.from_power_counts(p, list(counts_row))
-    num = (-S) * conjA
-    r = num.as_rational()
-    if r is None:
+def _additive_fft_counts(params: SystemParams, L: FieldDescriptor) -> np.ndarray:
+    """Counts of S(t) on zeta^0..zeta^(p-1) for every t; row = element code.
+
+    Lay h(x) = chi_2(x) * zeta^e(x^n) out as H[a, k]: a = poly_int(x), the
+    base-p packing of the coordinates a_i of x, and k the zeta exponent.  As
+    e(t*x) = sum_i a_i * w_i(t) mod p with w_i(t) = e(t * x^i), the row of S(t)
+    is F[w(t)] for the d-dimensional (d = [L : F_p]) transform
+    F[w] = sum_a roll(H[a], <a, w>), taken one coordinate per stage.  Each
+    x != 0 puts one +-1 into H and a stage only shifts and adds rows, so the
+    l1 norm of every row stays at most #L - 1 and |H| <= #L - 1 in every
+    stage: int64 is exact.
+    """
+    p, d, N = L.p, L.d, L.order
+    M = N - 1
+    e_tab = psi_exponent_table(params.context(), L)
+    logs = np.arange(M, dtype=np.int64)
+    H = np.zeros((N, p), dtype=np.int64)
+    # poly_int is injective, so plain assignment places every term
+    H[L.antilog_int, e_tab[1 + (params.n * logs) % M]] = np.where(logs % 2 == 0, 1, -1)
+
+    k = np.arange(p)
+    shift = (k[None, None, :] - k[:, None, None] * k[None, :, None]) % p  # [a_i, w, j]
+    for i in range(d):
+        lo = p**i
+        blocks = H.reshape(N // (lo * p), p, lo, p)  # axis 1 is coordinate i
+        acc = np.zeros((N // (lo * p), lo, p, p), dtype=np.int64)
+        for ai in range(p):
+            acc += blocks[:, ai][..., shift[ai]]  # zeta^(a_i*w) shifts exponent j
+        H = acc.transpose(0, 2, 1, 3).reshape(N, p)
+
+    x_logs = L.log_by_int[p ** np.arange(d)]  # dlog of x^i
+    w = e_tab[1 + (logs[:, None] + x_logs[None, :]) % M]  # w_i(g^tau)
+    rows = np.concatenate(([0], w @ (p ** np.arange(d))))  # t = 0 has w = 0
+    return H[rows]
+
+
+def _finish(counts: np.ndarray, conjA: CycInt, N: int,
+            field_text: str) -> tuple[list[int], list[bool]]:
+    """Numerators of -S * conj(A) per row and their integrality flags.
+
+    Rows are counts of S on zeta powers, entries at most #L - 1 in l1 norm;
+    the product with conj(A) is one circulant matrix product, which stays
+    exact while p * (#L - 1) * max|conj(A)| < 2**63.
+    """
+    p = conjA.p
+    bound = p * (N - 1) * max(abs(c) for c in conjA.coeffs)
+    if bound >= 2**63:
+        raise BudgetExceededError(
+            f"p * (#L - 1) * max|conj(A)| = {bound} overflows int64 over {field_text}")
+    a = np.array(conjA.coeffs + (0,), dtype=np.int64)
+    k = np.arange(p)
+    prod = -(counts @ a[(k[None, :] - k[:, None]) % p])  # [t, k] = -sum_j S_j a_(k-j)
+    reduced = prod[:, :-1] - prod[:, -1:]  # power basis, as CycInt.from_power_counts
+    bad = np.flatnonzero(reduced[:, 1:].any(axis=1))
+    if bad.size:
         raise NonRationalTraceError(
-            f"non-rational normalized trace at t_index={t_index} over {field_text}")
-    return r, r % N == 0
-
-
-def _compute_counts(params: SystemParams, L: FieldDescriptor,
-                    workers: int) -> np.ndarray:
-    kern = _kernel(params, L)
-    N = L.order
-    starts = list(range(0, N, CHUNK))
-
-    def run(start: int) -> np.ndarray:
-        stop = min(start + CHUNK, N)
-        block = np.empty((stop - start, params.p), dtype=np.int64)
-        for i, t_code in enumerate(range(start, stop)):
-            block[i] = kern.counts_row(t_code)
-        return block
-
-    if workers <= 1 or len(starts) == 1:
-        blocks = [run(s) for s in starts]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            blocks = list(pool.map(run, starts))
-    return np.concatenate(blocks, axis=0)
+            f"non-rational normalized trace at t_index={bad[0]} over {field_text}")
+    num = reduced[:, 0]
+    return num.tolist(), (num % N == 0).tolist()
 
 
 def trace_table(params: SystemParams, degree: int, *, cache_dir=None,
                 workers: int = 1) -> TraceTable:
-    """Compute (or load from a verified cache) the full trace table."""
+    """Compute (or load from a verified cache) the full trace table.
+
+    `workers` is accepted like everywhere else in the pipeline and ignored:
+    one additive FFT computes the whole table.
+    """
     L = params.extension(degree)
     path = _cache_path(cache_dir, params, degree) if cache_dir else None
     if path is not None and path.exists():
         return _load_table(path, params, degree, L)
 
     start = time.perf_counter()
-    counts = _compute_counts(params, L, workers)
     conjA = normalization_constant(params.context(), L, params.n).conj()
-    numerators = []
-    flags = []
-    for t_index in range(L.order):
-        r, ok = _finish_entry(params.p, L.order, counts[t_index], conjA,
-                              t_index, L.canonical_text())
-        numerators.append(r)
-        flags.append(ok)
+    numerators, flags = _finish(_additive_fft_counts(params, L), conjA,
+                                L.order, L.canonical_text())
     table = TraceTable(
         params=params, degree=degree, field_text=L.canonical_text(),
         denominator=L.order, numerators=tuple(numerators),
@@ -277,9 +275,15 @@ def _save_table(path: Path, table: TraceTable) -> None:
     digest = hashlib.sha256(payload).hexdigest()
     data = payload + f"# sha256={digest}\n".encode()
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_suffix(".tmp")
-    tmp.write_bytes(data)
-    os.replace(tmp, path)
+    # a fresh name per writer; open(..., "x") keeps the umask mode (mkstemp: 0600)
+    tmp = path.with_name(f"{path.name}.{secrets.token_hex(8)}.tmp")
+    try:
+        with open(tmp, "xb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _load_table(path: Path, params: SystemParams, degree: int,
@@ -323,22 +327,15 @@ def _load_table(path: Path, params: SystemParams, degree: int,
 
 def descent_trace(params: SystemParams, L: FieldDescriptor, t) -> CycInt:
     """-sum over x in L^x of psi(x^n / t + x) chi_2(x / t); t must be nonzero."""
-    t_code = t.code if hasattr(t, "code") else L.from_int(int(t)).code
+    t_code = _t_code(L, t)
     if t_code == 0:
         raise ValueError("descent trace is only defined for nonzero t")
-    p = params.p
-    kern = _kernel(params, L)
-    M = kern.M
+    M = L.order - 1
     tau = t_code - 1
     logs = np.arange(M, dtype=np.int64)
-    a_log = (params.n * logs - tau) % M  # dlog of x^n / t; the addend is x itself
-    z = kern.zech[(a_log - logs) % M]
-    codes = np.where(z < 0, 0, 1 + (logs + z) % M)
-    exps = kern.e_tab[codes]
-    signs_even = ((logs - tau) % 2) == 0  # chi_2(x/t) by parity of its dlog
-    even = np.bincount(exps[signs_even], minlength=p)
-    odd = np.bincount(exps[~signs_even], minlength=p)
-    return -CycInt.from_power_counts(p, (even - odd).tolist())
+    # x^n / t plus x itself, signed by chi_2(x / t)
+    codes = L.add_codes_vec(1 + (params.n * logs - tau) % M, 1 + logs)
+    return -_signed_sum(params, L, codes, (logs - tau) % 2 == 0)
 
 
 @dataclass(frozen=True)

@@ -160,6 +160,8 @@ def verdict(params: SystemParams, max_degree: int, *,
     #L >= m3_min_order, TV within tolerance at the largest degree, and a
     smaller TV at the largest degree than at degree 1 (when max_degree > 1).
     """
+    if max_degree < 1:
+        raise ValueError(f"max_degree must be >= 1, got {max_degree}")
     cfg = config or VerdictConfig()
     rows = []
     failures: list[str] = []

@@ -12,16 +12,22 @@ Frozen oracles, derived by hand:
 import math
 import random
 import shutil
+import sys
+import threading
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from altsums.characters import normalization_constant
 from altsums.cyclotomic import CycInt
+from altsums.fields import BudgetExceededError
 from altsums.traces import (CacheCorruptionError, NonRationalTraceError,
-                            SystemParams, _finish_entry, descent_consistency,
-                            descent_trace, empirical_moment, moment_report,
-                            normalized_trace, raw_sum, raw_sum_naive,
-                            trace_table)
+                            SystemParams, _additive_fft_counts, _cache_path,
+                            _finish, _load_table, _save_table,
+                            descent_consistency, descent_trace,
+                            empirical_moment, moment_report, normalized_trace,
+                            raw_sum, raw_sum_naive, trace_table)
 
 P33 = SystemParams(p=3, f=1)
 P55 = SystemParams(p=5, f=1)
@@ -77,6 +83,51 @@ def test_bucket_equals_naive_sampled_f27():
     for code in rng.sample(range(L.order), 6):
         t = L.element(code)
         assert raw_sum(P33, L, t) == raw_sum_naive(P33, L, t)
+
+
+def _sweep_configs():
+    """One (p, f, base_degree, multiplier, D) per (p, f, base_degree), seeded."""
+    rng = random.Random(2)
+    out = []
+    for p in (3, 5, 7, 11, 13):
+        for f in (1, 2):
+            for b in (1, 2):
+                degrees = [D for D in range(1, 7) if p ** (b * D) <= 243]
+                out.append((p, f, b, rng.randrange(2, p), rng.choice(degrees)))
+    return out
+
+
+def _check_against_oracle(params, D, t_codes):
+    """FFT counts, numerators and flags equal the naive oracle at t_codes."""
+    L = params.extension(D)
+    N = L.order
+    counts = _additive_fft_counts(params, L)
+    table = trace_table(params, D)
+    conjA = normalization_constant(params.context(), L, params.n).conj()
+    for code in t_codes:
+        t = L.element(code)
+        naive = raw_sum_naive(params, L, t)
+        assert CycInt.from_power_counts(params.p, counts[code]) == naive, code
+        num = ((-naive) * conjA).as_rational()
+        assert table.numerators[code] == num
+        assert table.is_integer[code] == (num % N == 0)
+    for code in range(N):  # the single-t path equals every table row
+        assert raw_sum(params, L, L.element(code)) == \
+            CycInt.from_power_counts(params.p, counts[code])
+
+
+@pytest.mark.parametrize("p,f,b,c,D", _sweep_configs())
+def test_fft_table_equals_naive_oracle_every_t(p, f, b, c, D):
+    params = SystemParams(p=p, f=f, base_degree=b, multiplier=c)
+    _check_against_oracle(params, D, range(params.extension(D).order))
+
+
+@pytest.mark.parametrize("f,b,D", [(1, 1, 6), (2, 2, 3)])
+def test_fft_table_equals_oracle_at_729(f, b, D):
+    # #L = 729: every row against the single-t path, a seeded sample
+    # against the naive oracle, which is quadratic in #L
+    params = SystemParams(p=3, f=f, base_degree=b, multiplier=2)
+    _check_against_oracle(params, D, random.Random(f).sample(range(729), 16))
 
 
 def test_sum_of_raw_sums_vanishes():
@@ -212,7 +263,61 @@ def test_cache_header_mismatch_detected(tmp_path):
         trace_table(twisted, 1, cache_dir=tmp_path)
 
 
+def test_concurrent_writers_leave_one_whole_file(tmp_path):
+    table = trace_table(P33, 3)
+    path = _cache_path(tmp_path, P33, 3)
+    _save_table(path, table)
+    want = path.read_bytes()
+    errors = []
+    barrier = threading.Barrier(4)
+
+    def writer():
+        try:
+            barrier.wait(timeout=10)
+            for _ in range(25):
+                _save_table(path, table)
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=writer) for _ in range(4)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert not any(th.is_alive() for th in threads)
+    assert errors == []
+    assert [f.name for f in tmp_path.iterdir()] == [path.name]
+    assert path.read_bytes() == want
+    loaded = _load_table(path, P33, 3, P33.extension(3))
+    assert loaded.numerators == table.numerators
+
+
 def test_non_rational_guard_fires_on_doctored_counts():
-    counts = [0, 1, 0, 0, 0]  # stands for S = zeta_5, which no real table produces
+    counts = np.array([[0, 1, 0, 0, 0]])  # stands for S = zeta_5, which no real table produces
     with pytest.raises(NonRationalTraceError):
-        _finish_entry(5, 5, counts, CycInt.one(5), 0, "doctored")
+        _finish(counts, CycInt.one(5), 5, "doctored")
+    # a doctored row among good ones is named by its t_index
+    counts = np.array([[1, 0, 0, 0, 0], [0, 0, 0, 0, 0], [0, 0, 1, 0, 0]])
+    with pytest.raises(NonRationalTraceError, match="t_index=2 "):
+        _finish(counts, CycInt.one(5), 5, "doctored")
+
+
+def test_finish_flags_rational_non_integers():
+    # -S for S = 1, 3 and 1 + zeta + zeta^2 = 0: numerators -1, -3, 0 over N = 3
+    counts = np.array([[1, 0, 0], [3, 0, 0], [1, 1, 1]])
+    assert _finish(counts, CycInt.one(3), 3, "synthetic") == \
+        ([-1, -3, 0], [False, True, True])
+
+
+def test_int64_guard_before_finish_product():
+    # p * (#L - 1) * max|conj(A)| must stay below 2**63; synthetic sizes
+    counts = np.zeros((1, 3), dtype=np.int64)
+    N = 2**61 + 1
+    assert _finish(counts, CycInt(3, (1, 0)), N, "synthetic") == ([0], [True])
+    with pytest.raises(BudgetExceededError, match="int64"):
+        _finish(counts, CycInt(3, (0, -2)), N, "synthetic")

@@ -182,6 +182,12 @@ def test_verdict_max_degree_one_skips_decay_check():
     assert not verdict(P33, 1).passed
 
 
+@pytest.mark.parametrize("max_degree", [0, -1])
+def test_verdict_rejects_max_degree_below_one(max_degree):
+    with pytest.raises(ValueError, match="max_degree"):
+        verdict(P33, max_degree)
+
+
 def test_verdict_tv_threshold_applies_at_top_degree():
     tight = VerdictConfig(tv_max=0.01)
     report = verdict(P33, 1, config=tight)
