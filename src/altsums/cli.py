@@ -7,23 +7,26 @@ determinism guarantee is exactly that reruns with different --threads
 produce identical files.
 
 Exit codes: 0 = all checks passed, 1 = a falsified invariant (the
-counterexample is printed), 2 = usage error.
+counterexample is printed), 2 = usage error: invalid parameters or config
+file, a budget exceeded, a file that cannot be read or written, or a trace
+cache file that fails its checks (the message names the file; delete it to
+recompute).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
 from .curves import (
     DEFAULT_POINT_BUDGET,
+    _check_geometry,
     count_points,
     curve_moment_report,
     modified_third_moment,
@@ -69,6 +72,12 @@ class RunConfig:
     m3_min_order: int = 3**8
 
     def __post_init__(self):
+        kinds = {"int": int, "float": (int, float), "str": str,
+                 "str | None": (str, type(None))}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not isinstance(value, kinds[f.type]):
+                raise ValueError(f"{f.name} must be {f.type}, got {value!r}")
         if self.fmt not in ("csv", "json"):
             raise ValueError(f"unknown format {self.fmt!r}")
         if self.max_degree < 1 or self.budget < 1 or self.threads < 1:
@@ -100,7 +109,13 @@ class RunConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "RunConfig":
-        return cls(**json.loads(text))
+        data = json.loads(text)
+        if not isinstance(data, dict):
+            raise ValueError("a config file holds one JSON object")
+        unknown = sorted(set(data) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown config keys: {', '.join(unknown)}")
+        return cls(**data)
 
     def save(self, path) -> None:
         Path(path).write_text(self.to_json() + "\n", encoding="ascii")
@@ -165,16 +180,21 @@ def _cmd_field(cfg: RunConfig, degree: int, output) -> int:
     return 0
 
 
-def _cmd_traces(cfg: RunConfig, degree: int, output) -> int:
-    table = trace_table(cfg.params(), degree, cache_dir=cfg.cache_dir,
-                        workers=cfg.threads)
-    doc = Document(cfg)
-    doc.note(f"field: {table.field_text}")
-    rows = [(i, num, table.denominator, int(flag))
+def _trace_rows(table):
+    return [(i, num, table.denominator, int(flag))
             for i, (num, flag) in enumerate(zip(table.numerators,
                                                 table.is_integer))]
-    doc.section(f"traces_degree_{degree}",
-                "t_index,numerator,denominator,is_integer", rows,
+
+
+_TRACE_HEADER = "t_index,numerator,denominator,is_integer"
+
+
+def _cmd_traces(cfg: RunConfig, degree: int, output) -> int:
+    table = trace_table(cfg.params(), degree, cache_dir=cfg.cache_dir)
+    doc = Document(cfg)
+    doc.note(f"field: {table.field_text}")
+    rows = _trace_rows(table)
+    doc.section(f"traces_degree_{degree}", _TRACE_HEADER, rows,
                 json_rows={"degree": degree, "field": table.field_text,
                            "denominator": table.denominator,
                            "rows": [list(r) for r in rows]})
@@ -197,7 +217,7 @@ MOMENT_HEADER = ("degree,field_order,m1_num,m1_den,m2_num,m2_den,"
 
 def _cmd_moments(cfg: RunConfig, output) -> int:
     report = moment_report(cfg.params(), cfg.max_degree,
-                           cache_dir=cfg.cache_dir, workers=cfg.threads)
+                           cache_dir=cfg.cache_dir)
     doc = Document(cfg)
     rows = _moment_rows(report)
     doc.section("moments", MOMENT_HEADER, rows)
@@ -340,7 +360,7 @@ def _human_verdict(report) -> str:
 
 def _cmd_compare(cfg: RunConfig, output) -> int:
     report = verdict(cfg.params(), cfg.max_degree, config=cfg.verdict_config(),
-                     cache_dir=cfg.cache_dir, workers=cfg.threads)
+                     cache_dir=cfg.cache_dir)
     doc = Document(cfg)
     if cfg.fmt == "json":
         doc.obj["verdict"] = report.as_dict()
@@ -352,18 +372,6 @@ def _cmd_compare(cfg: RunConfig, output) -> int:
     _emit(doc, output)
     print(_human_verdict(report), file=sys.stderr)
     return 0 if report.passed else 1
-
-
-def _curve_degrees(cfg: RunConfig) -> list[int]:
-    """Degrees where the curve count is defined and within budget."""
-    out = []
-    for D in range(1, cfg.max_degree + 1):
-        if (cfg.base_degree * D) % cfg.f != 0:
-            continue
-        if cfg.p ** (cfg.base_degree * D) > cfg.budget:
-            continue
-        out.append(D)
-    return out
 
 
 def _cmd_all(cfg: RunConfig, output) -> int:
@@ -388,14 +396,8 @@ def _cmd_all(cfg: RunConfig, output) -> int:
 
     tables = {}
     for D in range(1, cfg.max_degree + 1):
-        tables[D] = trace_table(params, D, cache_dir=cfg.cache_dir,
-                                workers=cfg.threads)
-        table = tables[D]
-        trows = [(i, num, table.denominator, int(flag))
-                 for i, (num, flag) in enumerate(zip(table.numerators,
-                                                     table.is_integer))]
-        doc.section(f"traces_degree_{D}",
-                    "t_index,numerator,denominator,is_integer", trows)
+        tables[D] = trace_table(params, D, cache_dir=cfg.cache_dir)
+        doc.section(f"traces_degree_{D}", _TRACE_HEADER, _trace_rows(tables[D]))
 
     mreport = moment_report(params, cfg.max_degree, tables=tables)
     doc.section("moments", MOMENT_HEADER, _moment_rows(mreport))
@@ -403,22 +405,24 @@ def _cmd_all(cfg: RunConfig, output) -> int:
     curve_header = ("degree,field_order,modified_num,modified_den,"
                     "empirical_num,empirical_den,bound,within")
     crows = []
-    for D in _curve_degrees(cfg):
+    for D in range(1, cfg.max_degree + 1):
+        try:
+            _check_geometry(params, D, cfg.budget)
+        except ValueError:  # F_q is not inside L, or #L is over the budget
+            continue
         count = count_points(params, D, budget=cfg.budget,
                              workers=cfg.threads)
         doc.section(f"curves_degree_{D}", "t_index,count",
                     list(enumerate(count.counts)))
-        modified = modified_third_moment(params, D, count=count)
-        m3 = tables[D].moment(3) if D in tables else None
-        if m3 is not None:
-            bound = params.q / math.sqrt(count.field_order)
-            within = abs(float(modified - m3)) <= bound
-            crows.append((D, count.field_order, *_frac_cols(modified),
-                          *_frac_cols(m3), f"{bound:.6f}", int(within)))
-            if not within:
-                falsified.append(
-                    f"curve moment out of bound at degree {D}: "
-                    f"modified={modified} empirical={m3} bound={bound:.6f}")
+        cm = curve_moment_report(params, D, count=count, table=tables[D])
+        crows.append((D, cm.field_order, *_frac_cols(cm.modified),
+                      *_frac_cols(cm.empirical_m3), f"{cm.bound:.6f}",
+                      int(cm.within_bound)))
+        if not cm.within_bound:
+            falsified.append(
+                f"curve moment out of bound at degree {D}: "
+                f"modified={cm.modified} empirical={cm.empirical_m3} "
+                f"bound={cm.bound:.6f}")
     doc.section("curve_moments", curve_header, crows)
 
     report = verdict(params, cfg.max_degree, config=cfg.verdict_config(),
@@ -567,11 +571,14 @@ def main(argv=None) -> int:
             return _cmd_compare(cfg, args.output)
         if args.command == "all":
             return _cmd_all(cfg, args.output)
-    except (NonRationalTraceError, CacheCorruptionError,
-            IdentityFalsifiedError) as exc:
+    except (NonRationalTraceError, IdentityFalsifiedError) as exc:
         print(f"FALSIFIED: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, BudgetExceededError) as exc:
+    except CacheCorruptionError as exc:
+        print(f"usage error: corrupt trace cache file {exc}; "
+              "delete it to recompute", file=sys.stderr)
+        return 2
+    except (ValueError, BudgetExceededError, OSError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     raise AssertionError(f"unhandled command {args.command}")

@@ -26,7 +26,7 @@ import numpy as np
 from .characters import chi2_minus_one, gauss_sum, psi_exponent_table
 from .cyclotomic import CycInt
 from .fields import BudgetExceededError, FieldDescriptor, build_field, embed
-from .traces import SystemParams, empirical_moment
+from .traces import SystemParams, TraceTable, empirical_moment
 
 DEFAULT_POINT_BUDGET = 4096  # largest #L enumerated by default (#L^2 pairs)
 ROW_CHUNK = 256              # x-rows per work unit; fixed, not worker-dependent
@@ -188,13 +188,17 @@ class CurveMomentReport:
 
 
 def curve_moment_report(params: SystemParams, degree: int, *,
+                        count: CurveCount | None = None,
+                        table: TraceTable | None = None,
                         budget: int = DEFAULT_POINT_BUDGET,
                         workers: int = 1, cache_dir=None) -> CurveMomentReport:
-    """Compare the curve-side moment with the direct empirical third moment."""
-    modified = modified_third_moment(params, degree, budget=budget,
-                                     workers=workers)
-    m3 = empirical_moment(params, degree, 3, cache_dir=cache_dir,
-                          workers=workers)
+    """Compare the curve-side moment with the direct empirical third moment.
+
+    A precomputed `count` or trace `table` of this degree is used as is.
+    """
+    modified = modified_third_moment(params, degree, count=count,
+                                     budget=budget, workers=workers)
+    m3 = empirical_moment(params, degree, 3, table=table, cache_dir=cache_dir)
     L = params.extension(degree)
     bound = params.q / math.sqrt(L.order)
     gap = abs(float(modified - m3))

@@ -75,8 +75,9 @@ def factor_prime_power(q: int) -> tuple[int, int]:
     return p, f
 
 
-# -- dense polynomial arithmetic over F_p, used only to build tables and for
-#    the modulus search; coefficient lists are constant term first.
+# -- dense polynomial arithmetic over F_p, used to build tables, for the
+#    modulus search and for irreducibility tests; coefficient lists are
+#    constant term first, and every modulus is monic.
 
 def _poly_reduce(a: list[int], modulus: tuple[int, ...], p: int) -> list[int]:
     d = len(modulus) - 1
@@ -110,6 +111,23 @@ def _poly_pow_mod(base, e, modulus, p):
         cur = _poly_mul_mod(cur, cur, modulus, p)
         e >>= 1
     return result
+
+
+def _poly_monic(a, p):
+    """a divided by its leading coefficient, high zeros dropped; [] for zero."""
+    a = [c % p for c in a]
+    while a and a[-1] == 0:
+        a.pop()
+    inv = pow(a[-1], p - 2, p) if a else 0
+    return [c * inv % p for c in a]
+
+
+def _poly_gcd(a, b, p):
+    """Monic gcd over F_p."""
+    a, b = _poly_monic(a, p), _poly_monic(b, p)
+    while b:
+        a, b = b, _poly_monic(_poly_reduce(a, b, p), p)
+    return a
 
 
 def _x_is_primitive(modulus: tuple[int, ...], p: int) -> bool:

@@ -27,7 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import FieldDescriptor, build_field, factor_prime_power
+from .fields import (FieldDescriptor, _poly_gcd, _poly_monic, _poly_pow_mod,
+                     _poly_reduce, build_field, factor_prime_power, prime_factors)
 
 Monomial = tuple[int, int]
 
@@ -168,27 +169,28 @@ class SplitIdentityReport:
         return self.equal and self.homogeneous_ok and self.factor_count == self.q - 2
 
 
-def _split_sides(q: int):
+def _identity_sides(F: FieldDescriptor, n: int, factors):
+    """x^n + y^n + (-x-y)^n and x y (x+y) prod h^2 over the factors h, in F."""
+    minus_one = F.neg_code(1)
+    lhs = (binomial_power(F, 1, 0, n) + binomial_power(F, 0, 1, n)
+           + binomial_power(F, minus_one, minus_one, n))
+    rhs = (BivariatePoly.monomial(F, 1, 0) * BivariatePoly.monomial(F, 0, 1)
+           * BivariatePoly.linear_form(F, 1, 1))
+    for h in factors:
+        rhs = rhs * h * h
+    return lhs, rhs
+
+
+def verify_identity_split(q: int) -> SplitIdentityReport:
     p, f = factor_prime_power(q)
     if p == 2:
         raise ValueError("odd q required")
     F = build_field(p, f)
     n = 2 * q - 1
-    one = 1  # code of 1
-    lhs = (binomial_power(F, one, 0, n) + binomial_power(F, 0, one, n)
-           + binomial_power(F, F.neg_code(one), F.neg_code(one), n))
-    minus_one = F.neg_code(one)
-    rhs = (BivariatePoly.monomial(F, 1, 0) * BivariatePoly.monomial(F, 0, 1)
-           * BivariatePoly.linear_form(F, one, one))
+    minus_one = F.neg_code(1)
     alphas = [c for c in range(1, F.order) if c != minus_one]
-    for a in sorted(alphas):
-        factor = BivariatePoly.linear_form(F, one, F.neg_code(a))
-        rhs = rhs * factor * factor
-    return F, p, f, n, lhs, rhs, alphas
-
-
-def verify_identity_split(q: int) -> SplitIdentityReport:
-    F, p, f, n, lhs, rhs, alphas = _split_sides(q)
+    lhs, rhs = _identity_sides(
+        F, n, [BivariatePoly.linear_form(F, 1, F.neg_code(a)) for a in alphas])
     return SplitIdentityReport(
         q=q, p=p, f=f, field_text=F.canonical_text(), degree=n,
         factor_count=len(alphas),
@@ -259,101 +261,21 @@ def u_div_linear(F, a, alpha_code: int):
 
 # -- irreducibility over the prime field (integer coefficient lists mod p) -----------
 
-def _fp_trim(a, p):
-    a = [c % p for c in a]
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _fp_divmod(a, b, p):
-    a = _fp_trim(list(a), p)
-    b = _fp_trim(list(b), p)
-    if not b:
-        raise ZeroDivisionError
-    inv_lead = pow(b[-1], p - 2, p)
-    quot = [0] * max(len(a) - len(b) + 1, 0)
-    while len(a) >= len(b):
-        shift = len(a) - len(b)
-        c = a[-1] * inv_lead % p
-        quot[shift] = c
-        for i, bc in enumerate(b):
-            a[shift + i] = (a[shift + i] - c * bc) % p
-        a = _fp_trim(a, p)
-    return quot, a
-
-
-def _fp_gcd(a, b, p):
-    a = _fp_trim(list(a), p)
-    b = _fp_trim(list(b), p)
-    while b:
-        _, r = _fp_divmod(a, b, p)
-        a, b = b, r
-    if a:
-        inv = pow(a[-1], p - 2, p)
-        a = [c * inv % p for c in a]
-    return a
-
-
-def _fp_mulmod(a, b, mod, p):
-    out = [0] * (len(a) + len(b) - 1 if a and b else 0)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] = (out[i + j] + ca * cb) % p
-    _, r = _fp_divmod(out, mod, p)
-    return r
-
-
-def _fp_powmod(base, e, mod, p):
-    result = [1]
-    cur = list(base)
-    while e:
-        if e & 1:
-            result = _fp_mulmod(result, cur, mod, p)
-        cur = _fp_mulmod(cur, cur, mod, p)
-        e >>= 1
-    return result
-
-
 def fp_irreducible(coeffs, p) -> bool:
     """Rabin's test for a polynomial over F_p (any nonzero leading coeff)."""
-    h = _fp_trim(list(coeffs), p)
+    h = _poly_monic(coeffs, p)
     r = len(h) - 1
     if r < 1:
         return False
-    if r == 1:
-        return True
-    x = [0, 1]
-    xq = _fp_powmod(x, p**r, h, p)
-    if _fp_trim([a - b for a, b in zip_longest_sub(xq, x)], p):
+    x = _poly_reduce([0, 1], h, p)
+    if _poly_pow_mod(x, p**r, h, p) != x:
         return False
-    for s in set(prime_divisors(r)):
-        g = _fp_powmod(x, p ** (r // s), h, p)
-        diff = [a - b for a, b in zip_longest_sub(g, x)]
-        if len(_fp_gcd(diff, h, p)) - 1 > 0:
+    for s in prime_factors(r):
+        g = _poly_pow_mod(x, p ** (r // s), h, p)
+        g[1] -= 1  # x^(p^(r/s)) - x
+        if len(_poly_gcd(g, h, p)) > 1:
             return False
     return True
-
-
-def zip_longest_sub(a, b):
-    n = max(len(a), len(b))
-    return [(a[i] if i < len(a) else 0, b[i] if i < len(b) else 0)
-            for i in range(n)]
-
-
-def prime_divisors(n):
-    out = []
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            out.append(f)
-            while n % f == 0:
-                n //= f
-        f += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 def enumerate_monic_irreducibles(p: int, degree: int):
@@ -448,13 +370,7 @@ def verify_identity_grouped(q: int) -> GroupedIdentityReport:
                     expected.add(poly)
     complete_ok = prime_ok and factor_polys == expected
 
-    one = 1
-    lhs = (binomial_power(Fp, one, 0, n) + binomial_power(Fp, 0, one, n)
-           + binomial_power(Fp, Fp.neg_code(one), Fp.neg_code(one), n))
-    rhs = (BivariatePoly.monomial(Fp, 1, 0) * BivariatePoly.monomial(Fp, 0, 1)
-           * BivariatePoly.linear_form(Fp, one, one))
-    for h_p in factors_fp:
-        rhs = rhs * h_p * h_p
+    lhs, rhs = _identity_sides(Fp, n, factors_fp)
     equal = prime_ok and lhs == rhs
 
     degrees = tuple(sorted(len(orbit) for orbit in orbits))

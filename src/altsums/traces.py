@@ -15,7 +15,8 @@ Fourier transform over Z[zeta_p] (see _additive_fft_counts) and finishes
 all rows with one circulant product against conj(A).  A single-t O(#L) path
 serves raw_sum and the descent form; a deliberately naive term-by-term
 accumulation is kept as an independent cross-check.  Tables can be cached
-to disk with a checksum; no worker count affects them.
+to disk with a checksum; a cache file that fails its checks raises
+CacheCorruptionError naming the file and is never recomputed over.
 """
 
 from __future__ import annotations
@@ -24,8 +25,7 @@ import hashlib
 import math
 import os
 import secrets
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -143,8 +143,6 @@ class TraceTable:
     denominator: int
     numerators: tuple[int, ...]
     is_integer: tuple[bool, ...]
-    strategy: str = "additive-fft"
-    wall_time: float = field(default=0.0, compare=False)
 
     @property
     def integral(self) -> bool:
@@ -225,26 +223,21 @@ def _finish(counts: np.ndarray, conjA: CycInt, N: int,
     return num.tolist(), (num % N == 0).tolist()
 
 
-def trace_table(params: SystemParams, degree: int, *, cache_dir=None,
-                workers: int = 1) -> TraceTable:
-    """Compute (or load from a verified cache) the full trace table.
-
-    `workers` is accepted like everywhere else in the pipeline and ignored:
-    one additive FFT computes the whole table.
-    """
+def trace_table(params: SystemParams, degree: int, *,
+                cache_dir=None) -> TraceTable:
+    """Compute (or load from a verified cache) the full trace table."""
     L = params.extension(degree)
     path = _cache_path(cache_dir, params, degree) if cache_dir else None
     if path is not None and path.exists():
         return _load_table(path, params, degree, L)
 
-    start = time.perf_counter()
     conjA = normalization_constant(params.context(), L, params.n).conj()
     numerators, flags = _finish(_additive_fft_counts(params, L), conjA,
                                 L.order, L.canonical_text())
     table = TraceTable(
         params=params, degree=degree, field_text=L.canonical_text(),
         denominator=L.order, numerators=tuple(numerators),
-        is_integer=tuple(flags), wall_time=time.perf_counter() - start)
+        is_integer=tuple(flags))
     if path is not None:
         _save_table(path, table)
     return table
@@ -320,7 +313,7 @@ def _load_table(path: Path, params: SystemParams, degree: int,
         flags.append(flag)
     return TraceTable(params=params, degree=degree, field_text=L.canonical_text(),
                       denominator=L.order, numerators=tuple(numerators),
-                      is_integer=tuple(flags), strategy="cache")
+                      is_integer=tuple(flags))
 
 
 # -- descent form -------------------------------------------------------------
@@ -365,10 +358,9 @@ def descent_consistency(params: SystemParams, degree: int) -> DescentReport:
 # -- moments -------------------------------------------------------------------
 
 def empirical_moment(params: SystemParams, degree: int, power: int, *,
-                     table: TraceTable | None = None, cache_dir=None,
-                     workers: int = 1) -> Fraction:
+                     table: TraceTable | None = None, cache_dir=None) -> Fraction:
     if table is None:
-        table = trace_table(params, degree, cache_dir=cache_dir, workers=workers)
+        table = trace_table(params, degree, cache_dir=cache_dir)
     return table.moment(power)
 
 
@@ -391,7 +383,6 @@ class MomentReport:
 
 
 def moment_report(params: SystemParams, max_degree: int, *, cache_dir=None,
-                  workers: int = 1,
                   tables: dict[int, TraceTable] | None = None) -> MomentReport:
     """First three exact moments per degree, with the third-moment target.
 
@@ -402,7 +393,7 @@ def moment_report(params: SystemParams, max_degree: int, *, cache_dir=None,
     for D in range(1, max_degree + 1):
         table = (tables or {}).get(D)
         if table is None:
-            table = trace_table(params, D, cache_dir=cache_dir, workers=workers)
+            table = trace_table(params, D, cache_dir=cache_dir)
         L = params.extension(D)
         target = chi2_minus_one(L)
         m3 = table.moment(3)

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .characters import chi2_minus_one
 from .groups import build_stats, spectrum
-from .traces import SystemParams, TraceTable, trace_table
+from .traces import SystemParams, TraceTable, moment_report, trace_table
 
 
 def regime_for(params: SystemParams, degree: int) -> tuple[str, str]:
@@ -151,7 +151,6 @@ class VerdictReport:
 
 def verdict(params: SystemParams, max_degree: int, *,
             config: VerdictConfig | None = None, cache_dir=None,
-            workers: int = 1,
             tables: dict[int, TraceTable] | None = None) -> VerdictReport:
     """Assemble per-degree checks and the overall pass/fail decision.
 
@@ -166,17 +165,16 @@ def verdict(params: SystemParams, max_degree: int, *,
     rows = []
     failures: list[str] = []
     stats = build_stats(2 * params.q)
-
+    tables = dict(tables or {})
     for D in range(1, max_degree + 1):
-        table = (tables or {}).get(D)
-        if table is None:
-            table = trace_table(params, D, cache_dir=cache_dir, workers=workers)
-        L = params.extension(D)
+        if D not in tables:
+            tables[D] = trace_table(params, D, cache_dir=cache_dir)
+
+    for mrow in moment_report(params, max_degree, tables=tables).rows:
+        D = mrow.degree
+        table = tables[D]
         regime, twist = regime_for(params, D)
         oracle = spectrum(stats, regime, twist)
-        target = chi2_minus_one(L)
-        m3 = table.moment(3)
-        m3_dev = abs(float(m3 - target))
 
         if table.integral:
             member = spectrum_membership(table, oracle)
@@ -198,17 +196,19 @@ def verdict(params: SystemParams, max_degree: int, *,
                 f"degree {D}: non-integer trace at t_index={bad} "
                 f"({table.numerators[bad]}/{table.denominator})")
 
-        if L.order >= cfg.m3_min_order and m3_dev > cfg.m3_tol:
+        if (mrow.field_order >= cfg.m3_min_order
+                and mrow.m3_deviation > cfg.m3_tol):
             failures.append(
-                f"degree {D}: |M3 - ({target})| = {m3_dev:.4f} exceeds "
-                f"{cfg.m3_tol} at #L = {L.order}")
+                f"degree {D}: |M3 - ({mrow.m3_target})| = "
+                f"{mrow.m3_deviation:.4f} exceeds {cfg.m3_tol} "
+                f"at #L = {mrow.field_order}")
 
         rows.append(VerdictRow(
-            degree=D, field_order=L.order, regime=regime, twist=twist,
-            integral=table.integral, membership_rate=membership_rate,
+            degree=D, field_order=mrow.field_order, regime=regime, twist=twist,
+            integral=mrow.integral, membership_rate=membership_rate,
             offenders=offenders, tv_distance=tv,
-            m1=table.moment(1), m2=table.moment(2), m3=m3,
-            m3_target=target, m3_deviation=m3_dev))
+            m1=mrow.m1, m2=mrow.m2, m3=mrow.m3,
+            m3_target=mrow.m3_target, m3_deviation=mrow.m3_deviation))
 
     top = rows[-1]
     if top.tv_distance is not None:

@@ -59,7 +59,7 @@ def cache_dir(tmp_path_factory):
 @pytest.fixture(scope="module")
 def p3_tables(cache_dir):
     start = time.perf_counter()
-    tables = {D: trace_table(P33, D, cache_dir=cache_dir, workers=4)
+    tables = {D: trace_table(P33, D, cache_dir=cache_dir)
               for D in range(1, P3_MAX + 1)}
     return tables, time.perf_counter() - start
 
@@ -67,7 +67,7 @@ def p3_tables(cache_dir):
 @pytest.fixture(scope="module")
 def p5_tables(cache_dir):
     start = time.perf_counter()
-    tables = {D: trace_table(P55, D, cache_dir=cache_dir, workers=4)
+    tables = {D: trace_table(P55, D, cache_dir=cache_dir)
               for D in range(1, P5_MAX + 1)}
     return tables, time.perf_counter() - start
 

@@ -79,6 +79,45 @@ def test_usage_errors_exit_two(capsys):
     capsys.readouterr()
 
 
+def assert_one_usage_error(capsys):
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage error: ")
+    assert captured.err.count("\n") == 1
+    return captured.err
+
+
+def test_unwritable_cache_dir_exits_two(tmp_path, capsys):
+    not_a_dir = tmp_path / "file"
+    not_a_dir.write_text("")
+    assert main(["traces", "--p", "3", "--degree", "1",
+                 "--cache-dir", str(not_a_dir)]) == 2
+    assert_one_usage_error(capsys)
+
+
+def test_output_to_a_directory_exits_two(tmp_path, capsys):
+    assert main(["moments", "--max-degree", "2", "--output", str(tmp_path)]) == 2
+    assert_one_usage_error(capsys)
+
+
+@pytest.mark.parametrize("config", [{"p": 3, "bogus": 1}, {"p": "x"}, [3]])
+def test_bad_config_file_exits_two(tmp_path, capsys, config):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    assert main(["moments", "--config", str(path)]) == 2
+    assert_one_usage_error(capsys)
+
+
+def test_corrupt_cache_file_exits_two(tmp_path, capsys):
+    argv = ["traces", "--p", "3", "--degree", "1", "--cache-dir", str(tmp_path)]
+    assert main(argv) == 0
+    cached = next(tmp_path.glob("altsums_trace_*.csv"))
+    cached.write_bytes(cached.read_bytes().replace(b"-3", b"-6", 1))
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert cached.name in assert_one_usage_error(capsys)
+
+
 def test_version_flag_exits_zero(capsys):
     assert main(["--version"]) == 0
     assert __version__ in capsys.readouterr().out

@@ -20,7 +20,7 @@ from altsums.curves import (
 )
 from altsums.cyclotomic import CycInt
 from altsums.fields import BudgetExceededError
-from altsums.traces import SystemParams, empirical_moment
+from altsums.traces import SystemParams, empirical_moment, trace_table
 
 P33 = SystemParams(p=3, f=1)
 P55 = SystemParams(p=5, f=1)
@@ -129,6 +129,13 @@ def test_error_bound_against_empirical_moment(params, degrees):
         assert report.ok, (params.label(), D, report)
         gap = abs(float(report.modified - report.empirical_m3))
         assert gap <= report.bound
+
+
+def test_report_reuses_precomputed_count_and_table():
+    for D in (1, 2, 3, 4):
+        given = curve_moment_report(P33, D, count=count_points(P33, D),
+                                    table=trace_table(P33, D))
+        assert given == curve_moment_report(P33, D)
 
 
 def test_report_contents():

@@ -192,10 +192,21 @@ def brute_irreducible(coeffs, p):
 
 def test_fp_irreducible_matches_trial_division():
     from itertools import product as iproduct
-    for p, degree in [(3, 2), (3, 3), (3, 4), (5, 2), (5, 3)]:
+    for p, degree in [(3, 2), (3, 3), (3, 4), (3, 5), (5, 2), (5, 3),
+                      (7, 2), (7, 3)]:
         for tail in iproduct(range(p), repeat=degree):
             poly = list(tail) + [1]
             assert fp_irreducible(poly, p) == brute_irreducible(poly, p), poly
+
+
+def test_fp_irreducible_ignores_a_scalar_factor():
+    from itertools import product as iproduct
+    for p, degree in [(3, 1), (3, 2), (3, 4), (5, 2), (5, 3), (7, 2)]:
+        for tail in iproduct(range(p), repeat=degree):
+            h = list(tail) + [1]
+            for c in range(2, p):
+                assert fp_irreducible([c * a for a in h], p) == \
+                    fp_irreducible(h, p), (c, h)
 
 
 def test_monic_irreducible_counts_match_necklace_formula():
