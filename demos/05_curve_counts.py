@@ -2,11 +2,11 @@
 Point counts on fiber curves and the modified third moment
 ==========================================================
 
-Brute-force counts of the affine surfaces f(x, y) = t for the completely
-split form f = x y (x+y) prod (x - alpha y)^2, and the reconstruction of the
-third trace moment from those counts.  The two computations share nothing
-but the field tables, so agreement within the q/sqrt(#L) bound is a real
-consistency check.
+Counts of the affine curves f(x, y) = t for the completely split form
+f = x y (x+y) prod (x - alpha y)^2, taken in one pass over L because f is
+homogeneous, and the reconstruction of the third trace moment from those
+counts.  The two computations share nothing but the field tables, so
+agreement within the q/sqrt(#L) bound is a real consistency check.
 """
 
 from altsums import (

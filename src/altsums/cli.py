@@ -308,8 +308,7 @@ def _cmd_groupstats(cfg: RunConfig, m: int, regime: str, twist: str,
 
 
 def _cmd_curves(cfg: RunConfig, degree: int, output) -> int:
-    count = count_points(cfg.params(), degree, budget=cfg.budget,
-                         workers=cfg.threads)
+    count = count_points(cfg.params(), degree, budget=cfg.budget)
     doc = Document(cfg)
     doc.note(f"field: {count.field_text}")
     rows = list(enumerate(count.counts))
@@ -410,8 +409,7 @@ def _cmd_all(cfg: RunConfig, output) -> int:
             _check_geometry(params, D, cfg.budget)
         except ValueError:  # F_q is not inside L, or #L is over the budget
             continue
-        count = count_points(params, D, budget=cfg.budget,
-                             workers=cfg.threads)
+        count = count_points(params, D, budget=cfg.budget)
         doc.section(f"curves_degree_{D}", "t_index,count",
                     list(enumerate(count.counts)))
         cm = curve_moment_report(params, D, count=count, table=tables[D])
@@ -458,10 +456,10 @@ def _add_common(sp):
     sp.add_argument("--max-degree", type=int, default=None,
                     help="largest extension degree (default 8)")
     sp.add_argument("--budget", type=int, default=None,
-                    help="largest #L enumerated by the curve counter "
+                    help="largest #L whose fiber curves are counted "
                          f"(default {DEFAULT_POINT_BUDGET})")
     sp.add_argument("--threads", type=int, default=None,
-                    help="curve-enumeration worker threads; never affects output bytes")
+                    help="accepted and ignored: the library starts no threads")
     sp.add_argument("--cache-dir", default=None,
                     help=f"trace-table cache directory (env {CACHE_ENV})")
     sp.add_argument("--format", choices=("csv", "json"), default=None)

@@ -1,23 +1,22 @@
-"""Brute-force point counts of the fiber curves f(x, y) = t.
+"""Point counts of the fiber curves f(x, y) = t.
 
 Here f(x, y) = x y (x + y) prod over alpha in F_q minus {0, -1} of
 (x - alpha y)^2, a form of degree n = 2q - 1 that equals
-x^n + y^n + (-x-y)^n by the split polynomial identity.  Counting every
-affine pair (x, y) in L^2 and histogramming by the value of f gives the
-fiber counts N_L(t); weighting them by psi(t) chi_2(-t) and normalizing by
-the cubed Gauss sum reconstructs a modified third moment that differs from
-the empirical third moment of the trace function by at most q / sqrt(#L).
+x^n + y^n + (-x-y)^n by the split polynomial identity.  The affine fiber
+counts N_L(t) = #{(x, y) in L^2 : f(x, y) = t}, weighted by psi(t) chi_2(-t)
+and normalized by the cubed Gauss sum, give a modified third moment within
+q / sqrt(#L) of the empirical third moment of the trace function.
 
-The enumeration is honest: the x-range is cut into fixed-size chunks, each
-worker evaluates f on its rows against the full y-vector, and the private
-integer histograms are merged by addition, so the result is independent of
-the worker count.
+The counts follow from homogeneity in one pass over L: f(x, 0) = 0 and
+f(u y, y) = y^n P(u) with P(u) = f(u, 1), and y -> y^n maps L^x g-to-one
+onto the g-th powers, g = gcd(n, #L - 1).  Hence N(0) = #L + (#L - 1)
+#{u : P(u) = 0} and N(t) = g #{u : P(u) != 0, dlog P(u) = dlog t mod g}
+for t != 0, where the dlog of code j >= 1 (the element gen^(j-1)) is j - 1.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -26,10 +25,11 @@ import numpy as np
 from .characters import chi2_minus_one, gauss_sum, psi_exponent_table
 from .cyclotomic import CycInt
 from .fields import BudgetExceededError, FieldDescriptor, build_field, embed
+from .identities import _split_alphas
 from .traces import SystemParams, TraceTable, empirical_moment
 
-DEFAULT_POINT_BUDGET = 4096  # largest #L enumerated by default (#L^2 pairs)
-ROW_CHUNK = 256              # x-rows per work unit; fixed, not worker-dependent
+DEFAULT_POINT_BUDGET = 4096  # largest #L counted by default
+ROW_CHUNK = 256              # x-rows per block of triple_sum_direct: bounds its memory
 
 
 class NonRationalMomentError(RuntimeError):
@@ -57,11 +57,9 @@ class CurveCount:
 
 
 def _alpha_codes(params: SystemParams, L: FieldDescriptor) -> list[int]:
-    """Codes in L of the embedded elements of F_q minus {0, -1}, sorted."""
+    """Codes in L of the embedded elements of F_q minus {0, -1}."""
     Fq = build_field(params.p, params.f)
-    minus_one = Fq.neg_code(1)
-    return [embed(Fq, L, Fq.element(c)).code
-            for c in range(1, Fq.order) if c != minus_one]
+    return [embed(Fq, L, Fq.element(c)).code for c in _split_alphas(Fq)]
 
 
 def _eval_rows(L: FieldDescriptor, alphas: list[int],
@@ -77,37 +75,29 @@ def _eval_rows(L: FieldDescriptor, alphas: list[int],
 
 
 def _check_geometry(params: SystemParams, degree: int, budget: int):
+    d = params.base_degree * degree
+    if params.p**d > budget:  # before the build, which is slow for large #L
+        raise BudgetExceededError(
+            f"#L = {params.p**d} exceeds the point-count budget {budget}")
     L = params.extension(degree)
-    if (params.base_degree * degree) % params.f != 0:
+    if d % params.f != 0:
         raise ValueError(
             f"roots live in a degree-{params.f} field, which is not a "
             f"subfield of {L.canonical_text()}")
-    if L.order > budget:
-        raise BudgetExceededError(
-            f"#L = {L.order} exceeds the point-count budget {budget}")
     return L
 
 
 def count_points(params: SystemParams, degree: int, *,
-                 budget: int = DEFAULT_POINT_BUDGET,
-                 workers: int = 1) -> CurveCount:
+                 budget: int = DEFAULT_POINT_BUDGET) -> CurveCount:
     L = _check_geometry(params, degree, budget)
     N = L.order
-    alphas = _alpha_codes(params, L)
-    ys = np.arange(N, dtype=np.int64)
-    starts = range(0, N, ROW_CHUNK)
-
-    def run(start: int) -> np.ndarray:
-        rows = np.arange(start, min(start + ROW_CHUNK, N), dtype=np.int64)
-        values = _eval_rows(L, alphas, rows, ys)
-        return np.bincount(values.ravel(), minlength=N)
-
-    if workers <= 1:
-        parts = [run(s) for s in starts]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(run, starts))
-    hist = np.sum(parts, axis=0)
+    g = math.gcd(params.n, N - 1)
+    P = _eval_rows(L, _alpha_codes(params, L), np.arange(N, dtype=np.int64),
+                   np.ones(1, dtype=np.int64)).ravel()
+    classes = np.bincount((P[P != 0] - 1) % g, minlength=g)
+    hist = np.empty(N, dtype=np.int64)
+    hist[0] = N + (N - 1) * int(np.count_nonzero(P == 0))
+    hist[1:] = g * classes[np.arange(N - 1) % g]
     return CurveCount(params=params, degree=degree,
                       field_text=L.canonical_text(),
                       counts=tuple(int(c) for c in hist))
@@ -153,15 +143,14 @@ def triple_sum_direct(params: SystemParams, degree: int, *,
 
 def modified_third_moment(params: SystemParams, degree: int, *,
                           count: CurveCount | None = None,
-                          budget: int = DEFAULT_POINT_BUDGET,
-                          workers: int = 1) -> Fraction:
+                          budget: int = DEFAULT_POINT_BUDGET) -> Fraction:
     """(chi_2(-1)/g)^3 * W as an exact rational.
 
     Uses 1/g = conj(g)/#L, so the value is chi_2(-1) W conj(g)^3 / (#L)^3;
     a non-rational numerator is a hard error.
     """
     if count is None:
-        count = count_points(params, degree, budget=budget, workers=workers)
+        count = count_points(params, degree, budget=budget)
     L = params.extension(count.degree)
     W = curve_weighted_sum(params, count)
     g = gauss_sum(params.context(), L)
@@ -191,13 +180,12 @@ def curve_moment_report(params: SystemParams, degree: int, *,
                         count: CurveCount | None = None,
                         table: TraceTable | None = None,
                         budget: int = DEFAULT_POINT_BUDGET,
-                        workers: int = 1, cache_dir=None) -> CurveMomentReport:
+                        cache_dir=None) -> CurveMomentReport:
     """Compare the curve-side moment with the direct empirical third moment.
 
     A precomputed `count` or trace `table` of this degree is used as is.
     """
-    modified = modified_third_moment(params, degree, count=count,
-                                     budget=budget, workers=workers)
+    modified = modified_third_moment(params, degree, count=count, budget=budget)
     m3 = empirical_moment(params, degree, 3, table=table, cache_dir=cache_dir)
     L = params.extension(degree)
     bound = params.q / math.sqrt(L.order)

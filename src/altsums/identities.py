@@ -169,6 +169,20 @@ class SplitIdentityReport:
         return self.equal and self.homogeneous_ok and self.factor_count == self.q - 2
 
 
+def _odd_q(q: int) -> tuple[int, int, int]:
+    """(p, f, n = 2q - 1) for an odd prime power q = p^f."""
+    p, f = factor_prime_power(q)
+    if p == 2:
+        raise ValueError("odd q required")
+    return p, f, 2 * q - 1
+
+
+def _split_alphas(F: FieldDescriptor) -> list[int]:
+    """Codes of F minus {0, -1}, the alpha of the factors (x - alpha y)^2."""
+    minus_one = F.neg_code(1)
+    return [c for c in range(1, F.order) if c != minus_one]
+
+
 def _identity_sides(F: FieldDescriptor, n: int, factors):
     """x^n + y^n + (-x-y)^n and x y (x+y) prod h^2 over the factors h, in F."""
     minus_one = F.neg_code(1)
@@ -182,13 +196,9 @@ def _identity_sides(F: FieldDescriptor, n: int, factors):
 
 
 def verify_identity_split(q: int) -> SplitIdentityReport:
-    p, f = factor_prime_power(q)
-    if p == 2:
-        raise ValueError("odd q required")
+    p, f, n = _odd_q(q)
     F = build_field(p, f)
-    n = 2 * q - 1
-    minus_one = F.neg_code(1)
-    alphas = [c for c in range(1, F.order) if c != minus_one]
+    alphas = _split_alphas(F)
     lhs, rhs = _identity_sides(
         F, n, [BivariatePoly.linear_form(F, 1, F.neg_code(a)) for a in alphas])
     return SplitIdentityReport(
@@ -330,14 +340,10 @@ def _frobenius_orbits(F: FieldDescriptor, codes):
 
 
 def verify_identity_grouped(q: int) -> GroupedIdentityReport:
-    p, f = factor_prime_power(q)
-    if p == 2:
-        raise ValueError("odd q required")
+    p, f, n = _odd_q(q)
     Fq = build_field(p, f)
     Fp = build_field(p, 1)
-    n = 2 * q - 1
-    minus_one = Fq.neg_code(1)
-    alphas = [c for c in range(1, Fq.order) if c != minus_one]
+    alphas = _split_alphas(Fq)
     orbits = _frobenius_orbits(Fq, alphas)
 
     prime_ok = True
@@ -406,11 +412,8 @@ class DerivativeReport:
 
 
 def verify_derivative_steps(q: int) -> DerivativeReport:
-    p, f = factor_prime_power(q)
-    if p == 2:
-        raise ValueError("odd q required")
+    p, f, n = _odd_q(q)
     F = build_field(p, f)
-    n = 2 * q - 1
 
     def binom_poly(shift_one: bool, e: int) -> list[int]:
         # (x + 1)^e if shift_one else x^e, as dense codes
@@ -428,8 +431,7 @@ def verify_derivative_steps(q: int) -> DerivativeReport:
     dP = u_deriv(F, P)
     dP_expected = u_add(F, u_neg(F, binom_poly(False, n - 1)),
                         binom_poly(True, n - 1))
-    minus_one = F.neg_code(1)
-    alphas = [c for c in range(1, F.order) if c != minus_one]
+    alphas = _split_alphas(F)
     dvanish = all(u_eval(F, dP, a) == 0 for a in alphas)
 
     division_ok = True
@@ -551,10 +553,7 @@ class WildInertiaReport:
 
 
 def wild_inertia_span(q: int, *, zeta_index: int = 1) -> WildInertiaReport:
-    p, f = factor_prime_power(q)
-    if p == 2:
-        raise ValueError("odd q required")
-    n = 2 * q - 1
+    p, f, n = _odd_q(q)
     order = n - 1
     span = unity_root_span(p, order, zeta_index=zeta_index)
     L = build_field(p, span.field_degree)

@@ -201,6 +201,11 @@ def test_criterion_09_curve_oracle_consistency(announce, cache_dir):
             ok = ok and count.total() == count.field_order ** 2
             report = curve_moment_report(params, D, cache_dir=cache_dir)
             ok = ok and report.within_bound
+    # beyond the 4096-element default budget: 3^9 = 19683 elements
+    count = count_points(P33, 9, budget=3**9)
+    ok = ok and count.total() == count.field_order ** 2
+    report = curve_moment_report(P33, 9, count=count, cache_dir=cache_dir)
+    ok = ok and report.within_bound
     assert announce(9, "curve count matches M3 within q/sqrt(#L)", ok)
 
 

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from altsums import __version__
+from altsums import __version__, traces
 from altsums.cli import CACHE_ENV, RunConfig, build_parser, config_from_args, main
 
 
@@ -85,6 +85,21 @@ def assert_one_usage_error(capsys):
     assert captured.err.startswith("usage error: ")
     assert captured.err.count("\n") == 1
     return captured.err
+
+
+def test_curves_over_budget_exits_two_without_building_the_field(
+        monkeypatch, capsys):
+    real = traces.build_field
+
+    def small_fields_only(p, d, **kwargs):
+        if p**d > 4096:
+            raise AssertionError(f"built F_{p}^{d}")
+        return real(p, d, **kwargs)
+
+    monkeypatch.setattr(traces, "build_field", small_fields_only)
+    assert main(["curves", "--p", "3", "--degree", "10"]) == 2
+    assert assert_one_usage_error(capsys) == \
+        "usage error: #L = 59049 exceeds the point-count budget 4096\n"
 
 
 def test_unwritable_cache_dir_exits_two(tmp_path, capsys):
