@@ -18,8 +18,8 @@ from .characters import (CharacterContext, chi2, chi2_minus_one,
 from .traces import (CacheCorruptionError, NonRationalTraceError, SystemParams,
                      TraceTable, descent_consistency, empirical_moment,
                      moment_report, normalized_trace, raw_sum, trace_table)
-from .groups import (GroupStats, build_stats, exact_moment,
-                     singleton_free_partitions, spectrum, tensor_square_check)
+from .groups import (exact_moment, singleton_free_partitions, spectrum,
+                     tensor_square_check)
 from .identities import (IdentityFalsifiedError, require_ok, unity_root_span,
                          verify_derivative_steps, verify_identity_grouped,
                          verify_identity_split, virtual_character_table,
@@ -37,7 +37,6 @@ __all__ = [
     "CycInt",
     "FieldDescriptor",
     "FieldElement",
-    "GroupStats",
     "IdentityFalsifiedError",
     "NonRationalTraceError",
     "SystemParams",
@@ -45,7 +44,6 @@ __all__ = [
     "VerdictConfig",
     "VerdictReport",
     "build_field",
-    "build_stats",
     "chi2",
     "chi2_minus_one",
     "count_points",

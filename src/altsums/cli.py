@@ -32,7 +32,7 @@ from .curves import (
     modified_third_moment,
 )
 from .fields import BudgetExceededError, build_field, factor_prime_power
-from .groups import REGIMES, TWISTS, build_stats, exact_moment, spectrum
+from .groups import REGIMES, TWISTS, exact_moment, spectrum
 from .identities import (
     IdentityFalsifiedError,
     require_ok,
@@ -203,6 +203,7 @@ def _cmd_traces(cfg: RunConfig, degree: int, output) -> int:
 
 
 def _moment_rows(report):
+    """M1-M3 rows of a moment report or of a verdict report."""
     rows = []
     for r in report.rows:
         rows.append((r.degree, r.field_order,
@@ -290,10 +291,9 @@ def _cmd_wild(cfg: RunConfig, q: int, output) -> int:
 
 
 def _groupstats_rows(m: int, regime: str, twist: str):
-    stats = build_stats(m)
-    dist = spectrum(stats, regime, twist)
-    rows = [("prob", v, *_frac_cols(pr)) for v, pr in dist.items()]
-    rows += [("moment", k, *_frac_cols(exact_moment(stats, k, regime, twist)))
+    rows = [("prob", v, *_frac_cols(pr))
+            for v, pr in spectrum(m, regime, twist).items()]
+    rows += [("moment", k, *_frac_cols(exact_moment(m, k, regime, twist)))
              for k in (1, 2, 3)]
     return rows
 
@@ -398,8 +398,9 @@ def _cmd_all(cfg: RunConfig, output) -> int:
         tables[D] = trace_table(params, D, cache_dir=cfg.cache_dir)
         doc.section(f"traces_degree_{D}", _TRACE_HEADER, _trace_rows(tables[D]))
 
-    mreport = moment_report(params, cfg.max_degree, tables=tables)
-    doc.section("moments", MOMENT_HEADER, _moment_rows(mreport))
+    report = verdict(params, cfg.max_degree, config=cfg.verdict_config(),
+                     tables=tables)
+    doc.section("moments", MOMENT_HEADER, _moment_rows(report))
 
     curve_header = ("degree,field_order,modified_num,modified_den,"
                     "empirical_num,empirical_den,bound,within")
@@ -423,8 +424,6 @@ def _cmd_all(cfg: RunConfig, output) -> int:
                 f"bound={cm.bound:.6f}")
     doc.section("curve_moments", curve_header, crows)
 
-    report = verdict(params, cfg.max_degree, config=cfg.verdict_config(),
-                     tables=tables)
     if cfg.fmt == "json":
         doc.obj["verdict"] = report.as_dict()
     else:

@@ -163,17 +163,16 @@ class FieldDescriptor:
     *_code methods speak codes; FieldElement wraps them for scalar work.
     """
 
-    def __init__(self, p: int, d: int, *, table_budget: int = DEFAULT_TABLE_BUDGET,
-                 max_degree: int = MAX_DEGREE):
+    def __init__(self, p: int, d: int):
         if not is_prime(p):
             raise ValueError(f"p={p} is not prime")
         if p == 2:
             raise ValueError("characteristic 2 is out of scope (odd p required)")
-        if not 1 <= d <= max_degree:
-            raise ValueError(f"extension degree d={d} outside [1, {max_degree}]")
-        if p**d > table_budget:
+        if not 1 <= d <= MAX_DEGREE:
+            raise ValueError(f"extension degree d={d} outside [1, {MAX_DEGREE}]")
+        if p**d > DEFAULT_TABLE_BUDGET:
             raise BudgetExceededError(
-                f"p^d = {p**d} exceeds the table budget {table_budget}")
+                f"p^d = {p**d} exceeds the table budget {DEFAULT_TABLE_BUDGET}")
         self.p = p
         self.d = d
         self.order = p**d
@@ -512,19 +511,13 @@ class FieldElement:
 _FIELD_CACHE: dict[tuple[int, int], FieldDescriptor] = {}
 
 
-def build_field(p: int, d: int, *, table_budget: int = DEFAULT_TABLE_BUDGET,
-                max_degree: int = MAX_DEGREE) -> FieldDescriptor:
+def build_field(p: int, d: int) -> FieldDescriptor:
     """Deterministic model of F_{p^d}; repeated calls share one instance."""
     key = (p, d)
     cached = _FIELD_CACHE.get(key)
     if cached is not None:
-        if cached.order > table_budget:
-            raise BudgetExceededError(
-                f"p^d = {cached.order} exceeds the table budget {table_budget}")
-        if d > max_degree:
-            raise ValueError(f"extension degree d={d} outside [1, {max_degree}]")
         return cached
-    field = FieldDescriptor(p, d, table_budget=table_budget, max_degree=max_degree)
+    field = FieldDescriptor(p, d)
     _FIELD_CACHE[key] = field
     return field
 

@@ -1,14 +1,17 @@
 """Exact character statistics of Sym(m), Alt(m), and the odd coset.
 
-Everything is driven by cycle-type data: a conjugacy class of Sym(m) is a
-partition of m, its size is m! / prod(i^a_i * a_i!), its number of fixed
-points is the count of parts equal to 1, and its sign is (-1)^(m - #parts).
 The statistics of interest are those of the deleted permutation character
 fix - 1 (optionally twisted by sgn), averaged over Sym(m), Alt(m), or the
-odd coset, as exact rationals.
+odd coset, as exact rationals.  They come from a closed form in O(m):
+a permutation with k fixed points is a k-subset times a derangement of the
+other m - k points, and among the D(n) derangements of n points the even
+ones outnumber the odd ones by (-1)^(n-1) (n-1), so
+
+    #{sigma : k fixed points, sign s} = C(m,k) (D(m-k) + s e(m-k)) / 2,
+    e(n) = (-1)^(n-1) (n-1).
 
 Independent routes kept deliberately separate for cross-checking:
-  * spectrum / exact_moment: class-weighted sums over cycle types;
+  * partitions / class_size: cycle-type class sums;
   * singleton_free_partitions: Bell-triangle inclusion-exclusion, which
     equals the m-independent Sym moments E[(fix-1)^n] for m >= n;
   * specht_dim: hook length formula;
@@ -50,82 +53,36 @@ def class_size(m: int, cycle_type: tuple[int, ...]) -> int:
     return math.factorial(m) // denom
 
 
-@dataclass(frozen=True)
-class ConjClass:
-    cycle_type: tuple[int, ...]
-    size: int
-    fixed_points: int
-    sign: int
-    splits_in_alt: bool
-
-
-@dataclass(frozen=True)
-class GroupStats:
-    m: int
-    classes: tuple[ConjClass, ...]
-
-    def regime_classes(self, regime: str) -> tuple[ConjClass, ...]:
-        if regime == "sym":
-            return self.classes
-        if regime == "alt":
-            return tuple(c for c in self.classes if c.sign == 1)
-        if regime == "coset":
-            return tuple(c for c in self.classes if c.sign == -1)
-        raise ValueError(f"unknown regime {regime!r}")
-
-    def regime_order(self, regime: str) -> int:
-        full = math.factorial(self.m)
-        return full if regime == "sym" else full // 2
-
-
-@lru_cache(maxsize=None)
-def build_stats(m: int) -> GroupStats:
-    if not 2 <= m <= 30:
-        raise ValueError("m outside the supported range [2, 30]")
-    classes = []
-    for lam in partitions(m):
-        sign = -1 if (m - len(lam)) % 2 else 1
-        parts = set(lam)
-        splits = (sign == 1 and len(parts) == len(lam)
-                  and all(part % 2 == 1 for part in lam))
-        classes.append(ConjClass(
-            cycle_type=lam, size=class_size(m, lam),
-            fixed_points=sum(1 for part in lam if part == 1),
-            sign=sign, splits_in_alt=splits))
-    stats = GroupStats(m=m, classes=tuple(classes))
-    if sum(c.size for c in stats.classes) != math.factorial(m):
-        raise RuntimeError("class sizes do not sum to the group order")
-    if sum(c.size for c in stats.regime_classes("alt")) != math.factorial(m) // 2:
-        raise RuntimeError("even classes do not sum to half the group order")
-    return stats
-
-
-def class_value(c: ConjClass, twist: str = "plain") -> int:
-    """Deleted-permutation character value, optionally twisted by sgn."""
-    v = c.fixed_points - 1
-    if twist == "plain":
-        return v
-    if twist == "sgn":
-        return c.sign * v
-    raise ValueError(f"unknown twist {twist!r}")
-
-
-def exact_moment(stats: GroupStats, power: int, regime: str = "alt",
-                 twist: str = "plain") -> Fraction:
-    total = sum(c.size * class_value(c, twist) ** power
-                for c in stats.regime_classes(regime))
-    return Fraction(total, stats.regime_order(regime))
-
-
-def spectrum(stats: GroupStats, regime: str = "alt",
+def spectrum(m: int, regime: str = "alt",
              twist: str = "plain") -> dict[int, Fraction]:
-    """Value -> exact probability under the regime's uniform measure."""
+    """Value -> exact probability of fix - 1 (times sgn if twisted) under the
+    regime's uniform measure; zero-probability values are left out."""
+    if m < 2:
+        raise ValueError(f"m must be at least 2, got {m}")
+    if regime not in REGIMES:
+        raise ValueError(f"unknown regime {regime!r}")
+    if twist not in TWISTS:
+        raise ValueError(f"unknown twist {twist!r}")
+    signs = {"sym": (1, -1), "alt": (1,), "coset": (-1,)}[regime]
+    derangements = [1, 0]
+    for n in range(2, m + 1):
+        derangements.append((n - 1) * (derangements[-1] + derangements[-2]))
     weights: dict[int, int] = {}
-    for c in stats.regime_classes(regime):
-        v = class_value(c, twist)
-        weights[v] = weights.get(v, 0) + c.size
-    order = stats.regime_order(regime)
+    for k in range(m + 1):
+        n = m - k
+        excess = n - 1 if n % 2 else 1 - n  # even minus odd derangements
+        for s in signs:
+            count = math.comb(m, k) * (derangements[n] + s * excess) // 2
+            if count:
+                v = s * (k - 1) if twist == "sgn" else k - 1
+                weights[v] = weights.get(v, 0) + count
+    order = math.factorial(m) if regime == "sym" else math.factorial(m) // 2
     return {v: Fraction(w, order) for v, w in sorted(weights.items())}
+
+
+def exact_moment(m: int, power: int, regime: str = "alt",
+                 twist: str = "plain") -> Fraction:
+    return sum(v**power * pr for v, pr in spectrum(m, regime, twist).items())
 
 
 # -- set-partition cross-check ---------------------------------------------------
@@ -239,11 +196,11 @@ def tensor_square_check(n: int, *, char_limit: int = 10) -> TensorSquareReport:
     char_ok = None
     mismatches: list[tuple[tuple[int, ...], int, int]] = []
     if char_checked:
-        for c in build_stats(m).classes:
-            lhs = (c.fixed_points - 1) ** 2
-            rhs = sum(character_value(lam, c.cycle_type) for lam in lams.values())
+        for mu in partitions(m):
+            lhs = (mu.count(1) - 1) ** 2
+            rhs = sum(character_value(lam, mu) for lam in lams.values())
             if lhs != rhs:
-                mismatches.append((c.cycle_type, lhs, rhs))
+                mismatches.append((mu, lhs, rhs))
         char_ok = not mismatches
     return TensorSquareReport(n=n, m=m, dims=dims, dim_ok=dim_ok,
                               char_checked=char_checked, char_ok=char_ok,

@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from .characters import chi2_minus_one
-from .groups import build_stats, spectrum
+from .groups import spectrum
 from .traces import SystemParams, TraceTable, moment_report, trace_table
 
 
@@ -31,7 +31,7 @@ def regime_for(params: SystemParams, degree: int) -> tuple[str, str]:
 
 def oracle_spectrum(params: SystemParams, degree: int) -> dict[int, Fraction]:
     regime, twist = regime_for(params, degree)
-    return spectrum(build_stats(2 * params.q), regime, twist)
+    return spectrum(2 * params.q, regime, twist)
 
 
 @dataclass(frozen=True)
@@ -164,7 +164,6 @@ def verdict(params: SystemParams, max_degree: int, *,
     cfg = config or VerdictConfig()
     rows = []
     failures: list[str] = []
-    stats = build_stats(2 * params.q)
     tables = dict(tables or {})
     for D in range(1, max_degree + 1):
         if D not in tables:
@@ -174,7 +173,7 @@ def verdict(params: SystemParams, max_degree: int, *,
         D = mrow.degree
         table = tables[D]
         regime, twist = regime_for(params, D)
-        oracle = spectrum(stats, regime, twist)
+        oracle = spectrum(2 * params.q, regime, twist)
 
         if table.integral:
             member = spectrum_membership(table, oracle)

@@ -7,6 +7,7 @@ built once per module; every tolerance used here is stated inline.
 """
 
 import itertools
+import math
 import sys
 import time
 from fractions import Fraction
@@ -17,8 +18,9 @@ from altsums.characters import chi2_minus_one, gauss_identities, hasse_davenport
 from altsums.cli import main
 from altsums.curves import count_points, curve_moment_report
 from altsums.groups import (
-    build_stats,
+    class_size,
     exact_moment,
+    partitions,
     singleton_free_partitions,
     tensor_square_check,
 )
@@ -148,10 +150,23 @@ def test_criterion_06_gauss_sum_identities(announce):
 
 def test_criterion_07_group_oracle_exactness(announce):
     ok = True
+    # independent way 1: the closed-form spectrum (up to q = 27, m = 54), and
+    # class sums over the cycle types of Sym(2q)
+    for q in (3, 5, 7, 17, 27):
+        ok = ok and exact_moment(2 * q, 3, "alt", "plain") == 1
+        ok = ok and exact_moment(2 * q, 3, "coset", "sgn") == -1
     for q in (3, 5, 7):
-        stats = build_stats(2 * q)
-        ok = ok and exact_moment(stats, 3, "alt", "plain") == 1
-        ok = ok and exact_moment(stats, 3, "coset", "sgn") == -1
+        m = 2 * q
+        even_sum = odd_sgn_sum = 0
+        for lam in partitions(m):
+            cube = class_size(m, lam) * (lam.count(1) - 1) ** 3
+            if (m - len(lam)) % 2:
+                odd_sgn_sum -= cube
+            else:
+                even_sum += cube
+        half = math.factorial(m) // 2
+        ok = ok and Fraction(even_sum, half) == 1
+        ok = ok and Fraction(odd_sgn_sum, half) == -1
 
     # independent way 2: brute force over all 720 permutations of 6 points
     even_cubes = odd_sgn_cubes = odd_plain_cubes = 0
@@ -169,9 +184,8 @@ def test_criterion_07_group_oracle_exactness(announce):
     ok = ok and Fraction(odd_sgn_cubes, 360) == -1
 
     # independent way 3: the singleton-free set-partition count gives the
-    # full Sym(6) third moment; compare with class sums and brute force
-    stats6 = build_stats(6)
-    sym_m3 = exact_moment(stats6, 3, "sym", "plain")
+    # full Sym(6) third moment; compare with the closed form and brute force
+    sym_m3 = exact_moment(6, 3, "sym", "plain")
     ok = ok and sym_m3 == singleton_free_partitions(3)
     ok = ok and sym_m3 == Fraction(even_cubes + odd_plain_cubes, 720)
 

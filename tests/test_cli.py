@@ -158,6 +158,27 @@ def test_compare_pass_and_fail(tmp_path, capsys):
     assert "FAIL" in err
 
 
+def test_compare_runs_for_q_seventeen(tmp_path, capsys):
+    # Alt(34): the oracle needs no class table, so only the TV tolerance,
+    # which is too tight for fields of 17 and 289 elements, fails the verdict
+    out = tmp_path / "verdict.json"
+    assert main(["compare", "--p", "17", "--max-degree", "2",
+                 "--format", "json", "--output", str(out)]) == 1
+    rows = json.loads(out.read_text())["verdict"]["rows"]
+    assert [r["degree"] for r in rows] == [1, 2]
+    for r in rows:
+        assert r["integral"] is True
+        assert r["membership_rate"] == {"num": 1, "den": 1}
+    assert "TV distance" in capsys.readouterr().err
+
+
+def test_groupstats_accepts_any_m_from_two(capsys):
+    assert main(["groupstats", "--m", "34"]) == 0
+    assert "moment,3,1,1" in capsys.readouterr().out
+    assert main(["groupstats", "--m", "1"]) == 2
+    assert_one_usage_error(capsys)
+
+
 # -- output shape ------------------------------------------------------------------
 
 
@@ -255,6 +276,23 @@ def test_all_byte_identical_across_threads(tmp_path):
         assert rc == 0
         digests.append(out.read_bytes())
     assert digests[0] == digests[1]
+
+
+def test_all_computes_each_moment_once(tmp_path, monkeypatch):
+    # M1-M3 at degrees 1 and 2 (six calls), plus the empirical M3 of each of
+    # the two curve degrees; the moments section reuses the verdict's rows
+    calls = []
+    moment = traces.TraceTable.moment
+
+    def counted(self, power):
+        calls.append((self.degree, power))
+        return moment(self, power)
+
+    monkeypatch.delenv(CACHE_ENV, raising=False)
+    monkeypatch.setattr(traces.TraceTable, "moment", counted)
+    assert main(["all", "--p", "3", "--max-degree", "2",
+                 "--output", str(tmp_path / "all.csv")]) == 0
+    assert len(calls) == 8
 
 
 def test_all_json_passes(tmp_path):

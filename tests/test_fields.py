@@ -93,7 +93,7 @@ def test_rejects_bad_parameters():
     with pytest.raises(ValueError):
         build_field(3, 13)
     with pytest.raises(BudgetExceededError):
-        build_field(3, 8, table_budget=1000)
+        build_field(13, 7)
 
 
 def test_shared_instance():

@@ -1,9 +1,10 @@
 """Group-statistics oracle against brute-force permutation enumeration.
 
 The enumeration helpers below count permutations and set partitions directly,
-so the class-size formula, the moment machinery, the Bell-triangle route, the
-hook length formula, and the rim-hook recursion are each checked against
-something that shares no code with them.
+so the class-size formula, the closed-form spectrum, the Bell-triangle route,
+the hook length formula, and the rim-hook recursion are each checked against
+something that shares no code with them.  The closed-form spectrum is also
+swept against class sums over partitions(m) for every m up to 30.
 """
 
 import math
@@ -12,8 +13,8 @@ from itertools import permutations
 
 import pytest
 
-from altsums.groups import (bell_number, build_stats, character_value,
-                            class_value, conjugate_partition, exact_moment,
+from altsums.groups import (REGIMES, TWISTS, bell_number, character_value,
+                            class_size, conjugate_partition, exact_moment,
                             partitions, singleton_free_partitions, specht_dim,
                             spectrum, tensor_square_check)
 
@@ -33,8 +34,33 @@ def cycle_type_of(perm: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(sorted(parts, reverse=True))
 
 
+def cycle_type_sign(lam: tuple[int, ...]) -> int:
+    return -1 if (sum(lam) - len(lam)) % 2 else 1
+
+
 def perm_sign(perm) -> int:
-    return -1 if (len(perm) - len(cycle_type_of(perm))) % 2 else 1
+    return cycle_type_sign(cycle_type_of(perm))
+
+
+def inversion_sign(perm) -> int:
+    inversions = sum(1 for i in range(len(perm)) for j in range(i + 1, len(perm))
+                     if perm[i] > perm[j])
+    return -1 if inversions % 2 else 1
+
+
+def class_sum_spectrum(m, regime, twist):
+    """The fix - 1 law as a sum over cycle types, sized by class_size."""
+    weights: dict[int, int] = {}
+    for lam in partitions(m):
+        sign = cycle_type_sign(lam)
+        if (regime, sign) in (("alt", -1), ("coset", 1)):
+            continue
+        v = lam.count(1) - 1
+        if twist == "sgn":
+            v *= sign
+        weights[v] = weights.get(v, 0) + class_size(m, lam)
+    order = math.factorial(m) if regime == "sym" else math.factorial(m) // 2
+    return {v: Fraction(w, order) for v, w in sorted(weights.items())}
 
 
 # -- class data ----------------------------------------------------------------
@@ -42,14 +68,15 @@ def perm_sign(perm) -> int:
 @pytest.mark.parametrize("m", [4, 5, 6, 7])
 def test_class_sizes_match_enumeration(m):
     counts: dict[tuple[int, ...], int] = {}
+    fixed: dict[tuple[int, ...], set[int]] = {}
     for perm in permutations(range(m)):
         ct = cycle_type_of(perm)
         counts[ct] = counts.get(ct, 0) + 1
-    stats = build_stats(m)
-    assert {c.cycle_type for c in stats.classes} == set(counts)
-    for c in stats.classes:
-        assert c.size == counts[c.cycle_type]
-        assert c.fixed_points == sum(1 for part in c.cycle_type if part == 1)
+        fixed.setdefault(ct, set()).add(sum(1 for i in range(m) if perm[i] == i))
+    assert set(partitions(m)) == set(counts)
+    for lam in partitions(m):
+        assert class_size(m, lam) == counts[lam]
+        assert fixed[lam] == {lam.count(1)}
 
 
 def test_partition_count_small():
@@ -58,32 +85,52 @@ def test_partition_count_small():
     assert sorted(partitions(4)) == [(1, 1, 1, 1), (2, 1, 1), (2, 2), (3, 1), (4,)]
 
 
-def test_sign_and_split_flags():
-    stats = build_stats(6)
-    by_type = {c.cycle_type: c for c in stats.classes}
-    assert by_type[(6,)].sign == -1
-    assert by_type[(5, 1)].sign == 1
-    assert by_type[(2, 2, 1, 1)].sign == 1
-    # (5,1) has distinct odd parts: splits in Alt(6); (3,3) repeats: does not
-    assert by_type[(5, 1)].splits_in_alt
-    assert not by_type[(3, 3)].splits_in_alt
-    assert not by_type[(6,)].splits_in_alt
+def test_cycle_type_signs():
+    assert cycle_type_sign((6,)) == -1
+    assert cycle_type_sign((5, 1)) == 1
+    assert cycle_type_sign((2, 2, 1, 1)) == 1
+    for perm in permutations(range(6)):
+        assert perm_sign(perm) == inversion_sign(perm)
 
 
 def test_alt6_exotic_swap_values():
     # the two order-3 classes of Alt(6) carry different deleted-permutation
     # values (2 vs -1), the pair the exceptional outer automorphism exchanges
-    stats = build_stats(6)
-    by_type = {c.cycle_type: c for c in stats.classes}
-    assert class_value(by_type[(3, 1, 1, 1)]) == 2
-    assert class_value(by_type[(3, 3)]) == -1
+    assert class_size(6, (3, 1, 1, 1)) == class_size(6, (3, 3)) == 40
+    assert character_value((5, 1), (3, 1, 1, 1)) == 2
+    assert character_value((5, 1), (3, 3)) == -1
+    # the 3-cycles are the only even permutations fixing exactly 3 points
+    assert spectrum(6, "alt", "plain")[2] == Fraction(40, 360)
 
 
-def test_build_stats_range_guard():
+def test_spectrum_range_guard():
+    for m in (0, 1):
+        with pytest.raises(ValueError):
+            spectrum(m)
+        with pytest.raises(ValueError):
+            exact_moment(m, 3)
+    for m in (31, 34, 54):
+        for regime, twist in (("alt", "plain"), ("coset", "sgn")):
+            assert sum(spectrum(m, regime, twist).values()) == 1
+        assert exact_moment(m, 3, "alt", "plain") == 1
+        assert exact_moment(m, 3, "coset", "sgn") == -1
+
+
+def test_spectrum_rejects_unknown_regime_and_twist():
     with pytest.raises(ValueError):
-        build_stats(1)
+        spectrum(6, "even", "plain")
     with pytest.raises(ValueError):
-        build_stats(31)
+        spectrum(6, "alt", "sign")
+
+
+@pytest.mark.parametrize("m", range(2, 31))
+def test_spectrum_equals_class_sum_over_partitions(m):
+    for regime in REGIMES:
+        for twist in TWISTS:
+            got = spectrum(m, regime, twist)
+            want = class_sum_spectrum(m, regime, twist)
+            assert list(got.items()) == list(want.items())
+            assert 0 not in got.values()
 
 
 # -- moments --------------------------------------------------------------------
@@ -111,27 +158,25 @@ def brute_moment(m, power, regime, twist):
                                           ("sym", "plain"), ("coset", "plain")])
 @pytest.mark.parametrize("power", [1, 2, 3])
 def test_exact_moment_matches_brute_force(m, regime, twist, power):
-    stats = build_stats(m)
-    assert exact_moment(stats, power, regime, twist) == \
+    assert exact_moment(m, power, regime, twist) == \
         brute_moment(m, power, regime, twist)
 
 
 @pytest.mark.parametrize("q", [3, 5, 7])
 def test_third_moment_one_on_alt_minus_one_on_twisted_coset(q):
-    stats = build_stats(2 * q)
-    assert exact_moment(stats, 3, "alt", "plain") == 1
-    assert exact_moment(stats, 3, "coset", "sgn") == -1
-    assert exact_moment(stats, 2, "alt", "plain") == 1
-    assert exact_moment(stats, 2, "coset", "sgn") == 1
-    assert exact_moment(stats, 1, "alt", "plain") == 0
+    m = 2 * q
+    assert exact_moment(m, 3, "alt", "plain") == 1
+    assert exact_moment(m, 3, "coset", "sgn") == -1
+    assert exact_moment(m, 2, "alt", "plain") == 1
+    assert exact_moment(m, 2, "coset", "sgn") == 1
+    assert exact_moment(m, 1, "alt", "plain") == 0
 
 
 def test_sym_average_is_mean_of_alt_and_coset():
-    stats = build_stats(8)
     for power in (1, 2, 3, 4):
-        s = exact_moment(stats, power, "sym")
-        a = exact_moment(stats, power, "alt")
-        c = exact_moment(stats, power, "coset")
+        s = exact_moment(8, power, "sym")
+        a = exact_moment(8, power, "alt")
+        c = exact_moment(8, power, "coset")
         assert s == (a + c) / 2
 
 
@@ -167,18 +212,17 @@ def test_singleton_free_counts_frozen_and_brute():
 
 @pytest.mark.parametrize("m", [6, 7, 8, 9])
 def test_sym_moments_equal_singleton_free_counts(m):
-    stats = build_stats(m)
     for power in range(2, 6):
         if m >= power:
-            assert exact_moment(stats, power, "sym") == \
+            assert exact_moment(m, power, "sym") == \
                 singleton_free_partitions(power)
-    assert exact_moment(stats, 1, "sym") == 0
+    assert exact_moment(m, 1, "sym") == 0
 
 
 # -- spectra --------------------------------------------------------------------------
 
 def test_alt6_spectrum_frozen():
-    got = spectrum(build_stats(6), "alt", "plain")
+    got = spectrum(6, "alt", "plain")
     assert got == {-1: Fraction(130, 360), 0: Fraction(144, 360),
                    1: Fraction(45, 360), 2: Fraction(40, 360),
                    5: Fraction(1, 360)}
@@ -186,7 +230,7 @@ def test_alt6_spectrum_frozen():
 
 
 def test_coset6_twisted_spectrum_frozen():
-    got = spectrum(build_stats(6), "coset", "sgn")
+    got = spectrum(6, "coset", "sgn")
     assert got == {-3: Fraction(15, 360), -1: Fraction(90, 360),
                    0: Fraction(120, 360), 1: Fraction(135, 360)}
     assert sum(got.values()) == 1
@@ -196,14 +240,13 @@ def test_coset6_twisted_spectrum_frozen():
 def test_no_permutation_fixes_exactly_m_minus_one_points(m):
     # fix = m-1 is impossible, so the plain value m-2 never occurs
     for regime in ("sym", "alt", "coset"):
-        assert m - 2 not in spectrum(build_stats(m), regime, "plain")
+        assert m - 2 not in spectrum(m, regime, "plain")
 
 
 def test_spectra_sum_to_one_everywhere():
-    stats = build_stats(10)
     for regime in ("sym", "alt", "coset"):
         for twist in ("plain", "sgn"):
-            assert sum(spectrum(stats, regime, twist).values()) == 1
+            assert sum(spectrum(10, regime, twist).values()) == 1
 
 
 # -- hook lengths and character values ---------------------------------------------
@@ -252,24 +295,23 @@ def test_character_value_on_identity_is_dimension():
 
 @pytest.mark.parametrize("m", [6, 7])
 def test_standard_character_is_fix_minus_one(m):
-    for c in build_stats(m).classes:
-        assert character_value((m - 1, 1), c.cycle_type) == c.fixed_points - 1
+    for mu in partitions(m):
+        assert character_value((m - 1, 1), mu) == mu.count(1) - 1
 
 
 def test_sign_character_via_conjugate():
     # chi_(1^m) is the sign character
-    for c in build_stats(6).classes:
-        assert character_value((1,) * 6, c.cycle_type) == c.sign
+    for mu in partitions(6):
+        assert character_value((1,) * 6, mu) == cycle_type_sign(mu)
 
 
 def test_character_orthogonality_sym6():
-    stats = build_stats(6)
     lams = [(6,), (5, 1), (4, 2), (4, 1, 1)]
     for a in lams:
         for b in lams:
-            inner = sum(c.size * character_value(a, c.cycle_type)
-                        * character_value(b, c.cycle_type)
-                        for c in stats.classes)
+            inner = sum(class_size(6, mu) * character_value(a, mu)
+                        * character_value(b, mu)
+                        for mu in partitions(6))
             assert inner == (math.factorial(6) if a == b else 0)
 
 
@@ -300,8 +342,8 @@ def test_tensor_square_large_dims_only():
 
 def test_tensor_square_pointwise_identity_sym6_explicit():
     # (fix-1)^2 = chi_(6) + chi_(5,1) + chi_(4,2) + chi_(4,1,1) on every class
-    for c in build_stats(6).classes:
-        lhs = (c.fixed_points - 1) ** 2
-        rhs = sum(character_value(lam, c.cycle_type)
+    for mu in partitions(6):
+        lhs = (mu.count(1) - 1) ** 2
+        rhs = sum(character_value(lam, mu)
                   for lam in [(6,), (5, 1), (4, 2), (4, 1, 1)])
         assert lhs == rhs

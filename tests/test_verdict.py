@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from altsums.groups import build_stats, spectrum
+from altsums.groups import spectrum
 from altsums.traces import SystemParams, TraceTable, trace_table
 from altsums.verdict import (
     MembershipResult,
@@ -51,9 +51,8 @@ def test_regime_dispatch():
 def test_oracle_spectrum_supports():
     assert set(oracle_spectrum(P33, 2)) == {-1, 0, 1, 2, 5}
     assert set(oracle_spectrum(P33, 1)) == {-3, -1, 0, 1}
-    stats = build_stats(6)
-    assert oracle_spectrum(P33, 2) == spectrum(stats, "alt", "plain")
-    assert oracle_spectrum(P33, 1) == spectrum(stats, "coset", "sgn")
+    assert oracle_spectrum(P33, 2) == spectrum(6, "alt", "plain")
+    assert oracle_spectrum(P33, 1) == spectrum(6, "coset", "sgn")
 
 
 # -- membership -------------------------------------------------------------------
