@@ -4,7 +4,10 @@ The field of order p^d is F_p[x]/(m(x)) where m is the lexicographically
 smallest monic degree-d polynomial, coefficients compared as integer tuples
 constant term first, whose residue class x generates the multiplicative
 group.  That choice is unique, so two builds of the same (p, d) agree
-table-for-table and serialized artifacts can be compared byte-wise.
+table-for-table and serialized artifacts can be compared byte-wise.  If x
+generates, so does its norm (-1)^d m(0) = x^((p^d - 1)/(p - 1)) in F_p^x
+(Lidl-Niederreiter, Finite Fields, 3.1); the search skips every other m(0).
+DEFAULT_TABLE_BUDGET elements is the only size limit.
 
 Elements are ZERO or a power g^j of the generator g = x.  Multiplication is
 index addition mod p^d - 1; addition goes through a Zech logarithm table
@@ -21,7 +24,6 @@ from itertools import product
 import numpy as np
 
 DEFAULT_TABLE_BUDGET = 2**24
-MAX_DEGREE = 12
 
 
 class BudgetExceededError(ValueError):
@@ -134,9 +136,7 @@ def _x_is_primitive(modulus: tuple[int, ...], p: int) -> bool:
     d = len(modulus) - 1
     n_units = p**d - 1
     one = [1] + [0] * (d - 1)
-    x = _poly_reduce([0, 1], modulus, p)
-    if x == [0] * d:
-        return False
+    x = _poly_reduce([0, 1], modulus, p)  # nonzero: m(0) != 0
     if _poly_pow_mod(x, n_units, modulus, p) != one:
         return False
     for r in prime_factors(n_units):
@@ -146,14 +146,57 @@ def _x_is_primitive(modulus: tuple[int, ...], p: int) -> bool:
 
 
 def _find_modulus(p: int, d: int) -> tuple[int, ...]:
-    # constant coefficient 0 would make x a zero divisor
-    for tail in product(range(p), repeat=d):
-        if tail[0] == 0:
+    # x primitive mod m makes its norm (-1)^d m(0) generate F_p^x, so no other
+    # constant term can win; survivors keep lex order and the full test
+    for c0 in range(1, p):
+        if any(pow((-1) ** d * c0, (p - 1) // r, p) == 1 for r in prime_factors(p - 1)):
             continue
-        modulus = tail + (1,)
-        if _x_is_primitive(modulus, p):
-            return modulus
+        for rest in product(range(p), repeat=d - 1):
+            modulus = (c0,) + rest + (1,)
+            if _x_is_primitive(modulus, p):
+                return modulus
     raise RuntimeError(f"no primitive modulus found for p={p} d={d}")
+
+
+def _antilog(modulus: tuple[int, ...], p: int) -> np.ndarray:
+    """Base-p packings of g^0, ..., g^(p^d - 1) for g = x mod the modulus.
+
+    Multiplying by g^B maps coordinate rows through the d x d matrix whose
+    row i is x^(i + B).  Doubling from g^0 fills a block of B >= sqrt(p^d)
+    rows; each later block is the one before times that matrix, mod p.
+    """
+    d = len(modulus) - 1
+    n = p**d
+    step = np.zeros((d, d), dtype=np.int64)  # multiplication by x
+    step[:-1, 1:] = np.eye(d - 1, dtype=np.int64)
+    step[-1] = [-c % p for c in modulus[:d]]
+    block = np.eye(1, d, dtype=np.int64)
+    while len(block) ** 2 < n:
+        block = np.vstack((block, block @ step % p))
+        step = step @ step % p
+    B = len(block)
+    pp = p ** np.arange(d)
+    out = np.empty(-(-n // B) * B, dtype=np.int64)
+    for start in range(0, n, B):
+        out[start:start + B] = block @ pp
+        block = block @ step % p
+    return out[:n]
+
+
+def checked_order(p: int, d: int) -> int:
+    """p^d for an odd prime p and d >= 1 within the table budget, else ValueError."""
+    if d < 1:
+        raise ValueError(f"extension degree d={d} must be at least 1")
+    # first the budget, which p^d passes once d reaches 25: a huge d never
+    # forms p**d, and a huge p never reaches the trial division of is_prime
+    if d >= DEFAULT_TABLE_BUDGET.bit_length() or p**d > DEFAULT_TABLE_BUDGET:
+        raise BudgetExceededError(
+            f"p^d = {p}^{d} exceeds the table budget {DEFAULT_TABLE_BUDGET}")
+    if not is_prime(p):
+        raise ValueError(f"p={p} is not prime")
+    if p == 2:
+        raise ValueError("characteristic 2 is out of scope (odd p required)")
+    return p**d
 
 
 class FieldDescriptor:
@@ -164,39 +207,19 @@ class FieldDescriptor:
     """
 
     def __init__(self, p: int, d: int):
-        if not is_prime(p):
-            raise ValueError(f"p={p} is not prime")
-        if p == 2:
-            raise ValueError("characteristic 2 is out of scope (odd p required)")
-        if not 1 <= d <= MAX_DEGREE:
-            raise ValueError(f"extension degree d={d} outside [1, {MAX_DEGREE}]")
-        if p**d > DEFAULT_TABLE_BUDGET:
-            raise BudgetExceededError(
-                f"p^d = {p**d} exceeds the table budget {DEFAULT_TABLE_BUDGET}")
+        self.order = checked_order(p, d)
         self.p = p
         self.d = d
-        self.order = p**d
         self.modulus = _find_modulus(p, d)
-        self.generator_is_x = True
         self._build_tables()
 
     def _build_tables(self) -> None:
         p, d, N = self.p, self.d, self.order
         M = N - 1
-        p_pows = [p**i for i in range(d)]
-        mod_tail = self.modulus[:d]
-
-        antilog = np.empty(M, dtype=np.int64)
-        digits = [0] * d
-        digits[0] = 1
-        for j in range(M):
-            antilog[j] = sum(digits[i] * p_pows[i] for i in range(d))
-            carry = digits[d - 1]
-            digits = [0] + digits[: d - 1]
-            if carry:
-                digits = [(digits[i] - carry * mod_tail[i]) % p for i in range(d)]
-        if digits != [1] + [0] * (d - 1):
+        antilog = _antilog(self.modulus, p)
+        if antilog[M] != 1:
             raise RuntimeError("generator order is not p^d - 1; table build broken")
+        antilog = antilog[:M]
 
         log_by_int = np.full(N, -1, dtype=np.int64)
         log_by_int[antilog] = np.arange(M, dtype=np.int64)
@@ -205,31 +228,22 @@ class FieldDescriptor:
         zech_src = antilog - a0 + (a0 + 1) % p
         zech = log_by_int[zech_src]
 
-        # digit matrix of g^j, one row per log
-        pp = np.array(p_pows, dtype=np.int64)
-        digmat = (antilog[:, None] // pp[None, :]) % p
-
-        # absolute trace of the basis powers x^i: sum of Frobenius orbits,
-        # must land in the prime field
-        tr_basis = np.zeros(d, dtype=np.int64)
+        # the absolute trace is F_p-linear: its value on x^i (a Frobenius
+        # orbit sum, which must land in F_p) extends its table on base-p
+        # packings by coordinate i, the next most significant digit
+        pp = p ** np.arange(d)
+        trace_by_int = np.zeros(1, dtype=np.int64)
         for i in range(d):
-            acc = np.zeros(d, dtype=np.int64)
-            for j in range(d):
-                acc += digmat[(i * p**j) % M]
-            acc %= p
-            if np.any(acc[1:]):
+            tr = (antilog[[i * p**j % M for j in range(d)], None] // pp % p).sum(axis=0) % p
+            if tr[1:].any():
                 raise RuntimeError("absolute trace fell outside the prime field")
-            tr_basis[i] = acc[0]
-
-        trace_by_code = np.empty(N, dtype=np.int64)
-        trace_by_code[0] = 0
-        trace_by_code[1:] = (digmat @ tr_basis) % p
+            trace_by_int = ((np.arange(p)[:, None] * tr[0] + trace_by_int) % p).ravel()
+        trace_by_code = np.concatenate(([0], trace_by_int[antilog]))
 
         self.antilog_int = antilog
         self.log_by_int = log_by_int
         self.zech_log = zech
         self.trace_abs_by_code = trace_by_code
-        self._digmat = digmat
         self.minus_one_log = M // 2
 
     # -- identity ---------------------------------------------------------
@@ -324,9 +338,7 @@ class FieldDescriptor:
 
     def coeff_vector(self, a: int) -> np.ndarray:
         """Coordinates of the element in the power basis 1, x, ..., x^{d-1}."""
-        if a == 0:
-            return np.zeros(self.d, dtype=np.int64)
-        return self._digmat[a - 1].copy()
+        return self.poly_int(a) // self.p ** np.arange(self.d) % self.p
 
     def poly_int(self, a: int) -> int:
         """Base-p packing of the coefficient vector (0 encodes zero)."""

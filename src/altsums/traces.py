@@ -34,7 +34,12 @@ import numpy as np
 from .characters import (CharacterContext, chi2_code, chi2_minus_one,
                          normalization_constant, psi_exponent_table)
 from .cyclotomic import CycInt
-from .fields import BudgetExceededError, FieldDescriptor, build_field
+from .fields import (BudgetExceededError, FieldDescriptor, build_field,
+                     checked_order)
+
+# Largest working set of _additive_fft_counts, about three (#L, p) int64
+# arrays; 2 GiB admits 3^15, 5^10, 7^8 and 13^6.
+FFT_BYTE_BUDGET = 2**31
 
 
 class NonRationalTraceError(RuntimeError):
@@ -193,8 +198,9 @@ def _additive_fft_counts(params: SystemParams, L: FieldDescriptor) -> np.ndarray
         H = acc.transpose(0, 2, 1, 3).reshape(N, p)
 
     x_logs = L.log_by_int[p ** np.arange(d)]  # dlog of x^i
-    w = e_tab[1 + (logs[:, None] + x_logs[None, :]) % M]  # w_i(g^tau)
-    rows = np.concatenate(([0], w @ (p ** np.arange(d))))  # t = 0 has w = 0
+    rows = np.zeros(N, dtype=np.int64)  # t = 0 has w = 0
+    for i in range(d):  # digit i of the row of t = g^tau is w_i(g^tau)
+        rows[1:] += e_tab[1 + (logs + x_logs[i]) % M] * p**i
     return H[rows]
 
 
@@ -226,6 +232,12 @@ def _finish(counts: np.ndarray, conjA: CycInt, N: int,
 def trace_table(params: SystemParams, degree: int, *,
                 cache_dir=None) -> TraceTable:
     """Compute (or load from a verified cache) the full trace table."""
+    N = checked_order(params.p, params.base_degree * degree)
+    fft_bytes = 3 * N * params.p * 8
+    if fft_bytes > FFT_BYTE_BUDGET:  # refused before L is built
+        raise BudgetExceededError(
+            f"the trace kernel needs {fft_bytes} bytes for #L = {N}, "
+            f"over its budget {FFT_BYTE_BUDGET}")
     L = params.extension(degree)
     path = _cache_path(cache_dir, params, degree) if cache_dir else None
     if path is not None and path.exists():

@@ -2,9 +2,15 @@
 output shapes, header comments, and thread-count byte determinism."""
 
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import altsums
 from altsums import __version__, traces
 from altsums.cli import CACHE_ENV, RunConfig, build_parser, config_from_args, main
 
@@ -100,6 +106,26 @@ def test_curves_over_budget_exits_two_without_building_the_field(
     assert main(["curves", "--p", "3", "--degree", "10"]) == 2
     assert assert_one_usage_error(capsys) == \
         "usage error: #L = 59049 exceeds the point-count budget 4096\n"
+
+
+def test_traces_over_the_kernel_byte_budget_exits_two():
+    """#L = 1009^2 is inside the table budget, but the kernel's (#L, p)
+    arrays would take about 23 GiB; under a 2 GB address-space limit an
+    attempt ends in MemoryError, so the refusal must come first."""
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (2 * 10**9, 2 * 10**9))
+
+    src = str(Path(altsums.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-m", "altsums.cli", "traces", "--p", "1009",
+         "--degree", "2"],
+        capture_output=True, text=True, env=env, timeout=120,
+        preexec_fn=limit_address_space)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("usage error: the trace kernel needs ")
+    assert proc.stderr.count("\n") == 1
 
 
 def test_unwritable_cache_dir_exits_two(tmp_path, capsys):

@@ -73,9 +73,25 @@ def test_modulus_matches_frozen_and_oracle(p, d):
     assert build_field(p, d).modulus == FROZEN_MODULI[(p, d)]
 
 
-@pytest.mark.parametrize("p,d", [(3, 3), (3, 4), (5, 3), (7, 2)])
+@pytest.mark.parametrize("p,d", [(p, d) for p in (3, 5, 7, 11, 13)
+                                 for d in range(1, 7) if p**d <= 3**6])
 def test_modulus_matches_oracle(p, d):
     assert build_field(p, d).modulus == oracle_modulus(p, d)
+
+
+SEARCHED_MODULI = {
+    # lex-smallest primitive moduli found by an unfiltered search over every
+    # monic candidate; too slow for oracle_modulus inside the test suite
+    (3, 8): (2, 0, 0, 0, 0, 1, 0, 0, 1),
+    (3, 10): (2, 0, 0, 0, 0, 0, 0, 1, 0, 1, 1),
+    (5, 7): (2, 0, 0, 0, 0, 0, 1, 1),
+    (7, 6): (3, 0, 0, 0, 1, 1, 1),
+}
+
+
+@pytest.mark.parametrize("p,d", sorted(SEARCHED_MODULI))
+def test_modulus_matches_unfiltered_search(p, d):
+    assert build_field(p, d).modulus == SEARCHED_MODULI[(p, d)]
 
 
 def test_canonical_text_format():
@@ -90,14 +106,65 @@ def test_rejects_bad_parameters():
         build_field(2, 3)
     with pytest.raises(ValueError):
         build_field(3, 0)
-    with pytest.raises(ValueError):
-        build_field(3, 13)
+    with pytest.raises(BudgetExceededError):
+        build_field(3, 16)
+    with pytest.raises(BudgetExceededError):
+        build_field(3, 10**9)  # refused without forming 3**(10**9)
+    with pytest.raises(BudgetExceededError):
+        build_field(10**18 + 3, 1)  # a prime, refused before trial division
     with pytest.raises(BudgetExceededError):
         build_field(13, 7)
 
 
 def test_shared_instance():
     assert build_field(3, 2) is build_field(3, 2)
+
+
+# -- tables against one multiplication by x at a time ---------------------------
+
+def oracle_antilog(modulus, p):
+    """Base-p packings of x^0, ..., x^(p^d - 2) mod the modulus, in log order."""
+    d = len(modulus) - 1
+    digits = [1] + [0] * (d - 1)
+    out = []
+    for _ in range(p**d - 1):
+        out.append(sum(c * p**i for i, c in enumerate(digits)))
+        carry = digits[-1]
+        digits = [0] + digits[:-1]
+        digits = [(digits[i] - carry * modulus[i]) % p for i in range(d)]
+    assert digits == [1] + [0] * (d - 1)  # x has order p^d - 1
+    return out
+
+
+# Blocks are a power of two B with B^2 >= #F; the sweep includes sizes where B
+# does not divide #F - 1 (7, 11, 3^3, 11^2, 13^2, 101^2, ...), so the last
+# block is cut short.
+ANTILOG_SWEEP = [(p, d) for p in (3, 5, 7, 11, 13) for d in range(1, 9)
+                 if p**d <= 3**8] + [(101, 1), (1009, 1), (101, 2)]
+
+
+@pytest.mark.parametrize("p,d", ANTILOG_SWEEP)
+def test_tables_match_the_loop_oracle(p, d):
+    """Antilog vs the loop; trace, coordinates and Zech logs vs the route
+    through the full matrix of coordinates, one row per log."""
+    F = build_field(p, d)
+    M = F.order - 1
+    antilog = oracle_antilog(F.modulus, p)
+    assert F.antilog_int.tolist() == antilog
+    digmat = np.array([[v // p**i % p for i in range(d)] for v in antilog])
+
+    orbits = [[(i * p**j) % M for j in range(d)] for i in range(d)]
+    tr_basis = digmat[orbits].sum(axis=1) % p  # row i: trace of x^i
+    assert not tr_basis[:, 1:].any()
+    assert F.trace_abs_by_code.tolist() == [0] + (digmat @ tr_basis[:, 0] % p).tolist()
+
+    for code in range(F.order):
+        want = digmat[code - 1] if code else np.zeros(d, dtype=np.int64)
+        assert F.coeff_vector(code).tolist() == want.tolist()
+
+    log = {v: j for j, v in enumerate(antilog)}
+    assert F.zech_log.tolist() == [log.get(v - v % p + (v % p + 1) % p, -1)
+                                   for v in antilog]
 
 
 # -- arithmetic cross-checks ---------------------------------------------------
