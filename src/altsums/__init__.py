@@ -9,6 +9,19 @@ integer, or rational; floats appear only in human-readable deviation columns.
 
 __version__ = "0.1.0"
 
+import os as _os
+import sys as _sys
+
+# Integer arrays never reach BLAS, so an OpenBLAS worker pool would only cost
+# start-up time.  OpenBLAS reads the variable once, when numpy first loads it:
+# set it for that import only, and never over a value the user chose.
+if "numpy" not in _sys.modules and "OPENBLAS_NUM_THREADS" not in _os.environ:
+    _os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy as _numpy  # noqa: F401
+    finally:
+        del _os.environ["OPENBLAS_NUM_THREADS"]
+
 from .fields import (BudgetExceededError, FieldDescriptor, FieldElement,
                      build_field, embed)
 from .cyclotomic import CycInt

@@ -129,24 +129,31 @@ class RunConfig:
 
 
 class Document:
-    """Accumulates either CSV sections or one JSON object, then renders."""
+    """Accumulates CSV lines or one JSON object, whichever `config.fmt`
+    names, then renders.  Notes are CSV comments; JSON drops them."""
 
     def __init__(self, config: RunConfig):
-        self.config = config
-        self.lines: list[str] = [f"# altsums {__version__} | config: {config.echo()}"]
-        self.obj: dict = {"version": __version__, "config": config.echo_dict()}
+        self.json = config.fmt == "json"
+        self.lines: list[str] = []
+        self.obj: dict = {}
+        if self.json:
+            self.obj.update(version=__version__, config=config.echo_dict())
+        else:
+            self.lines.append(f"# altsums {__version__} | config: {config.echo()}")
 
     def section(self, name: str, header: str, rows, json_rows=None) -> None:
-        self.lines.append(f"# section: {name}")
-        self.lines.append(header)
-        self.lines.extend(",".join(str(c) for c in row) for row in rows)
-        self.obj[name] = json_rows if json_rows is not None else [list(r) for r in rows]
+        if self.json:  # json.dumps writes a tuple row as a list
+            self.obj[name] = rows if json_rows is None else json_rows
+        else:
+            self.lines += (f"# section: {name}", header)
+            self.lines += (",".join(map(str, row)) for row in rows)
 
     def note(self, text: str) -> None:
-        self.lines.append(f"# {text}")
+        if not self.json:
+            self.lines.append(f"# {text}")
 
     def render(self) -> str:
-        if self.config.fmt == "json":
+        if self.json:
             return json.dumps(self.obj, indent=2) + "\n"
         return "\n".join(self.lines) + "\n"
 
@@ -197,7 +204,7 @@ def _cmd_traces(cfg: RunConfig, degree: int, output) -> int:
     doc.section(f"traces_degree_{degree}", _TRACE_HEADER, rows,
                 json_rows={"degree": degree, "field": table.field_text,
                            "denominator": table.denominator,
-                           "rows": [list(r) for r in rows]})
+                           "rows": rows})
     _emit(doc, output)
     return 0 if table.integral else 1
 
@@ -318,8 +325,7 @@ def _cmd_curves(cfg: RunConfig, degree: int, output) -> int:
                            "counts": list(count.counts),
                            "modified_m3": {"num": modified.numerator,
                                            "den": modified.denominator}})
-    if cfg.fmt == "csv":
-        doc.note(f"modified_m3: {modified.numerator}/{modified.denominator}")
+    doc.note(f"modified_m3: {modified.numerator}/{modified.denominator}")
     _emit(doc, output)
     return 0
 
@@ -361,13 +367,13 @@ def _cmd_compare(cfg: RunConfig, output) -> int:
     report = verdict(cfg.params(), cfg.max_degree, config=cfg.verdict_config(),
                      cache_dir=cfg.cache_dir)
     doc = Document(cfg)
-    if cfg.fmt == "json":
+    if doc.json:
         doc.obj["verdict"] = report.as_dict()
     else:
         doc.section("verdict", VERDICT_HEADER, _verdict_rows(report))
-        doc.note(f"result: {'PASS' if report.passed else 'FAIL'}")
-        for failure in report.failures:
-            doc.note(f"failure: {failure}")
+    doc.note(f"result: {'PASS' if report.passed else 'FAIL'}")
+    for failure in report.failures:
+        doc.note(f"failure: {failure}")
     _emit(doc, output)
     print(_human_verdict(report), file=sys.stderr)
     return 0 if report.passed else 1
@@ -424,20 +430,20 @@ def _cmd_all(cfg: RunConfig, output) -> int:
                 f"bound={cm.bound:.6f}")
     doc.section("curve_moments", curve_header, crows)
 
-    if cfg.fmt == "json":
+    passed = report.passed and not falsified
+    if doc.json:
         doc.obj["verdict"] = report.as_dict()
+        doc.obj["passed"] = passed
     else:
         doc.section("verdict", VERDICT_HEADER, _verdict_rows(report))
-    doc.note(f"result: {'PASS' if report.passed and not falsified else 'FAIL'}")
+    doc.note(f"result: {'PASS' if passed else 'FAIL'}")
     for failure in list(report.failures) + falsified:
         doc.note(f"failure: {failure}")
-    if cfg.fmt == "json":
-        doc.obj["passed"] = report.passed and not falsified
     _emit(doc, output)
     print(_human_verdict(report), file=sys.stderr)
     for failure in falsified:
         print(f"FALSIFIED: {failure}", file=sys.stderr)
-    return 0 if report.passed and not falsified else 1
+    return 0 if passed else 1
 
 
 # -- argument parsing -------------------------------------------------------------------

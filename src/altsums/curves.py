@@ -76,7 +76,12 @@ def _eval_rows(L: FieldDescriptor, alphas: list[int],
 
 def _check_geometry(params: SystemParams, degree: int, budget: int):
     d = params.base_degree * degree
-    if params.p**d > budget:  # before the build, which is slow for large #L
+    # before the build, which is slow for large #L; since p > 2, p^d passes
+    # the budget once d reaches its bit length, and a huge d never forms p**d
+    if d >= budget.bit_length():
+        raise BudgetExceededError(f"#L = p^d = {params.p}^{d} exceeds the "
+                                  f"point-count budget {budget}")
+    if params.p**d > budget:
         raise BudgetExceededError(
             f"#L = {params.p**d} exceeds the point-count budget {budget}")
     L = params.extension(degree)

@@ -1,6 +1,7 @@
 """Checks for the command-line surface: config round-trips, exit codes,
 output shapes, header comments, and thread-count byte determinism."""
 
+import hashlib
 import json
 import os
 import resource
@@ -108,6 +109,29 @@ def test_curves_over_budget_exits_two_without_building_the_field(
         "usage error: #L = 59049 exceeds the point-count budget 4096\n"
 
 
+def fresh_python(args, env=None, timeout=120, **kwargs):
+    """Run a new interpreter that imports this checkout's altsums, in `env`
+    (default: this process's environment)."""
+    env = dict(os.environ if env is None else env,
+               PYTHONPATH=str(Path(altsums.__file__).parents[1]))
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=env, timeout=timeout, **kwargs)
+
+
+def without_blas_threads():
+    return {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+
+
+def test_curves_at_a_huge_degree_exits_two_at_once():
+    """3^100000000 is never formed: the refusal comes from the degree."""
+    proc = fresh_python(["-m", "altsums.cli", "curves", "--p", "3",
+                         "--degree", "100000000"], timeout=30)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == ("usage error: #L = p^d = 3^100000000 exceeds the "
+                           "point-count budget 4096\n")
+
+
 def test_traces_over_the_kernel_byte_budget_exits_two():
     """#L = 1009^2 is inside the table budget, but the kernel's (#L, p)
     arrays would take about 23 GiB; under a 2 GB address-space limit an
@@ -115,13 +139,9 @@ def test_traces_over_the_kernel_byte_budget_exits_two():
     def limit_address_space():
         resource.setrlimit(resource.RLIMIT_AS, (2 * 10**9, 2 * 10**9))
 
-    src = str(Path(altsums.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
-    proc = subprocess.run(
-        [sys.executable, "-m", "altsums.cli", "traces", "--p", "1009",
-         "--degree", "2"],
-        capture_output=True, text=True, env=env, timeout=120,
-        preexec_fn=limit_address_space)
+    proc = fresh_python(["-m", "altsums.cli", "traces", "--p", "1009",
+                         "--degree", "2"], env=without_blas_threads(),
+                        preexec_fn=limit_address_space)
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr.startswith("usage error: the trace kernel needs ")
@@ -332,3 +352,49 @@ def test_all_json_passes(tmp_path):
     assert "identity_q_3" in blob
     assert "verdict" in blob
     assert blob["verdict"]["rows"][0]["membership_rate"] == {"num": 1, "den": 1}
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["all", "--p", "3", "--f", "1", "--max-degree", "8"],
+     "003bb015a9d16c95cbc591f76bc16e899a6e4b657969c6cc84a89e1baeee2048"),
+    (["all", "--p", "7", "--f", "1", "--multiplier", "2", "--max-degree", "4",
+      "--format", "json"],
+     "2236d00ed141f8cacb3519fde8c604339eb4e5e6c9ed57b0184f3cab5b99afb4"),
+])
+def test_all_output_bytes_are_pinned(tmp_path, capsys, argv, digest):
+    """The stdout digests recorded for these invocations at commit 8d3bf77."""
+    assert main(argv + ["--cache-dir", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
+
+
+# -- process start-up ----------------------------------------------------------------
+
+
+PROBE = """
+import os, re
+before = dict(os.environ)
+import altsums
+status = open("/proc/self/status").read()
+print(re.search(r"^Threads:\\s*(\\d+)$", status, re.M).group(1))
+print(dict(os.environ) == before, os.environ.get("OPENBLAS_NUM_THREADS"))
+"""
+
+
+needs_proc = pytest.mark.skipif(not Path("/proc/self/status").exists(),
+                                reason="needs /proc/self/status")
+
+
+@needs_proc
+def test_import_starts_no_blas_threads_and_restores_the_environment():
+    proc = fresh_python(["-c", PROBE], env=without_blas_threads())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[:2] == ["1", "True None"]
+
+
+@needs_proc
+def test_import_keeps_the_users_blas_thread_count():
+    proc = fresh_python(["-c", PROBE],
+                        env=dict(os.environ, OPENBLAS_NUM_THREADS="2"))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[1] == "True 2"
