@@ -5,6 +5,10 @@ of rank 2q-2 local systems on the affine line in odd characteristic, and
 confronts their value statistics with the character theory of Alt(2q) and
 Sym(2q).  Everything downstream of the field tables is integer, cyclotomic
 integer, or rational; floats appear only in human-readable deviation columns.
+
+Results are immutable NamedTuple records (`_asdict`, `_replace`); the inputs
+that validate their fields (SystemParams, CharacterContext) are frozen
+dataclasses.
 """
 
 __version__ = "0.1.0"

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -120,8 +121,7 @@ def gauss_sum(ctx: CharacterContext, L: FieldDescriptor) -> CycInt:
     return CycInt.from_power_counts(p, (even - odd).tolist())
 
 
-@dataclass(frozen=True)
-class GaussIdentityReport:
+class GaussIdentityReport(NamedTuple):
     field_text: str
     g: CycInt
     norm_ok: bool        # g * conj(g) = #L
@@ -159,8 +159,7 @@ def normalization_constant(ctx: CharacterContext, L: FieldDescriptor, n: int) ->
     return (-sign) * gauss_sum(ctx, L)
 
 
-@dataclass(frozen=True)
-class HasseDavenportRow:
+class HasseDavenportRow(NamedTuple):
     degree: int
     field_text: str
     direct: CycInt
@@ -171,8 +170,7 @@ class HasseDavenportRow:
         return self.direct == self.powered
 
 
-@dataclass(frozen=True)
-class HasseDavenportReport:
+class HasseDavenportReport(NamedTuple):
     n: int
     base_text: str
     rows: tuple[HasseDavenportRow, ...]

@@ -76,7 +76,7 @@ class RunConfig:
                  "str | None": (str, type(None))}
         for f in fields(self):
             value = getattr(self, f.name)
-            if not isinstance(value, kinds[f.type]):
+            if isinstance(value, bool) or not isinstance(value, kinds[f.type]):
                 raise ValueError(f"{f.name} must be {f.type}, got {value!r}")
         if self.fmt not in ("csv", "json"):
             raise ValueError(f"unknown format {self.fmt!r}")

@@ -17,8 +17,8 @@ for t != 0, where the dlog of code j >= 1 (the element gen^(j-1)) is j - 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,8 +36,7 @@ class NonRationalMomentError(RuntimeError):
     """The curve-weighted sum failed to normalize to a rational number."""
 
 
-@dataclass(frozen=True)
-class CurveCount:
+class CurveCount(NamedTuple):
     """Affine point counts of f(x, y) = t, indexed by the element code of t."""
 
     params: SystemParams
@@ -167,8 +166,7 @@ def modified_third_moment(params: SystemParams, degree: int, *,
     return Fraction(chi2_minus_one(L) * r, L.order**3)
 
 
-@dataclass(frozen=True)
-class CurveMomentReport:
+class CurveMomentReport(NamedTuple):
     degree: int
     field_order: int
     modified: Fraction

@@ -21,9 +21,9 @@ Independent routes kept deliberately separate for cross-checking:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 REGIMES = ("sym", "alt", "coset")
 TWISTS = ("plain", "sgn")
@@ -160,8 +160,7 @@ def character_value(lam: tuple[int, ...], mu: tuple[int, ...]) -> int:
 
 # -- tensor square of the deleted permutation module --------------------------------
 
-@dataclass(frozen=True)
-class TensorSquareReport:
+class TensorSquareReport(NamedTuple):
     n: int                      # dim of the deleted permutation module of Sym(n+1)
     m: int                      # n + 1
     dims: dict[str, int]

@@ -23,7 +23,7 @@ Everything here is exact polynomial algebra over small finite fields:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -152,8 +152,7 @@ def require_ok(report) -> None:
 
 # -- split identity over F_q ------------------------------------------------------
 
-@dataclass(frozen=True)
-class SplitIdentityReport:
+class SplitIdentityReport(NamedTuple):
     q: int
     p: int
     f: int
@@ -301,8 +300,7 @@ def enumerate_monic_irreducibles(p: int, degree: int):
 
 # -- grouped identity over F_p ------------------------------------------------------
 
-@dataclass(frozen=True)
-class GroupedIdentityReport:
+class GroupedIdentityReport(NamedTuple):
     q: int
     p: int
     f: int
@@ -390,8 +388,7 @@ def verify_identity_grouped(q: int) -> GroupedIdentityReport:
 
 # -- derivative bookkeeping ----------------------------------------------------------
 
-@dataclass(frozen=True)
-class DerivativeReport:
+class DerivativeReport(NamedTuple):
     q: int
     n: int
     degree: int                      # computed degree of P
@@ -499,8 +496,7 @@ def _fp_rank(rows: list[np.ndarray], p: int) -> int:
     return rank
 
 
-@dataclass(frozen=True)
-class UnitySpanReport:
+class UnitySpanReport(NamedTuple):
     p: int
     root_order: int
     field_text: str
@@ -530,8 +526,7 @@ def unity_root_span(p: int, root_order: int, *, zeta_index: int = 1) -> UnitySpa
                            zeta_log=zeta_log, dimension=_fp_rank(rows, p))
 
 
-@dataclass(frozen=True)
-class WildInertiaReport:
+class WildInertiaReport(NamedTuple):
     q: int
     p: int
     f: int
@@ -592,8 +587,7 @@ def wild_inertia_span(q: int, *, zeta_index: int = 1) -> WildInertiaReport:
 
 # -- virtual character table -----------------------------------------------------------
 
-@dataclass(frozen=True)
-class VirtualCharacterTable:
+class VirtualCharacterTable(NamedTuple):
     """Values of 2 Reg - 1 on F_q + F_q, by vanishing pattern of (a, b)."""
 
     q: int

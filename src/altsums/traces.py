@@ -28,6 +28,7 @@ import secrets
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -134,8 +135,7 @@ def normalized_trace(params: SystemParams, L: FieldDescriptor, t) -> Fraction:
     return Fraction(r, L.order)
 
 
-@dataclass(frozen=True)
-class TraceTable:
+class TraceTable(NamedTuple):
     """All N normalized traces over one extension, as numerator/#L pairs.
 
     Entry order is element-code order: index 0 is t = 0, index j >= 1 is
@@ -188,13 +188,14 @@ def _additive_fft_counts(params: SystemParams, L: FieldDescriptor) -> np.ndarray
     H[L.antilog_int, e_tab[1 + (params.n * logs) % M]] = np.where(logs % 2 == 0, 1, -1)
 
     k = np.arange(p)
-    shift = (k[None, None, :] - k[:, None, None] * k[None, :, None]) % p  # [a_i, w, j]
+    mul = np.outer(k, k) % p                  # [a_i, w] = a_i * w
+    sub = (k[None, :] - k[:, None]) % p       # [m, j] = j - m
     for i in range(d):
         lo = p**i
         blocks = H.reshape(N // (lo * p), p, lo, p)  # axis 1 is coordinate i
         acc = np.zeros((N // (lo * p), lo, p, p), dtype=np.int64)
         for ai in range(p):
-            acc += blocks[:, ai][..., shift[ai]]  # zeta^(a_i*w) shifts exponent j
+            acc += blocks[:, ai][..., sub[mul[ai]]]  # zeta^(a_i*w) shifts exponent j
         H = acc.transpose(0, 2, 1, 3).reshape(N, p)
 
     x_logs = L.log_by_int[p ** np.arange(d)]  # dlog of x^i
@@ -343,8 +344,7 @@ def descent_trace(params: SystemParams, L: FieldDescriptor, t) -> CycInt:
     return -_signed_sum(params, L, codes, (logs - tau) % 2 == 0)
 
 
-@dataclass(frozen=True)
-class DescentReport:
+class DescentReport(NamedTuple):
     degree: int
     applicable: bool      # gcd(n, #L - 1) = 1, so x -> x^n is a bijection
     equal: bool | None
@@ -376,8 +376,7 @@ def empirical_moment(params: SystemParams, degree: int, power: int, *,
     return table.moment(power)
 
 
-@dataclass(frozen=True)
-class MomentRow:
+class MomentRow(NamedTuple):
     degree: int
     field_order: int
     m1: Fraction
@@ -388,8 +387,7 @@ class MomentRow:
     integral: bool
 
 
-@dataclass(frozen=True)
-class MomentReport:
+class MomentReport(NamedTuple):
     params: SystemParams
     rows: tuple[MomentRow, ...]
 

@@ -13,8 +13,8 @@ configured tolerances.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .characters import chi2_minus_one
 from .groups import spectrum
@@ -34,8 +34,7 @@ def oracle_spectrum(params: SystemParams, degree: int) -> dict[int, Fraction]:
     return spectrum(2 * params.q, regime, twist)
 
 
-@dataclass(frozen=True)
-class MembershipResult:
+class MembershipResult(NamedTuple):
     rate: Fraction
     offenders: tuple[tuple[int, int], ...]  # (t_index, integer trace value)
 
@@ -73,14 +72,13 @@ def distribution_distance(table: TraceTable,
     return gap / 2
 
 
-@dataclass(frozen=True)
-class VerdictConfig:
+class VerdictConfig(NamedTuple):
     tv_max: float = 0.05       # TV threshold, enforced at the largest degree
     m3_tol: float = 0.2        # third-moment deviation threshold
     m3_min_order: int = 3**8   # enforce m3_tol on degrees with #L at least this
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 def _frac(x: Fraction | None):
@@ -89,8 +87,7 @@ def _frac(x: Fraction | None):
     return {"num": x.numerator, "den": x.denominator}
 
 
-@dataclass(frozen=True)
-class VerdictRow:
+class VerdictRow(NamedTuple):
     degree: int
     field_order: int
     regime: str
@@ -124,8 +121,7 @@ class VerdictRow:
         }
 
 
-@dataclass(frozen=True)
-class VerdictReport:
+class VerdictReport(NamedTuple):
     params: SystemParams
     max_degree: int
     config: VerdictConfig

@@ -7,6 +7,7 @@ import os
 import resource
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,8 @@ import pytest
 import altsums
 from altsums import __version__, traces
 from altsums.cli import CACHE_ENV, RunConfig, build_parser, config_from_args, main
+from altsums.traces import SystemParams, trace_table
+from altsums.verdict import MembershipResult, VerdictConfig
 
 
 # -- RunConfig --------------------------------------------------------------------
@@ -161,7 +164,8 @@ def test_output_to_a_directory_exits_two(tmp_path, capsys):
     assert_one_usage_error(capsys)
 
 
-@pytest.mark.parametrize("config", [{"p": 3, "bogus": 1}, {"p": "x"}, [3]])
+@pytest.mark.parametrize("config", [{"p": 3, "bogus": 1}, {"p": "x"}, [3],
+                                    {"max_degree": True}, {"tv_max": False}])
 def test_bad_config_file_exits_two(tmp_path, capsys, config):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(config))
@@ -398,3 +402,44 @@ def test_import_keeps_the_users_blas_thread_count():
                         env=dict(os.environ, OPENBLAS_NUM_THREADS="2"))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split("\n")[1] == "True 2"
+
+
+DATACLASS_PROBE = """
+import dataclasses, inspect, sys
+import altsums.cli
+print(*sorted(name for mod, m in list(sys.modules.items())
+              if mod.split(".")[0] == "altsums"
+              for name, c in vars(m).items()
+              if inspect.isclass(c) and c.__module__ == mod
+              and dataclasses.is_dataclass(c)))
+"""
+
+
+def test_only_the_validating_configs_are_dataclasses():
+    """Result records are NamedTuples, built without generated code at
+    import; the three classes that validate their fields stay dataclasses."""
+    proc = fresh_python(["-c", DATACLASS_PROBE])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "CharacterContext RunConfig SystemParams\n"
+
+
+def test_result_records_are_immutable_values():
+    a = MembershipResult(rate=Fraction(1), offenders=((0, 5),))
+    b = MembershipResult(Fraction(1), ((0, 5),))
+    assert a == b and hash(a) == hash(b)
+    assert a != a._replace(offenders=())
+    assert repr(a) == "MembershipResult(rate=Fraction(1, 1), offenders=((0, 5),))"
+    with pytest.raises(AttributeError):
+        a.rate = Fraction(0)
+    params = SystemParams(p=3, f=1)
+    table = trace_table(params, 2)
+    again = trace_table(params, 2)
+    assert table == again and hash(table) == hash(again)
+    assert repr(table).startswith(
+        "TraceTable(params=SystemParams(p=3, f=1, base_degree=1, multiplier=1), "
+        "degree=2, field_text=")
+    with pytest.raises(AttributeError):
+        table.numerators = ()
+    assert VerdictConfig().as_dict() == {"tv_max": 0.05, "m3_tol": 0.2,
+                                         "m3_min_order": 6561}
+    assert type(VerdictConfig().as_dict()) is dict

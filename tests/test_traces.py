@@ -14,6 +14,7 @@ import random
 import shutil
 import sys
 import threading
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -314,3 +315,17 @@ def test_int64_guard_before_finish_product():
     assert _finish(counts, CycInt(3, (1, 0)), N, "synthetic") == ([0], [True])
     with pytest.raises(BudgetExceededError, match="int64"):
         _finish(counts, CycInt(3, (0, -2)), N, "synthetic")
+
+
+def test_trace_kernel_peak_memory_stays_near_its_budgeted_arrays():
+    # the budget guard counts 3 (#L, p) int64 arrays; a (p, p, p) index table
+    # (p^3 * 8 bytes, 75 MB at p = 211) would dwarf them at degree 1
+    params = SystemParams(p=211, f=1)
+    trace_table(params, 1)  # builds the field and character tables first
+    tracemalloc.start()
+    try:
+        trace_table(params, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * (3 * 211 * 211 * 8)
