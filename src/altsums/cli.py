@@ -19,8 +19,10 @@ import argparse
 import json
 import os
 import sys
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass, fields, replace
 from fractions import Fraction
+from itertools import chain, islice, repeat
 from pathlib import Path
 
 from . import __version__
@@ -43,9 +45,11 @@ from .identities import (
     wild_inertia_span,
 )
 from .traces import (
+    TRACE_HEADER,
     CacheCorruptionError,
     NonRationalTraceError,
     SystemParams,
+    _trace_lines,
     moment_report,
     trace_table,
 )
@@ -128,42 +132,66 @@ class RunConfig:
 # -- document assembly ------------------------------------------------------------
 
 
+EMIT_BATCH = 1024  # document chunks joined into one write
+
+
+class _Encoder(json.JSONEncoder):
+    def default(self, o):
+        return list(o)  # long tables are stored as iterators of rows
+
+
 class Document:
-    """Accumulates CSV lines or one JSON object, whichever `config.fmt`
-    names, then renders.  Notes are CSV comments; JSON drops them."""
+    """The document of one command in the format `config.fmt` names: CSV
+    text, one string per section, or one JSON object.  Notes are CSV
+    comments; JSON drops them.  `_emit` writes it."""
 
     def __init__(self, config: RunConfig):
         self.json = config.fmt == "json"
-        self.lines: list[str] = []
+        self.parts: list[str] = []
         self.obj: dict = {}
         if self.json:
             self.obj.update(version=__version__, config=config.echo_dict())
         else:
-            self.lines.append(f"# altsums {__version__} | config: {config.echo()}")
+            self.note(f"altsums {__version__} | config: {config.echo()}")
 
     def section(self, name: str, header: str, rows, json_rows=None) -> None:
-        if self.json:  # json.dumps writes a tuple row as a list
-            self.obj[name] = rows if json_rows is None else json_rows
+        """A table of column tuples; JSON writes `json_rows`, else the rows."""
+        self.table(name, header, (",".join(map(str, row)) for row in rows),
+                   rows if json_rows is None else json_rows)
+
+    def table(self, name: str, header: str, lines, json_rows) -> None:
+        """A table of CSV `lines` under `header`; JSON writes `json_rows`.
+
+        Only the argument of the document's format is consumed, so a long
+        table passes both as iterators: CSV joins its lines here, once, and
+        JSON lists an iterator only while it is written.
+        """
+        if self.json:  # a tuple row is written as a list
+            self.obj[name] = json_rows
         else:
-            self.lines += (f"# section: {name}", header)
-            self.lines += (",".join(map(str, row)) for row in rows)
+            self.parts.append(
+                "\n".join(chain((f"# section: {name}", header), lines)) + "\n")
 
     def note(self, text: str) -> None:
         if not self.json:
-            self.lines.append(f"# {text}")
+            self.parts.append(f"# {text}\n")
 
-    def render(self) -> str:
-        if self.json:
-            return json.dumps(self.obj, indent=2) + "\n"
-        return "\n".join(self.lines) + "\n"
+    def chunks(self):
+        if self.json:  # the same text as json.dumps(obj, indent=2)
+            yield from _Encoder(indent=2).iterencode(self.obj)
+            yield "\n"
+        else:
+            yield from self.parts
 
 
 def _emit(doc: Document, output: str | None) -> None:
-    text = doc.render()
-    if output:
-        Path(output).write_text(text, encoding="ascii")
-    else:
-        sys.stdout.write(text)
+    """Write the document, EMIT_BATCH chunks per write: the JSON text never
+    exists whole, and a write-through stdout is not written per chunk."""
+    chunks = doc.chunks()
+    with (open(output, "w", encoding="ascii") if output
+          else nullcontext(sys.stdout)) as out:
+        while batch := list(islice(chunks, EMIT_BATCH)):
+            out.write("".join(batch))
 
 
 def _frac_cols(x: Fraction) -> tuple[int, int]:
@@ -187,24 +215,19 @@ def _cmd_field(cfg: RunConfig, degree: int, output) -> int:
     return 0
 
 
-def _trace_rows(table):
-    return [(i, num, table.denominator, int(flag))
-            for i, (num, flag) in enumerate(zip(table.numerators,
-                                                table.is_integer))]
-
-
-_TRACE_HEADER = "t_index,numerator,denominator,is_integer"
+def _trace_json_rows(table):
+    return zip(range(len(table.numerators)), table.numerators,
+               repeat(table.denominator), map(int, table.is_integer))
 
 
 def _cmd_traces(cfg: RunConfig, degree: int, output) -> int:
     table = trace_table(cfg.params(), degree, cache_dir=cfg.cache_dir)
     doc = Document(cfg)
     doc.note(f"field: {table.field_text}")
-    rows = _trace_rows(table)
-    doc.section(f"traces_degree_{degree}", _TRACE_HEADER, rows,
-                json_rows={"degree": degree, "field": table.field_text,
-                           "denominator": table.denominator,
-                           "rows": rows})
+    doc.table(f"traces_degree_{degree}", TRACE_HEADER, _trace_lines(table),
+              {"degree": degree, "field": table.field_text,
+               "denominator": table.denominator,
+               "rows": _trace_json_rows(table)})
     _emit(doc, output)
     return 0 if table.integral else 1
 
@@ -297,7 +320,27 @@ def _cmd_wild(cfg: RunConfig, q: int, output) -> int:
     return 0
 
 
+def _order_too_long(m: int, regime: str) -> bool:
+    """Whether the largest denominator of the exact probabilities, m! (m!/2
+    for alt and coset), has more digits than CPython converts to text."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: none
+    if limit == 0:
+        return False
+    bound = 10**limit if regime == "sym" else 2 * 10**limit
+    order = 1
+    for k in range(2, m + 1):
+        order *= k
+        if order >= bound:
+            return True
+    return False
+
+
 def _groupstats_rows(m: int, regime: str, twist: str):
+    if _order_too_long(m, regime):
+        raise ValueError(
+            f"m = {m}: the exact probabilities' denominators have more than "
+            f"{sys.get_int_max_str_digits()} digits, CPython's limit for "
+            "converting an int to text")
     rows = [("prob", v, *_frac_cols(pr))
             for v, pr in spectrum(m, regime, twist).items()]
     rows += [("moment", k, *_frac_cols(exact_moment(m, k, regime, twist)))
@@ -314,17 +357,23 @@ def _cmd_groupstats(cfg: RunConfig, m: int, regime: str, twist: str,
     return 0
 
 
+COUNT_HEADER = "t_index,count"
+
+
+def _count_lines(count):
+    return (f"{i},{n}" for i, n in enumerate(count.counts))
+
+
 def _cmd_curves(cfg: RunConfig, degree: int, output) -> int:
     count = count_points(cfg.params(), degree, budget=cfg.budget)
     doc = Document(cfg)
     doc.note(f"field: {count.field_text}")
-    rows = list(enumerate(count.counts))
     modified = modified_third_moment(cfg.params(), degree, count=count)
-    doc.section(f"curves_degree_{degree}", "t_index,count", rows,
-                json_rows={"degree": degree, "field": count.field_text,
-                           "counts": list(count.counts),
-                           "modified_m3": {"num": modified.numerator,
-                                           "den": modified.denominator}})
+    doc.table(f"curves_degree_{degree}", COUNT_HEADER, _count_lines(count),
+              {"degree": degree, "field": count.field_text,
+               "counts": count.counts,
+               "modified_m3": {"num": modified.numerator,
+                               "den": modified.denominator}})
     doc.note(f"modified_m3: {modified.numerator}/{modified.denominator}")
     _emit(doc, output)
     return 0
@@ -402,7 +451,8 @@ def _cmd_all(cfg: RunConfig, output) -> int:
     tables = {}
     for D in range(1, cfg.max_degree + 1):
         tables[D] = trace_table(params, D, cache_dir=cfg.cache_dir)
-        doc.section(f"traces_degree_{D}", _TRACE_HEADER, _trace_rows(tables[D]))
+        doc.table(f"traces_degree_{D}", TRACE_HEADER, _trace_lines(tables[D]),
+                  _trace_json_rows(tables[D]))
 
     report = verdict(params, cfg.max_degree, config=cfg.verdict_config(),
                      tables=tables)
@@ -417,8 +467,8 @@ def _cmd_all(cfg: RunConfig, output) -> int:
         except ValueError:  # F_q is not inside L, or #L is over the budget
             continue
         count = count_points(params, D, budget=cfg.budget)
-        doc.section(f"curves_degree_{D}", "t_index,count",
-                    list(enumerate(count.counts)))
+        doc.table(f"curves_degree_{D}", COUNT_HEADER, _count_lines(count),
+                  enumerate(count.counts))
         cm = curve_moment_report(params, D, count=count, table=tables[D])
         crows.append((D, cm.field_order, *_frac_cols(cm.modified),
                       *_frac_cols(cm.empirical_m3), f"{cm.bound:.6f}",

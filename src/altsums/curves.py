@@ -104,19 +104,20 @@ def count_points(params: SystemParams, degree: int, *,
     hist[1:] = g * classes[np.arange(N - 1) % g]
     return CurveCount(params=params, degree=degree,
                       field_text=L.canonical_text(),
-                      counts=tuple(int(c) for c in hist))
+                      counts=tuple(hist.tolist()))
 
 
 def curve_weighted_sum(params: SystemParams, count: CurveCount) -> CycInt:
     """W = sum over t in L^x of psi(t) chi_2(-t) N_L(t), exact."""
     L = params.extension(count.degree)
     e_tab = psi_exponent_table(params.context(), L)
-    half = (L.order - 1) // 2
-    w = [0] * params.p
-    for c in range(1, L.order):
-        sign = 1 if (c - 1 + half) % 2 == 0 else -1
-        w[int(e_tab[c])] += sign * count.counts[c]
-    return CycInt.from_power_counts(params.p, w)
+    # chi_2(-t) for t = gen^j is (-1)^(j + (#L - 1)/2); sum |W| <= #L^2 fits int64
+    j = np.arange(L.order - 1)
+    signed = np.where((j + (L.order - 1) // 2) % 2 == 0, 1, -1) * \
+        np.array(count.counts, dtype=np.int64)[1:]
+    w = np.zeros(params.p, dtype=np.int64)
+    np.add.at(w, e_tab[1:], signed)
+    return CycInt.from_power_counts(params.p, w.tolist())
 
 
 def triple_sum_direct(params: SystemParams, degree: int, *,

@@ -25,8 +25,10 @@ import hashlib
 import math
 import os
 import secrets
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from pathlib import Path
 from typing import NamedTuple
 
@@ -156,15 +158,35 @@ class TraceTable(NamedTuple):
     def values(self) -> list[Fraction]:
         return [Fraction(c, self.denominator) for c in self.numerators]
 
-    def int_values(self) -> list[int]:
+    def int_array(self) -> np.ndarray:
+        """The values as int64, in entry order; raises on a non-integral table."""
         if not self.integral:
-            bad = next(i for i, ok in enumerate(self.is_integer) if not ok)
+            bad = self.is_integer.index(False)
             raise ValueError(f"non-integer trace at t_index={bad}")
-        return [c // self.denominator for c in self.numerators]
+        nums = np.fromiter(self.numerators, np.int64, len(self.numerators))
+        return nums // self.denominator
+
+    def int_values(self) -> list[int]:
+        return self.int_array().tolist()
+
+    def value_counts(self) -> tuple[int, np.ndarray]:
+        """(lo, counts): counts[k] entries have the value lo + k.
+
+        |T| < sqrt(#L), so a table from the kernel or the cache spans fewer
+        than 2 sqrt(#L) + 1 values.  Raises on a non-integral table.
+        """
+        v = self.int_array()
+        lo = int(v.min())
+        return lo, np.bincount(v - lo)
 
     def moment(self, power: int) -> Fraction:
+        """M_k = sum of T(t)^k over the entries, divided by #L."""
         N = self.denominator
-        return Fraction(sum(c**power for c in self.numerators), N ** (power + 1))
+        if not self.integral:  # exact per entry, over the numerators
+            return Fraction(sum(c**power for c in self.numerators), N ** (power + 1))
+        lo, counts = self.value_counts()
+        return Fraction(sum(c * (lo + k)**power
+                            for k, c in enumerate(counts.tolist()) if c), N)
 
 
 def _additive_fft_counts(params: SystemParams, L: FieldDescriptor) -> np.ndarray:
@@ -264,16 +286,20 @@ def _cache_path(cache_dir, params: SystemParams, degree: int) -> Path:
     return Path(cache_dir) / name
 
 
+TRACE_HEADER = "t_index,numerator,denominator,is_integer"
+
+
+def _trace_lines(table: TraceTable) -> Iterator[str]:
+    """The TRACE_HEADER rows of a table, as in the cache and the CLI's CSV."""
+    N = table.denominator
+    return (f"{i},{c},{N},{flag:d}"
+            for i, (c, flag) in enumerate(zip(table.numerators, table.is_integer)))
+
+
 def _table_payload(table: TraceTable) -> bytes:
-    lines = [
-        f"# altsums-trace-v1 {table.params.label()} D={table.degree}",
-        f"# field: {table.field_text}",
-        "t_index,numerator,denominator,is_integer",
-    ]
-    for i, num in enumerate(table.numerators):
-        flag = 1 if table.is_integer[i] else 0
-        lines.append(f"{i},{num},{table.denominator},{flag}")
-    return ("\n".join(lines) + "\n").encode()
+    head = (f"# altsums-trace-v1 {table.params.label()} D={table.degree}",
+            f"# field: {table.field_text}", TRACE_HEADER)
+    return ("\n".join(chain(head, _trace_lines(table))) + "\n").encode()
 
 
 def _save_table(path: Path, table: TraceTable) -> None:
@@ -307,13 +333,14 @@ def _load_table(path: Path, params: SystemParams, degree: int,
     head = f"# altsums-trace-v1 {params.label()} D={degree}"
     if text[0] != head or text[1] != f"# field: {L.canonical_text()}":
         raise CacheCorruptionError(f"{path}: header does not match the request")
-    if text[2] != "t_index,numerator,denominator,is_integer":
+    if text[2] != TRACE_HEADER:
         raise CacheCorruptionError(f"{path}: bad column header")
     rows = text[3:]
     if len(rows) != L.order:
         raise CacheCorruptionError(f"{path}: expected {L.order} rows, found {len(rows)}")
     numerators = []
     flags = []
+    cube = L.order**3
     for i, row in enumerate(rows):
         parts = row.split(",")
         if len(parts) != 4 or int(parts[0]) != i or int(parts[2]) != L.order:
@@ -322,6 +349,8 @@ def _load_table(path: Path, params: SystemParams, degree: int,
         flag = parts[3] == "1"
         if flag != (num % L.order == 0):
             raise CacheCorruptionError(f"{path}: inconsistent integrality flag at row {i}")
+        if num * num >= cube:  # |T| < sqrt(#L), as |S| < #L and |A| = sqrt(#L)
+            raise CacheCorruptionError(f"{path}: trace out of range at row {i}")
         numerators.append(num)
         flags.append(flag)
     return TraceTable(params=params, degree=degree, field_text=L.canonical_text(),

@@ -16,6 +16,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
+import numpy as np
+
 from .characters import chi2_minus_one
 from .groups import spectrum
 from .traces import SystemParams, TraceTable, moment_report, trace_table
@@ -47,28 +49,32 @@ def spectrum_membership(table: TraceTable,
                         oracle: dict[int, Fraction]) -> MembershipResult:
     """Fraction of entries whose value lies in the oracle support.
 
-    Requires an integral table; a non-integer entry is an upstream hard
-    error, not a membership miss.
+    Read off the table's value counts; entries are visited only to list the
+    offenders, when some value lies outside the support.  Requires an
+    integral table: a non-integer entry is an upstream hard error, not a
+    membership miss.
     """
-    support = set(oracle)
-    values = table.int_values()
-    offenders = tuple((i, v) for i, v in enumerate(values) if v not in support)
+    lo, counts = table.value_counts()
+    outside = [k for k in np.flatnonzero(counts).tolist() if lo + k not in oracle]
+    if not outside:
+        return MembershipResult(rate=Fraction(1), offenders=())
+    total = len(table.numerators)
+    miss = np.zeros(len(counts), dtype=bool)
+    miss[outside] = True
+    values = table.int_array()
+    at = np.flatnonzero(miss[values - lo])
     return MembershipResult(
-        rate=Fraction(len(values) - len(offenders), len(values)),
-        offenders=offenders)
+        rate=Fraction(total - len(at), total),
+        offenders=tuple(zip(at.tolist(), values[at].tolist())))
 
 
 def distribution_distance(table: TraceTable,
                           oracle: dict[int, Fraction]) -> Fraction:
     """Exact total-variation distance between the empirical law and the oracle."""
-    values = table.int_values()
-    N = len(values)
-    emp: dict[int, int] = {}
-    for v in values:
-        emp[v] = emp.get(v, 0) + 1
-    keys = set(emp) | set(oracle)
-    gap = sum(abs(Fraction(emp.get(v, 0), N) - oracle.get(v, Fraction(0)))
-              for v in keys)
+    lo, counts = table.value_counts()
+    total = len(table.numerators)
+    emp = {lo + k: Fraction(c, total) for k, c in enumerate(counts.tolist()) if c}
+    gap = sum(abs(emp.get(v, 0) - oracle.get(v, 0)) for v in emp.keys() | oracle.keys())
     return gap / 2
 
 
@@ -186,7 +192,7 @@ def verdict(params: SystemParams, max_degree: int, *,
             membership_rate = None
             tv = None
             offenders = ()
-            bad = next(i for i, ok in enumerate(table.is_integer) if not ok)
+            bad = table.is_integer.index(False)
             failures.append(
                 f"degree {D}: non-integer trace at t_index={bad} "
                 f"({table.numerators[bad]}/{table.denominator})")

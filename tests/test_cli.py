@@ -3,18 +3,23 @@ output shapes, header comments, and thread-count byte determinism."""
 
 import hashlib
 import json
+import math
 import os
 import resource
 import subprocess
 import sys
+import time
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import altsums
-from altsums import __version__, traces
-from altsums.cli import CACHE_ENV, RunConfig, build_parser, config_from_args, main
+from altsums import __version__, cli, traces
+from altsums.cli import (CACHE_ENV, EMIT_BATCH, RunConfig, _order_too_long,
+                         build_parser, config_from_args, main)
+from altsums.groups import REGIMES
 from altsums.traces import SystemParams, trace_table
 from altsums.verdict import MembershipResult, VerdictConfig
 
@@ -229,6 +234,35 @@ def test_groupstats_accepts_any_m_from_two(capsys):
     assert_one_usage_error(capsys)
 
 
+@pytest.fixture
+def int_text_limit():
+    """Sets CPython's int-to-text digit limit for one test: 4300, the
+    default, unless the test sets another."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield sys.set_int_max_str_digits
+    sys.set_int_max_str_digits(limit)
+
+
+def test_groupstats_refuses_an_m_past_the_int_to_text_limit_at_once(
+        capsys, int_text_limit):
+    start = time.perf_counter()
+    assert main(["groupstats", "--m", "1559"]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert "more than 4300 digits" in assert_one_usage_error(capsys)
+
+
+def test_int_to_text_limit_predicate_at_its_edge(int_text_limit):
+    for regime in REGIMES:  # m! (m!/2 for alt and coset) first passes 10^4300
+        assert not _order_too_long(1558, regime)
+        assert _order_too_long(1559, regime)
+    int_text_limit(702)  # 335! = 1.156e702: only m!/2 fits
+    assert _order_too_long(335, "sym")
+    assert not any(_order_too_long(335, r) for r in ("alt", "coset"))
+    int_text_limit(0)  # no limit, no refusal
+    assert not any(_order_too_long(1559, regime) for regime in REGIMES)
+
+
 # -- output shape ------------------------------------------------------------------
 
 
@@ -364,12 +398,78 @@ def test_all_json_passes(tmp_path):
     (["all", "--p", "7", "--f", "1", "--multiplier", "2", "--max-degree", "4",
       "--format", "json"],
      "2236d00ed141f8cacb3519fde8c604339eb4e5e6c9ed57b0184f3cab5b99afb4"),
+    (["all", "--p", "5", "--f", "1", "--max-degree", "5"],
+     "6600f223db235fe715433b9792bede4c1382b66301b042100a91daee1ad46345"),
 ])
 def test_all_output_bytes_are_pinned(tmp_path, capsys, argv, digest):
     """The stdout digests recorded for these invocations at commit 8d3bf77."""
     assert main(argv + ["--cache-dir", str(tmp_path)]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
+
+
+P7_JSON = ["all", "--p", "7", "--f", "1", "--multiplier", "2",
+           "--max-degree", "4", "--format", "json"]
+
+
+class CountingStdout:
+    """Keeps only the number of writes and of characters written."""
+
+    def __init__(self):
+        self.writes = self.chars = 0
+
+    def write(self, text):
+        self.writes += 1
+        self.chars += len(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def test_document_is_written_in_batches(tmp_path, monkeypatch):
+    out = CountingStdout()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main(P7_JSON + ["--cache-dir", str(tmp_path)]) == 0
+    assert out.chars == 260318  # the pinned document
+    # every chunk is at least one character, so a full batch is EMIT_BATCH or more
+    assert 1 < out.writes <= math.ceil(out.chars / EMIT_BATCH) + 1
+    assert out.writes <= out.chars // 1000  # not a write per chunk or per line
+
+
+def test_emitting_the_document_takes_at_most_twice_its_text(tmp_path,
+                                                            monkeypatch):
+    peaks = []
+    emit = cli._emit
+
+    def traced_emit(doc, output):
+        tracemalloc.start()
+        try:
+            emit(doc, output)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+
+    out = CountingStdout()
+    monkeypatch.setattr(cli, "_emit", traced_emit)
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main(P7_JSON + ["--cache-dir", str(tmp_path)]) == 0
+    assert len(peaks) == 1 and 0 < peaks[0] <= 2 * out.chars
+
+
+@pytest.mark.parametrize("argv", [
+    ["all", "--p", "3", "--max-degree", "3"],
+    ["all", "--p", "3", "--max-degree", "3", "--format", "json"],
+    ["traces", "--p", "3", "--degree", "4", "--format", "json"],
+    ["curves", "--p", "3", "--degree", "3"],
+])
+def test_output_file_bytes_equal_stdout_bytes(tmp_path, capsys, argv):
+    rc = main(argv + ["--cache-dir", str(tmp_path)])
+    out = capsys.readouterr().out
+    path = tmp_path / "doc"
+    assert main(argv + ["--cache-dir", str(tmp_path), "--output", str(path)]) == rc
+    assert capsys.readouterr().out == ""
+    assert path.read_bytes() == out.encode("ascii")
 
 
 # -- process start-up ----------------------------------------------------------------

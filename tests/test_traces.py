@@ -248,6 +248,19 @@ def test_cache_truncation_detected(tmp_path):
         trace_table(P33, 2, cache_dir=tmp_path)
 
 
+def test_cache_rejects_a_checksummed_trace_out_of_range(tmp_path):
+    # |T| < sqrt(#L) for every real table; a value past it, written with a
+    # valid checksum, would blow up the value counts the statistics read
+    table = trace_table(P33, 2)
+    path = _cache_path(tmp_path, P33, 2)
+    nums = (27 * 9,) + table.numerators[1:]
+    _save_table(path, table._replace(numerators=nums))
+    with pytest.raises(CacheCorruptionError, match="out of range at row 0"):
+        trace_table(P33, 2, cache_dir=tmp_path)
+    _save_table(path, table._replace(numerators=(2 * 9,) + nums[1:]))
+    assert trace_table(P33, 2, cache_dir=tmp_path).numerators[0] == 18
+
+
 def test_cache_header_mismatch_detected(tmp_path):
     twisted = SystemParams(p=3, f=1, multiplier=2)
     trace_table(P33, 1, cache_dir=tmp_path)
