@@ -22,7 +22,7 @@ import sys
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, fields, replace
 from fractions import Fraction
-from itertools import chain, islice, repeat
+from itertools import chain
 from pathlib import Path
 
 from . import __version__
@@ -48,8 +48,8 @@ from .traces import (
     TRACE_HEADER,
     CacheCorruptionError,
     NonRationalTraceError,
+    Rows,
     SystemParams,
-    _trace_lines,
     moment_report,
     trace_table,
 )
@@ -132,12 +132,27 @@ class RunConfig:
 # -- document assembly ------------------------------------------------------------
 
 
-EMIT_BATCH = 1024  # document chunks joined into one write
+EMIT_BATCH = 1 << 16  # characters gathered into one write
 
 
-class _Encoder(json.JSONEncoder):
-    def default(self, o):
-        return list(o)  # long tables are stored as iterators of rows
+def _json_chunks(value, level: int = 0):
+    """json.dumps(value, indent=2) nested `level` deep, in pieces: a dict (str
+    keys) key by key, a Rows list a block of rows at a time."""
+    pad = "\n" + "  " * level
+    if isinstance(value, Rows) and len(value.columns[0]):
+        item = json.dumps(value.item, indent=2).replace('"%d"', "%d")
+        row = "," + pad + "  " + item.replace("\n", pad + "  ")
+        yield "[" + row[1:] % tuple(c[0] for c in value.columns)  # no comma before row 0
+        yield from value.blocks(row, 1)
+        yield pad + "]"
+    elif isinstance(value, dict) and value:
+        for i, (key, v) in enumerate(value.items()):
+            yield f"{',' if i else '{'}{pad}  {json.dumps(key)}: "
+            yield from _json_chunks(v, level + 1)
+        yield pad + "}"
+    else:  # an empty Rows is an empty list
+        yield "[]" if isinstance(value, Rows) else \
+            json.dumps(value, indent=2).replace("\n", pad)
 
 
 class Document:
@@ -155,22 +170,15 @@ class Document:
             self.note(f"altsums {__version__} | config: {config.echo()}")
 
     def section(self, name: str, header: str, rows, json_rows=None) -> None:
-        """A table of column tuples; JSON writes `json_rows`, else the rows."""
-        self.table(name, header, (",".join(map(str, row)) for row in rows),
-                   rows if json_rows is None else json_rows)
-
-    def table(self, name: str, header: str, lines, json_rows) -> None:
-        """A table of CSV `lines` under `header`; JSON writes `json_rows`.
-
-        Only the argument of the document's format is consumed, so a long
-        table passes both as iterators: CSV joins its lines here, once, and
-        JSON lists an iterator only while it is written.
-        """
-        if self.json:  # a tuple row is written as a list
-            self.obj[name] = json_rows
+        """A table of column tuples or Rows; JSON writes `json_rows`, else the
+        rows.  CSV joins its lines here; JSON renders Rows while written."""
+        if self.json:
+            self.obj[name] = rows if json_rows is None else json_rows
         else:
-            self.parts.append(
-                "\n".join(chain((f"# section: {name}", header), lines)) + "\n")
+            lines = rows.blocks() if isinstance(rows, Rows) else \
+                (",".join(map(str, row)) + "\n" for row in rows)
+            self.parts.append("".join(
+                chain((f"# section: {name}\n{header}\n",), lines)))
 
     def note(self, text: str) -> None:
         if not self.json:
@@ -178,20 +186,24 @@ class Document:
 
     def chunks(self):
         if self.json:  # the same text as json.dumps(obj, indent=2)
-            yield from _Encoder(indent=2).iterencode(self.obj)
+            yield from _json_chunks(self.obj)
             yield "\n"
         else:
             yield from self.parts
 
 
 def _emit(doc: Document, output: str | None) -> None:
-    """Write the document, EMIT_BATCH chunks per write: the JSON text never
-    exists whole, and a write-through stdout is not written per chunk."""
-    chunks = doc.chunks()
+    """Write the document EMIT_BATCH characters or more at a time: the JSON
+    text never exists whole, and a write-through stdout is not written per piece."""
     with (open(output, "w", encoding="ascii") if output
           else nullcontext(sys.stdout)) as out:
-        while batch := list(islice(chunks, EMIT_BATCH)):
-            out.write("".join(batch))
+        text = ""
+        for chunk in doc.chunks():
+            text += chunk
+            if len(text) >= EMIT_BATCH:
+                out.write(text)
+                text = ""
+        out.write(text)
 
 
 def _frac_cols(x: Fraction) -> tuple[int, int]:
@@ -215,19 +227,13 @@ def _cmd_field(cfg: RunConfig, degree: int, output) -> int:
     return 0
 
 
-def _trace_json_rows(table):
-    return zip(range(len(table.numerators)), table.numerators,
-               repeat(table.denominator), map(int, table.is_integer))
-
-
 def _cmd_traces(cfg: RunConfig, degree: int, output) -> int:
     table = trace_table(cfg.params(), degree, cache_dir=cfg.cache_dir)
     doc = Document(cfg)
     doc.note(f"field: {table.field_text}")
-    doc.table(f"traces_degree_{degree}", TRACE_HEADER, _trace_lines(table),
-              {"degree": degree, "field": table.field_text,
-               "denominator": table.denominator,
-               "rows": _trace_json_rows(table)})
+    doc.section(f"traces_degree_{degree}", TRACE_HEADER, table.rows(),
+                {"degree": degree, "field": table.field_text,
+                 "denominator": table.denominator, "rows": table.rows()})
     _emit(doc, output)
     return 0 if table.integral else 1
 
@@ -360,8 +366,8 @@ def _cmd_groupstats(cfg: RunConfig, m: int, regime: str, twist: str,
 COUNT_HEADER = "t_index,count"
 
 
-def _count_lines(count):
-    return (f"{i},{n}" for i, n in enumerate(count.counts))
+def _count_rows(count):
+    return Rows(["%d", "%d"], (range(len(count.counts)), count.counts))
 
 
 def _cmd_curves(cfg: RunConfig, degree: int, output) -> int:
@@ -369,11 +375,11 @@ def _cmd_curves(cfg: RunConfig, degree: int, output) -> int:
     doc = Document(cfg)
     doc.note(f"field: {count.field_text}")
     modified = modified_third_moment(cfg.params(), degree, count=count)
-    doc.table(f"curves_degree_{degree}", COUNT_HEADER, _count_lines(count),
-              {"degree": degree, "field": count.field_text,
-               "counts": count.counts,
-               "modified_m3": {"num": modified.numerator,
-                               "den": modified.denominator}})
+    doc.section(f"curves_degree_{degree}", COUNT_HEADER, _count_rows(count),
+                {"degree": degree, "field": count.field_text,
+                 "counts": Rows("%d", (count.counts,)),
+                 "modified_m3": {"num": modified.numerator,
+                                 "den": modified.denominator}})
     doc.note(f"modified_m3: {modified.numerator}/{modified.denominator}")
     _emit(doc, output)
     return 0
@@ -451,8 +457,7 @@ def _cmd_all(cfg: RunConfig, output) -> int:
     tables = {}
     for D in range(1, cfg.max_degree + 1):
         tables[D] = trace_table(params, D, cache_dir=cfg.cache_dir)
-        doc.table(f"traces_degree_{D}", TRACE_HEADER, _trace_lines(tables[D]),
-                  _trace_json_rows(tables[D]))
+        doc.section(f"traces_degree_{D}", TRACE_HEADER, tables[D].rows())
 
     report = verdict(params, cfg.max_degree, config=cfg.verdict_config(),
                      tables=tables)
@@ -467,9 +472,9 @@ def _cmd_all(cfg: RunConfig, output) -> int:
         except ValueError:  # F_q is not inside L, or #L is over the budget
             continue
         count = count_points(params, D, budget=cfg.budget)
-        doc.table(f"curves_degree_{D}", COUNT_HEADER, _count_lines(count),
-                  enumerate(count.counts))
-        cm = curve_moment_report(params, D, count=count, table=tables[D])
+        doc.section(f"curves_degree_{D}", COUNT_HEADER, _count_rows(count))
+        cm = curve_moment_report(params, D, count=count,
+                                 m3=report.rows[D - 1].m3)
         crows.append((D, cm.field_order, *_frac_cols(cm.modified),
                       *_frac_cols(cm.empirical_m3), f"{cm.bound:.6f}",
                       int(cm.within_bound)))

@@ -183,14 +183,17 @@ class CurveMomentReport(NamedTuple):
 def curve_moment_report(params: SystemParams, degree: int, *,
                         count: CurveCount | None = None,
                         table: TraceTable | None = None,
+                        m3: Fraction | None = None,
                         budget: int = DEFAULT_POINT_BUDGET,
                         cache_dir=None) -> CurveMomentReport:
     """Compare the curve-side moment with the direct empirical third moment.
 
-    A precomputed `count` or trace `table` of this degree is used as is.
+    A precomputed `count`, trace `table` or empirical `m3` of this degree is
+    used as is.
     """
     modified = modified_third_moment(params, degree, count=count, budget=budget)
-    m3 = empirical_moment(params, degree, 3, table=table, cache_dir=cache_dir)
+    if m3 is None:
+        m3 = empirical_moment(params, degree, 3, table=table, cache_dir=cache_dir)
     L = params.extension(degree)
     bound = params.q / math.sqrt(L.order)
     gap = abs(float(modified - m3))

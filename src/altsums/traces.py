@@ -14,9 +14,10 @@ The production kernel computes every S(t) at once as an exact additive
 Fourier transform over Z[zeta_p] (see _additive_fft_counts) and finishes
 all rows with one circulant product against conj(A).  A single-t O(#L) path
 serves raw_sum and the descent form; a deliberately naive term-by-term
-accumulation is kept as an independent cross-check.  Tables can be cached
-to disk with a checksum; a cache file that fails its checks raises
-CacheCorruptionError naming the file and is never recomputed over.
+accumulation is kept as an independent cross-check.  Long tables are
+rendered a block of rows at a time (Rows).  A checksummed disk cache is read
+back as blocks that must equal their re-rendering; a file that fails raises
+CacheCorruptionError naming it and its first bad row, never recomputed over.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from .cyclotomic import CycInt
 from .fields import (BudgetExceededError, FieldDescriptor, build_field,
                      checked_order)
 
+ROW_BLOCK = 1024  # rows per %-format: a long table is never rendered whole
 # Largest working set of _additive_fft_counts, about three (#L, p) int64
 # arrays; 2 GiB admits 3^15, 5^10, 7^8 and 13^6.
 FFT_BYTE_BUDGET = 2**31
@@ -137,6 +139,26 @@ def normalized_trace(params: SystemParams, L: FieldDescriptor, t) -> Fraction:
     return Fraction(r, L.order)
 
 
+class Rows(NamedTuple):
+    """A long table: a row per index of the `columns` (equal-length int
+    sequences), shaped as `item`, whose "%d" strings take the columns in turn."""
+
+    item: object
+    columns: tuple
+
+    def blocks(self, row: str = "", start: int = 0) -> Iterator[str]:
+        """The %-format `row` (by default the CSV line of `item`) filled in
+        for each row from `start` on, ROW_BLOCK rows per string."""
+        row = row or ",".join(map(str, self.item)) + "\n"
+        m = len(self.columns)
+        for s in range(start, len(self.columns[0]), ROW_BLOCK):
+            part = [c[s:s + ROW_BLOCK] for c in self.columns]
+            flat = [0] * (len(part[0]) * m)
+            for j, c in enumerate(part):
+                flat[j::m] = c
+            yield (row * len(part[0])) % tuple(flat)
+
+
 class TraceTable(NamedTuple):
     """All N normalized traces over one extension, as numerator/#L pairs.
 
@@ -154,6 +176,11 @@ class TraceTable(NamedTuple):
     @property
     def integral(self) -> bool:
         return all(self.is_integer)
+
+    def rows(self) -> Rows:
+        """The TRACE_HEADER rows, as in the cache and the CLI's output."""
+        return Rows(["%d", "%d", self.denominator, "%d"],
+                    (range(len(self.numerators)), self.numerators, self.is_integer))
 
     def values(self) -> list[Fraction]:
         return [Fraction(c, self.denominator) for c in self.numerators]
@@ -179,12 +206,13 @@ class TraceTable(NamedTuple):
         lo = int(v.min())
         return lo, np.bincount(v - lo)
 
-    def moment(self, power: int) -> Fraction:
-        """M_k = sum of T(t)^k over the entries, divided by #L."""
+    def moment(self, power: int, counts=None) -> Fraction:
+        """M_k = sum of T(t)^k over the entries, divided by #L (`counts`: the
+        value_counts(), if already taken)."""
         N = self.denominator
         if not self.integral:  # exact per entry, over the numerators
             return Fraction(sum(c**power for c in self.numerators), N ** (power + 1))
-        lo, counts = self.value_counts()
+        lo, counts = counts or self.value_counts()
         return Fraction(sum(c * (lo + k)**power
                             for k, c in enumerate(counts.tolist()) if c), N)
 
@@ -289,17 +317,10 @@ def _cache_path(cache_dir, params: SystemParams, degree: int) -> Path:
 TRACE_HEADER = "t_index,numerator,denominator,is_integer"
 
 
-def _trace_lines(table: TraceTable) -> Iterator[str]:
-    """The TRACE_HEADER rows of a table, as in the cache and the CLI's CSV."""
-    N = table.denominator
-    return (f"{i},{c},{N},{flag:d}"
-            for i, (c, flag) in enumerate(zip(table.numerators, table.is_integer)))
-
-
 def _table_payload(table: TraceTable) -> bytes:
-    head = (f"# altsums-trace-v1 {table.params.label()} D={table.degree}",
-            f"# field: {table.field_text}", TRACE_HEADER)
-    return ("\n".join(chain(head, _trace_lines(table))) + "\n").encode()
+    head = (f"# altsums-trace-v1 {table.params.label()} D={table.degree}\n"
+            f"# field: {table.field_text}\n{TRACE_HEADER}\n")
+    return "".join(chain((head,), table.rows().blocks())).encode()
 
 
 def _save_table(path: Path, table: TraceTable) -> None:
@@ -318,43 +339,60 @@ def _save_table(path: Path, table: TraceTable) -> None:
         raise
 
 
+def _row_fault(body: str, N: int) -> str:
+    """Name the first row of a cache body that is not canonical or in range."""
+    for i, row in enumerate(body.split("\n")):
+        try:
+            num = int(row.split(",")[1])
+        except (IndexError, ValueError):
+            return f"malformed row {i}"
+        if row == f"{i},{num},{N},{int(num % N != 0)}":
+            return f"inconsistent integrality flag at row {i}"
+        if row != f"{i},{num},{N},{int(num % N == 0)}":
+            return f"malformed row {i}"
+        if num * num >= N**3:  # |T| < sqrt(#L), as |S| < #L and |A| = sqrt(#L)
+            return f"trace out of range at row {i}"
+
+
 def _load_table(path: Path, params: SystemParams, degree: int,
                 L: FieldDescriptor) -> TraceTable:
+    """Parse a cache file a block of rows at a time; each block must equal its
+    re-rendering from the parsed numerators, and satisfy |T| < sqrt(#L)."""
     data = path.read_bytes()
-    lines = data.split(b"\n")
-    if len(lines) < 5 or not lines[-2].startswith(b"# sha256="):
+    end = data.rfind(b"\n")
+    cut = data.rfind(b"\n", 0, max(end, 0)) + 1
+    payload = data[:cut]
+    if payload.count(b"\n") < 3 or not data.startswith(b"# sha256=", cut):
         raise CacheCorruptionError(f"{path}: missing checksum trailer")
-    payload = b"\n".join(lines[:-2]) + b"\n"
-    want = lines[-2].decode().removeprefix("# sha256=")
-    got = hashlib.sha256(payload).hexdigest()
-    if got != want:
+    if data[cut:end] != f"# sha256={hashlib.sha256(payload).hexdigest()}".encode():
         raise CacheCorruptionError(f"{path}: checksum mismatch")
-    text = payload.decode().splitlines()
-    head = f"# altsums-trace-v1 {params.label()} D={degree}"
-    if text[0] != head or text[1] != f"# field: {L.canonical_text()}":
+    head, field, columns, body = payload.decode("ascii", "replace").split("\n", 3)
+    if (head != f"# altsums-trace-v1 {params.label()} D={degree}"
+            or field != f"# field: {L.canonical_text()}"):
         raise CacheCorruptionError(f"{path}: header does not match the request")
-    if text[2] != TRACE_HEADER:
+    if columns != TRACE_HEADER:
         raise CacheCorruptionError(f"{path}: bad column header")
-    rows = text[3:]
-    if len(rows) != L.order:
-        raise CacheCorruptionError(f"{path}: expected {L.order} rows, found {len(rows)}")
-    numerators = []
-    flags = []
-    cube = L.order**3
-    for i, row in enumerate(rows):
-        parts = row.split(",")
-        if len(parts) != 4 or int(parts[0]) != i or int(parts[2]) != L.order:
-            raise CacheCorruptionError(f"{path}: malformed row {i}")
-        num = int(parts[1])
-        flag = parts[3] == "1"
-        if flag != (num % L.order == 0):
-            raise CacheCorruptionError(f"{path}: inconsistent integrality flag at row {i}")
-        if num * num >= cube:  # |T| < sqrt(#L), as |S| < #L and |A| = sqrt(#L)
-            raise CacheCorruptionError(f"{path}: trace out of range at row {i}")
-        numerators.append(num)
-        flags.append(flag)
+    N, rows = L.order, body.count("\n")
+    if rows != N:
+        raise CacheCorruptionError(f"{path}: expected {N} rows, found {rows}")
+    numerators, flags, pos = [], [], 0
+    for s in range(0, N, ROW_BLOCK):
+        k = min(ROW_BLOCK, N - s)
+        stop = body.find(f"\n{s + k},", pos) + 1 if s + k < N else len(body)
+        block, pos = body[pos:stop], stop
+        try:
+            nums = list(map(int, block.split(",")[1::3]))
+            bits = (np.array(nums, dtype=np.int64) % N == 0).tolist()
+            again = Rows(["%d", "%d", N, "%d"], (range(s, s + k), nums, bits))
+            if len(nums) != k or max(map(abs, nums))**2 >= N**3 or \
+                    block != next(again.blocks()):
+                raise ValueError
+        except (ValueError, OverflowError):
+            raise CacheCorruptionError(f"{path}: {_row_fault(body, N)}") from None
+        numerators += nums
+        flags += bits
     return TraceTable(params=params, degree=degree, field_text=L.canonical_text(),
-                      denominator=L.order, numerators=tuple(numerators),
+                      denominator=N, numerators=tuple(numerators),
                       is_integer=tuple(flags))
 
 
@@ -430,15 +468,18 @@ def moment_report(params: SystemParams, max_degree: int, *, cache_dir=None,
     """
     rows = []
     for D in range(1, max_degree + 1):
-        table = (tables or {}).get(D)
-        if table is None:
-            table = trace_table(params, D, cache_dir=cache_dir)
-        L = params.extension(D)
-        target = chi2_minus_one(L)
-        m3 = table.moment(3)
-        rows.append(MomentRow(
-            degree=D, field_order=L.order,
-            m1=table.moment(1), m2=table.moment(2), m3=m3,
-            m3_target=target, m3_deviation=abs(float(m3 - target)),
-            integral=table.integral))
+        table = (tables or {}).get(D) or trace_table(params, D, cache_dir=cache_dir)
+        rows.append(_moment_row(params, table)[0])
     return MomentReport(params=params, rows=tuple(rows))
+
+
+def _moment_row(params: SystemParams, table: TraceTable):
+    """M1-M3 of one table, and the value counts they come from (None when
+    the table is not integral)."""
+    counts = table.value_counts() if table.integral else None
+    L = params.extension(table.degree)
+    target = chi2_minus_one(L)
+    m1, m2, m3 = (table.moment(k, counts) for k in (1, 2, 3))
+    return MomentRow(degree=table.degree, field_order=L.order, m1=m1, m2=m2,
+                     m3=m3, m3_target=target, m3_deviation=abs(float(m3 - target)),
+                     integral=table.integral), counts

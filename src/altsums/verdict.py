@@ -20,7 +20,7 @@ import numpy as np
 
 from .characters import chi2_minus_one
 from .groups import spectrum
-from .traces import SystemParams, TraceTable, moment_report, trace_table
+from .traces import SystemParams, TraceTable, _moment_row, trace_table
 
 
 def regime_for(params: SystemParams, degree: int) -> tuple[str, str]:
@@ -45,16 +45,16 @@ class MembershipResult(NamedTuple):
         return self.rate == 1
 
 
-def spectrum_membership(table: TraceTable,
-                        oracle: dict[int, Fraction]) -> MembershipResult:
+def spectrum_membership(table: TraceTable, oracle: dict[int, Fraction],
+                        counts=None) -> MembershipResult:
     """Fraction of entries whose value lies in the oracle support.
 
     Read off the table's value counts; entries are visited only to list the
     offenders, when some value lies outside the support.  Requires an
     integral table: a non-integer entry is an upstream hard error, not a
-    membership miss.
+    membership miss.  `counts`: the table's value_counts(), if already taken.
     """
-    lo, counts = table.value_counts()
+    lo, counts = counts or table.value_counts()
     outside = [k for k in np.flatnonzero(counts).tolist() if lo + k not in oracle]
     if not outside:
         return MembershipResult(rate=Fraction(1), offenders=())
@@ -68,10 +68,10 @@ def spectrum_membership(table: TraceTable,
         offenders=tuple(zip(at.tolist(), values[at].tolist())))
 
 
-def distribution_distance(table: TraceTable,
-                          oracle: dict[int, Fraction]) -> Fraction:
+def distribution_distance(table: TraceTable, oracle: dict[int, Fraction],
+                          counts=None) -> Fraction:
     """Exact total-variation distance between the empirical law and the oracle."""
-    lo, counts = table.value_counts()
+    lo, counts = counts or table.value_counts()
     total = len(table.numerators)
     emp = {lo + k: Fraction(c, total) for k, c in enumerate(counts.tolist()) if c}
     gap = sum(abs(emp.get(v, 0) - oracle.get(v, 0)) for v in emp.keys() | oracle.keys())
@@ -166,20 +166,15 @@ def verdict(params: SystemParams, max_degree: int, *,
     cfg = config or VerdictConfig()
     rows = []
     failures: list[str] = []
-    tables = dict(tables or {})
     for D in range(1, max_degree + 1):
-        if D not in tables:
-            tables[D] = trace_table(params, D, cache_dir=cache_dir)
-
-    for mrow in moment_report(params, max_degree, tables=tables).rows:
-        D = mrow.degree
-        table = tables[D]
+        table = (tables or {}).get(D) or trace_table(params, D, cache_dir=cache_dir)
+        mrow, counts = _moment_row(params, table)  # one value count per table
         regime, twist = regime_for(params, D)
         oracle = spectrum(2 * params.q, regime, twist)
 
         if table.integral:
-            member = spectrum_membership(table, oracle)
-            tv = distribution_distance(table, oracle)
+            member = spectrum_membership(table, oracle, counts)
+            tv = distribution_distance(table, oracle, counts)
             membership_rate = member.rate
             offenders = member.offenders
             if offenders:

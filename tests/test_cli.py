@@ -363,20 +363,37 @@ def test_all_byte_identical_across_threads(tmp_path):
 
 
 def test_all_computes_each_moment_once(tmp_path, monkeypatch):
-    # M1-M3 at degrees 1 and 2 (six calls), plus the empirical M3 of each of
-    # the two curve degrees; the moments section reuses the verdict's rows
+    # M1-M3 at degrees 1 and 2 (six calls); the moments section reuses the
+    # verdict's rows, and each curve degree's empirical M3 the verdict's M3
     calls = []
     moment = traces.TraceTable.moment
 
-    def counted(self, power):
+    def counted(self, power, counts=None):
         calls.append((self.degree, power))
-        return moment(self, power)
+        return moment(self, power, counts)
 
     monkeypatch.delenv(CACHE_ENV, raising=False)
     monkeypatch.setattr(traces.TraceTable, "moment", counted)
     assert main(["all", "--p", "3", "--max-degree", "2",
                  "--output", str(tmp_path / "all.csv")]) == 0
-    assert len(calls) == 8
+    assert sorted(calls) == [(D, k) for D in (1, 2) for k in (1, 2, 3)]
+
+
+def test_all_counts_each_tables_values_once(tmp_path, monkeypatch):
+    # M1-M3, spectrum membership and TV distance of a table, and the curve
+    # report's M3, all read one value histogram
+    calls = []
+    value_counts = traces.TraceTable.value_counts
+
+    def counted(self):
+        calls.append(self.degree)
+        return value_counts(self)
+
+    monkeypatch.delenv(CACHE_ENV, raising=False)
+    monkeypatch.setattr(traces.TraceTable, "value_counts", counted)
+    assert main(["all", "--p", "3", "--max-degree", "2",
+                 "--output", str(tmp_path / "all.csv")]) == 0
+    assert sorted(calls) == [1, 2]
 
 
 def test_all_json_passes(tmp_path):

@@ -1,0 +1,243 @@
+"""Block rendering and block parsing of long tables, against per-row oracles.
+
+Long tables (trace rows, curve counts) are rendered a block of rows at a
+time, one %-format per block, and the JSON document is written piece by
+piece.  The oracles here are the plain ways: `json.dumps(obj, indent=2)` for
+JSON, and one f-string per row for CSV and the trace cache, as the library
+wrote them before.  Cache files are parsed back a block at a time; a row
+must be spelled exactly as it is written, and the error names the first bad
+row.
+"""
+
+import hashlib
+import json
+import random
+
+import pytest
+
+from altsums import traces
+from altsums.cli import _count_rows, _json_chunks, main
+from altsums.curves import count_points
+from altsums.traces import (ROW_BLOCK, CacheCorruptionError, Rows,
+                            SystemParams, TraceTable, _cache_path, _load_table,
+                            _table_payload, trace_table)
+
+P33 = SystemParams(p=3, f=1)
+
+# every kernel table with p in {3, 5, 7} and #L <= 3^8
+KERNEL = [(SystemParams(p=p, f=1), D)
+          for p, top in ((3, 8), (5, 5), (7, 4)) for D in range(1, top + 1)]
+
+
+# -- per-row oracles -----------------------------------------------------------------
+
+
+def ref_trace_text(table):
+    N = table.denominator
+    return "".join(f"{i},{c},{N},{flag:d}\n"
+                   for i, (c, flag) in enumerate(zip(table.numerators, table.is_integer)))
+
+
+def ref_count_text(counts):
+    return "".join(f"{i},{n}\n" for i, n in enumerate(counts))
+
+
+def plain(value):
+    """The value with every Rows spelled out as lists, for json.dumps."""
+    if isinstance(value, Rows):
+        def fill(row):
+            cells = iter(row)
+            if value.item == "%d":
+                return next(cells)
+            return [next(cells) if c == "%d" else c for c in value.item]
+        return [fill(row) for row in zip(*value.columns)]
+    if isinstance(value, dict):
+        return {k: plain(v) for k, v in value.items()}
+    return value
+
+
+def rendered(value):
+    return "".join(_json_chunks(value))
+
+
+# -- CSV and cache text ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("params, degree", KERNEL)
+def test_trace_rows_match_the_per_row_text(params, degree):
+    table = trace_table(params, degree)
+    text = "".join(table.rows().blocks())
+    assert text == ref_trace_text(table)
+    head = (f"# altsums-trace-v1 {params.label()} D={degree}\n"
+            f"# field: {table.field_text}\n{traces.TRACE_HEADER}\n")
+    assert _table_payload(table) == (head + text).encode()
+
+
+@pytest.mark.parametrize("params, degree",
+                         [(P33, D) for D in range(1, 8)] + [(SystemParams(5, 1), 4)])
+def test_count_rows_match_the_per_row_text(params, degree):
+    count = count_points(params, degree)
+    assert "".join(_count_rows(count).blocks()) == ref_count_text(count.counts)
+
+
+@pytest.mark.parametrize("n", [0, 1, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1,
+                               2 * ROW_BLOCK + 1])
+def test_blocks_at_the_block_size_edges(n):
+    rng = random.Random(n)
+    nums = tuple(rng.randrange(-2**70, 2**70) for _ in range(n))
+    flags = tuple(rng.random() < 0.5 for _ in range(n))
+    table = TraceTable(P33, 1, "field", 9, nums, flags)
+    blocks = list(table.rows().blocks())
+    assert len(blocks) == -(-n // ROW_BLOCK)
+    assert "".join(blocks) == ref_trace_text(table)
+    assert "".join(Rows(["%d", "%d"], (range(n), nums)).blocks()) == \
+        ref_count_text(nums)
+
+
+# -- JSON --------------------------------------------------------------------------------
+
+
+SHORT = [0, -1, 7, 2**63, -2**64 - 5, 1.5, -0.25, True, False, None, "",
+         'say "hi"', "back\\slash", "café – ü", "tab\there\nline",
+         [], {}, [1, [2, 3]], (4, "five"), [[]], {"k": []}]
+
+
+def random_rows(rng):
+    n = rng.choice([0, 1, 2, rng.randrange(3, 40), ROW_BLOCK - 1, ROW_BLOCK,
+                    ROW_BLOCK + 1])
+    shape = rng.choice(["flat", "one", "many"])
+    if shape == "flat":
+        item = "%d"
+    elif shape == "one":
+        item = ["%d"]
+    else:
+        item = [rng.choice(["%d", rng.randrange(-99, 10**20)])
+                for _ in range(rng.randrange(1, 6))] + ["%d"]
+    width = 1 if item == "%d" else item.count("%d")
+    big = rng.choice([10, 2**63, 2**80])
+    columns = tuple(range(n) if j == 0 and rng.random() < 0.5 else
+                    [rng.randrange(-big, big) for _ in range(n)]
+                    for j in range(width))
+    return Rows(item, columns)
+
+
+def random_value(rng, depth):
+    pick = rng.random()
+    if pick < 0.3 and depth < 4:
+        return {rng.choice(["a", "key", 'q"uote', "été", "x y"]) + str(i):
+                random_value(rng, depth + 1) for i in range(rng.randrange(0, 5))}
+    if pick < 0.5:
+        return random_rows(rng)
+    if pick < 0.6:
+        return [tuple(rng.choice(SHORT[:14]) for _ in range(rng.randrange(0, 4)))
+                for _ in range(rng.randrange(0, 4))]
+    return rng.choice(SHORT)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_json_document_matches_json_dumps(seed):
+    rng = random.Random(seed)
+    doc = {f"part{i}": random_value(rng, 1) for i in range(rng.randrange(1, 6))}
+    assert rendered(doc) == json.dumps(plain(doc), indent=2)
+
+
+@pytest.mark.parametrize("value", SHORT + [
+    Rows("%d", ((),)), Rows(["%d"], ([5],)), Rows(["%d", 3, "%d"], ([1], [-2])),
+    {"rows": Rows(["%d"], (range(3),))}, {"a": {"b": {"c": Rows("%d", ([2**64],))}}}])
+def test_json_values_match_json_dumps_at_every_depth(value):
+    for level in range(3):
+        doc = value
+        for _ in range(level):
+            doc = {"outer": doc, "after": [1]}
+        assert rendered(doc) == json.dumps(plain(doc), indent=2)
+
+
+def test_traces_json_document_matches_json_dumps(capsys):
+    assert main(["traces", "--p", "3", "--degree", "8", "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    table = trace_table(P33, 8)
+    blob = json.loads(out)
+    assert blob["traces_degree_8"]["rows"] == [
+        [i, c, 6561, int(f)] for i, (c, f) in
+        enumerate(zip(table.numerators, table.is_integer))]
+    assert out == json.dumps(blob, indent=2) + "\n"
+
+
+# -- the trace cache, parsed a block at a time ----------------------------------------------
+
+
+def rewrite(path, edit):
+    """Apply `edit` to the payload of a cache file and re-seal its checksum."""
+    payload = path.read_bytes().rsplit(b"# sha256=", 1)[0]
+    payload = edit(payload.decode()).encode()
+    digest = hashlib.sha256(payload).hexdigest()
+    path.write_bytes(payload + f"# sha256={digest}\n".encode())
+
+
+@pytest.mark.parametrize("block", [1, 2, 8, 9, 10, 26, 27, 28])
+def test_cache_round_trip_across_block_sizes(tmp_path, monkeypatch, block):
+    table = trace_table(P33, 3)  # 27 rows
+    trace_table(P33, 3, cache_dir=tmp_path)
+    monkeypatch.setattr(traces, "ROW_BLOCK", block)
+    assert _load_table(_cache_path(tmp_path, P33, 3), P33, 3,
+                       P33.extension(3)) == table
+
+
+# row 1 of the degree-1 table at p = 3 is "1,3,3,1"
+@pytest.mark.parametrize("spelling", ["+3", "03", "0_3", " 3", "3 ", "٣"])
+def test_cache_rejects_a_numerator_not_spelled_as_written(tmp_path, capsys,
+                                                          spelling):
+    argv = ["traces", "--p", "3", "--degree", "1", "--cache-dir", str(tmp_path)]
+    assert main(argv) == 0
+    path = _cache_path(tmp_path, P33, 1)
+    rewrite(path, lambda text: text.replace("\n1,3,3,1\n", f"\n1,{spelling},3,1\n"))
+    with pytest.raises(CacheCorruptionError, match="malformed row 1$"):
+        trace_table(P33, 1, cache_dir=tmp_path)
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "malformed row 1" in err and err.count("\n") == 1
+
+
+ROW_FAULTS = [
+    ("\n1,3,3,1\n", "\n2,3,3,1\n", "malformed row 1"),         # wrong index
+    ("\n1,3,3,1\n", "\n1,3,9,1\n", "malformed row 1"),         # wrong denominator
+    ("\n1,3,3,1\n", "\n1,3,3,0\n", "inconsistent integrality flag at row 1"),
+    ("\n1,3,3,1\n", "\n1,3,3,2\n", "malformed row 1"),         # flag not 0/1
+    ("\n1,3,3,1\n", "\n1,3,3\n", "malformed row 1"),           # a missing cell
+    ("\n1,3,3,1\n", "\n1,3,3,1,0\n", "malformed row 1"),       # an extra cell
+    ("\n1,3,3,1\n", "\n1,3,3,1\r\n", "malformed row 1"),       # CRLF
+    ("\n1,3,3,1\n", "\n1,-0,3,1\n", "malformed row 1"),
+    ("\n1,3,3,1\n", "\n1,x,3,1\n", "malformed row 1"),
+    ("\n1,3,3,1\n", "\n1," + "9" * 5000 + ",3,1\n", "malformed row 1"),
+    ("\n1,3,3,1\n", "\n1,6,3,1\n", "trace out of range at row 1"),
+    ("\n0,-3,3,1\n", "\n0,-3,3,1\n1,3,3,1\n", "expected 3 rows, found 4"),
+    ("\n1,3,3,1\n", "\n", "expected 3 rows, found 2"),
+    ("\n1,3,3,1\n", "\n\n", "malformed row 1"),                # an empty row
+    ("t_index,", "t-index,", "bad column header"),
+]
+
+
+@pytest.mark.parametrize("old, new, message", ROW_FAULTS)
+def test_cache_row_faults_name_the_first_bad_row(tmp_path, capsys, old, new,
+                                                 message):
+    argv = ["traces", "--p", "3", "--degree", "1", "--cache-dir", str(tmp_path)]
+    assert main(argv) == 0
+    path = _cache_path(tmp_path, P33, 1)
+    rewrite(path, lambda text: text.replace(old, new, 1))
+    with pytest.raises(CacheCorruptionError, match=message):
+        trace_table(P33, 1, cache_dir=tmp_path)
+    capsys.readouterr()
+    assert main(argv) == 2
+
+
+def test_cache_names_the_first_bad_row_of_a_later_block(tmp_path, monkeypatch):
+    trace_table(P33, 3, cache_dir=tmp_path)
+    path = _cache_path(tmp_path, P33, 3)
+    lines = path.read_text().split("\n")
+    row = lines[3 + 20].split(",")  # row 20, in the third block of 8
+    lines[3 + 20] = ",".join([row[0], "+" + row[1].lstrip("-"), *row[2:]])
+    rewrite(path, lambda text: "\n".join(lines[:-2]) + "\n")
+    monkeypatch.setattr(traces, "ROW_BLOCK", 8)
+    with pytest.raises(CacheCorruptionError, match="malformed row 20$"):
+        trace_table(P33, 3, cache_dir=tmp_path)
