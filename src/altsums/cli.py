@@ -86,6 +86,9 @@ class RunConfig:
             raise ValueError(f"unknown format {self.fmt!r}")
         if self.max_degree < 1 or self.budget < 1 or self.threads < 1:
             raise ValueError("degrees, budgets and thread counts are positive")
+        if not (self.tv_max >= 0 and self.m3_tol >= 0):  # false for NaN too
+            raise ValueError(f"tv_max and m3_tol must be >= 0, got "
+                             f"{self.tv_max} and {self.m3_tol}")
 
     def params(self) -> SystemParams:
         return SystemParams(p=self.p, f=self.f, base_degree=self.base_degree,
@@ -157,12 +160,12 @@ def _json_chunks(value, level: int = 0):
 
 class Document:
     """The document of one command in the format `config.fmt` names: CSV
-    text, one string per section, or one JSON object.  Notes are CSV
-    comments; JSON drops them.  `_emit` writes it."""
+    text, an iterator of lines or blocks per section, or one JSON object.
+    Notes are CSV comments; JSON drops them.  `_emit` writes it."""
 
     def __init__(self, config: RunConfig):
         self.json = config.fmt == "json"
-        self.parts: list[str] = []
+        self.parts: list = []
         self.obj: dict = {}
         if self.json:
             self.obj.update(version=__version__, config=config.echo_dict())
@@ -171,30 +174,30 @@ class Document:
 
     def section(self, name: str, header: str, rows, json_rows=None) -> None:
         """A table of column tuples or Rows; JSON writes `json_rows`, else the
-        rows.  CSV joins its lines here; JSON renders Rows while written."""
+        rows.  Either format renders the rows while the document is written."""
         if self.json:
             self.obj[name] = rows if json_rows is None else json_rows
         else:
             lines = rows.blocks() if isinstance(rows, Rows) else \
                 (",".join(map(str, row)) + "\n" for row in rows)
-            self.parts.append("".join(
-                chain((f"# section: {name}\n{header}\n",), lines)))
+            self.parts.append(chain((f"# section: {name}\n{header}\n",), lines))
 
     def note(self, text: str) -> None:
         if not self.json:
-            self.parts.append(f"# {text}\n")
+            self.parts.append((f"# {text}\n",))
 
     def chunks(self):
         if self.json:  # the same text as json.dumps(obj, indent=2)
             yield from _json_chunks(self.obj)
             yield "\n"
         else:
-            yield from self.parts
+            for part in self.parts:
+                yield from part
 
 
 def _emit(doc: Document, output: str | None) -> None:
-    """Write the document EMIT_BATCH characters or more at a time: the JSON
-    text never exists whole, and a write-through stdout is not written per piece."""
+    """Write the document EMIT_BATCH characters or more at a time: its text
+    never exists whole, and a write-through stdout is not written per piece."""
     with (open(output, "w", encoding="ascii") if output
           else nullcontext(sys.stdout)) as out:
         text = ""

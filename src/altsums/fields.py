@@ -482,15 +482,6 @@ class FieldElement:
     def trace_abs(self) -> int:
         return self.field.trace_abs_code(self.code)
 
-    def trace_to(self, sub_degree: int) -> "FieldElement":
-        return FieldElement(self.field, self.field.trace_to_code(sub_degree, self.code))
-
-    def norm_to(self, sub_degree: int) -> "FieldElement":
-        return FieldElement(self.field, self.field.norm_to_code(sub_degree, self.code))
-
-    def poly_coeffs(self) -> tuple[int, ...]:
-        return tuple(int(c) for c in self.field.coeff_vector(self.code))
-
     def as_int(self) -> int:
         """Integer representative when the element lies in the prime field."""
         if not self.field.in_subfield_code(1, self.code):

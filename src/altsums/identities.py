@@ -18,11 +18,17 @@ Everything here is exact polynomial algebra over small finite fields:
   relative trace zero to F_q;
 * the four-value virtual character table (2q-1, q-1, q-1, -1) on
   F_q + F_q indexed by vanishing pattern.
+
+Both sides of the split and grouped identities are degree-n forms, and a
+form is determined by its value at y = 1, so each is checked as the dense
+one-variable equality P(x) = x (x+1) prod h(x)^2 that the derivative
+bookkeeping also ends in (`dehomogenized_sides`).
 """
 
 from __future__ import annotations
 
 import math
+from itertools import zip_longest
 from typing import NamedTuple
 
 import numpy as np
@@ -30,112 +36,9 @@ import numpy as np
 from .fields import (FieldDescriptor, _poly_gcd, _poly_monic, _poly_pow_mod,
                      _poly_reduce, build_field, factor_prime_power, prime_factors)
 
-Monomial = tuple[int, int]
-
 
 class IdentityFalsifiedError(AssertionError):
     """An exact identity check failed; carries the first counterexample."""
-
-
-# -- sparse bivariate polynomials over a field (coefficient = element code) -----
-
-class BivariatePoly:
-    __slots__ = ("field", "coeffs")
-
-    def __init__(self, field: FieldDescriptor, coeffs: dict[Monomial, int] | None = None):
-        self.field = field
-        self.coeffs = {k: v for k, v in (coeffs or {}).items() if v != 0}
-
-    @classmethod
-    def zero(cls, field):
-        return cls(field)
-
-    @classmethod
-    def monomial(cls, field, i: int, j: int, code: int = 1):
-        return cls(field, {(i, j): code})
-
-    @classmethod
-    def linear_form(cls, field, a_code: int, b_code: int):
-        """a*x + b*y."""
-        return cls(field, {(1, 0): a_code, (0, 1): b_code})
-
-    def __add__(self, other: "BivariatePoly") -> "BivariatePoly":
-        F = self.field
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            out[k] = F.add_code(out.get(k, 0), c)
-        return BivariatePoly(F, out)
-
-    def __neg__(self) -> "BivariatePoly":
-        F = self.field
-        return BivariatePoly(F, {k: F.neg_code(c) for k, c in self.coeffs.items()})
-
-    def __sub__(self, other: "BivariatePoly") -> "BivariatePoly":
-        return self + (-other)
-
-    def __mul__(self, other: "BivariatePoly") -> "BivariatePoly":
-        F = self.field
-        out: dict[Monomial, int] = {}
-        for (i1, j1), c1 in self.coeffs.items():
-            for (i2, j2), c2 in other.coeffs.items():
-                k = (i1 + i2, j1 + j2)
-                out[k] = F.add_code(out.get(k, 0), F.mul_code(c1, c2))
-        return BivariatePoly(F, out)
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, BivariatePoly) and self.field == other.field
-                and self.coeffs == other.coeffs)
-
-    def __hash__(self):
-        return hash((self.field, tuple(sorted(self.coeffs.items()))))
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def total_degree(self) -> int:
-        return max((i + j for i, j in self.coeffs), default=-1)
-
-    def is_homogeneous(self) -> bool:
-        degs = {i + j for i, j in self.coeffs}
-        return len(degs) <= 1
-
-    def x_degree(self) -> int:
-        return max((i for i, _ in self.coeffs), default=-1)
-
-    def coeff(self, i: int, j: int) -> int:
-        return self.coeffs.get((i, j), 0)
-
-    def dehomogenize(self) -> list[int]:
-        """Codes of h(x, 1), dense in x."""
-        out = [0] * (self.x_degree() + 1)
-        F = self.field
-        for (i, _), c in self.coeffs.items():
-            out[i] = F.add_code(out[i], c)
-        return out
-
-
-def binomial_power(field: FieldDescriptor, a_code: int, b_code: int,
-                   n: int) -> BivariatePoly:
-    """(a*x + b*y)^n by binomial expansion."""
-    out: dict[Monomial, int] = {}
-    for k in range(n + 1):
-        c = field.from_int(math.comb(n, k)).code
-        c = field.mul_code(c, field.mul_code(field.pow_code(a_code, k),
-                                             field.pow_code(b_code, n - k)))
-        if c:
-            out[(k, n - k)] = c
-    return BivariatePoly(field, out)
-
-
-def mismatch_list(lhs: BivariatePoly, rhs: BivariatePoly):
-    keys = sorted(set(lhs.coeffs) | set(rhs.coeffs))
-    out = []
-    for k in keys:
-        a, b = lhs.coeff(*k), rhs.coeff(*k)
-        if a != b:
-            out.append((k, lhs.field.poly_int(a), rhs.field.poly_int(b)))
-    return tuple(out)
 
 
 def require_ok(report) -> None:
@@ -148,64 +51,6 @@ def require_ok(report) -> None:
         (i, j), a, b = mism[0]
         detail = f"; first mismatch at x^{i} y^{j}: {a} != {b}"
     raise IdentityFalsifiedError(f"{type(report).__name__} failed{detail}")
-
-
-# -- split identity over F_q ------------------------------------------------------
-
-class SplitIdentityReport(NamedTuple):
-    q: int
-    p: int
-    f: int
-    field_text: str
-    degree: int
-    factor_count: int
-    homogeneous_ok: bool
-    equal: bool
-    mismatches: tuple
-
-    @property
-    def ok(self) -> bool:
-        return self.equal and self.homogeneous_ok and self.factor_count == self.q - 2
-
-
-def _odd_q(q: int) -> tuple[int, int, int]:
-    """(p, f, n = 2q - 1) for an odd prime power q = p^f."""
-    p, f = factor_prime_power(q)
-    if p == 2:
-        raise ValueError("odd q required")
-    return p, f, 2 * q - 1
-
-
-def _split_alphas(F: FieldDescriptor) -> list[int]:
-    """Codes of F minus {0, -1}, the alpha of the factors (x - alpha y)^2."""
-    minus_one = F.neg_code(1)
-    return [c for c in range(1, F.order) if c != minus_one]
-
-
-def _identity_sides(F: FieldDescriptor, n: int, factors):
-    """x^n + y^n + (-x-y)^n and x y (x+y) prod h^2 over the factors h, in F."""
-    minus_one = F.neg_code(1)
-    lhs = (binomial_power(F, 1, 0, n) + binomial_power(F, 0, 1, n)
-           + binomial_power(F, minus_one, minus_one, n))
-    rhs = (BivariatePoly.monomial(F, 1, 0) * BivariatePoly.monomial(F, 0, 1)
-           * BivariatePoly.linear_form(F, 1, 1))
-    for h in factors:
-        rhs = rhs * h * h
-    return lhs, rhs
-
-
-def verify_identity_split(q: int) -> SplitIdentityReport:
-    p, f, n = _odd_q(q)
-    F = build_field(p, f)
-    alphas = _split_alphas(F)
-    lhs, rhs = _identity_sides(
-        F, n, [BivariatePoly.linear_form(F, 1, F.neg_code(a)) for a in alphas])
-    return SplitIdentityReport(
-        q=q, p=p, f=f, field_text=F.canonical_text(), degree=n,
-        factor_count=len(alphas),
-        homogeneous_ok=(lhs.is_homogeneous() and rhs.is_homogeneous()
-                        and rhs.total_degree() == n),
-        equal=lhs == rhs, mismatches=mismatch_list(lhs, rhs))
 
 
 # -- dense univariate helpers over a field (codes) ---------------------------------
@@ -266,6 +111,79 @@ def u_div_linear(F, a, alpha_code: int):
         if k > 0:
             quot[k - 1] = acc
     return quot, acc
+
+
+def _x_plus_one_power(F, e: int) -> list[int]:
+    """(x + 1)^e as dense codes."""
+    return [F.from_int(math.comb(e, k)).code for k in range(e + 1)]
+
+
+# -- both sides of the identity at y = 1 --------------------------------------------
+
+def dehomogenized_sides(F: FieldDescriptor, n: int, factors):
+    """x^n + 1 - (x+1)^n and x (x+1) prod h^2 over the factors h, dense in F.
+
+    They are x^n + y^n + (-x-y)^n (n odd) and x y (x+y) prod h(x, y)^2 at
+    y = 1, each h monic in x.  A form of degree m is equal to another exactly
+    when the two are equal at y = 1, since its x^i y^(m-i) coefficient is
+    that of x^i; and both sides at y = 1 have degree one less than their
+    forms (the x^n terms on the left cancel, -n = 1 mod p), so equal sides
+    here mean equal forms.
+    """
+    lhs = u_add(F, [1] + [0] * (n - 1) + [1], u_neg(F, _x_plus_one_power(F, n)))
+    rhs = [0, 1, 1]  # x (x + 1)
+    for h in factors:
+        rhs = u_mul(F, rhs, u_mul(F, h, h))
+    return lhs, rhs
+
+
+def mismatch_list(F: FieldDescriptor, n: int, lhs, rhs):
+    """((i, n - i), a, b) for each x^i y^(n-i) whose coefficients differ."""
+    return tuple(((i, n - i), F.poly_int(a), F.poly_int(b))
+                 for i, (a, b) in enumerate(zip_longest(lhs, rhs, fillvalue=0))
+                 if a != b)
+
+
+# -- split identity over F_q ------------------------------------------------------
+
+class SplitIdentityReport(NamedTuple):
+    q: int
+    p: int
+    f: int
+    field_text: str
+    degree: int
+    factor_count: int
+    equal: bool
+    mismatches: tuple
+
+    @property
+    def ok(self) -> bool:
+        return self.equal and self.factor_count == self.q - 2
+
+
+def _odd_q(q: int) -> tuple[int, int, int]:
+    """(p, f, n = 2q - 1) for an odd prime power q = p^f."""
+    p, f = factor_prime_power(q)
+    if p == 2:
+        raise ValueError("odd q required")
+    return p, f, 2 * q - 1
+
+
+def _split_alphas(F: FieldDescriptor) -> list[int]:
+    """Codes of F minus {0, -1}, the alpha of the factors (x - alpha y)^2."""
+    minus_one = F.neg_code(1)
+    return [c for c in range(1, F.order) if c != minus_one]
+
+
+def verify_identity_split(q: int) -> SplitIdentityReport:
+    p, f, n = _odd_q(q)
+    F = build_field(p, f)
+    alphas = _split_alphas(F)
+    lhs, rhs = dehomogenized_sides(F, n, [[F.neg_code(a), 1] for a in alphas])
+    return SplitIdentityReport(
+        q=q, p=p, f=f, field_text=F.canonical_text(), degree=n,
+        factor_count=len(alphas), equal=lhs == rhs,
+        mismatches=mismatch_list(F, n, lhs, rhs))
 
 
 # -- irreducibility over the prime field (integer coefficient lists mod p) -----------
@@ -346,25 +264,20 @@ def verify_identity_grouped(q: int) -> GroupedIdentityReport:
 
     prime_ok = True
     irred_ok = True
-    factors_fp: list[BivariatePoly] = []
+    factors_fp: list[list[int]] = []
     factor_polys: set[tuple[int, ...]] = set()
     for orbit in orbits:
-        h = BivariatePoly.monomial(Fq, 0, 0)
+        h = [1]
         for beta in orbit:
-            h = h * BivariatePoly.linear_form(Fq, 1, Fq.neg_code(beta))
-        down: dict[Monomial, int] = {}
-        for key, c in h.coeffs.items():
-            if not Fq.in_subfield_code(1, c):
-                prime_ok = False
-                break
-            down[key] = Fp.from_int(Fq.element(c).as_int()).code
-        else:
-            h_p = BivariatePoly(Fp, down)
-            factors_fp.append(h_p)
-            dense = [Fp.element(c).as_int() if c else 0 for c in h_p.dehomogenize()]
-            factor_polys.add(tuple(dense))
-            if not fp_irreducible(dense, p):
-                irred_ok = False
+            h = u_mul(Fq, h, [Fq.neg_code(beta), 1])
+        if not all(Fq.in_subfield_code(1, c) for c in h):
+            prime_ok = False
+            continue
+        dense = [Fq.element(c).as_int() for c in h]
+        factors_fp.append([Fp.from_int(c).code for c in dense])
+        factor_polys.add(tuple(dense))
+        if not fp_irreducible(dense, p):
+            irred_ok = False
 
     expected: set[tuple[int, ...]] = set()
     for r in range(1, f + 1):
@@ -374,7 +287,7 @@ def verify_identity_grouped(q: int) -> GroupedIdentityReport:
                     expected.add(poly)
     complete_ok = prime_ok and factor_polys == expected
 
-    lhs, rhs = _identity_sides(Fp, n, factors_fp)
+    lhs, rhs = dehomogenized_sides(Fp, n, factors_fp)
     equal = prime_ok and lhs == rhs
 
     degrees = tuple(sorted(len(orbit) for orbit in orbits))
@@ -383,7 +296,7 @@ def verify_identity_grouped(q: int) -> GroupedIdentityReport:
         degrees_sum_ok=sum(degrees) == q - 2,
         prime_field_coeffs_ok=prime_ok, irreducible_ok=irred_ok,
         complete_ok=complete_ok, equal=equal,
-        mismatches=mismatch_list(lhs, rhs) if prime_ok else ())
+        mismatches=mismatch_list(Fp, n, lhs, rhs) if prime_ok else ())
 
 
 # -- derivative bookkeeping ----------------------------------------------------------
@@ -412,23 +325,16 @@ def verify_derivative_steps(q: int) -> DerivativeReport:
     p, f, n = _odd_q(q)
     F = build_field(p, f)
 
-    def binom_poly(shift_one: bool, e: int) -> list[int]:
-        # (x + 1)^e if shift_one else x^e, as dense codes
-        if not shift_one:
-            return [0] * e + [1]
-        return [F.from_int(math.comb(e, k)).code for k in range(e + 1)]
-
-    P = u_add(F, u_add(F, binom_poly(False, n), [1]),
-              u_neg(F, binom_poly(True, n)))
+    alphas = _split_alphas(F)
+    P, prod = dehomogenized_sides(F, n, [[F.neg_code(a), 1] for a in alphas])
     degree = u_degree(P)
     lead = P[degree] if degree >= 0 else 0
 
     vanish_field = all(u_eval(F, P, c) == 0 for c in range(F.order))
 
     dP = u_deriv(F, P)
-    dP_expected = u_add(F, u_neg(F, binom_poly(False, n - 1)),
-                        binom_poly(True, n - 1))
-    alphas = _split_alphas(F)
+    dP_expected = u_add(F, u_neg(F, [0] * (n - 1) + [1]),
+                        _x_plus_one_power(F, n - 1))
     dvanish = all(u_eval(F, dP, a) == 0 for a in alphas)
 
     division_ok = True
@@ -439,20 +345,15 @@ def verify_derivative_steps(q: int) -> DerivativeReport:
             division_ok = False
             break
 
-    prod = u_mul(F, [0, 1], [1, 1])  # x (x + 1)
-    for a in sorted(alphas):
-        lin = [F.neg_code(a), 1]
-        prod = u_mul(F, prod, u_mul(F, lin, lin))
-
     return DerivativeReport(
         q=q, n=n, degree=degree,
         degree_ok=(degree == 2 * q - 2),
         leading_coeff_one=(lead == 1),
         vanishes_on_field=vanish_field,
-        derivative_formula_ok=(u_trim(list(dP)) == u_trim(list(dP_expected))),
+        derivative_formula_ok=(dP == dP_expected),
         derivative_vanishes_ok=dvanish,
         double_root_division_ok=division_ok,
-        product_form_ok=(u_trim(list(P)) == prod))
+        product_form_ok=(P == prod))
 
 
 # -- span of roots of unity (wild inertia dimension) -----------------------------------

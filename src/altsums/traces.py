@@ -182,9 +182,6 @@ class TraceTable(NamedTuple):
         return Rows(["%d", "%d", self.denominator, "%d"],
                     (range(len(self.numerators)), self.numerators, self.is_integer))
 
-    def values(self) -> list[Fraction]:
-        return [Fraction(c, self.denominator) for c in self.numerators]
-
     def int_array(self) -> np.ndarray:
         """The values as int64, in entry order; raises on a non-integral table."""
         if not self.integral:

@@ -48,6 +48,9 @@ def test_config_validation():
         RunConfig(max_degree=0)
     with pytest.raises(ValueError):
         RunConfig(threads=0)
+    with pytest.raises(ValueError):
+        RunConfig(tv_max=math.nan)
+    assert RunConfig(tv_max=0, m3_tol=0.0).tv_max == 0  # zero bounds are allowed
 
 
 def test_echo_excludes_threads_and_cache_dir():
@@ -170,12 +173,22 @@ def test_output_to_a_directory_exits_two(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("config", [{"p": 3, "bogus": 1}, {"p": "x"}, [3],
-                                    {"max_degree": True}, {"tv_max": False}])
+                                    {"max_degree": True}, {"tv_max": False},
+                                    {"tv_max": math.nan}, {"m3_tol": math.nan},
+                                    {"m3_tol": -0.5}])
 def test_bad_config_file_exits_two(tmp_path, capsys, config):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(config))
     assert main(["moments", "--config", str(path)]) == 2
     assert_one_usage_error(capsys)
+
+
+@pytest.mark.parametrize("flags", [["--tv-max", "nan"], ["--m3-tol", "nan"],
+                                   ["--tv-max", "-0.01"], ["--m3-tol", "-1"]])
+def test_nan_or_negative_tolerance_exits_two(capsys, flags):
+    """A NaN bound compares false both ways, so it would pass every check."""
+    assert main(["compare", "--p", "3", "--max-degree", "2", *flags]) == 2
+    assert "tv_max and m3_tol must be >= 0" in assert_one_usage_error(capsys)
 
 
 def test_corrupt_cache_file_exits_two(tmp_path, capsys):
@@ -425,6 +438,42 @@ def test_all_output_bytes_are_pinned(tmp_path, capsys, argv, digest):
     assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
 
 
+# stdout sha256 of `identity --q Q --format csv` and `--format json`, recorded
+# at commit 6dfdebd, before the identities were checked at y = 1
+IDENTITY_DIGESTS = {
+    3: ("f34ed2cddd2338b45af8ff89f8406d303d2bd72919dd2d9ec7a0a7f6e4429483",
+        "5d588343370248494e8c22510b58c501c49309d727b30ad263c070e63a87826b"),
+    5: ("40ff0447f011b025ada01040d434a904deb862c19c228aab1febf3757684178f",
+        "655271ced261e71c62c41bcebb3e7f562b39cd01142d51327baf267514695309"),
+    7: ("1133aed6448c5d5ae135e123ec84817d5fb4ced809fc898bc481e67042a1c00b",
+        "ad70aae65acbed53afe8f5c1b853b247619c4c938ae47a52786c52e3512b2617"),
+    9: ("68c3cc5185b8329b0f3e4dcb1df7229447d49efab028eb3d7797d61e7ba4fd48",
+        "a8aa1abbcc2140ff812a2f4da5b6b1ab5797db33dcd93c9e0a8463fc3d033168"),
+    11: ("fc8c7509c2873de3853d98920bdd063f79d64427c7ea44e51d036109478afb8c",
+         "551996467579c442320bfc3ad959c3fa1c1f46da05b7f26c276b6712c4a5254f"),
+    13: ("7b0210b7aed14d298334fbffc34054ebc63acbe189d1c13f351e32ba41358893",
+         "9c66fb3aacadfb9ad4183e19ea2b691d44059471253a555ff251f1f9374f5998"),
+    25: ("f66ea95231e7888b4d904399b6b1c937ec65bdd65c9848ad2932b0ec846efabb",
+         "a80b133ba4907f624e0f08840e687d470fa2bf2e63557b87f3e3b2149b5018f0"),
+    27: ("9636b0f233b88c24c2a1adb54d9a14f8a977923a4f660e58088543edc1de1808",
+         "3435a45b883d0bf160d56206730bbf80a2dc99066a615ac10f76b2a90e76c27e"),
+    49: ("22f26c3b849cb3879ec36d1c9b4c8fb1d040ab6cb086eefe1136037651599628",
+         "45d7aaed9ba0e60c8981b02426b51111b498515d04d33cfbe2014e65dfcacb0c"),
+    81: ("dc164478acf9660e21fd0cf4f65ce67c0f2332da2eff2e89cd76229dcad6baa2",
+         "ece6b6925b232ce6461447cba6f901507526a76397a78fe9ef497a7f899f83b4"),
+    121: ("d17bd50b916d7ed0b790012717c7c1061922b7d828ff520fb3a3871efb253a1c",
+          "180b8c533280b6c14e153424f6313d8b30af60807e77772e58af525b8ac4b19d"),
+}
+
+
+@pytest.mark.parametrize("q", sorted(IDENTITY_DIGESTS))
+def test_identity_output_bytes_are_pinned(capsys, q):
+    for fmt, digest in zip(("csv", "json"), IDENTITY_DIGESTS[q]):
+        assert main(["identity", "--q", str(q), "--format", fmt]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
+
+
 P7_JSON = ["all", "--p", "7", "--f", "1", "--multiplier", "2",
            "--max-degree", "4", "--format", "json"]
 
@@ -472,6 +521,23 @@ def test_emitting_the_document_takes_at_most_twice_its_text(tmp_path,
     monkeypatch.setattr(sys, "stdout", out)
     assert main(P7_JSON + ["--cache-dir", str(tmp_path)]) == 0
     assert len(peaks) == 1 and 0 < peaks[0] <= 2 * out.chars
+
+
+def test_csv_sections_are_rendered_while_written():
+    seen = []
+
+    def rows():
+        for i in range(3):
+            seen.append(i)
+            yield (i, -i)
+
+    doc = cli.Document(RunConfig())
+    doc.section("s", "a,b", rows())
+    doc.note("end")
+    assert seen == []
+    text = "".join(doc.chunks())
+    assert seen == [0, 1, 2]
+    assert text.endswith("# section: s\na,b\n0,0\n1,-1\n2,-2\n# end\n")
 
 
 @pytest.mark.parametrize("argv", [

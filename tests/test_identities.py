@@ -1,7 +1,8 @@
 """Checks for the exact polynomial-identity module.
 
 Oracles: hand-expanded coefficients for the smallest field, pointwise
-evaluation against scalar field arithmetic, the necklace formula for counts
+evaluation of both sides of the split identity over F_{q^2} with scalar
+field arithmetic, the necklace formula for counts
 of monic irreducibles, a brute-force product table as an independent
 irreducibility test, and rank examples where the mod-p answer differs from
 the rational one.
@@ -11,9 +12,8 @@ import random
 
 import pytest
 
-from altsums.fields import build_field
+from altsums.fields import build_field, embed, factor_prime_power
 from altsums.identities import (
-    BivariatePoly,
     DerivativeReport,
     GroupedIdentityReport,
     IdentityFalsifiedError,
@@ -21,7 +21,8 @@ from altsums.identities import (
     UnitySpanReport,
     WildInertiaReport,
     _fp_rank,
-    binomial_power,
+    _split_alphas,
+    dehomogenized_sides,
     enumerate_monic_irreducibles,
     fp_irreducible,
     mismatch_list,
@@ -46,68 +47,57 @@ from altsums.identities import (
 IDENTITY_SIZES = [3, 5, 7, 9, 11, 25, 27]
 
 
-# -- bivariate arithmetic against scalar evaluation -----------------------------
-
-
-def poly_eval(poly, x_code, y_code):
-    F = poly.field
-    acc = 0
-    for (i, j), c in poly.coeffs.items():
-        term = F.mul_code(c, F.mul_code(F.pow_code(x_code, i),
-                                        F.pow_code(y_code, j)))
-        acc = F.add_code(acc, term)
-    return acc
-
-
-def test_binomial_power_matches_scalar_evaluation():
-    rng = random.Random(71)
-    for p, d in [(3, 1), (3, 2), (5, 1), (5, 2)]:
-        F = build_field(p, d)
-        for _ in range(20):
-            a = rng.randrange(F.order)
-            b = rng.randrange(F.order)
-            n = rng.randrange(1, 12)
-            poly = binomial_power(F, a, b, n)
-            x0 = rng.randrange(F.order)
-            y0 = rng.randrange(F.order)
-            base = F.add_code(F.mul_code(a, x0), F.mul_code(b, y0))
-            assert poly_eval(poly, x0, y0) == F.pow_code(base, n)
-
-
-def test_bivariate_product_matches_scalar_evaluation():
-    rng = random.Random(72)
-    F = build_field(3, 2)
-    for _ in range(30):
-        terms_a = {(rng.randrange(4), rng.randrange(4)): rng.randrange(F.order)
-                   for _ in range(3)}
-        terms_b = {(rng.randrange(4), rng.randrange(4)): rng.randrange(F.order)
-                   for _ in range(3)}
-        pa, pb = BivariatePoly(F, terms_a), BivariatePoly(F, terms_b)
-        x0, y0 = rng.randrange(F.order), rng.randrange(F.order)
-        lhs = poly_eval(pa * pb, x0, y0)
-        rhs = F.mul_code(poly_eval(pa, x0, y0), poly_eval(pb, x0, y0))
-        assert lhs == rhs
-        assert poly_eval(pa - pa, x0, y0) == 0
-
-
-def test_bivariate_zero_coefficients_are_dropped():
-    F = build_field(3, 1)
-    p1 = BivariatePoly(F, {(1, 0): 1})
-    assert (p1 - p1).is_zero
-    assert (p1 - p1).coeffs == {}
-
-
 # -- split identity ---------------------------------------------------------------
 
 
+def split_sides(F, q):
+    """Both sides at y = 1 as the split check builds them."""
+    factors = [[F.neg_code(a), 1] for a in _split_alphas(F)]
+    return dehomogenized_sides(F, 2 * q - 1, factors)
+
+
+def as_ints(F, codes):
+    return [F.element(c).as_int() for c in codes]
+
+
 def test_split_identity_frozen_q3():
-    # x^5 + y^5 + (-x-y)^5 = x^4 y + 2 x^3 y^2 + 2 x^2 y^3 + x y^4 over F_3
+    # x^5 + y^5 + (-x-y)^5 = x^4 y + 2 x^3 y^2 + 2 x^2 y^3 + x y^4 over F_3,
+    # and x y (x+y) (x-y)^2 expands to the same
     F = build_field(3, 1)
-    one = 1
-    lhs = (binomial_power(F, one, 0, 5) + binomial_power(F, 0, one, 5)
-           + binomial_power(F, F.neg_code(one), F.neg_code(one), 5))
-    two = F.from_int(2).code
-    assert lhs.coeffs == {(4, 1): one, (3, 2): two, (2, 3): two, (1, 4): one}
+    lhs, rhs = split_sides(F, 3)
+    assert as_ints(F, lhs) == [0, 1, 2, 2, 1]
+    assert as_ints(F, rhs) == [0, 1, 2, 2, 1]
+
+
+@pytest.mark.parametrize("q", IDENTITY_SIZES)
+def test_split_sides_match_pointwise_evaluation(q):
+    """Both sides of the bivariate identity at (x, 1), for every x in
+    F_{q^2}, by scalar arithmetic with alpha embedded from F_q.  The sides
+    have degree at most n < q^2, so agreeing at q^2 points makes them equal
+    as polynomials."""
+    p, f = factor_prime_power(q)
+    n = 2 * q - 1
+    F, L = build_field(p, f), build_field(p, 2 * f)
+    lhs, rhs = split_sides(F, q)
+    assert len(lhs) <= n + 1 and len(rhs) <= n + 1
+    alphas = [embed(F, L, a) for a in F.elements()
+              if not a.is_zero and a != -1]
+    assert len(alphas) == q - 2
+
+    def horner(codes, x):
+        acc = L.zero()
+        for c in reversed(codes):
+            acc = acc * x + embed(F, L, F.element(c))
+        return acc
+
+    for x in L.elements():
+        left = x**n + 1 + (-x - 1)**n
+        right = x * (x + 1)
+        for a in alphas:
+            right = right * (x - a) ** 2
+        assert left == right
+        assert horner(lhs, x) == left
+        assert horner(rhs, x) == right
 
 
 @pytest.mark.parametrize("q", IDENTITY_SIZES)
@@ -115,7 +105,6 @@ def test_split_identity_holds(q):
     report = verify_identity_split(q)
     assert report.ok
     assert report.equal
-    assert report.homogeneous_ok
     assert report.degree == 2 * q - 1
     assert report.factor_count == q - 2
     assert report.mismatches == ()
@@ -125,23 +114,19 @@ def test_split_identity_holds(q):
 def test_split_identity_detects_wrong_factor_set():
     # dropping the constraint alpha != -1 must break the identity
     F = build_field(3, 1)
-    one = 1
     n = 5
-    lhs = (binomial_power(F, one, 0, n) + binomial_power(F, 0, one, n)
-           + binomial_power(F, F.neg_code(one), F.neg_code(one), n))
-    rhs = (BivariatePoly.monomial(F, 1, 0) * BivariatePoly.monomial(F, 0, 1)
-           * BivariatePoly.linear_form(F, one, one))
-    for a in range(1, F.order):  # includes alpha = -1, which is wrong
-        factor = BivariatePoly.linear_form(F, one, F.neg_code(a))
-        rhs = rhs * factor * factor
+    factors = [[F.neg_code(a), 1] for a in range(1, F.order)]  # has alpha = -1
+    lhs, rhs = dehomogenized_sides(F, n, factors)
     assert lhs != rhs
-    assert mismatch_list(lhs, rhs) != ()
+    mism = mismatch_list(F, n, lhs, rhs)
+    assert mism != ()
+    assert all(i + j == n for (i, j), _, _ in mism)
 
 
 def test_require_ok_raises_with_counterexample():
     report = SplitIdentityReport(
         q=3, p=3, f=1, field_text="p=3 d=1 modulus=[1,1]", degree=5,
-        factor_count=1, homogeneous_ok=True, equal=False,
+        factor_count=1, equal=False,
         mismatches=(((4, 1), 1, 2),))
     with pytest.raises(IdentityFalsifiedError, match=r"x\^4 y\^1"):
         require_ok(report)
