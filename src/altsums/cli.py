@@ -6,7 +6,8 @@ count and the cache directory: neither may influence output bytes, and the
 determinism guarantee is exactly that reruns with different --threads
 produce identical files.
 
-Exit codes: 0 = all checks passed, 1 = a falsified invariant (the
+Exit codes, which `main` alone assigns from what the command returns or
+raises: 0 = all checks passed, 1 = a falsified invariant (the
 counterexample is printed), 2 = usage error: invalid parameters or config
 file, a budget exceeded, a file that cannot be read or written, or a trace
 cache file that fails its checks (the message names the file; delete it to
@@ -33,7 +34,7 @@ from .curves import (
     curve_moment_report,
     modified_third_moment,
 )
-from .fields import BudgetExceededError, build_field, factor_prime_power
+from .fields import factor_prime_power
 from .groups import REGIMES, TWISTS, exact_moment, spectrum
 from .identities import (
     IdentityFalsifiedError,
@@ -50,6 +51,7 @@ from .traces import (
     NonRationalTraceError,
     Rows,
     SystemParams,
+    check_trace_budget,
     moment_report,
     trace_table,
 )
@@ -86,26 +88,21 @@ class RunConfig:
             raise ValueError(f"unknown format {self.fmt!r}")
         if self.max_degree < 1 or self.budget < 1 or self.threads < 1:
             raise ValueError("degrees, budgets and thread counts are positive")
-        if not (self.tv_max >= 0 and self.m3_tol >= 0):  # false for NaN too
-            raise ValueError(f"tv_max and m3_tol must be >= 0, got "
-                             f"{self.tv_max} and {self.m3_tol}")
+        self.verdict_config().check()
 
     def params(self) -> SystemParams:
-        return SystemParams(p=self.p, f=self.f, base_degree=self.base_degree,
-                            multiplier=self.multiplier)
+        return SystemParams(*(getattr(self, f.name) for f in fields(SystemParams)))
 
     def verdict_config(self) -> VerdictConfig:
-        return VerdictConfig(tv_max=self.tv_max, m3_tol=self.m3_tol,
-                             m3_min_order=self.m3_min_order)
+        return VerdictConfig(*(getattr(self, name) for name in VerdictConfig._fields))
 
     def echo(self) -> str:
         """Output-identity string: everything that may influence results."""
-        return (f"p={self.p} f={self.f} base_degree={self.base_degree} "
-                f"multiplier={self.multiplier} max_degree={self.max_degree} "
-                f"budget={self.budget} format={self.fmt} tv_max={self.tv_max} "
-                f"m3_tol={self.m3_tol} m3_min_order={self.m3_min_order}")
+        return " ".join(f"{'format' if k == 'fmt' else k}={v}"
+                        for k, v in self.echo_dict().items())
 
     def echo_dict(self) -> dict:
+        """The fields that may influence results: all but threads and cache_dir."""
         d = asdict(self)
         del d["threads"]
         del d["cache_dir"]
@@ -216,8 +213,8 @@ def _frac_cols(x: Fraction) -> tuple[int, int]:
 # -- subcommand bodies ---------------------------------------------------------------
 
 
-def _cmd_field(cfg: RunConfig, degree: int, output) -> int:
-    F = build_field(cfg.p, cfg.base_degree * degree)
+def _cmd_field(cfg: RunConfig, args) -> int:
+    F = cfg.params().extension(args.degree)  # refuses a bad p, f or multiplier
     doc = Document(cfg)
     rows = [("p", F.p), ("degree", F.d), ("order", F.order),
             ("modulus", " ".join(str(c) for c in F.modulus)),
@@ -226,18 +223,19 @@ def _cmd_field(cfg: RunConfig, degree: int, output) -> int:
                 json_rows={"p": F.p, "degree": F.d, "order": F.order,
                            "modulus": list(F.modulus),
                            "canonical": F.canonical_text()})
-    _emit(doc, output)
+    _emit(doc, args.output)
     return 0
 
 
-def _cmd_traces(cfg: RunConfig, degree: int, output) -> int:
+def _cmd_traces(cfg: RunConfig, args) -> int:
+    degree = args.degree
     table = trace_table(cfg.params(), degree, cache_dir=cfg.cache_dir)
     doc = Document(cfg)
     doc.note(f"field: {table.field_text}")
     doc.section(f"traces_degree_{degree}", TRACE_HEADER, table.rows(),
                 {"degree": degree, "field": table.field_text,
                  "denominator": table.denominator, "rows": table.rows()})
-    _emit(doc, output)
+    _emit(doc, args.output)
     return 0 if table.integral else 1
 
 
@@ -255,13 +253,12 @@ MOMENT_HEADER = ("degree,field_order,m1_num,m1_den,m2_num,m2_den,"
                  "m3_num,m3_den,m3_target,m3_deviation,integral")
 
 
-def _cmd_moments(cfg: RunConfig, output) -> int:
+def _cmd_moments(cfg: RunConfig, args) -> int:
     report = moment_report(cfg.params(), cfg.max_degree,
                            cache_dir=cfg.cache_dir)
     doc = Document(cfg)
-    rows = _moment_rows(report)
-    doc.section("moments", MOMENT_HEADER, rows)
-    _emit(doc, output)
+    doc.section("moments", MOMENT_HEADER, _moment_rows(report))
+    _emit(doc, args.output)
     return 0 if all(r.integral for r in report.rows) else 1
 
 
@@ -291,17 +288,13 @@ def _identity_rows(q: int):
     return rows, reports, vc_ok
 
 
-def _cmd_identity(cfg: RunConfig, q: int, output) -> int:
-    rows, reports, vc_ok = _identity_rows(q)
+def _cmd_identity(cfg: RunConfig, args) -> int:
+    rows, reports, vc_ok = _identity_rows(args.q)
     doc = Document(cfg)
-    doc.section(f"identity_q_{q}", "check,ok,detail", rows)
-    _emit(doc, output)
-    try:
-        for r in reports:
-            require_ok(r)
-    except IdentityFalsifiedError as exc:
-        print(f"FALSIFIED: {exc}", file=sys.stderr)
-        return 1
+    doc.section(f"identity_q_{args.q}", "check,ok,detail", rows)
+    _emit(doc, args.output)
+    for r in reports:
+        require_ok(r)
     return 0 if vc_ok else 1
 
 
@@ -317,15 +310,14 @@ WILD_HEADER = ("q,field_degree,span_dimension,expected_dimension,"
                "trace_zero,coset_structure,direct_sum,ok")
 
 
-def _cmd_wild(cfg: RunConfig, q: int, output) -> int:
-    rows, report = _wild_rows(q)
+def _cmd_wild(cfg: RunConfig, args) -> int:
+    rows, report = _wild_rows(args.q)
     doc = Document(cfg)
-    doc.section(f"wild_q_{q}", WILD_HEADER, rows)
-    _emit(doc, output)
+    doc.section(f"wild_q_{args.q}", WILD_HEADER, rows)
+    _emit(doc, args.output)
     if not report.ok:
-        print(f"FALSIFIED: wild-inertia span for q={q}: {report}",
-              file=sys.stderr)
-        return 1
+        raise IdentityFalsifiedError(
+            f"wild-inertia span for q={args.q}: {report}")
     return 0
 
 
@@ -357,12 +349,12 @@ def _groupstats_rows(m: int, regime: str, twist: str):
     return rows
 
 
-def _cmd_groupstats(cfg: RunConfig, m: int, regime: str, twist: str,
-                    output) -> int:
+def _cmd_groupstats(cfg: RunConfig, args) -> int:
+    m, regime, twist = args.m, args.regime, args.twist
     doc = Document(cfg)
     doc.section(f"groupstats_m_{m}_{regime}_{twist}", "kind,key,num,den",
                 _groupstats_rows(m, regime, twist))
-    _emit(doc, output)
+    _emit(doc, args.output)
     return 0
 
 
@@ -373,7 +365,8 @@ def _count_rows(count):
     return Rows(["%d", "%d"], (range(len(count.counts)), count.counts))
 
 
-def _cmd_curves(cfg: RunConfig, degree: int, output) -> int:
+def _cmd_curves(cfg: RunConfig, args) -> int:
+    degree = args.degree
     count = count_points(cfg.params(), degree, budget=cfg.budget)
     doc = Document(cfg)
     doc.note(f"field: {count.field_text}")
@@ -384,7 +377,7 @@ def _cmd_curves(cfg: RunConfig, degree: int, output) -> int:
                  "modified_m3": {"num": modified.numerator,
                                  "den": modified.denominator}})
     doc.note(f"modified_m3: {modified.numerator}/{modified.denominator}")
-    _emit(doc, output)
+    _emit(doc, args.output)
     return 0
 
 
@@ -421,7 +414,7 @@ def _human_verdict(report) -> str:
     return "\n".join(lines)
 
 
-def _cmd_compare(cfg: RunConfig, output) -> int:
+def _cmd_compare(cfg: RunConfig, args) -> int:
     report = verdict(cfg.params(), cfg.max_degree, config=cfg.verdict_config(),
                      cache_dir=cfg.cache_dir)
     doc = Document(cfg)
@@ -432,12 +425,12 @@ def _cmd_compare(cfg: RunConfig, output) -> int:
     doc.note(f"result: {'PASS' if report.passed else 'FAIL'}")
     for failure in report.failures:
         doc.note(f"failure: {failure}")
-    _emit(doc, output)
+    _emit(doc, args.output)
     print(_human_verdict(report), file=sys.stderr)
     return 0 if report.passed else 1
 
 
-def _cmd_all(cfg: RunConfig, output) -> int:
+def _cmd_all(cfg: RunConfig, args) -> int:
     params = cfg.params()
     doc = Document(cfg)
     falsified: list[str] = []
@@ -457,6 +450,8 @@ def _cmd_all(cfg: RunConfig, output) -> int:
                     "kind,key,num,den",
                     _groupstats_rows(2 * params.q, regime, twist))
 
+    for D in range(1, cfg.max_degree + 1):
+        check_trace_budget(params, D)
     tables = {}
     for D in range(1, cfg.max_degree + 1):
         tables[D] = trace_table(params, D, cache_dir=cfg.cache_dir)
@@ -497,7 +492,7 @@ def _cmd_all(cfg: RunConfig, output) -> int:
     doc.note(f"result: {'PASS' if passed else 'FAIL'}")
     for failure in list(report.failures) + falsified:
         doc.note(f"failure: {failure}")
-    _emit(doc, output)
+    _emit(doc, args.output)
     print(_human_verdict(report), file=sys.stderr)
     for failure in falsified:
         print(f"FALSIFIED: {failure}", file=sys.stderr)
@@ -507,34 +502,63 @@ def _cmd_all(cfg: RunConfig, output) -> int:
 # -- argument parsing -------------------------------------------------------------------
 
 
-def _add_common(sp):
-    # defaults are None so a config file can be overridden only by flags
-    # the user actually passed; RunConfig carries the real defaults
-    sp.add_argument("--p", type=int, default=None, help="characteristic (default 3)")
-    sp.add_argument("--f", type=int, default=None, help="q = p^f (default f=1)")
-    sp.add_argument("--base-degree", type=int, default=None,
-                    help="degree of the base field over F_p (default 1)")
-    sp.add_argument("--multiplier", type=int, default=None,
-                    help="additive-character multiplier c (default 1)")
-    sp.add_argument("--max-degree", type=int, default=None,
-                    help="largest extension degree (default 8)")
-    sp.add_argument("--budget", type=int, default=None,
-                    help="largest #L whose fiber curves are counted "
-                         f"(default {DEFAULT_POINT_BUDGET})")
-    sp.add_argument("--threads", type=int, default=None,
-                    help="accepted and ignored: the library starts no threads")
-    sp.add_argument("--cache-dir", default=None,
-                    help=f"trace-table cache directory (env {CACHE_ENV})")
-    sp.add_argument("--format", choices=("csv", "json"), default=None)
-    sp.add_argument("--output", default=None, help="write here instead of stdout")
-    sp.add_argument("--config", default=None,
-                    help="JSON config file; explicit flags override it")
-    sp.add_argument("--tv-max", type=float, default=None)
-    sp.add_argument("--m3-tol", type=float, default=None)
-    sp.add_argument("--m3-min-order", type=int, default=None)
+DEGREE = {"type": int, "required": True}
+Q = {"type": int, "required": True, "help": "odd prime power"}
+
+# name: (body, help, whether it takes the run flags, its own flags)
+COMMANDS = {
+    "field": (_cmd_field, "canonical field construction", True,
+              {"--degree": {"type": int, "default": 1}}),
+    "traces": (_cmd_traces, "exact normalized traces at one extension degree",
+               True, {"--degree": DEGREE}),
+    "moments": (_cmd_moments, "exact moments per degree", True, {}),
+    "curves": (_cmd_curves, "curve point counts at one extension degree",
+               True, {"--degree": DEGREE}),
+    "compare": (_cmd_compare, "trace tables against group-oracle spectra",
+                True, {}),
+    "all": (_cmd_all, "full pipeline: identities, spans, traces, curves, "
+                      "verdict", True, {}),
+    "identity": (_cmd_identity, "split/grouped polynomial identity and "
+                                "derivative steps", False, {"--q": Q}),
+    "wild": (_cmd_wild, "span of roots of unity (wild-inertia image)", False,
+             {"--q": Q}),
+    "groupstats": (_cmd_groupstats, "exact spectra and moments of the "
+                                    "deleted-permutation character", False,
+                   {"--m": {"type": int, "required": True,
+                            "help": "symmetric group degree"},
+                    "--regime": {"choices": REGIMES, "default": "alt"},
+                    "--twist": {"choices": TWISTS, "default": "plain"}}),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # each flag's dest is the RunConfig field it sets; a default of None
+    # leaves that field to the config file, or to RunConfig's default
+    io = argparse.ArgumentParser(add_help=False)
+    io.add_argument("--format", dest="fmt", choices=("csv", "json"))
+    io.add_argument("--output", help="write here instead of stdout")
+    run = argparse.ArgumentParser(add_help=False)
+    run.add_argument("--p", type=int, help="characteristic (default 3)")
+    run.add_argument("--f", type=int, help="q = p^f (default f=1)")
+    run.add_argument("--base-degree", type=int,
+                     help="degree of the base field over F_p (default 1)")
+    run.add_argument("--multiplier", type=int,
+                     help="additive-character multiplier c (default 1)")
+    run.add_argument("--max-degree", type=int,
+                     help="largest extension degree (default 8)")
+    run.add_argument("--budget", type=int,
+                     help="largest #L whose fiber curves are counted "
+                          f"(default {DEFAULT_POINT_BUDGET})")
+    run.add_argument("--threads", type=int,
+                     help="accepted and ignored: the library starts no threads")
+    run.add_argument("--cache-dir", default=os.environ.get(CACHE_ENV) or None,
+                     help=f"trace-table cache directory (env {CACHE_ENV})")
+    run.add_argument("--config",
+                     help="JSON config file; explicit flags override it")
+    run.add_argument("--tv-max", type=float)
+    run.add_argument("--m3-tol", type=float)
+    run.add_argument("--m3-min-order", type=int)
+
     parser = argparse.ArgumentParser(
         prog="altsums",
         description="Exact trace statistics of rigid local systems over "
@@ -542,96 +566,32 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version",
                         version=f"altsums {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    for name, help_text in [
-            ("field", "canonical field construction"),
-            ("traces", "exact normalized traces at one extension degree"),
-            ("moments", "exact moments per degree"),
-            ("curves", "curve point counts at one extension degree"),
-            ("compare", "trace tables against group-oracle spectra"),
-            ("all", "full pipeline: identities, spans, traces, curves, verdict")]:
-        sp = sub.add_parser(name, help=help_text)
-        _add_common(sp)
-        if name in ("field", "traces", "curves"):
-            sp.add_argument("--degree", type=int, required=(name != "field"),
-                            default=1)
-
-    for name, help_text in [
-            ("identity", "split/grouped polynomial identity and derivative steps"),
-            ("wild", "span of roots of unity (wild-inertia image)")]:
-        sp = sub.add_parser(name, help=help_text)
-        sp.add_argument("--q", type=int, required=True, help="odd prime power")
-        sp.add_argument("--format", choices=("csv", "json"), default="csv")
-        sp.add_argument("--output", default=None)
-
-    sp = sub.add_parser("groupstats", help="exact spectra and moments of "
-                                           "the deleted-permutation character")
-    sp.add_argument("--m", type=int, required=True, help="symmetric group degree")
-    sp.add_argument("--regime", choices=REGIMES, default="alt")
-    sp.add_argument("--twist", choices=TWISTS, default="plain")
-    sp.add_argument("--format", choices=("csv", "json"), default="csv")
-    sp.add_argument("--output", default=None)
-
+    for name, (_, help_text, run_flags, own) in COMMANDS.items():
+        sp = sub.add_parser(name, help=help_text,
+                            parents=[run, io] if run_flags else [io])
+        for flag, kwargs in own.items():
+            sp.add_argument(flag, **kwargs)
     return parser
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
+    """The config file's RunConfig, else the defaults, with every flag given
+    in its place; identity and wild echo q = p^f as p and f."""
     cfg = RunConfig.load(args.config) if getattr(args, "config", None) \
         else RunConfig()
-    overrides = {}
-    for field_name, arg_name in [
-            ("p", "p"), ("f", "f"), ("base_degree", "base_degree"),
-            ("multiplier", "multiplier"), ("max_degree", "max_degree"),
-            ("budget", "budget"), ("threads", "threads"), ("fmt", "format"),
-            ("tv_max", "tv_max"), ("m3_tol", "m3_tol"),
-            ("m3_min_order", "m3_min_order")]:
-        value = getattr(args, arg_name, None)
-        if value is not None:
-            overrides[field_name] = value
-    cache = getattr(args, "cache_dir", None) or os.environ.get(CACHE_ENV)
-    if cache:
-        overrides["cache_dir"] = cache
-    return replace(cfg, **overrides)
+    given = {f.name: getattr(args, f.name) for f in fields(RunConfig)
+             if getattr(args, f.name, None) is not None}
+    if getattr(args, "q", None) is not None:
+        given["p"], given["f"] = factor_prime_power(args.q)
+    return replace(cfg, **given)
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
+        args = build_parser().parse_args(argv)
+        return COMMANDS[args.command][0](config_from_args(args), args)
+    except SystemExit as exc:  # argparse: --help, --version or a usage error
         return int(exc.code or 0)
-
-    try:
-        if args.command in ("identity", "wild"):
-            qp, qf = factor_prime_power(args.q)
-            cfg = RunConfig(p=qp, f=qf, fmt=args.format)
-            if args.command == "identity":
-                return _cmd_identity(cfg, args.q, args.output)
-            return _cmd_wild(cfg, args.q, args.output)
-        if args.command == "groupstats":
-            cfg = RunConfig(fmt=args.format)
-            return _cmd_groupstats(cfg, args.m, args.regime, args.twist,
-                                   args.output)
-
-        cfg = config_from_args(args)
-        cfg.params()  # validate p, f, multiplier now, as a usage error
-    except (ValueError, OSError) as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
-
-    try:
-        if args.command == "field":
-            return _cmd_field(cfg, args.degree, args.output)
-        if args.command == "traces":
-            return _cmd_traces(cfg, args.degree, args.output)
-        if args.command == "moments":
-            return _cmd_moments(cfg, args.output)
-        if args.command == "curves":
-            return _cmd_curves(cfg, args.degree, args.output)
-        if args.command == "compare":
-            return _cmd_compare(cfg, args.output)
-        if args.command == "all":
-            return _cmd_all(cfg, args.output)
     except (NonRationalTraceError, IdentityFalsifiedError) as exc:
         print(f"FALSIFIED: {exc}", file=sys.stderr)
         return 1
@@ -639,10 +599,9 @@ def main(argv=None) -> int:
         print(f"usage error: corrupt trace cache file {exc}; "
               "delete it to recompute", file=sys.stderr)
         return 2
-    except (ValueError, BudgetExceededError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # BudgetExceededError included
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    raise AssertionError(f"unhandled command {args.command}")
 
 
 if __name__ == "__main__":

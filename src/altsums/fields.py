@@ -320,14 +320,6 @@ class FieldDescriptor:
             cur = self.pow_code(cur, step)
         return acc
 
-    def norm_to_code(self, sub_degree: int, a: int) -> int:
-        if self.d % sub_degree != 0:
-            raise ValueError(f"{sub_degree} does not divide d={self.d}")
-        if a == 0:
-            return 0
-        ratio = (self.order - 1) // (self.p**sub_degree - 1)
-        return 1 + ((a - 1) * ratio) % (self.order - 1)
-
     def in_subfield_code(self, sub_degree: int, a: int) -> bool:
         if self.d % sub_degree != 0:
             return False
@@ -511,18 +503,10 @@ class FieldElement:
         return f"g^{self.code - 1}"
 
 
-_FIELD_CACHE: dict[tuple[int, int], FieldDescriptor] = {}
-
-
+@lru_cache(maxsize=None)
 def build_field(p: int, d: int) -> FieldDescriptor:
     """Deterministic model of F_{p^d}; repeated calls share one instance."""
-    key = (p, d)
-    cached = _FIELD_CACHE.get(key)
-    if cached is not None:
-        return cached
-    field = FieldDescriptor(p, d)
-    _FIELD_CACHE[key] = field
-    return field
+    return FieldDescriptor(p, d)
 
 
 @lru_cache(maxsize=None)

@@ -277,15 +277,21 @@ def _finish(counts: np.ndarray, conjA: CycInt, N: int,
     return num.tolist(), (num % N == 0).tolist()
 
 
-def trace_table(params: SystemParams, degree: int, *,
-                cache_dir=None) -> TraceTable:
-    """Compute (or load from a verified cache) the full trace table."""
+def check_trace_budget(params: SystemParams, degree: int) -> None:
+    """Refuse the trace table at `degree` before anything is built
+    (BudgetExceededError) when L or the kernel's arrays are over budget."""
     N = checked_order(params.p, params.base_degree * degree)
     fft_bytes = 3 * N * params.p * 8
-    if fft_bytes > FFT_BYTE_BUDGET:  # refused before L is built
+    if fft_bytes > FFT_BYTE_BUDGET:
         raise BudgetExceededError(
             f"the trace kernel needs {fft_bytes} bytes for #L = {N}, "
             f"over its budget {FFT_BYTE_BUDGET}")
+
+
+def trace_table(params: SystemParams, degree: int, *,
+                cache_dir=None) -> TraceTable:
+    """Compute (or load from a verified cache) the full trace table."""
+    check_trace_budget(params, degree)
     L = params.extension(degree)
     path = _cache_path(cache_dir, params, degree) if cache_dir else None
     if path is not None and path.exists():
@@ -461,8 +467,10 @@ def moment_report(params: SystemParams, max_degree: int, *, cache_dir=None,
     """First three exact moments per degree, with the third-moment target.
 
     The target is chi_2(-1) on the degree-D extension: +1 when #L = 1 mod 4,
-    -1 otherwise.
+    -1 otherwise.  Every degree's budget is checked before any table.
     """
+    for D in range(1, max_degree + 1):
+        check_trace_budget(params, D)
     rows = []
     for D in range(1, max_degree + 1):
         table = (tables or {}).get(D) or trace_table(params, D, cache_dir=cache_dir)

@@ -20,7 +20,8 @@ import numpy as np
 
 from .characters import chi2_minus_one
 from .groups import spectrum
-from .traces import SystemParams, TraceTable, _moment_row, trace_table
+from .traces import (SystemParams, TraceTable, _moment_row,
+                     check_trace_budget, trace_table)
 
 
 def regime_for(params: SystemParams, degree: int) -> tuple[str, str]:
@@ -85,6 +86,13 @@ class VerdictConfig(NamedTuple):
 
     def as_dict(self) -> dict:
         return self._asdict()
+
+    def check(self) -> None:
+        """Refuse a negative or NaN bound: NaN compares false both ways, so
+        it would pass every check."""
+        if not (self.tv_max >= 0 and self.m3_tol >= 0):
+            raise ValueError(f"tv_max and m3_tol must be >= 0, got "
+                             f"{self.tv_max} and {self.m3_tol}")
 
 
 def _frac(x: Fraction | None):
@@ -160,10 +168,14 @@ def verdict(params: SystemParams, max_degree: int, *,
     everywhere, |M3 - target| within tolerance on every degree with
     #L >= m3_min_order, TV within tolerance at the largest degree, and a
     smaller TV at the largest degree than at degree 1 (when max_degree > 1).
+    A bad tolerance or an over-budget degree is refused before any table.
     """
     if max_degree < 1:
         raise ValueError(f"max_degree must be >= 1, got {max_degree}")
     cfg = config or VerdictConfig()
+    cfg.check()
+    for D in range(1, max_degree + 1):
+        check_trace_budget(params, D)
     rows = []
     failures: list[str] = []
     for D in range(1, max_degree + 1):

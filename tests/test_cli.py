@@ -120,6 +120,25 @@ def test_curves_over_budget_exits_two_without_building_the_field(
         "usage error: #L = 59049 exceeds the point-count budget 4096\n"
 
 
+@pytest.mark.parametrize("command", ["moments", "compare", "all"])
+def test_over_budget_tower_exits_two_before_the_kernel_runs(
+        monkeypatch, capsys, command):
+    """11^7 is over the table budget; degrees 1-6 (15 s) are not computed."""
+    calls = []
+    real = traces._additive_fft_counts
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(traces, "_additive_fft_counts", counted)
+    monkeypatch.delenv(CACHE_ENV, raising=False)
+    assert main([command, "--p", "11", "--max-degree", "7"]) == 2
+    assert assert_one_usage_error(capsys) == \
+        "usage error: p^d = 11^7 exceeds the table budget 16777216\n"
+    assert calls == []
+
+
 def fresh_python(args, env=None, timeout=120, **kwargs):
     """Run a new interpreter that imports this checkout's altsums, in `env`
     (default: this process's environment)."""
@@ -212,6 +231,78 @@ def test_identity_and_wild_exit_zero(capsys):
     out = capsys.readouterr().out
     assert "split,1" in out
     assert "config: p=3 f=2" in out  # identity header echoes q = 9
+
+
+def falsify(monkeypatch, name, **changes):
+    """Make cli.<name> return its real report with `changes` applied."""
+    real = getattr(cli, name)
+    monkeypatch.setattr(cli, name, lambda q: real(q)._replace(**changes))
+
+
+@pytest.mark.parametrize("command,name,changes,reason", [
+    ("identity", "verify_identity_split",
+     {"equal": False, "mismatches": (((0, 5), 1, 2),)},
+     "SplitIdentityReport failed; first mismatch at x^0 y^5: 1 != 2"),
+    ("wild", "wild_inertia_span", {"coset_ok": False},
+     "wild-inertia span for q=3: WildInertiaReport("),
+])
+def test_falsified_identity_or_wild_prints_the_document_and_exits_one(
+        monkeypatch, capsys, command, name, changes, reason):
+    falsify(monkeypatch, name, **changes)
+    assert main([command, "--q", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.startswith(f"# altsums {__version__} | config: p=3 f=1 ")
+    assert f"# section: {command}_q_3\n" in captured.out
+    assert captured.err.startswith(f"FALSIFIED: {reason}")
+    assert captured.err.count("\n") == 1
+
+
+def test_non_rational_trace_exits_one(monkeypatch, capsys):
+    def non_rational(params, degree, **kwargs):
+        raise traces.NonRationalTraceError("non-rational normalized trace "
+                                           "at t_index=2 over F_3")
+
+    monkeypatch.setattr(cli, "trace_table", non_rational)
+    assert main(["traces", "--p", "3", "--degree", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("FALSIFIED: non-rational normalized trace at "
+                            "t_index=2 over F_3\n")
+
+
+RUN_FLAGS = {"--p": int, "--f": int, "--base-degree": int, "--multiplier": int,
+             "--max-degree": int, "--budget": int, "--threads": int,
+             "--cache-dir": None, "--config": None, "--tv-max": float,
+             "--m3-tol": float, "--m3-min-order": int}
+IO_FLAGS = {"--format": ("csv", "json"), "--output": None}
+
+
+def subcommand_surface(name):
+    """{option string: (type name, choices, required)} of one subcommand."""
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    return {s: (getattr(a.type, "__name__", None),
+                tuple(a.choices) if a.choices else None, a.required)
+            for a in sub.choices[name]._actions for s in a.option_strings
+            if s not in ("-h", "--help")}
+
+
+@pytest.mark.parametrize("name,own", [
+    ("field", {"--degree": ("int", None, False)}),
+    ("traces", {"--degree": ("int", None, True)}),
+    ("curves", {"--degree": ("int", None, True)}),
+    ("moments", {}), ("compare", {}), ("all", {}),
+    ("identity", {"--q": ("int", None, True)}),
+    ("wild", {"--q": ("int", None, True)}),
+    ("groupstats", {"--m": ("int", None, True),
+                    "--regime": (None, ("sym", "alt", "coset"), False),
+                    "--twist": (None, ("plain", "sgn"), False)}),
+])
+def test_each_subcommand_keeps_its_options(name, own):
+    want = {s: (None, choices, False) for s, choices in IO_FLAGS.items()}
+    if name not in ("identity", "wild", "groupstats"):
+        want.update({s: (getattr(t, "__name__", None), None, False)
+                     for s, t in RUN_FLAGS.items()})
+    assert subcommand_surface(name) == {**want, **own}
 
 
 def test_compare_pass_and_fail(tmp_path, capsys):

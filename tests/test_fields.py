@@ -278,18 +278,6 @@ def test_relative_trace_linear_and_surjective(p, d, e):
                                                    F.trace_to_code(e, b))
 
 
-def test_norm_is_multiplicative_onto_subfield():
-    F = build_field(3, 4)
-    for c in range(1, F.order):
-        assert F.in_subfield_code(2, F.norm_to_code(2, c))
-    rng = random.Random(11)
-    for _ in range(50):
-        a = rng.randrange(1, F.order)
-        b = rng.randrange(1, F.order)
-        assert F.norm_to_code(2, F.mul_code(a, b)) == \
-            F.mul_code(F.norm_to_code(2, a), F.norm_to_code(2, b))
-
-
 # -- embeddings -------------------------------------------------------------------
 
 def test_embed_prime_field_is_integer_inclusion():

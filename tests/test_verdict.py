@@ -5,6 +5,7 @@ pipelines pin the frozen TV distance at degree 1 and the regime dispatch.
 """
 
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -185,6 +186,15 @@ def test_verdict_max_degree_one_skips_decay_check():
 def test_verdict_rejects_max_degree_below_one(max_degree):
     with pytest.raises(ValueError, match="max_degree"):
         verdict(P33, max_degree)
+
+
+@pytest.mark.parametrize("bounds", [{"tv_max": math.nan}, {"m3_tol": math.nan},
+                                    {"tv_max": math.nan, "m3_tol": math.nan},
+                                    {"tv_max": -0.01}, {"m3_tol": -1.0}])
+def test_verdict_rejects_nan_or_negative_tolerances(bounds):
+    """A NaN bound compares false both ways, so it would pass every check."""
+    with pytest.raises(ValueError, match="tv_max and m3_tol must be >= 0"):
+        verdict(P33, 2, config=VerdictConfig(**bounds))
 
 
 def test_verdict_tv_threshold_applies_at_top_degree():
