@@ -11,12 +11,13 @@ raises: 0 = all checks passed, 1 = a falsified invariant (the
 counterexample is printed), 2 = usage error: invalid parameters or config
 file, a budget exceeded, a file that cannot be read or written, or a trace
 cache file that fails its checks (the message names the file; delete it to
-recompute).
+recompute).  The process entry, `entry`, runs `main`, then freezes the heap.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -84,6 +85,8 @@ class RunConfig:
             value = getattr(self, f.name)
             if isinstance(value, bool) or not isinstance(value, kinds[f.type]):
                 raise ValueError(f"{f.name} must be {f.type}, got {value!r}")
+            if f.type == "float":  # echo 1 as 1.0 like the flag; a huge int overflows
+                object.__setattr__(self, f.name, float(value))
         if self.fmt not in ("csv", "json"):
             raise ValueError(f"unknown format {self.fmt!r}")
         if self.max_degree < 1 or self.budget < 1 or self.threads < 1:
@@ -599,10 +602,17 @@ def main(argv=None) -> int:
         print(f"usage error: corrupt trace cache file {exc}; "
               "delete it to recompute", file=sys.stderr)
         return 2
-    except (ValueError, OSError) as exc:  # BudgetExceededError included
+    except (ValueError, OverflowError, OSError) as exc:  # BudgetExceededError included
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
 
 
+def entry() -> int:
+    """`main`, then a frozen heap: exit-time collections have nothing to walk."""
+    code = main()
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -60,6 +61,27 @@ def test_echo_excludes_threads_and_cache_dir():
     assert a.echo_dict() == b.echo_dict()
     assert "threads" not in a.echo()
     assert "cache" not in a.echo()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_config_file_and_flags_echo_the_same_tolerances(tmp_path, capsys, fmt):
+    """An int tolerance in a config file is kept as the float its flag
+    parses to, so both routes write the same bytes."""
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"tv_max": 1, "m3_tol": 0}))
+    argv = ["moments", "--max-degree", "1", "--format", fmt,
+            "--cache-dir", str(tmp_path)]
+    assert main(argv + ["--config", str(path)]) == 0
+    from_file = capsys.readouterr().out
+    assert main(argv + ["--tv-max", "1", "--m3-tol", "0"]) == 0
+    from_flags = capsys.readouterr().out
+    assert from_file == from_flags
+    if fmt == "csv":
+        assert " tv_max=1.0 m3_tol=0.0 " in from_file.split("\n")[0]
+    else:
+        assert '"tv_max": 1.0,' in from_file and '"m3_tol": 0.0,' in from_file
+    cfg = RunConfig(tv_max=1, m3_tol=0)
+    assert type(cfg.tv_max) is float and type(cfg.m3_tol) is float
 
 
 def test_config_from_args_precedence(tmp_path):
@@ -198,6 +220,13 @@ def test_output_to_a_directory_exits_two(tmp_path, capsys):
 def test_bad_config_file_exits_two(tmp_path, capsys, config):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(config))
+    assert main(["moments", "--config", str(path)]) == 2
+    assert_one_usage_error(capsys)
+
+
+def test_tolerance_past_the_float_range_exits_two(tmp_path, capsys):
+    path = tmp_path / "run.json"
+    path.write_text('{"tv_max": 1' + "0" * 400 + "}")
     assert main(["moments", "--config", str(path)]) == 2
     assert_one_usage_error(capsys)
 
@@ -717,3 +746,56 @@ def test_result_records_are_immutable_values():
     assert VerdictConfig().as_dict() == {"tv_max": 0.05, "m3_tol": 0.2,
                                          "m3_min_order": 6561}
     assert type(VerdictConfig().as_dict()) is dict
+
+
+# -- process entry -------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("argv, rc", [
+    (["all", "--p", "3", "--max-degree", "3"], 0),
+    (["compare", "--p", "3", "--max-degree", "3", "--tv-max", "0"], 1),
+    (["moments", "--max-degree", "0"], 2),
+])
+def test_process_entry_matches_main(tmp_path, capsys, argv, rc):
+    """`python -m altsums.cli` writes what in-process `main` writes and exits
+    with what it returns; its --output file holds its stdout bytes."""
+    argv = argv + ["--cache-dir", str(tmp_path)]
+    assert main(argv) == rc
+    captured = capsys.readouterr()
+    proc = fresh_python(["-m", "altsums.cli", *argv])
+    assert (proc.returncode, proc.stdout, proc.stderr) == \
+        (rc, captured.out, captured.err)
+    path = tmp_path / "doc"
+    proc = fresh_python(["-m", "altsums.cli", *argv, "--output", str(path)])
+    assert (proc.returncode, proc.stdout, proc.stderr) == (rc, "", captured.err)
+    if rc == 2:  # a usage error writes no document
+        assert not path.exists()
+    else:
+        assert path.read_bytes() == captured.out.encode("ascii")
+
+
+def test_console_script_calls_the_main_block_entry():
+    pyproject = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+    scripts = re.search(r"^\[project\.scripts\]\n(.*?)(?:^\[|\Z)", pyproject,
+                        re.M | re.S).group(1)
+    target = re.search(r'^altsums\s*=\s*"altsums\.cli:(\w+)"$', scripts,
+                       re.M).group(1)
+    source = Path(cli.__file__).read_text()
+    block = source[source.index('\nif __name__ == "__main__":\n'):]
+    assert re.findall(r"\bsys\.exit\((\w+)\(\)\)", block) == [target]
+    assert target == "entry" and callable(getattr(cli, target))
+
+
+def test_main_closes_every_file_it_opens(tmp_path):
+    """The entry freezes the heap, so a file left open in a reference cycle
+    would not be flushed at exit: every file must be closed explicitly.  A
+    dev-mode interpreter reports an unclosed file as a ResourceWarning."""
+    code = "import sys, altsums.cli; sys.exit(altsums.cli.main())"
+    argv = ["all", "--p", "3", "--max-degree", "3",
+            "--output", str(tmp_path / "doc"), "--cache-dir", str(tmp_path / "cache")]
+    for phase in ("cold", "warm"):
+        proc = fresh_python(["-X", "dev", "-W", "error::ResourceWarning",
+                             "-c", code, *argv])
+        assert proc.returncode == 0, (phase, proc.stderr)
+        assert "ResourceWarning" not in proc.stderr, phase
+        assert (tmp_path / "doc").read_text().startswith("# altsums ")
