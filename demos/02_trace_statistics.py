@@ -8,7 +8,7 @@ is a rational integer, and watches the third moment approach +1 or -1
 according to the parity of the extension degree.
 """
 
-from altsums import SystemParams, empirical_moment, moment_report, trace_table
+from altsums import SystemParams, moment_report, trace_table, trace_tables
 
 params = SystemParams(p=3, f=1)
 print("n =", params.n, " base field: F_3")
@@ -24,11 +24,11 @@ print("all integral:", all(table.is_integer))
 # the second counts the trivial constituent, the third detects the sign
 # character: chi2(-1) on the extension is the target.
 for power in (1, 2, 3):
-    print(f"M{power} at degree 2:", empirical_moment(params, 2, power))
+    print(f"M{power} at degree 2:", table.moment(power))
 
 # The full report shows the parity dichotomy.  Odd degrees over F_3 have
 # -1 a non-square, so M3 tends to -1; even degrees tend to +1.
-report = moment_report(params, 6)
+report = moment_report(params, trace_tables(params, 6))
 for row in report.rows:
     print(f"degree {row.degree}  #L = {row.field_order:4d}  "
           f"M3 = {float(row.m3):+.4f}  target {row.m3_target:+d}  "

@@ -33,8 +33,8 @@ from .characters import (CharacterContext, chi2, chi2_minus_one,
                          gauss_identities, gauss_sum, hasse_davenport_check,
                          normalization_constant)
 from .traces import (CacheCorruptionError, NonRationalTraceError, SystemParams,
-                     TraceTable, descent_consistency, empirical_moment,
-                     moment_report, normalized_trace, raw_sum, trace_table)
+                     TraceTable, descent_consistency, moment_report,
+                     normalized_trace, raw_sum, trace_table, trace_tables)
 from .groups import (exact_moment, singleton_free_partitions, spectrum,
                      tensor_square_check)
 from .identities import (IdentityFalsifiedError, require_ok, unity_root_span,
@@ -68,7 +68,6 @@ __all__ = [
     "descent_consistency",
     "distribution_distance",
     "embed",
-    "empirical_moment",
     "exact_moment",
     "gauss_identities",
     "gauss_sum",
@@ -84,6 +83,7 @@ __all__ = [
     "spectrum_membership",
     "tensor_square_check",
     "trace_table",
+    "trace_tables",
     "unity_root_span",
     "verdict",
     "verify_derivative_steps",

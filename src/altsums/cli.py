@@ -52,9 +52,9 @@ from .traces import (
     NonRationalTraceError,
     Rows,
     SystemParams,
-    check_trace_budget,
     moment_report,
     trace_table,
+    trace_tables,
 )
 from .verdict import VerdictConfig, verdict
 
@@ -257,8 +257,9 @@ MOMENT_HEADER = ("degree,field_order,m1_num,m1_den,m2_num,m2_den,"
 
 
 def _cmd_moments(cfg: RunConfig, args) -> int:
-    report = moment_report(cfg.params(), cfg.max_degree,
-                           cache_dir=cfg.cache_dir)
+    params = cfg.params()
+    report = moment_report(params, trace_tables(params, cfg.max_degree,
+                                                cache_dir=cfg.cache_dir))
     doc = Document(cfg)
     doc.section("moments", MOMENT_HEADER, _moment_rows(report))
     _emit(doc, args.output)
@@ -373,7 +374,7 @@ def _cmd_curves(cfg: RunConfig, args) -> int:
     count = count_points(cfg.params(), degree, budget=cfg.budget)
     doc = Document(cfg)
     doc.note(f"field: {count.field_text}")
-    modified = modified_third_moment(cfg.params(), degree, count=count)
+    modified = modified_third_moment(count)
     doc.section(f"curves_degree_{degree}", COUNT_HEADER, _count_rows(count),
                 {"degree": degree, "field": count.field_text,
                  "counts": Rows("%d", (count.counts,)),
@@ -418,8 +419,9 @@ def _human_verdict(report) -> str:
 
 
 def _cmd_compare(cfg: RunConfig, args) -> int:
-    report = verdict(cfg.params(), cfg.max_degree, config=cfg.verdict_config(),
-                     cache_dir=cfg.cache_dir)
+    params = cfg.params()
+    tables = trace_tables(params, cfg.max_degree, cache_dir=cfg.cache_dir)
+    report = verdict(params, tables, config=cfg.verdict_config())
     doc = Document(cfg)
     if doc.json:
         doc.obj["verdict"] = report.as_dict()
@@ -453,15 +455,11 @@ def _cmd_all(cfg: RunConfig, args) -> int:
                     "kind,key,num,den",
                     _groupstats_rows(2 * params.q, regime, twist))
 
-    for D in range(1, cfg.max_degree + 1):
-        check_trace_budget(params, D)
-    tables = {}
-    for D in range(1, cfg.max_degree + 1):
-        tables[D] = trace_table(params, D, cache_dir=cfg.cache_dir)
-        doc.section(f"traces_degree_{D}", TRACE_HEADER, tables[D].rows())
+    tables = trace_tables(params, cfg.max_degree, cache_dir=cfg.cache_dir)
+    for D, table in tables.items():
+        doc.section(f"traces_degree_{D}", TRACE_HEADER, table.rows())
 
-    report = verdict(params, cfg.max_degree, config=cfg.verdict_config(),
-                     tables=tables)
+    report = verdict(params, tables, config=cfg.verdict_config())
     doc.section("moments", MOMENT_HEADER, _moment_rows(report))
 
     curve_header = ("degree,field_order,modified_num,modified_den,"
@@ -474,8 +472,7 @@ def _cmd_all(cfg: RunConfig, args) -> int:
             continue
         count = count_points(params, D, budget=cfg.budget)
         doc.section(f"curves_degree_{D}", COUNT_HEADER, _count_rows(count))
-        cm = curve_moment_report(params, D, count=count,
-                                 m3=report.rows[D - 1].m3)
+        cm = curve_moment_report(count, report.rows[D - 1].m3)
         crows.append((D, cm.field_order, *_frac_cols(cm.modified),
                       *_frac_cols(cm.empirical_m3), f"{cm.bound:.6f}",
                       int(cm.within_bound)))

@@ -26,7 +26,7 @@ from .characters import chi2_minus_one, gauss_sum, psi_exponent_table
 from .cyclotomic import CycInt
 from .fields import BudgetExceededError, FieldDescriptor, build_field, embed
 from .identities import _split_alphas
-from .traces import SystemParams, TraceTable, empirical_moment
+from .traces import SystemParams
 
 DEFAULT_POINT_BUDGET = 4096  # largest #L counted by default
 ROW_CHUNK = 256              # x-rows per block of triple_sum_direct: bounds its memory
@@ -146,16 +146,13 @@ def triple_sum_direct(params: SystemParams, degree: int, *,
     return CycInt.from_power_counts(params.p, (even - odd).tolist())
 
 
-def modified_third_moment(params: SystemParams, degree: int, *,
-                          count: CurveCount | None = None,
-                          budget: int = DEFAULT_POINT_BUDGET) -> Fraction:
-    """(chi_2(-1)/g)^3 * W as an exact rational.
+def modified_third_moment(count: CurveCount) -> Fraction:
+    """(chi_2(-1)/g)^3 * W as an exact rational, over the field of `count`.
 
     Uses 1/g = conj(g)/#L, so the value is chi_2(-1) W conj(g)^3 / (#L)^3;
     a non-rational numerator is a hard error.
     """
-    if count is None:
-        count = count_points(params, degree, budget=budget)
+    params = count.params
     L = params.extension(count.degree)
     W = curve_weighted_sum(params, count)
     g = gauss_sum(params.context(), L)
@@ -180,23 +177,12 @@ class CurveMomentReport(NamedTuple):
         return self.within_bound
 
 
-def curve_moment_report(params: SystemParams, degree: int, *,
-                        count: CurveCount | None = None,
-                        table: TraceTable | None = None,
-                        m3: Fraction | None = None,
-                        budget: int = DEFAULT_POINT_BUDGET,
-                        cache_dir=None) -> CurveMomentReport:
-    """Compare the curve-side moment with the direct empirical third moment.
-
-    A precomputed `count`, trace `table` or empirical `m3` of this degree is
-    used as is.
-    """
-    modified = modified_third_moment(params, degree, count=count, budget=budget)
-    if m3 is None:
-        m3 = empirical_moment(params, degree, 3, table=table, cache_dir=cache_dir)
-    L = params.extension(degree)
-    bound = params.q / math.sqrt(L.order)
+def curve_moment_report(count: CurveCount, m3: Fraction) -> CurveMomentReport:
+    """Compare the curve-side moment of `count` with `m3`, the empirical
+    third moment of the trace table of the same params and degree."""
+    modified = modified_third_moment(count)
+    bound = count.params.q / math.sqrt(count.field_order)
     gap = abs(float(modified - m3))
-    return CurveMomentReport(degree=degree, field_order=L.order,
+    return CurveMomentReport(degree=count.degree, field_order=count.field_order,
                              modified=modified, empirical_m3=m3,
                              bound=bound, within_bound=gap <= bound)

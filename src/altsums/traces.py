@@ -14,7 +14,9 @@ The production kernel computes every S(t) at once as an exact additive
 Fourier transform over Z[zeta_p] (see _additive_fft_counts) and finishes
 all rows with one circulant product against conj(A).  A single-t O(#L) path
 serves raw_sum and the descent form; a deliberately naive term-by-term
-accumulation is kept as an independent cross-check.  Long tables are
+accumulation is kept as an independent cross-check.  trace_table builds one
+table and trace_tables the tower of degrees 1..n; the moment statistics take
+built tables and never compute or load one.  Long tables are
 rendered a block of rows at a time (Rows).  A checksummed disk cache is read
 back as blocks that must equal their re-rendering; a file that fails raises
 CacheCorruptionError naming it and its first bad row, never recomputed over.
@@ -309,6 +311,18 @@ def trace_table(params: SystemParams, degree: int, *,
     return table
 
 
+def trace_tables(params: SystemParams, max_degree: int, *,
+                 cache_dir=None) -> dict[int, TraceTable]:
+    """The trace tables of degrees 1..max_degree, keyed by degree.  Every
+    degree's budget is checked before any table is built."""
+    if max_degree < 1:
+        raise ValueError(f"max_degree must be >= 1, got {max_degree}")
+    degrees = range(1, max_degree + 1)
+    for D in degrees:
+        check_trace_budget(params, D)
+    return {D: trace_table(params, D, cache_dir=cache_dir) for D in degrees}
+
+
 # -- disk cache ---------------------------------------------------------------
 
 def _cache_path(cache_dir, params: SystemParams, degree: int) -> Path:
@@ -439,13 +453,6 @@ def descent_consistency(params: SystemParams, degree: int) -> DescentReport:
 
 # -- moments -------------------------------------------------------------------
 
-def empirical_moment(params: SystemParams, degree: int, power: int, *,
-                     table: TraceTable | None = None, cache_dir=None) -> Fraction:
-    if table is None:
-        table = trace_table(params, degree, cache_dir=cache_dir)
-    return table.moment(power)
-
-
 class MomentRow(NamedTuple):
     degree: int
     field_order: int
@@ -462,20 +469,33 @@ class MomentReport(NamedTuple):
     rows: tuple[MomentRow, ...]
 
 
-def moment_report(params: SystemParams, max_degree: int, *, cache_dir=None,
-                  tables: dict[int, TraceTable] | None = None) -> MomentReport:
-    """First three exact moments per degree, with the third-moment target.
+def moment_report(params: SystemParams,
+                  tables: dict[int, TraceTable]) -> MomentReport:
+    """First three exact moments per degree of `tables`, the trace tables of
+    `params` at the degrees 1..n (n >= 1), with the third-moment target.
 
     The target is chi_2(-1) on the degree-D extension: +1 when #L = 1 mod 4,
-    -1 otherwise.  Every degree's budget is checked before any table.
+    -1 otherwise.
     """
-    for D in range(1, max_degree + 1):
-        check_trace_budget(params, D)
-    rows = []
-    for D in range(1, max_degree + 1):
-        table = (tables or {}).get(D) or trace_table(params, D, cache_dir=cache_dir)
-        rows.append(_moment_row(params, table)[0])
-    return MomentReport(params=params, rows=tuple(rows))
+    rows = tuple(_moment_row(params, t)[0] for t in _tower(params, tables))
+    return MomentReport(params=params, rows=rows)
+
+
+def _tower(params: SystemParams,
+           tables: dict[int, TraceTable]) -> list[TraceTable]:
+    """The tables of degrees 1..n in order; ValueError unless the keys are
+    exactly 1..n (n >= 1) and each table is that degree's table of `params`."""
+    degrees = range(1, len(tables) + 1)
+    if not tables or set(tables) != set(degrees):
+        raise ValueError(f"tables must be keyed by the degrees 1..n, n >= 1, "
+                         f"got {list(tables)}")
+    for D in degrees:
+        if (tables[D].params, tables[D].degree) != (params, D):
+            raise ValueError(
+                f"tables[{D}] is the degree-{tables[D].degree} table of "
+                f"{tables[D].params.label()}, not the degree-{D} table of "
+                f"{params.label()}")
+    return [tables[D] for D in degrees]
 
 
 def _moment_row(params: SystemParams, table: TraceTable):

@@ -20,8 +20,7 @@ import numpy as np
 
 from .characters import chi2_minus_one
 from .groups import spectrum
-from .traces import (SystemParams, TraceTable, _moment_row,
-                     check_trace_budget, trace_table)
+from .traces import SystemParams, TraceTable, _moment_row, _tower
 
 
 def regime_for(params: SystemParams, degree: int) -> tuple[str, str]:
@@ -159,27 +158,24 @@ class VerdictReport(NamedTuple):
         }
 
 
-def verdict(params: SystemParams, max_degree: int, *,
-            config: VerdictConfig | None = None, cache_dir=None,
-            tables: dict[int, TraceTable] | None = None) -> VerdictReport:
-    """Assemble per-degree checks and the overall pass/fail decision.
+def verdict(params: SystemParams, tables: dict[int, TraceTable], *,
+            config: VerdictConfig | None = None) -> VerdictReport:
+    """Assemble per-degree checks and the overall pass/fail decision over
+    `tables`, the trace tables of `params` at the degrees 1..max_degree.
 
     PASS requires: every table integral, spectrum membership 100%
     everywhere, |M3 - target| within tolerance on every degree with
     #L >= m3_min_order, TV within tolerance at the largest degree, and a
     smaller TV at the largest degree than at degree 1 (when max_degree > 1).
-    A bad tolerance or an over-budget degree is refused before any table.
+    A bad tolerance, or tables that are not such a tower, raise ValueError.
     """
-    if max_degree < 1:
-        raise ValueError(f"max_degree must be >= 1, got {max_degree}")
     cfg = config or VerdictConfig()
     cfg.check()
-    for D in range(1, max_degree + 1):
-        check_trace_budget(params, D)
+    tower = _tower(params, tables)
+    max_degree = len(tower)
     rows = []
     failures: list[str] = []
-    for D in range(1, max_degree + 1):
-        table = (tables or {}).get(D) or trace_table(params, D, cache_dir=cache_dir)
+    for D, table in enumerate(tower, 1):
         mrow, counts = _moment_row(params, table)  # one value count per table
         regime, twist = regime_for(params, D)
         oracle = spectrum(2 * params.q, regime, twist)

@@ -6,7 +6,9 @@ the vectorized alpha-product kernel.  Over L = F_q the form vanishes
 identically (x^(2q-1) = x there), which freezes the degree-one counts.
 """
 
+import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -23,7 +25,7 @@ from altsums.curves import (
 )
 from altsums.cyclotomic import CycInt
 from altsums.fields import BudgetExceededError
-from altsums.traces import SystemParams, empirical_moment, trace_table
+from altsums.traces import SystemParams, trace_table
 
 P33 = SystemParams(p=3, f=1)
 P55 = SystemParams(p=5, f=1)
@@ -139,44 +141,46 @@ def test_weighted_sum_equals_direct_triple_sum(params, degree):
 def test_weighted_sum_conj_invariant_after_gauss_normalization():
     # the normalized value is rational, hence real
     for params, degree in [(P33, 2), (P33, 3), (P55, 2)]:
-        value = modified_third_moment(params, degree)
+        value = modified_third_moment(count_points(params, degree))
         assert value.denominator >= 1  # exact Fraction came back
 
 
 def test_modified_moment_frozen_degree_one():
-    assert modified_third_moment(P33, 1) == 0
-    assert modified_third_moment(P55, 1) == 0
-    assert modified_third_moment(P327, 3) == 0
+    assert modified_third_moment(count_points(P33, 1)) == 0
+    assert modified_third_moment(count_points(P55, 1)) == 0
+    assert modified_third_moment(count_points(P327, 3)) == 0
 
 
-def test_modified_moment_accepts_precomputed_count():
-    count = count_points(P33, 2)
-    assert modified_third_moment(P33, 2, count=count) == \
-        modified_third_moment(P33, 2)
+def report_at(params, degree):
+    """The curve report of one degree, against its trace table's M3."""
+    return curve_moment_report(count_points(params, degree),
+                               trace_table(params, degree).moment(3))
 
 
 @pytest.mark.parametrize("params,degrees", [(P33, (1, 2, 3, 4)), (P55, (1, 2))])
 def test_error_bound_against_empirical_moment(params, degrees):
     for D in degrees:
-        report = curve_moment_report(params, D)
+        report = report_at(params, D)
         assert report.ok, (params.label(), D, report)
         gap = abs(float(report.modified - report.empirical_m3))
         assert gap <= report.bound
 
 
-def test_report_reuses_precomputed_count_and_table():
-    for D in (1, 2, 3, 4):
-        given = curve_moment_report(P33, D, count=count_points(P33, D),
-                                    table=trace_table(P33, D))
-        assert given == curve_moment_report(P33, D)
-
-
 def test_report_contents():
-    report = curve_moment_report(P33, 2)
+    report = report_at(P33, 2)
     assert report.degree == 2
     assert report.field_order == 9
     assert report.bound == pytest.approx(1.0)  # q / sqrt(9) = 1
-    assert report.empirical_m3 == empirical_moment(P33, 2, 3)
+    assert report.empirical_m3 == trace_table(P33, 2).moment(3)
+    assert (report.modified, report.within_bound) == (Fraction(2, 3), True)
+
+
+def test_report_takes_degree_and_field_from_the_count():
+    report = curve_moment_report(count_points(P33, 3), Fraction(-8, 9))
+    assert (report.degree, report.field_order) == (3, 27)
+    assert report.modified == Fraction(-8, 9)
+    assert report.bound == pytest.approx(3 / math.sqrt(27))
+    assert report.within_bound
 
 
 def test_curve_count_fields():

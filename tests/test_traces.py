@@ -28,8 +28,8 @@ from altsums.traces import (CacheCorruptionError, NonRationalTraceError,
                             SystemParams, _additive_fft_counts, _cache_path,
                             _finish, _load_table, _save_table,
                             descent_consistency, descent_trace,
-                            empirical_moment, moment_report, normalized_trace,
-                            raw_sum, raw_sum_naive, trace_table)
+                            moment_report, normalized_trace, raw_sum,
+                            raw_sum_naive, trace_table, trace_tables)
 
 P33 = SystemParams(p=3, f=1)
 P55 = SystemParams(p=5, f=1)
@@ -155,17 +155,38 @@ def test_exact_moment_rules_and_integrality(params, maxD):
 
 
 def test_moment_report_targets():
-    rep = moment_report(P33, 3)
+    rep = moment_report(P33, trace_tables(P33, 3))
     assert [r.m3_target for r in rep.rows] == [-1, 1, -1]
     assert all(r.m1 == 0 for r in rep.rows)
     assert [r.field_order for r in rep.rows] == [3, 9, 27]
-    rep5 = moment_report(P55, 2)
+    rep5 = moment_report(P55, trace_tables(P55, 2))
     assert [r.m3_target for r in rep5.rows] == [1, 1]
 
 
 def test_empirical_moment_helper():
-    assert empirical_moment(P33, 1, 3) == Fraction(0)  # (-1)^3 + 1 + 0
-    assert empirical_moment(P33, 1, 2) == Fraction(2, 3)
+    assert trace_table(P33, 1).moment(3) == Fraction(0)  # (-1)^3 + 1 + 0
+    assert trace_table(P33, 1).moment(2) == Fraction(2, 3)
+
+
+def test_trace_tables_are_the_tables_of_degrees_one_to_n():
+    tables = trace_tables(P33, 3)
+    assert list(tables) == [1, 2, 3]
+    assert all(tables[D] == trace_table(P33, D) for D in tables)
+
+
+def test_trace_tables_checks_every_budget_before_the_kernel_runs(monkeypatch):
+    """11^7 is over the table budget; degrees 1-6 are not computed."""
+    calls = []
+    real = traces._additive_fft_counts
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(traces, "_additive_fft_counts", counted)
+    with pytest.raises(BudgetExceededError, match="11\\^7"):
+        trace_tables(SystemParams(11, 1), 7)
+    assert calls == []
 
 
 def test_multiplier_invariance_of_trace_multiset():

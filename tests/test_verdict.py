@@ -11,7 +11,8 @@ from fractions import Fraction
 import pytest
 
 from altsums.groups import spectrum
-from altsums.traces import SystemParams, TraceTable, trace_table
+from altsums.traces import (SystemParams, TraceTable, moment_report,
+                            trace_table, trace_tables)
 from altsums.verdict import (
     MembershipResult,
     VerdictConfig,
@@ -117,7 +118,7 @@ def test_distance_bounds():
 
 
 def test_verdict_small_pipeline_passes():
-    report = verdict(P33, 3)
+    report = verdict(P33, trace_tables(P33, 3))
     assert report.passed
     assert report.failures == ()
     assert [r.regime for r in report.rows] == ["coset", "alt", "coset"]
@@ -132,7 +133,7 @@ def test_verdict_small_pipeline_passes():
 def test_verdict_reports_tv_failures_at_degree_four():
     # degree 4 is a known pre-asymptotic bump: TV there exceeds both the
     # threshold and the degree-1 distance, and the verdict must say so
-    report = verdict(P33, 4)
+    report = verdict(P33, trace_tables(P33, 4))
     assert not report.passed
     kinds = "\n".join(report.failures)
     assert "exceeds" in kinds
@@ -142,7 +143,7 @@ def test_verdict_reports_tv_failures_at_degree_four():
 
 def test_verdict_flags_non_integral_table():
     fake = make_table(P33, 1, [-3, 2, 0], 3, non_int_at=(1,))
-    report = verdict(P33, 1, tables={1: fake})
+    report = verdict(P33, {1: fake})
     assert not report.passed
     assert any("non-integer trace at t_index=1" in f for f in report.failures)
     row = report.rows[0]
@@ -153,10 +154,10 @@ def test_verdict_flags_non_integral_table():
 def test_verdict_flags_spectrum_offender():
     relaxed = VerdictConfig(tv_max=1.0)
     fake = make_table(P33, 1, [-9, 3, 0], 3)  # values -3, 1, 0: all coset values
-    report = verdict(P33, 1, config=relaxed, tables={1: fake})
+    report = verdict(P33, {1: fake}, config=relaxed)
     assert report.passed
     fake = make_table(P33, 1, [6, 3, 0], 3)   # value 2 is not a coset value
-    report = verdict(P33, 1, config=relaxed, tables={1: fake})
+    report = verdict(P33, {1: fake}, config=relaxed)
     assert not report.passed
     assert any("outside" in f for f in report.failures)
     assert report.rows[0].offenders == ((0, 2),)
@@ -165,27 +166,46 @@ def test_verdict_flags_spectrum_offender():
 def test_verdict_enforces_m3_threshold_by_field_order():
     fake = make_table(P33, 1, [9, 9, 9], 3)  # all values 3: M3 = 27
     relaxed = VerdictConfig(tv_max=1.0, m3_min_order=10**9)
-    report = verdict(P33, 1, config=relaxed, tables={1: fake})
+    report = verdict(P33, {1: fake}, config=relaxed)
     assert not any("M3" in f for f in report.failures)
     strict = VerdictConfig(tv_max=1.0, m3_min_order=3)
-    report = verdict(P33, 1, config=strict, tables={1: fake})
+    report = verdict(P33, {1: fake}, config=strict)
     assert any("M3" in f and "exceeds" in f for f in report.failures)
     assert not report.passed
 
 
 def test_verdict_max_degree_one_skips_decay_check():
     relaxed = VerdictConfig(tv_max=1.0)
-    report = verdict(P33, 1, config=relaxed)
+    report = verdict(P33, trace_tables(P33, 1), config=relaxed)
     assert report.passed
     assert not any("shrink" in f for f in report.failures)
     # with the default threshold the same run fails on TV alone
-    assert not verdict(P33, 1).passed
+    assert not verdict(P33, trace_tables(P33, 1)).passed
 
 
 @pytest.mark.parametrize("max_degree", [0, -1])
 def test_verdict_rejects_max_degree_below_one(max_degree):
     with pytest.raises(ValueError, match="max_degree"):
-        verdict(P33, max_degree)
+        trace_tables(P33, max_degree)
+    with pytest.raises(ValueError, match="degrees 1..n, n >= 1"):
+        verdict(P33, {})
+
+
+@pytest.mark.parametrize("report", [moment_report, verdict])
+@pytest.mark.parametrize("tables,reason", [
+    ({}, "degrees 1..n"),
+    ({2: trace_table(P33, 2)}, "degrees 1..n"),
+    ({1: trace_table(P33, 1), 3: trace_table(P33, 3)}, "degrees 1..n"),
+    ({1: trace_table(P33, 2)}, "degree-2 table"),
+    ({1: trace_table(P33, 1), 2: trace_table(P33, 1)}, "degree-1 table"),
+    ({1: trace_table(P55, 1)}, "p=5"),
+    ({1: trace_table(SystemParams(3, 1, multiplier=2), 1)}, "multiplier=2"),
+], ids=["empty", "no-degree-1", "gap", "wrong-degree", "repeated", "wrong-p",
+        "wrong-multiplier"])
+def test_reports_refuse_tables_that_are_not_a_tower(report, tables, reason):
+    """The tables must be exactly those of degrees 1..n of the params."""
+    with pytest.raises(ValueError, match=reason):
+        report(P33, tables)
 
 
 @pytest.mark.parametrize("bounds", [{"tv_max": math.nan}, {"m3_tol": math.nan},
@@ -194,18 +214,18 @@ def test_verdict_rejects_max_degree_below_one(max_degree):
 def test_verdict_rejects_nan_or_negative_tolerances(bounds):
     """A NaN bound compares false both ways, so it would pass every check."""
     with pytest.raises(ValueError, match="tv_max and m3_tol must be >= 0"):
-        verdict(P33, 2, config=VerdictConfig(**bounds))
+        verdict(P33, trace_tables(P33, 2), config=VerdictConfig(**bounds))
 
 
 def test_verdict_tv_threshold_applies_at_top_degree():
     tight = VerdictConfig(tv_max=0.01)
-    report = verdict(P33, 1, config=tight)
+    report = verdict(P33, trace_tables(P33, 1), config=tight)
     assert not report.passed
     assert any("TV distance" in f and "exceeds" in f for f in report.failures)
 
 
 def test_verdict_json_round_trip():
-    report = verdict(P33, 2)
+    report = verdict(P33, trace_tables(P33, 2))
     blob = json.dumps(report.as_dict())
     back = json.loads(blob)
     assert back["params"]["p"] == 3
