@@ -107,8 +107,9 @@ def count_points(params: SystemParams, degree: int, *,
                       counts=tuple(hist.tolist()))
 
 
-def curve_weighted_sum(params: SystemParams, count: CurveCount) -> CycInt:
-    """W = sum over t in L^x of psi(t) chi_2(-t) N_L(t), exact."""
+def curve_weighted_sum(count: CurveCount) -> CycInt:
+    """W = sum over t in L^x of psi(t) chi_2(-t) N_L(t), exact, over `count`'s L."""
+    params = count.params
     L = params.extension(count.degree)
     e_tab = psi_exponent_table(params.context(), L)
     # chi_2(-t) for t = gen^j is (-1)^(j + (#L - 1)/2); sum |W| <= #L^2 fits int64
@@ -154,7 +155,7 @@ def modified_third_moment(count: CurveCount) -> Fraction:
     """
     params = count.params
     L = params.extension(count.degree)
-    W = curve_weighted_sum(params, count)
+    W = curve_weighted_sum(count)
     g = gauss_sum(params.context(), L)
     num = W * g.conj() ** 3
     r = num.as_rational()

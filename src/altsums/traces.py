@@ -8,17 +8,17 @@ base field k, the raw sum
 is a cyclotomic integer, and the normalized trace T(t) = -S(t) / A(L, n, psi)
 is a rational number with denominator dividing #L (computed exactly as
 -S * conj(A) / #L, since A * conj(A) = #L).  That every T(t) is a rational
-*integer* is a verification target, stored per entry, never assumed.
+*integer* is a verification target, read off the numerators, never assumed.
 
 The production kernel computes every S(t) at once as an exact additive
 Fourier transform over Z[zeta_p] (see _additive_fft_counts) and finishes
-all rows with one circulant product against conj(A).  A single-t O(#L) path
-serves raw_sum and the descent form; a deliberately naive term-by-term
-accumulation is kept as an independent cross-check.  trace_table builds one
-table and trace_tables the tower of degrees 1..n; the moment statistics take
-built tables and never compute or load one.  Long tables are
-rendered a block of rows at a time (Rows).  A checksummed disk cache is read
-back as blocks that must equal their re-rendering; a file that fails raises
+all rows with one circulant product against conj(A) into the read-only
+int64 numerators of a TraceTable.  A single-t O(#L) path serves raw_sum
+and the descent form; a naive term-by-term accumulation is an independent
+cross-check.  trace_table builds one table and trace_tables the tower of
+degrees 1..n; the statistics take built tables.  Long tables are rendered
+a block of rows at a time (Rows).  A checksummed disk cache is read back
+into a table whose rows() must equal the file; a file that fails raises
 CacheCorruptionError naming it and its first bad row, never recomputed over.
 """
 
@@ -156,28 +156,42 @@ class Rows(NamedTuple):
         for s in range(start, len(self.columns[0]), ROW_BLOCK):
             part = [c[s:s + ROW_BLOCK] for c in self.columns]
             flat = [0] * (len(part[0]) * m)
-            for j, c in enumerate(part):
-                flat[j::m] = c
+            for j, c in enumerate(part):  # Python ints %-format faster
+                flat[j::m] = c.tolist() if isinstance(c, np.ndarray) else c
             yield (row * len(part[0])) % tuple(flat)
 
 
 class TraceTable(NamedTuple):
-    """All N normalized traces over one extension, as numerator/#L pairs.
+    """All N normalized traces over one extension: numerators[j] / #L.
 
     Entry order is element-code order: index 0 is t = 0, index j >= 1 is
-    t = g^(j-1) for the field generator g.
+    t = g^(j-1) for the field generator g.  `numerators` is one read-only
+    int64 array; tables compare and hash by value.
     """
 
     params: SystemParams
     degree: int
     field_text: str
     denominator: int
-    numerators: tuple[int, ...]
-    is_integer: tuple[bool, ...]
+    numerators: np.ndarray
+
+    def __eq__(self, other):
+        return (isinstance(other, TraceTable) and self[:4] == other[:4]
+                and np.array_equal(self.numerators, other.numerators))
+
+    def __ne__(self, other):
+        return not self == other
+
+    def __hash__(self):
+        return hash((self[:4], self.numerators.tobytes()))
+
+    @property
+    def is_integer(self) -> np.ndarray:
+        return self.numerators % self.denominator == 0
 
     @property
     def integral(self) -> bool:
-        return all(self.is_integer)
+        return bool(self.is_integer.all())
 
     def rows(self) -> Rows:
         """The TRACE_HEADER rows, as in the cache and the CLI's output."""
@@ -187,10 +201,8 @@ class TraceTable(NamedTuple):
     def int_array(self) -> np.ndarray:
         """The values as int64, in entry order; raises on a non-integral table."""
         if not self.integral:
-            bad = self.is_integer.index(False)
-            raise ValueError(f"non-integer trace at t_index={bad}")
-        nums = np.fromiter(self.numerators, np.int64, len(self.numerators))
-        return nums // self.denominator
+            raise ValueError(f"non-integer trace at t_index={np.argmin(self.is_integer)}")
+        return self.numerators // self.denominator
 
     def int_values(self) -> list[int]:
         return self.int_array().tolist()
@@ -209,8 +221,8 @@ class TraceTable(NamedTuple):
         """M_k = sum of T(t)^k over the entries, divided by #L (`counts`: the
         value_counts(), if already taken)."""
         N = self.denominator
-        if not self.integral:  # exact per entry, over the numerators
-            return Fraction(sum(c**power for c in self.numerators), N ** (power + 1))
+        if not (counts or self.integral):  # exact per entry, over Python ints
+            return Fraction(sum(c**power for c in self.numerators.tolist()), N**(power + 1))
         lo, counts = counts or self.value_counts()
         return Fraction(sum(c * (lo + k)**power
                             for k, c in enumerate(counts.tolist()) if c), N)
@@ -255,8 +267,8 @@ def _additive_fft_counts(params: SystemParams, L: FieldDescriptor) -> np.ndarray
 
 
 def _finish(counts: np.ndarray, conjA: CycInt, N: int,
-            field_text: str) -> tuple[list[int], list[bool]]:
-    """Numerators of -S * conj(A) per row and their integrality flags.
+            field_text: str) -> np.ndarray:
+    """Numerators of -S * conj(A) per row, as one int64 array.
 
     Rows are counts of S on zeta powers, entries at most #L - 1 in l1 norm;
     the product with conj(A) is one circulant matrix product, which stays
@@ -275,8 +287,7 @@ def _finish(counts: np.ndarray, conjA: CycInt, N: int,
     if bad.size:
         raise NonRationalTraceError(
             f"non-rational normalized trace at t_index={bad[0]} over {field_text}")
-    num = reduced[:, 0]
-    return num.tolist(), (num % N == 0).tolist()
+    return reduced[:, 0].copy()  # not a view that keeps `reduced` alive
 
 
 def check_trace_budget(params: SystemParams, degree: int) -> None:
@@ -300,15 +311,17 @@ def trace_table(params: SystemParams, degree: int, *,
         return _load_table(path, params, degree, L)
 
     conjA = normalization_constant(params.context(), L, params.n).conj()
-    numerators, flags = _finish(_additive_fft_counts(params, L), conjA,
-                                L.order, L.canonical_text())
-    table = TraceTable(
-        params=params, degree=degree, field_text=L.canonical_text(),
-        denominator=L.order, numerators=tuple(numerators),
-        is_integer=tuple(flags))
+    table = _table(params, degree, L, _finish(_additive_fft_counts(params, L),
+                                              conjA, L.order, L.canonical_text()))
     if path is not None:
         _save_table(path, table)
     return table
+
+
+def _table(params: SystemParams, degree: int, L: FieldDescriptor,
+           numerators: np.ndarray) -> TraceTable:
+    numerators.flags.writeable = False
+    return TraceTable(params, degree, L.canonical_text(), L.order, numerators)
 
 
 def trace_tables(params: SystemParams, max_degree: int, *,
@@ -373,8 +386,8 @@ def _row_fault(body: str, N: int) -> str:
 
 def _load_table(path: Path, params: SystemParams, degree: int,
                 L: FieldDescriptor) -> TraceTable:
-    """Parse a cache file a block of rows at a time; each block must equal its
-    re-rendering from the parsed numerators, and satisfy |T| < sqrt(#L)."""
+    """Parse a cache file a block of rows at a time, each row with
+    |T| < sqrt(#L); the rows must then equal the loaded table's rows()."""
     data = path.read_bytes()
     end = data.rfind(b"\n")
     cut = data.rfind(b"\n", 0, max(end, 0)) + 1
@@ -392,25 +405,23 @@ def _load_table(path: Path, params: SystemParams, degree: int,
     N, rows = L.order, body.count("\n")
     if rows != N:
         raise CacheCorruptionError(f"{path}: expected {N} rows, found {rows}")
-    numerators, flags, pos = [], [], 0
+    numerators, pos = np.empty(N, dtype=np.int64), 0
     for s in range(0, N, ROW_BLOCK):
         k = min(ROW_BLOCK, N - s)
         stop = body.find(f"\n{s + k},", pos) + 1 if s + k < N else len(body)
-        block, pos = body[pos:stop], stop
         try:
-            nums = list(map(int, block.split(",")[1::3]))
-            bits = (np.array(nums, dtype=np.int64) % N == 0).tolist()
-            again = Rows(["%d", "%d", N, "%d"], (range(s, s + k), nums, bits))
-            if len(nums) != k or max(map(abs, nums))**2 >= N**3 or \
-                    block != next(again.blocks()):
+            nums = list(map(int, body[pos:stop].split(",")[1::3]))
+            if len(nums) != k or max(map(abs, nums))**2 >= N**3:
                 raise ValueError
-        except (ValueError, OverflowError):
+        except ValueError:
             raise CacheCorruptionError(f"{path}: {_row_fault(body, N)}") from None
-        numerators += nums
-        flags += bits
-    return TraceTable(params=params, degree=degree, field_text=L.canonical_text(),
-                      denominator=N, numerators=tuple(numerators),
-                      is_integer=tuple(flags))
+        numerators[s:s + k], pos = nums, stop
+    table, pos = _table(params, degree, L, numerators), 0
+    for block in table.rows().blocks():
+        if not body.startswith(block, pos):
+            raise CacheCorruptionError(f"{path}: {_row_fault(body, N)}")
+        pos += len(block)
+    return table
 
 
 # -- descent form -------------------------------------------------------------
@@ -507,4 +518,4 @@ def _moment_row(params: SystemParams, table: TraceTable):
     m1, m2, m3 = (table.moment(k, counts) for k in (1, 2, 3))
     return MomentRow(degree=table.degree, field_order=L.order, m1=m1, m2=m2,
                      m3=m3, m3_target=target, m3_deviation=abs(float(m3 - target)),
-                     integral=table.integral), counts
+                     integral=counts is not None), counts

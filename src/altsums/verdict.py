@@ -180,7 +180,7 @@ def verdict(params: SystemParams, tables: dict[int, TraceTable], *,
         regime, twist = regime_for(params, D)
         oracle = spectrum(2 * params.q, regime, twist)
 
-        if table.integral:
+        if mrow.integral:
             member = spectrum_membership(table, oracle, counts)
             tv = distribution_distance(table, oracle, counts)
             membership_rate = member.rate
@@ -195,7 +195,7 @@ def verdict(params: SystemParams, tables: dict[int, TraceTable], *,
             membership_rate = None
             tv = None
             offenders = ()
-            bad = table.is_integer.index(False)
+            bad = int(np.argmin(table.is_integer))  # the first False
             failures.append(
                 f"degree {D}: non-integer trace at t_index={bad} "
                 f"({table.numerators[bad]}/{table.denominator})")

@@ -134,7 +134,7 @@ def test_budget_is_checked_before_the_field_is_built(monkeypatch):
                          [(P33, 2), (P33, 3), (P55, 2), (P39, 2)] + SWEEP)
 def test_weighted_sum_equals_direct_triple_sum(params, degree):
     count = count_points(params, degree)
-    W = curve_weighted_sum(params, count)
+    W = curve_weighted_sum(count)
     assert W == triple_sum_direct(params, degree)
 
 
@@ -193,6 +193,6 @@ def test_curve_count_fields():
 
 def test_weighted_sum_is_cyclotomic_integer():
     count = count_points(P33, 2)
-    W = curve_weighted_sum(P33, count)
+    W = curve_weighted_sum(count)
     assert isinstance(W, CycInt)
     assert W.conj().conj() == W

@@ -13,6 +13,7 @@ import hashlib
 import json
 import random
 
+import numpy as np
 import pytest
 
 from altsums import traces
@@ -34,8 +35,8 @@ KERNEL = [(SystemParams(p=p, f=1), D)
 
 def ref_trace_text(table):
     N = table.denominator
-    return "".join(f"{i},{c},{N},{flag:d}\n"
-                   for i, (c, flag) in enumerate(zip(table.numerators, table.is_integer)))
+    return "".join(f"{i},{c},{N},{c % N == 0:d}\n"
+                   for i, c in enumerate(table.numerators.tolist()))
 
 
 def ref_count_text(counts):
@@ -85,8 +86,12 @@ def test_count_rows_match_the_per_row_text(params, degree):
 def test_blocks_at_the_block_size_edges(n):
     rng = random.Random(n)
     nums = tuple(rng.randrange(-2**70, 2**70) for _ in range(n))
-    flags = tuple(rng.random() < 0.5 for _ in range(n))
-    table = TraceTable(P33, 1, "field", 9, nums, flags)
+    # numerators over the int64 range and its ends, about half of them
+    # multiples of 9 (flag 1)
+    nums64 = [rng.randrange(-2**63, 2**63) if rng.random() < 0.5 else
+              9 * rng.randrange(-(2**63 // 9), 2**63 // 9 + 1) for _ in range(n)]
+    nums64[:2] = [-2**63, 2**63 - 1][:n]
+    table = TraceTable(P33, 1, "field", 9, np.array(nums64, dtype=np.int64))
     blocks = list(table.rows().blocks())
     assert len(blocks) == -(-n // ROW_BLOCK)
     assert "".join(blocks) == ref_trace_text(table)

@@ -2,14 +2,15 @@
 
 `TraceTable.moment`, `spectrum_membership` and `distribution_distance` take
 one `np.bincount` of a table's integer values.  The references below walk
-the entries one by one in plain Python, as the library did before; they are
-compared on kernel tables and on seeded random tables: integral ones, ones
-with values outside the oracle support, and doctored non-integral ones.
+the entries one by one in plain Python ints, as the library did before; they
+are compared on kernel tables and on seeded random tables: integral ones,
+ones with values outside the oracle support, and doctored non-integral ones.
 """
 
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from altsums.traces import SystemParams, TraceTable, trace_table
@@ -26,12 +27,14 @@ P39 = SystemParams(p=3, f=2)
 
 def ref_moment(table, power):
     N = table.denominator
-    return Fraction(sum(c**power for c in table.numerators), N ** (power + 1))
+    return Fraction(sum(c**power for c in table.numerators.tolist()),
+                    N ** (power + 1))
 
 
 def ref_values(table):
-    assert all(table.is_integer)
-    return [c // table.denominator for c in table.numerators]
+    N = table.denominator
+    assert all(c % N == 0 for c in table.numerators.tolist())
+    return [c // N for c in table.numerators.tolist()]
 
 
 def ref_membership(table, oracle):
@@ -69,8 +72,7 @@ def random_table(rng, N, values, non_integral=0):
     for i in rng.sample(range(N), non_integral):
         nums[i] += rng.randrange(1, N)
     return TraceTable(params=P33, degree=1, field_text="random", denominator=N,
-                      numerators=tuple(nums),
-                      is_integer=tuple(c % N == 0 for c in nums))
+                      numerators=np.array(nums, dtype=np.int64))
 
 
 @pytest.mark.parametrize("params, degrees", [
@@ -116,13 +118,25 @@ def test_doctored_non_integral_tables_keep_exact_moments(seed):
     assert not table.integral
     for k in (1, 2, 3, 5):
         assert table.moment(k) == ref_moment(table, k)
-    bad = table.is_integer.index(False)
+    bad = next(i for i, c in enumerate(table.numerators.tolist()) if c % N)
     oracle = oracle_spectrum(P33, 2)
     for read in (table.int_values, table.value_counts,
                  lambda: spectrum_membership(table, oracle),
                  lambda: distribution_distance(table, oracle)):
         with pytest.raises(ValueError, match=f"non-integer trace at t_index={bad}$"):
             read()
+
+
+def test_non_integral_moments_do_not_wrap_around_int64():
+    # c^7 for |c| near 10^4 is near 10^28, past int64: a moment taken over
+    # the array's own int64 entries would wrap around silently
+    rng = random.Random(81)
+    nums = [rng.choice((-1, 1)) * rng.randrange(9_000, 10_001) for _ in range(81)]
+    nums[0] = 10_000  # not a multiple of 81
+    table = TraceTable(params=P33, degree=1, field_text="doctored",
+                       denominator=81, numerators=np.array(nums, dtype=np.int64))
+    assert not table.integral
+    assert table.moment(7) == Fraction(sum(c**7 for c in nums), 81**8)
 
 
 def test_value_counts_span_the_values():

@@ -25,7 +25,8 @@ from altsums.characters import normalization_constant
 from altsums.cyclotomic import CycInt
 from altsums.fields import BudgetExceededError
 from altsums.traces import (CacheCorruptionError, NonRationalTraceError,
-                            SystemParams, _additive_fft_counts, _cache_path,
+                            SystemParams, TraceTable, _additive_fft_counts,
+                            _cache_path,
                             _finish, _load_table, _save_table,
                             descent_consistency, descent_trace,
                             moment_report, normalized_trace, raw_sum,
@@ -50,7 +51,7 @@ def test_params_derived_quantities():
 def test_frozen_table_f3():
     table = trace_table(P33, 1)
     assert table.denominator == 3
-    assert table.numerators == (-3, 3, 0)
+    assert table.numerators.tolist() == [-3, 3, 0]
     assert table.integral
     assert table.int_values() == [-1, 1, 0]
 
@@ -58,7 +59,7 @@ def test_frozen_table_f3():
 def test_frozen_table_f5():
     table = trace_table(P55, 1)
     assert table.denominator == 5
-    assert table.numerators == (5, -5, 5, 0, -5)
+    assert table.numerators.tolist() == [5, -5, 5, 0, -5]
     assert table.int_values() == [1, -1, 1, 0, -1]
 
 
@@ -274,11 +275,13 @@ def test_cache_rejects_a_checksummed_trace_out_of_range(tmp_path):
     # valid checksum, would blow up the value counts the statistics read
     table = trace_table(P33, 2)
     path = _cache_path(tmp_path, P33, 2)
-    nums = (27 * 9,) + table.numerators[1:]
+    nums = table.numerators.copy()
+    nums[0] = 27 * 9
     _save_table(path, table._replace(numerators=nums))
     with pytest.raises(CacheCorruptionError, match="out of range at row 0"):
         trace_table(P33, 2, cache_dir=tmp_path)
-    _save_table(path, table._replace(numerators=(2 * 9,) + nums[1:]))
+    nums[0] = 2 * 9
+    _save_table(path, table._replace(numerators=nums))
     assert trace_table(P33, 2, cache_dir=tmp_path).numerators[0] == 18
 
 
@@ -322,7 +325,7 @@ def test_concurrent_writers_leave_one_whole_file(tmp_path):
     assert [f.name for f in tmp_path.iterdir()] == [path.name]
     assert path.read_bytes() == want
     loaded = _load_table(path, P33, 3, P33.extension(3))
-    assert loaded.numerators == table.numerators
+    assert loaded == table
 
 
 def test_non_rational_guard_fires_on_doctored_counts():
@@ -338,15 +341,18 @@ def test_non_rational_guard_fires_on_doctored_counts():
 def test_finish_flags_rational_non_integers():
     # -S for S = 1, 3 and 1 + zeta + zeta^2 = 0: numerators -1, -3, 0 over N = 3
     counts = np.array([[1, 0, 0], [3, 0, 0], [1, 1, 1]])
-    assert _finish(counts, CycInt.one(3), 3, "synthetic") == \
-        ([-1, -3, 0], [False, True, True])
+    nums = _finish(counts, CycInt.one(3), 3, "synthetic")
+    assert nums.dtype == np.int64 and nums.tolist() == [-1, -3, 0]
+    table = TraceTable(P33, 1, "synthetic", 3, nums)
+    assert table.is_integer.tolist() == [False, True, True]
+    assert not table.integral
 
 
 def test_int64_guard_before_finish_product():
     # p * (#L - 1) * max|conj(A)| must stay below 2**63; synthetic sizes
     counts = np.zeros((1, 3), dtype=np.int64)
     N = 2**61 + 1
-    assert _finish(counts, CycInt(3, (1, 0)), N, "synthetic") == ([0], [True])
+    assert _finish(counts, CycInt(3, (1, 0)), N, "synthetic").tolist() == [0]
     with pytest.raises(BudgetExceededError, match="int64"):
         _finish(counts, CycInt(3, (0, -2)), N, "synthetic")
 
@@ -363,3 +369,41 @@ def test_trace_kernel_peak_memory_stays_near_its_budgeted_arrays():
     finally:
         tracemalloc.stop()
     assert peak <= 4 * (3 * 211 * 211 * 8)
+
+
+# -- the table format -----------------------------------------------------------------
+
+
+def test_kernel_and_cache_tables_hold_a_read_only_int64_array(tmp_path):
+    built = trace_table(P33, 3, cache_dir=tmp_path)
+    loaded = trace_table(P33, 3, cache_dir=tmp_path)
+    assert loaded == built
+    for table in (built, loaded):
+        assert isinstance(table.numerators, np.ndarray)
+        assert table.numerators.dtype == np.int64
+        assert not table.numerators.flags.writeable
+        with pytest.raises(ValueError):
+            table.numerators[0] = 0
+
+
+def test_a_table_retains_about_eight_bytes_per_entry():
+    trace_table(P55, 6)  # builds the field and character tables first
+    tracemalloc.start()
+    try:
+        table = trace_table(P55, 6)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(table.numerators) == 15625
+    assert held <= 9 * 15625 + 4096
+
+
+def test_tables_differing_in_one_numerator_compare_unequal():
+    table = trace_table(P33, 2)
+    nums = table.numerators.copy()
+    nums[4] += 9
+    other = table._replace(numerators=nums)
+    assert not table == other and table != other
+    assert not other == table and other != table
+    same = table._replace(numerators=table.numerators.copy())
+    assert table == same and not table != same and hash(table) == hash(same)

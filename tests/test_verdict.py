@@ -8,6 +8,7 @@ import json
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from altsums.groups import spectrum
@@ -28,11 +29,10 @@ P55 = SystemParams(p=5, f=1)
 P39 = SystemParams(p=3, f=2)
 
 
-def make_table(params, degree, numerators, denominator, non_int_at=()):
-    flags = tuple(i not in non_int_at for i in range(len(numerators)))
+def make_table(params, degree, numerators, denominator):
     return TraceTable(params=params, degree=degree, field_text="fabricated",
-                      denominator=denominator, numerators=tuple(numerators),
-                      is_integer=flags)
+                      denominator=denominator,
+                      numerators=np.array(numerators, dtype=np.int64))
 
 
 # -- regime dispatch -------------------------------------------------------------
@@ -78,7 +78,7 @@ def test_membership_offenders():
 
 
 def test_membership_requires_integral_table():
-    table = make_table(P33, 2, [9, 5, 0], 9, non_int_at=(1,))
+    table = make_table(P33, 2, [9, 5, 0], 9)
     with pytest.raises(ValueError, match="non-integer"):
         spectrum_membership(table, oracle_spectrum(P33, 2))
 
@@ -142,7 +142,7 @@ def test_verdict_reports_tv_failures_at_degree_four():
 
 
 def test_verdict_flags_non_integral_table():
-    fake = make_table(P33, 1, [-3, 2, 0], 3, non_int_at=(1,))
+    fake = make_table(P33, 1, [-3, 2, 0], 3)
     report = verdict(P33, {1: fake})
     assert not report.passed
     assert any("non-integer trace at t_index=1" in f for f in report.failures)
