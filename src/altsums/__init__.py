@@ -1,10 +1,12 @@
 """Exact statistics of twisted exponential sums over finite fields.
 
-The library evaluates, in exact arithmetic, the trace functions of a family
-of rank 2q-2 local systems on the affine line in odd characteristic, and
-confronts their value statistics with the character theory of Alt(2q) and
-Sym(2q).  Everything downstream of the field tables is integer, cyclotomic
-integer, or rational; floats appear only in human-readable deviation columns.
+The library evaluates, in certified exact arithmetic, the trace functions of
+a family of rank 2q - 1 local systems on the affine line in odd
+characteristic, and confronts their value statistics with the character
+theory of Alt(2q) and Sym(2q).  Everything downstream of the field tables is
+integer, cyclotomic integer, or rational, except one complex FFT whose values
+are rounded to integers under an a-priori error bound and a check of each
+rounding; otherwise floats appear only in human-readable deviation columns.
 
 Results are immutable NamedTuple records (`_asdict`, `_replace`); the inputs
 that validate their fields (SystemParams, CharacterContext) are frozen

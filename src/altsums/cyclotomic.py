@@ -4,7 +4,7 @@ Elements are stored on the power basis 1, zeta, ..., zeta^(p-2) with the
 relation zeta^(p-1) = -(1 + zeta + ... + zeta^(p-2)).  The basis is a Z-basis,
 so equality is coefficient equality and "is rational" is "all non-constant
 coefficients vanish".  The complex embedding zeta -> exp(2*pi*i/p) is fixed
-once and used only for float sanity checks, never for exact decisions.
+once; it serves float checks and tells the trace kernel the sign of conj(A).
 """
 
 from __future__ import annotations

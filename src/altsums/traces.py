@@ -10,10 +10,12 @@ is a rational number with denominator dividing #L (computed exactly as
 -S * conj(A) / #L, since A * conj(A) = #L).  That every T(t) is a rational
 *integer* is a verification target, read off the numerators, never assumed.
 
-The production kernel computes every S(t) at once as an exact additive
-Fourier transform over Z[zeta_p] (see _additive_fft_counts) and finishes
-all rows with one circulant product against conj(A) into the read-only
-int64 numerators of a TraceTable.  A single-t O(#L) path serves raw_sum
+The production kernel computes every S(t) at once with one complex FFT of
+size #L and rounds -S * conj(A) to the read-only int64 numerators of a
+TraceTable: the numerators are integers by a Galois argument, the rounding
+error has an a-priori bound below 1/4, and each rounding is checked (see
+_trace_numerators).  Every computed table must then satisfy the sum rules
+M1 = 0 and M2 = (#L - 1)/#L exactly.  A single-t O(#L) path serves raw_sum
 and the descent form; a naive term-by-term accumulation is an independent
 cross-check.  trace_table builds one table and trace_tables the tower of
 degrees 1..n; the statistics take built tables.  Long tables are rendered
@@ -40,17 +42,15 @@ import numpy as np
 from .characters import (CharacterContext, chi2_code, chi2_minus_one,
                          normalization_constant, psi_exponent_table)
 from .cyclotomic import CycInt
-from .fields import (BudgetExceededError, FieldDescriptor, build_field,
-                     checked_order)
+from .fields import FieldDescriptor, build_field, checked_order
 
 ROW_BLOCK = 1024  # rows per %-format: a long table is never rendered whole
-# Largest working set of _additive_fft_counts, about three (#L, p) int64
-# arrays; 2 GiB admits 3^15, 5^10, 7^8 and 13^6.
-FFT_BYTE_BUDGET = 2**31
 
 
 class NonRationalTraceError(RuntimeError):
-    """A normalized trace failed to be rational; falsifies the design."""
+    """A computed trace is wrong: not rational, not within 1/4 of an integer
+    numerator in the kernel's float value, or a table that breaks the sum
+    rules M1 = 0 and M2 = (#L - 1)/#L.  Each falsifies the computation."""
 
 
 class CacheCorruptionError(RuntimeError):
@@ -200,9 +200,10 @@ class TraceTable(NamedTuple):
 
     def int_array(self) -> np.ndarray:
         """The values as int64, in entry order; raises on a non-integral table."""
-        if not self.integral:
-            raise ValueError(f"non-integer trace at t_index={np.argmin(self.is_integer)}")
-        return self.numerators // self.denominator
+        values, rest = np.divmod(self.numerators, self.denominator)
+        if rest.any():
+            raise ValueError(f"non-integer trace at t_index={np.flatnonzero(rest)[0]}")
+        return values
 
     def int_values(self) -> list[int]:
         return self.int_array().tolist()
@@ -228,94 +229,86 @@ class TraceTable(NamedTuple):
                             for k, c in enumerate(counts.tolist()) if c), N)
 
 
-def _additive_fft_counts(params: SystemParams, L: FieldDescriptor) -> np.ndarray:
-    """Counts of S(t) on zeta^0..zeta^(p-1) for every t; row = element code.
+def _trace_numerators(params: SystemParams, L: FieldDescriptor) -> np.ndarray:
+    """Numerators -S(t) conj(A) for every t by one complex FFT; row = code.
 
-    Lay h(x) = chi_2(x) * zeta^e(x^n) out as H[a, k]: a = poly_int(x), the
-    base-p packing of the coordinates a_i of x, and k the zeta exponent.  As
-    e(t*x) = sum_i a_i * w_i(t) mod p with w_i(t) = e(t * x^i), the row of S(t)
-    is F[w(t)] for the d-dimensional (d = [L : F_p]) transform
-    F[w] = sum_a roll(H[a], <a, w>), taken one coordinate per stage.  Each
-    x != 0 puts one +-1 into H and a stage only shifts and adds rows, so the
-    l1 norm of every row stays at most #L - 1 and |H| <= #L - 1 in every
-    stage: int64 is exact.
+    Put h[poly_int(x)] = chi_2(x) exp(2 pi i e(x^n) / p) on (Z/p)^d, d =
+    [L : F_p], poly_int(x) packing the coordinates a_i of x in base p.  As
+    e(t*x) = sum_i a_i w_i(t) with w_i(t) = e(t * x^i), S(t) = F[w(t)] for
+    the unscaled inverse DFT F of h; multiply by conj(A) embedded and round.
+    * Exact: for k in F_p^x, n = 1 mod (p - 1), so x -> x/k gives
+      sigma_k(S) = chi_2(k) S, and sigma_k(conj A) = chi_2(k) conj(A) (Gauss
+      sum): S conj(A) lies in Z[zeta_p] cap Q = Z.
+    * Error below 1/4 for every #L <= 2^24.  With u = 2^-53, |h| = 1 and
+      ||F||_2 < #L, the d stages leave each entry of F within d c_p u #L,
+      c_p = O(log p) per length-p stage, Bluestein's included (Higham,
+      Accuracy and Stability of Numerical Algorithms, ch. 24).  As A^2 =
+      chi_2(-1) #L, conj(A) is +-sqrt(#L) or +-i sqrt(#L), embedded within
+      u sqrt(#L), and |S conj(A)| < #L^(3/2).  So the error is below
+      (d c_p + 3) u #L^(3/2): under 0.01 at every p^d <= 2^24 even with
+      c_p = 30 log2(4p).  The largest residual seen is 9e-8 (4001^2).
+    * Checked anyway: a |v - rint(v)| or |Im v| of 1/4 or more raises
+      NonRationalTraceError naming the first such t_index.
+    Peak: h and the FFT's two stage arrays (complex128) and the rows
+    (int64), 56 bytes per element, 0.9 GiB at #L = 2^24.
     """
     p, d, N = L.p, L.d, L.order
     M = N - 1
     e_tab = psi_exponent_table(params.context(), L)
     logs = np.arange(M, dtype=np.int64)
-    H = np.zeros((N, p), dtype=np.int64)
-    # poly_int is injective, so plain assignment places every term
-    H[L.antilog_int, e_tab[1 + (params.n * logs) % M]] = np.where(logs % 2 == 0, 1, -1)
-
-    k = np.arange(p)
-    mul = np.outer(k, k) % p                  # [a_i, w] = a_i * w
-    sub = (k[None, :] - k[:, None]) % p       # [m, j] = j - m
-    for i in range(d):
-        lo = p**i
-        blocks = H.reshape(N // (lo * p), p, lo, p)  # axis 1 is coordinate i
-        acc = np.zeros((N // (lo * p), lo, p, p), dtype=np.int64)
-        for ai in range(p):
-            acc += blocks[:, ai][..., sub[mul[ai]]]  # zeta^(a_i*w) shifts exponent j
-        H = acc.transpose(0, 2, 1, 3).reshape(N, p)
-
+    zeta = np.exp(2j * np.pi / p * np.arange(p))
+    h = np.zeros(N, dtype=np.complex128)
+    h[L.antilog_int] = zeta[e_tab[1 + (params.n * logs) % M]]  # poly_int is injective
+    h[L.antilog_int[1::2]] *= -1  # chi_2(g^log) = (-1)^log
     x_logs = L.log_by_int[p ** np.arange(d)]  # dlog of x^i
     rows = np.zeros(N, dtype=np.int64)  # t = 0 has w = 0
     for i in range(d):  # digit i of the row of t = g^tau is w_i(g^tau)
         rows[1:] += e_tab[1 + (logs + x_logs[i]) % M] * p**i
-    return H[rows]
+    del logs  # not held through the FFT
+    h = np.fft.ifftn(h.reshape((p,) * d), norm="forward").reshape(N)[rows]
 
-
-def _finish(counts: np.ndarray, conjA: CycInt, N: int,
-            field_text: str) -> np.ndarray:
-    """Numerators of -S * conj(A) per row, as one int64 array.
-
-    Rows are counts of S on zeta powers, entries at most #L - 1 in l1 norm;
-    the product with conj(A) is one circulant matrix product, which stays
-    exact while p * (#L - 1) * max|conj(A)| < 2**63.
-    """
-    p = conjA.p
-    bound = p * (N - 1) * max(abs(c) for c in conjA.coeffs)
-    if bound >= 2**63:
-        raise BudgetExceededError(
-            f"p * (#L - 1) * max|conj(A)| = {bound} overflows int64 over {field_text}")
-    a = np.array(conjA.coeffs + (0,), dtype=np.int64)
-    k = np.arange(p)
-    prod = -(counts @ a[(k[None, :] - k[:, None]) % p])  # [t, k] = -sum_j S_j a_(k-j)
-    reduced = prod[:, :-1] - prod[:, -1:]  # power basis, as CycInt.from_power_counts
-    bad = np.flatnonzero(reduced[:, 1:].any(axis=1))
+    a = normalization_constant(params.context(), L, params.n).conj().complex_value()
+    a /= math.sqrt(N)  # conj(A) / sqrt(#L) is one of +-1, +-i
+    h *= -math.sqrt(N) * complex(round(a.real), round(a.imag))
+    num = np.rint(h.real)
+    bad = np.flatnonzero(np.maximum(abs(h.real - num), abs(h.imag)) >= 0.25)
     if bad.size:
-        raise NonRationalTraceError(
-            f"non-rational normalized trace at t_index={bad[0]} over {field_text}")
-    return reduced[:, 0].copy()  # not a view that keeps `reduced` alive
-
-
-def check_trace_budget(params: SystemParams, degree: int) -> None:
-    """Refuse the trace table at `degree` before anything is built
-    (BudgetExceededError) when L or the kernel's arrays are over budget."""
-    N = checked_order(params.p, params.base_degree * degree)
-    fft_bytes = 3 * N * params.p * 8
-    if fft_bytes > FFT_BYTE_BUDGET:
-        raise BudgetExceededError(
-            f"the trace kernel needs {fft_bytes} bytes for #L = {N}, "
-            f"over its budget {FFT_BYTE_BUDGET}")
+        raise NonRationalTraceError(f"trace numerator not within 1/4 of an integer "
+                                    f"at t_index={bad[0]} over {L.canonical_text()}")
+    return num.astype(np.int64)
 
 
 def trace_table(params: SystemParams, degree: int, *,
                 cache_dir=None) -> TraceTable:
-    """Compute (or load from a verified cache) the full trace table."""
-    check_trace_budget(params, degree)
+    """Compute (or load from a verified cache) the full trace table.  L over
+    the table budget is refused first; a computed table must pass the sum rules."""
+    checked_order(params.p, params.base_degree * degree)
     L = params.extension(degree)
     path = _cache_path(cache_dir, params, degree) if cache_dir else None
     if path is not None and path.exists():
         return _load_table(path, params, degree, L)
 
-    conjA = normalization_constant(params.context(), L, params.n).conj()
-    table = _table(params, degree, L, _finish(_additive_fft_counts(params, L),
-                                              conjA, L.order, L.canonical_text()))
+    table = _table(params, degree, L, _trace_numerators(params, L))
+    _check_sum_rules(table)
     if path is not None:
         _save_table(path, table)
     return table
+
+
+def _check_sum_rules(table: TraceTable) -> None:
+    """Raise NonRationalTraceError unless M1 = 0 and M2 = (#L - 1)/#L: sum_t
+    psi(t x) = #L [x = 0] and chi_2(0) = 0 give sum_t S(t) = 0, and Parseval
+    gives sum_t |S(t)|^2 = #L (#L - 1), where |S|^2 = T^2 #L."""
+    N = table.denominator
+    try:
+        v = table.int_array()  # |T| < sqrt(#L): sum T^2 < #L^2 fits int64
+        m1, m2 = Fraction(int(v.sum()), N), Fraction(int(v @ v), N)
+    except ValueError:  # not integral: exact over the numerators
+        m1, m2 = table.moment(1), table.moment(2)
+    if m1 != 0 or m2 != Fraction(N - 1, N):
+        raise NonRationalTraceError(
+            f"sum rules fail over {table.field_text}: M1 = {m1} and M2 = {m2}, "
+            f"not 0 and {N - 1}/{N}")
 
 
 def _table(params: SystemParams, degree: int, L: FieldDescriptor,
@@ -332,7 +325,7 @@ def trace_tables(params: SystemParams, max_degree: int, *,
         raise ValueError(f"max_degree must be >= 1, got {max_degree}")
     degrees = range(1, max_degree + 1)
     for D in degrees:
-        check_trace_budget(params, D)
+        checked_order(params.p, params.base_degree * D)
     return {D: trace_table(params, D, cache_dir=cache_dir) for D in degrees}
 
 
@@ -512,7 +505,10 @@ def _tower(params: SystemParams,
 def _moment_row(params: SystemParams, table: TraceTable):
     """M1-M3 of one table, and the value counts they come from (None when
     the table is not integral)."""
-    counts = table.value_counts() if table.integral else None
+    try:
+        counts = table.value_counts()
+    except ValueError:  # not integral
+        counts = None
     L = params.extension(table.degree)
     target = chi2_minus_one(L)
     m1, m2, m3 = (table.moment(k, counts) for k in (1, 2, 3))

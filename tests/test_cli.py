@@ -147,18 +147,36 @@ def test_over_budget_tower_exits_two_before_the_kernel_runs(
         monkeypatch, capsys, command):
     """11^7 is over the table budget; degrees 1-6 (15 s) are not computed."""
     calls = []
-    real = traces._additive_fft_counts
+    real = traces._trace_numerators
 
     def counted(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(traces, "_additive_fft_counts", counted)
+    monkeypatch.setattr(traces, "_trace_numerators", counted)
     monkeypatch.delenv(CACHE_ENV, raising=False)
     assert main([command, "--p", "11", "--max-degree", "7"]) == 2
     assert assert_one_usage_error(capsys) == \
         "usage error: p^d = 11^7 exceeds the table budget 16777216\n"
     assert calls == []
+
+
+def test_a_table_breaking_the_sum_rules_exits_one(monkeypatch, capsys):
+    real = traces._trace_numerators
+
+    def negated(params, L):  # M1 = 0 no longer holds
+        nums = real(params, L)
+        nums[1] = -nums[1]
+        return nums
+
+    monkeypatch.setattr(traces, "_trace_numerators", negated)
+    monkeypatch.delenv(CACHE_ENV, raising=False)
+    assert main(["traces", "--p", "3", "--degree", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("FALSIFIED: sum rules fail over p=3 d=2 "
+                            "modulus=[2,1,1]: M1 = 2/9 and M2 = 8/9, not 0 "
+                            "and 8/9\n")
 
 
 def fresh_python(args, env=None, timeout=120, **kwargs):
@@ -184,20 +202,23 @@ def test_curves_at_a_huge_degree_exits_two_at_once():
                            "point-count budget 4096\n")
 
 
-def test_traces_over_the_kernel_byte_budget_exits_two():
-    """#L = 1009^2 is inside the table budget, but the kernel's (#L, p)
-    arrays would take about 23 GiB; under a 2 GB address-space limit an
-    attempt ends in MemoryError, so the refusal must come first."""
+def test_moments_over_1009_squared_fit_in_two_gigabytes():
+    """The kernel's arrays are a few #L-vectors with no factor of p: #L =
+    1009^2 (once refused for the 23 GiB its (#L, p) arrays would take)
+    runs under a 2 GB address-space limit, where a MemoryError would end
+    the process with a traceback."""
     def limit_address_space():
         resource.setrlimit(resource.RLIMIT_AS, (2 * 10**9, 2 * 10**9))
 
-    proc = fresh_python(["-m", "altsums.cli", "traces", "--p", "1009",
-                         "--degree", "2"], env=without_blas_threads(),
+    proc = fresh_python(["-m", "altsums.cli", "moments", "--p", "1009",
+                         "--max-degree", "2"], env=without_blas_threads(),
                         preexec_fn=limit_address_space)
-    assert proc.returncode == 2
-    assert proc.stdout == ""
-    assert proc.stderr.startswith("usage error: the trace kernel needs ")
-    assert proc.stderr.count("\n") == 1
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    rows = proc.stdout.splitlines()[-2:]
+    assert [r.split(",")[:6] for r in rows] == [
+        ["1", "1009", "0", "1", "1008", "1009"],
+        ["2", "1018081", "0", "1", "1018080", "1018081"]]
 
 
 def test_unwritable_cache_dir_exits_two(tmp_path, capsys):

@@ -21,16 +21,16 @@ import numpy as np
 import pytest
 
 from altsums import traces
-from altsums.characters import normalization_constant
+from altsums.characters import normalization_constant, psi_exponent_table
 from altsums.cyclotomic import CycInt
 from altsums.fields import BudgetExceededError
 from altsums.traces import (CacheCorruptionError, NonRationalTraceError,
-                            SystemParams, TraceTable, _additive_fft_counts,
-                            _cache_path,
-                            _finish, _load_table, _save_table,
+                            SystemParams, TraceTable, _cache_path,
+                            _load_table, _save_table, _trace_numerators,
                             descent_consistency, descent_trace,
                             moment_report, normalized_trace, raw_sum,
                             raw_sum_naive, trace_table, trace_tables)
+from oracles import _additive_fft_counts, _finish, exact_numerators
 
 P33 = SystemParams(p=3, f=1)
 P55 = SystemParams(p=5, f=1)
@@ -133,6 +133,85 @@ def test_fft_table_equals_oracle_at_729(f, b, D):
     _check_against_oracle(params, D, random.Random(f).sample(range(729), 16))
 
 
+def _kernel_configs():
+    """(p, f, base_degree, multiplier, D): every p^D <= 3^8 for p up to 17,
+    then base_degree 2 and multipliers 2 and 3."""
+    out = [(p, 1, 1, 1, D) for p in (3, 5, 7, 11, 13, 17)
+           for D in range(1, 9) if p**D <= 3**8]
+    out += [(p, f, 2, 1, D) for p in (3, 5, 7) for f in (1, 2)
+            for D in range(1, 5) if p**(2 * D) <= 3**8]
+    out += [(p, 1, 1, c, D) for c in (2, 3) for p in (5, 7, 11)
+            for D in (1, 2, 3) if p**D <= 3**8]
+    return out
+
+
+@pytest.mark.parametrize("p,f,b,c,D", _kernel_configs())
+def test_fft_kernel_equals_the_exact_oracle(p, f, b, c, D):
+    params = SystemParams(p=p, f=f, base_degree=b, multiplier=c)
+    L = params.extension(D)
+    got = _trace_numerators(params, L)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, exact_numerators(params, L))
+
+
+@pytest.mark.parametrize("error", [0.4, 0.3j])
+def test_a_doctored_fft_output_names_its_t_index(monkeypatch, error):
+    # move the numerator -S conj(A) of one t by 0.4 or 0.3i; the row of t
+    # in the FFT output is sum_i e(t x^i) p^i
+    params = SystemParams(p=5, f=1)
+    L = params.extension(2)
+    t_code = 7
+    e_tab = psi_exponent_table(params.context(), L)
+    row = sum(int(e_tab[L.mul_code(t_code, L.code_from_poly_int(5**i))]) * 5**i
+              for i in range(2))
+    conjA = normalization_constant(params.context(), L, params.n).conj()
+    fft = np.fft.ifftn
+
+    def doctored(*args, **kwargs):
+        out = fft(*args, **kwargs)
+        out.flat[row] -= error / conjA.complex_value()
+        return out
+
+    monkeypatch.setattr(np.fft, "ifftn", doctored)
+    with pytest.raises(NonRationalTraceError, match=f"t_index={t_code} "):
+        _trace_numerators(params, L)
+
+
+def _negate_one(nums, N):
+    i = np.flatnonzero(nums)[1]
+    nums[i] = -nums[i]
+
+
+def _plus_and_minus(unit):
+    def doctor(nums, N):  # on two equal entries, so that M1 holds
+        i, j = np.flatnonzero(nums == nums[1])[:2]
+        nums[i] += unit(N)
+        nums[j] -= unit(N)
+    return doctor
+
+
+def _copy_another(nums, N):
+    j = np.flatnonzero(nums != nums[1])[0]
+    nums[1] = nums[j]
+
+
+@pytest.mark.parametrize("doctor", [
+    _negate_one, _plus_and_minus(lambda N: N), _plus_and_minus(lambda N: 1),
+    _copy_another], ids=["negated", "plus-minus-T", "plus-minus-numerator",
+                         "copied"])
+def test_sum_rules_catch_a_doctored_table(monkeypatch, doctor):
+    real = traces._trace_numerators
+
+    def doctored(params, L):
+        nums = real(params, L)
+        doctor(nums, L.order)
+        return nums
+
+    monkeypatch.setattr(traces, "_trace_numerators", doctored)
+    with pytest.raises(NonRationalTraceError, match="sum rules fail over "):
+        trace_table(P33, 4)
+
+
 def test_sum_of_raw_sums_vanishes():
     # sum over t of S(t) = sum_x psi(x^n) chi_2(x) * sum_t psi(tx) = 0
     L = P33.extension(2)
@@ -178,13 +257,13 @@ def test_trace_tables_are_the_tables_of_degrees_one_to_n():
 def test_trace_tables_checks_every_budget_before_the_kernel_runs(monkeypatch):
     """11^7 is over the table budget; degrees 1-6 are not computed."""
     calls = []
-    real = traces._additive_fft_counts
+    real = traces._trace_numerators
 
     def counted(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(traces, "_additive_fft_counts", counted)
+    monkeypatch.setattr(traces, "_trace_numerators", counted)
     with pytest.raises(BudgetExceededError, match="11\\^7"):
         trace_tables(SystemParams(11, 1), 7)
     assert calls == []
@@ -243,7 +322,7 @@ def test_cache_roundtrip_and_byte_stability(tmp_path, monkeypatch):
     def no_kernel(*args):
         raise AssertionError("a cached table must not be recomputed")
 
-    monkeypatch.setattr(traces, "_additive_fft_counts", no_kernel)
+    monkeypatch.setattr(traces, "_trace_numerators", no_kernel)
     t2 = trace_table(P33, 2, cache_dir=d1)  # loads from cache
     monkeypatch.undo()
     assert t2 == t1
@@ -328,6 +407,8 @@ def test_concurrent_writers_leave_one_whole_file(tmp_path):
     assert loaded == table
 
 
+# -- the exact oracle's own guards
+
 def test_non_rational_guard_fires_on_doctored_counts():
     counts = np.array([[0, 1, 0, 0, 0]])  # stands for S = zeta_5, which no real table produces
     with pytest.raises(NonRationalTraceError):
@@ -358,17 +439,18 @@ def test_int64_guard_before_finish_product():
 
 
 def test_trace_kernel_peak_memory_stays_near_its_budgeted_arrays():
-    # the budget guard counts 3 (#L, p) int64 arrays; a (p, p, p) index table
-    # (p^3 * 8 bytes, 75 MB at p = 211) would dwarf them at degree 1
+    # the kernel holds h and the FFT's two stage arrays (complex128) with
+    # the logs (int64), 56 bytes per element; one (#L, p) int64 array (75 MB
+    # here) or a (p, p, p) index table would dwarf them
     params = SystemParams(p=211, f=1)
-    trace_table(params, 1)  # builds the field and character tables first
+    trace_table(params, 2)  # builds the field and character tables first
     tracemalloc.start()
     try:
-        trace_table(params, 1)
+        trace_table(params, 2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 4 * (3 * 211 * 211 * 8)
+    assert peak <= 80 * 211**2
 
 
 # -- the table format -----------------------------------------------------------------
