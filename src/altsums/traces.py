@@ -19,17 +19,18 @@ M1 = 0 and M2 = (#L - 1)/#L exactly.  A single-t O(#L) path serves raw_sum
 and the descent form; a naive term-by-term accumulation is an independent
 cross-check.  trace_table builds one table and trace_tables the tower of
 degrees 1..n; the statistics take built tables.  Long tables are rendered
-a block of rows at a time (Rows).  A checksummed disk cache is read back
-into a table whose rows() must equal the file; a file that fails raises
+a block of rows at a time (Rows).  A disk cache of altsums-trace-v2 files,
+each sealed with a CRC-32 trailer (hashlib would load OpenSSL), is read back
+into a table whose rows() must equal the file and which must pass the sum
+rules; a file that fails (an older format included) raises
 CacheCorruptionError naming it and its first bad row, never recomputed over.
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
 import os
-import secrets
+import zlib
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -54,7 +55,7 @@ class NonRationalTraceError(RuntimeError):
 
 
 class CacheCorruptionError(RuntimeError):
-    """A trace-table cache file failed its checksum or shape checks."""
+    """A trace-table cache file failed its format, checksum, row or sum-rule checks."""
 
 
 @dataclass(frozen=True)
@@ -338,21 +339,21 @@ def _cache_path(cache_dir, params: SystemParams, degree: int) -> Path:
 
 
 TRACE_HEADER = "t_index,numerator,denominator,is_integer"
+TRACE_FORMAT = "altsums-trace-v2"
 
 
 def _table_payload(table: TraceTable) -> bytes:
-    head = (f"# altsums-trace-v1 {table.params.label()} D={table.degree}\n"
+    head = (f"# {TRACE_FORMAT} {table.params.label()} D={table.degree}\n"
             f"# field: {table.field_text}\n{TRACE_HEADER}\n")
     return "".join(chain((head,), table.rows().blocks())).encode()
 
 
 def _save_table(path: Path, table: TraceTable) -> None:
     payload = _table_payload(table)
-    digest = hashlib.sha256(payload).hexdigest()
-    data = payload + f"# sha256={digest}\n".encode()
+    data = payload + f"# crc32={zlib.crc32(payload):08x}\n".encode()
     path.parent.mkdir(parents=True, exist_ok=True)
     # a fresh name per writer; open(..., "x") keeps the umask mode (mkstemp: 0600)
-    tmp = path.with_name(f"{path.name}.{secrets.token_hex(8)}.tmp")
+    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
     try:
         with open(tmp, "xb") as fh:
             fh.write(data)
@@ -380,17 +381,21 @@ def _row_fault(body: str, N: int) -> str:
 def _load_table(path: Path, params: SystemParams, degree: int,
                 L: FieldDescriptor) -> TraceTable:
     """Parse a cache file a block of rows at a time, each row with
-    |T| < sqrt(#L); the rows must then equal the loaded table's rows()."""
+    |T| < sqrt(#L); the rows must then equal the loaded table's rows(), and
+    the table must pass the sum rules.  A file of another format is refused
+    before its trailer is read."""
     data = path.read_bytes()
+    if not data.startswith(f"# {TRACE_FORMAT} ".encode()):
+        raise CacheCorruptionError(f"{path}: not in the {TRACE_FORMAT} format")
     end = data.rfind(b"\n")
     cut = data.rfind(b"\n", 0, max(end, 0)) + 1
     payload = data[:cut]
-    if payload.count(b"\n") < 3 or not data.startswith(b"# sha256=", cut):
+    if payload.count(b"\n") < 3 or not data.startswith(b"# crc32=", cut):
         raise CacheCorruptionError(f"{path}: missing checksum trailer")
-    if data[cut:end] != f"# sha256={hashlib.sha256(payload).hexdigest()}".encode():
+    if data[cut:end] != f"# crc32={zlib.crc32(payload):08x}".encode():
         raise CacheCorruptionError(f"{path}: checksum mismatch")
     head, field, columns, body = payload.decode("ascii", "replace").split("\n", 3)
-    if (head != f"# altsums-trace-v1 {params.label()} D={degree}"
+    if (head != f"# {TRACE_FORMAT} {params.label()} D={degree}"
             or field != f"# field: {L.canonical_text()}"):
         raise CacheCorruptionError(f"{path}: header does not match the request")
     if columns != TRACE_HEADER:
@@ -414,6 +419,10 @@ def _load_table(path: Path, params: SystemParams, degree: int,
         if not body.startswith(block, pos):
             raise CacheCorruptionError(f"{path}: {_row_fault(body, N)}")
         pos += len(block)
+    try:
+        _check_sum_rules(table)
+    except NonRationalTraceError as exc:
+        raise CacheCorruptionError(f"{path}: {exc}") from None
     return table
 
 

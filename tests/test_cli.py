@@ -728,6 +728,31 @@ def test_import_keeps_the_users_blas_thread_count():
     assert proc.stdout.split("\n")[1] == "True 2"
 
 
+OPENSSL_PROBE = """
+import sys
+import numpy
+before = set(sys.modules)
+from altsums.cli import main
+cache, doc = sys.argv[1:]
+print(*[main(["all", "--p", "3", "--max-degree", "4", "--cache-dir", cache,
+              "--output", doc]) for run in ("cold", "warm")])
+print(*sorted({"_hashlib", "hashlib", "hmac", "secrets", "_ssl"}
+              & (set(sys.modules) - before)))
+"""
+
+
+def test_no_openssl_module_is_loaded_after_numpy(tmp_path):
+    """altsums, a cold and a warm `all` included, loads no module of
+    OpenSSL's.  The comparison starts after `import numpy`: numpy 1.24
+    imports numpy.random, and with it secrets, by itself."""
+    cache = tmp_path / "cache"
+    proc = fresh_python(["-c", OPENSSL_PROBE, str(cache), str(tmp_path / "doc")])
+    assert proc.returncode == 0, proc.stderr
+    # exit 1 both times: the TV bound fails at degree 4 (tv=0.10340)
+    assert proc.stdout == "1 1\n\n"
+    assert len(list(cache.glob("*.csv"))) == 4
+
+
 DATACLASS_PROBE = """
 import dataclasses, inspect, sys
 import altsums.cli

@@ -9,6 +9,7 @@ Frozen oracles, derived by hand:
   sum_t T(t) = 0 and sum_t T(t)^2 = #L - 1.
 """
 
+import hashlib
 import math
 import random
 import shutil
@@ -22,6 +23,7 @@ import pytest
 
 from altsums import traces
 from altsums.characters import normalization_constant, psi_exponent_table
+from altsums.cli import main
 from altsums.cyclotomic import CycInt
 from altsums.fields import BudgetExceededError
 from altsums.traces import (CacheCorruptionError, NonRationalTraceError,
@@ -359,9 +361,49 @@ def test_cache_rejects_a_checksummed_trace_out_of_range(tmp_path):
     _save_table(path, table._replace(numerators=nums))
     with pytest.raises(CacheCorruptionError, match="out of range at row 0"):
         trace_table(P33, 2, cache_dir=tmp_path)
-    nums[0] = 2 * 9
+    nums[0] = 2 * 9  # in range, but M1 = 1/9: the sum rules refuse it
     _save_table(path, table._replace(numerators=nums))
-    assert trace_table(P33, 2, cache_dir=tmp_path).numerators[0] == 18
+    with pytest.raises(CacheCorruptionError, match="sum rules fail .* M1 = 1/9"):
+        trace_table(P33, 2, cache_dir=tmp_path)
+
+
+def test_cache_rejects_swapped_rows_by_the_checksum_alone(tmp_path):
+    # swapping two numerators keeps the format, every row's range and flag,
+    # and M1/M2: only the CRC-32 trailer tells the file from the table
+    table = trace_table(P33, 2, cache_dir=tmp_path)
+    path = _cache_path(tmp_path, P33, 2)
+    nums = table.numerators.copy()
+    j = int(np.flatnonzero(nums != nums[0])[0])
+    nums[[0, j]] = nums[[j, 0]]
+    trailer = path.read_bytes().rsplit(b"# crc32=", 1)[1]
+    swapped = table._replace(numerators=nums)
+    path.write_bytes(traces._table_payload(swapped) + b"# crc32=" + trailer)
+    with pytest.raises(CacheCorruptionError, match="checksum mismatch$"):
+        trace_table(P33, 2, cache_dir=tmp_path)
+    _save_table(path, swapped)  # re-sealed, it passes every check
+    assert np.array_equal(trace_table(P33, 2, cache_dir=tmp_path).numerators, nums)
+
+
+def test_cache_refuses_a_v1_file_by_its_format(tmp_path, capsys):
+    # the sha256-sealed v1 format: refused before its trailer is read
+    argv = ["traces", "--p", "3", "--degree", "2", "--cache-dir", str(tmp_path)]
+    assert main(argv) == 0
+    want = capsys.readouterr().out
+    path = _cache_path(tmp_path, P33, 2)
+    payload = path.read_bytes().rsplit(b"# crc32=", 1)[0].replace(
+        b"# altsums-trace-v2 ", b"# altsums-trace-v1 ", 1)
+    v1 = payload + f"# sha256={hashlib.sha256(payload).hexdigest()}\n".encode()
+    path.write_bytes(v1)
+    with pytest.raises(CacheCorruptionError, match="not in the altsums-trace-v2 format$"):
+        trace_table(P33, 2, cache_dir=tmp_path)
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"usage error: corrupt trace cache file {path}: not in the "
+                   "altsums-trace-v2 format; delete it to recompute\n")
+    assert path.read_bytes() == v1
+    path.unlink()
+    assert main(argv) == 0 and capsys.readouterr().out == want
 
 
 def test_cache_header_mismatch_detected(tmp_path):
