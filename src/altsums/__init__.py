@@ -8,7 +8,7 @@ integer, cyclotomic integer, or rational, except one complex FFT whose values
 are rounded to integers under an a-priori error bound and a check of each
 rounding; otherwise floats appear only in human-readable deviation columns.
 
-Results are immutable NamedTuple records (`_asdict`, `_replace`); the inputs
+Results are immutable named-tuple records (`_asdict`, `_replace`); the inputs
 that validate their fields (SystemParams, CharacterContext) are frozen
 dataclasses.
 """
@@ -35,8 +35,7 @@ from .characters import (CharacterContext, chi2, chi2_minus_one,
                          gauss_identities, gauss_sum, hasse_davenport_check,
                          normalization_constant)
 from .traces import (CacheCorruptionError, NonRationalTraceError, SystemParams,
-                     TraceTable, descent_consistency, moment_report,
-                     normalized_trace, raw_sum, trace_table, trace_tables)
+                     TraceTable, moment_report, trace_table, trace_tables)
 from .groups import (exact_moment, singleton_free_partitions, spectrum,
                      tensor_square_check)
 from .identities import (IdentityFalsifiedError, require_ok, unity_root_span,
@@ -67,7 +66,6 @@ __all__ = [
     "chi2_minus_one",
     "count_points",
     "curve_moment_report",
-    "descent_consistency",
     "distribution_distance",
     "embed",
     "exact_moment",
@@ -77,8 +75,6 @@ __all__ = [
     "modified_third_moment",
     "moment_report",
     "normalization_constant",
-    "normalized_trace",
-    "raw_sum",
     "require_ok",
     "singleton_free_partitions",
     "spectrum",

@@ -92,26 +92,6 @@ def psi_exponent_table(ctx: CharacterContext, L: FieldDescriptor) -> np.ndarray:
     return table
 
 
-def psi_exponent(ctx: CharacterContext, L: FieldDescriptor, x: FieldElement) -> int:
-    return int(psi_exponent_table(ctx, L)[x.code])
-
-
-def psi(ctx: CharacterContext, L: FieldDescriptor, x: FieldElement) -> CycInt:
-    return CycInt.root(ctx.base.p, psi_exponent(ctx, L, x))
-
-
-def sum_psi(ctx: CharacterContext, L: FieldDescriptor) -> CycInt:
-    """sum over all of L of psi(u); orthogonality says 0 for nontrivial psi."""
-    p = ctx.base.p
-    counts = np.bincount(psi_exponent_table(ctx, L), minlength=p)
-    return CycInt.from_power_counts(p, counts.tolist())
-
-
-def sum_chi2(L: FieldDescriptor) -> int:
-    """sum over L^x of chi_2; orthogonality says 0."""
-    return sum(chi2_code(L, c) for c in range(1, L.order))
-
-
 def gauss_sum(ctx: CharacterContext, L: FieldDescriptor) -> CycInt:
     """g_L = sum over L^x of psi(x) chi_2(x)."""
     p = ctx.base.p

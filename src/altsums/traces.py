@@ -15,15 +15,15 @@ size #L and rounds -S * conj(A) to the read-only int64 numerators of a
 TraceTable: the numerators are integers by a Galois argument, the rounding
 error has an a-priori bound below 1/4, and each rounding is checked (see
 _trace_numerators).  Every computed table must then satisfy the sum rules
-M1 = 0 and M2 = (#L - 1)/#L exactly.  A single-t O(#L) path serves raw_sum
-and the descent form; a naive term-by-term accumulation is an independent
-cross-check.  trace_table builds one table and trace_tables the tower of
-degrees 1..n; the statistics take built tables.  Long tables are rendered
-a block of rows at a time (Rows).  A disk cache of altsums-trace-v2 files,
-each sealed with a CRC-32 trailer (hashlib would load OpenSSL), is read back
-into a table whose rows() must equal the file and which must pass the sum
-rules; a file that fails (an older format included) raises
-CacheCorruptionError naming it and its first bad row, never recomputed over.
+M1 = 0 and M2 = (#L - 1)/#L exactly.  This kernel is the only production
+path to S(t); the exact oracles it is tested against live with the tests.
+trace_table builds one table and trace_tables the tower of degrees 1..n;
+the statistics take built tables.  Long tables are rendered a block of rows
+at a time (Rows).  A disk cache of altsums-trace-v2 files, each sealed with
+a CRC-32 trailer (hashlib would load OpenSSL), is read back into a table
+whose rows() must equal the file and which must pass the sum rules; a file
+that fails (an older format included) raises CacheCorruptionError naming it
+and its first bad row, never recomputed over.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from __future__ import annotations
 import math
 import os
 import zlib
+from collections import namedtuple
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -40,9 +41,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .characters import (CharacterContext, chi2_code, chi2_minus_one,
+from .characters import (CharacterContext, chi2_minus_one,
                          normalization_constant, psi_exponent_table)
-from .cyclotomic import CycInt
 from .fields import FieldDescriptor, build_field, checked_order
 
 ROW_BLOCK = 1024  # rows per %-format: a long table is never rendered whole
@@ -96,52 +96,6 @@ class SystemParams:
                 f"multiplier={self.multiplier % self.p} n={self.n}")
 
 
-def _t_code(L: FieldDescriptor, t) -> int:
-    return t.code if hasattr(t, "code") else L.from_int(int(t)).code
-
-
-def _signed_sum(params: SystemParams, L: FieldDescriptor, codes: np.ndarray,
-                plus: np.ndarray) -> CycInt:
-    """sum of +-psi(u) over the element codes u, + where `plus` holds."""
-    p = params.p
-    exps = psi_exponent_table(params.context(), L)[codes]
-    counts = np.bincount(exps[plus], minlength=p) - np.bincount(exps[~plus], minlength=p)
-    return CycInt.from_power_counts(p, counts.tolist())
-
-
-def raw_sum(params: SystemParams, L: FieldDescriptor, t) -> CycInt:
-    """S(t) for one t in O(#L); trace_table computes every t at once."""
-    M = L.order - 1
-    logs = np.arange(M, dtype=np.int64)  # x = g^log runs over L^x
-    codes = L.add_codes_vec(1 + (params.n * logs) % M,
-                            L.mul_codes_vec(np.int64(_t_code(L, t)), 1 + logs))
-    return _signed_sum(params, L, codes, logs % 2 == 0)
-
-
-def raw_sum_naive(params: SystemParams, L: FieldDescriptor, t) -> CycInt:
-    """S(t) by scalar term-by-term accumulation; cross-check implementation."""
-    t_code = _t_code(L, t)
-    e_tab = psi_exponent_table(params.context(), L)
-    acc = CycInt.zero(params.p)
-    n = params.n
-    for code in range(1, L.order):
-        arg = L.add_code(L.pow_code(code, n), L.mul_code(t_code, code))
-        acc = acc + chi2_code(L, code) * CycInt.root(params.p, int(e_tab[arg]))
-    return acc
-
-
-def normalized_trace(params: SystemParams, L: FieldDescriptor, t) -> Fraction:
-    """T(t) = -S(t)/A as an exact rational; raises if not rational."""
-    S = raw_sum(params, L, t)
-    A = normalization_constant(params.context(), L, params.n)
-    num = (-S) * A.conj()
-    r = num.as_rational()
-    if r is None:
-        raise NonRationalTraceError(
-            f"non-rational normalized trace at t_code={_t_code(L, t)} over {L.canonical_text()}")
-    return Fraction(r, L.order)
-
-
 class Rows(NamedTuple):
     """A long table: a row per index of the `columns` (equal-length int
     sequences), shaped as `item`, whose "%d" strings take the columns in turn."""
@@ -162,19 +116,48 @@ class Rows(NamedTuple):
             yield (row * len(part[0])) % tuple(flat)
 
 
-class TraceTable(NamedTuple):
+def _frozen_int64(numerators) -> np.ndarray:
+    """`numerators` as a read-only int64 array that owns its data: any other
+    array is copied (a view too, as its base may be writeable), and ValueError
+    refuses a value that is not an integer within int64."""
+    a = np.asarray(numerators)
+    if a.dtype != np.int64:
+        if a.dtype.kind not in "biuf":
+            raise ValueError(f"trace numerators must be integers, not {a.dtype}")
+        with np.errstate(invalid="ignore"):  # nan, inf and 2^63 fail below
+            b = a.astype(np.int64)
+        if not np.array_equal(a, b):
+            raise ValueError("trace numerators must be integers within int64")
+        a = b
+    elif a.flags.writeable or a.base is not None:
+        a = a.copy()
+    a.flags.writeable = False
+    return a
+
+
+class TraceTable(namedtuple("TraceTable",
+                            "params degree field_text denominator numerators")):
     """All N normalized traces over one extension: numerators[j] / #L.
 
     Entry order is element-code order: index 0 is t = 0, index j >= 1 is
     t = g^(j-1) for the field generator g.  `numerators` is one read-only
-    int64 array; tables compare and hash by value.
+    int64 array, made so by every way of making a table: the constructor,
+    `_make` and `_replace` (see _frozen_int64).  A collections.namedtuple
+    subclass, as typing.NamedTuple refuses a __new__; tables compare and hash
+    by value.
     """
 
-    params: SystemParams
-    degree: int
-    field_text: str
-    denominator: int
-    numerators: np.ndarray
+    __slots__ = ()
+
+    def __new__(cls, params: SystemParams, degree: int, field_text: str,
+                denominator: int, numerators) -> TraceTable:
+        return super().__new__(cls, params, degree, field_text, denominator,
+                               _frozen_int64(numerators))
+
+    @classmethod
+    def _make(cls, iterable) -> TraceTable:
+        # namedtuple's own _make, which its _replace calls, skips __new__
+        return cls(*iterable)
 
     def __eq__(self, other):
         return (isinstance(other, TraceTable) and self[:4] == other[:4]
@@ -314,7 +297,6 @@ def _check_sum_rules(table: TraceTable) -> None:
 
 def _table(params: SystemParams, degree: int, L: FieldDescriptor,
            numerators: np.ndarray) -> TraceTable:
-    numerators.flags.writeable = False
     return TraceTable(params, degree, L.canonical_text(), L.order, numerators)
 
 
@@ -424,44 +406,6 @@ def _load_table(path: Path, params: SystemParams, degree: int,
     except NonRationalTraceError as exc:
         raise CacheCorruptionError(f"{path}: {exc}") from None
     return table
-
-
-# -- descent form -------------------------------------------------------------
-
-def descent_trace(params: SystemParams, L: FieldDescriptor, t) -> CycInt:
-    """-sum over x in L^x of psi(x^n / t + x) chi_2(x / t); t must be nonzero."""
-    t_code = _t_code(L, t)
-    if t_code == 0:
-        raise ValueError("descent trace is only defined for nonzero t")
-    M = L.order - 1
-    tau = t_code - 1
-    logs = np.arange(M, dtype=np.int64)
-    # x^n / t plus x itself, signed by chi_2(x / t)
-    codes = L.add_codes_vec(1 + (params.n * logs - tau) % M, 1 + logs)
-    return -_signed_sum(params, L, codes, (logs - tau) % 2 == 0)
-
-
-class DescentReport(NamedTuple):
-    degree: int
-    applicable: bool      # gcd(n, #L - 1) = 1, so x -> x^n is a bijection
-    equal: bool | None
-    lhs: CycInt | None    # sum over s != 0 of |S(s)|^2
-    rhs: CycInt | None    # sum over t != 0 of |D(t)|^2
-
-
-def descent_consistency(params: SystemParams, degree: int) -> DescentReport:
-    """Exact equality of sum |S|^2 and sum |D|^2 over nonzero parameters."""
-    L = params.extension(degree)
-    if math.gcd(params.n, L.order - 1) != 1:
-        return DescentReport(degree, False, None, None, None)
-    lhs = CycInt.zero(params.p)
-    rhs = CycInt.zero(params.p)
-    for code in range(1, L.order):
-        s_val = raw_sum(params, L, L.element(code))
-        d_val = descent_trace(params, L, L.element(code))
-        lhs = lhs + s_val.abs_squared()
-        rhs = rhs + d_val.abs_squared()
-    return DescentReport(degree, True, lhs == rhs, lhs, rhs)
 
 
 # -- moments -------------------------------------------------------------------

@@ -1,19 +1,42 @@
 """Exact reference implementations that the production code is tested against.
 
-The trace kernel in `altsums.traces` computes every numerator -S(t) conj(A)
-with one complex FFT and a certified rounding.  The functions below compute
-the same numerators in exact int64 arithmetic over Z[zeta_p]: an additive
-Fourier transform of zeta-power counts, then one circulant product against
-conj(A).  They cost O(#L p^2 d) time and (#L, p) arrays, so only tests
-import them.
+Each quantity has one production algorithm in `altsums` and, here, an
+independent oracle that only tests import.
+
+* Trace numerators.  The kernel in `altsums.traces` computes every
+  numerator -S(t) conj(A) with one complex FFT and a certified rounding.
+  `exact_numerators` computes the same numerators in exact int64 arithmetic
+  over Z[zeta_p]: an additive Fourier transform of zeta-power counts, then
+  one circulant product against conj(A).  It costs O(#L p^2 d) time and
+  (#L, p) arrays.
+* Single sums.  `raw_sum` computes one S(t) in O(#L) by signed zeta-power
+  counts, and `normalized_trace` the exact T(t) = -S(t)/A from it;
+  `raw_sum_naive` accumulates S(t) term by term, an independent cross-check
+  of both.  The descent form D(t) = -sum psi(x^n / t + x) chi_2(x / t)
+  satisfies sum |S|^2 = sum |D|^2 over nonzero parameters whenever x -> x^n
+  is a bijection (`descent_consistency`).
+* Characters.  `psi`, `psi_exponent`, `sum_psi` and `sum_chi2` evaluate the
+  characters one element, or one orthogonality sum, at a time.
+* The curve side.  `triple_sum_direct` attaches the weight psi(f) chi_2(-f)
+  pair by pair, never forming the fiber histogram that `count_points` and
+  `curve_weighted_sum` go through.
 """
+
+import math
+from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
-from altsums.characters import normalization_constant, psi_exponent_table
+from altsums.characters import (CharacterContext, chi2_code,
+                                normalization_constant, psi_exponent_table)
+from altsums.curves import (DEFAULT_POINT_BUDGET, _alpha_codes,
+                            _check_geometry, _eval_rows)
 from altsums.cyclotomic import CycInt
-from altsums.fields import BudgetExceededError, FieldDescriptor
+from altsums.fields import BudgetExceededError, FieldDescriptor, FieldElement
 from altsums.traces import NonRationalTraceError, SystemParams
+
+ROW_CHUNK = 256  # x-rows per block of triple_sum_direct: bounds its memory
 
 
 def _additive_fft_counts(params: SystemParams, L: FieldDescriptor) -> np.ndarray:
@@ -83,3 +106,139 @@ def exact_numerators(params: SystemParams, L: FieldDescriptor) -> np.ndarray:
     conjA = normalization_constant(params.context(), L, params.n).conj()
     return _finish(_additive_fft_counts(params, L), conjA, L.order,
                    L.canonical_text())
+
+
+# -- single sums ----------------------------------------------------------------
+
+def _t_code(L: FieldDescriptor, t) -> int:
+    return t.code if hasattr(t, "code") else L.from_int(int(t)).code
+
+
+def _signed_sum(params: SystemParams, L: FieldDescriptor, codes: np.ndarray,
+                plus: np.ndarray) -> CycInt:
+    """sum of +-psi(u) over the element codes u, + where `plus` holds."""
+    p = params.p
+    exps = psi_exponent_table(params.context(), L)[codes]
+    counts = np.bincount(exps[plus], minlength=p) - np.bincount(exps[~plus], minlength=p)
+    return CycInt.from_power_counts(p, counts.tolist())
+
+
+def raw_sum(params: SystemParams, L: FieldDescriptor, t) -> CycInt:
+    """S(t) for one t in O(#L); trace_table computes every t at once."""
+    M = L.order - 1
+    logs = np.arange(M, dtype=np.int64)  # x = g^log runs over L^x
+    codes = L.add_codes_vec(1 + (params.n * logs) % M,
+                            L.mul_codes_vec(np.int64(_t_code(L, t)), 1 + logs))
+    return _signed_sum(params, L, codes, logs % 2 == 0)
+
+
+def raw_sum_naive(params: SystemParams, L: FieldDescriptor, t) -> CycInt:
+    """S(t) by scalar term-by-term accumulation; cross-check implementation."""
+    t_code = _t_code(L, t)
+    e_tab = psi_exponent_table(params.context(), L)
+    acc = CycInt.zero(params.p)
+    n = params.n
+    for code in range(1, L.order):
+        arg = L.add_code(L.pow_code(code, n), L.mul_code(t_code, code))
+        acc = acc + chi2_code(L, code) * CycInt.root(params.p, int(e_tab[arg]))
+    return acc
+
+
+def normalized_trace(params: SystemParams, L: FieldDescriptor, t) -> Fraction:
+    """T(t) = -S(t)/A as an exact rational; raises if not rational."""
+    S = raw_sum(params, L, t)
+    A = normalization_constant(params.context(), L, params.n)
+    num = (-S) * A.conj()
+    r = num.as_rational()
+    if r is None:
+        raise NonRationalTraceError(
+            f"non-rational normalized trace at t_code={_t_code(L, t)} over {L.canonical_text()}")
+    return Fraction(r, L.order)
+
+
+# -- descent form -------------------------------------------------------------
+
+def descent_trace(params: SystemParams, L: FieldDescriptor, t) -> CycInt:
+    """-sum over x in L^x of psi(x^n / t + x) chi_2(x / t); t must be nonzero."""
+    t_code = _t_code(L, t)
+    if t_code == 0:
+        raise ValueError("descent trace is only defined for nonzero t")
+    M = L.order - 1
+    tau = t_code - 1
+    logs = np.arange(M, dtype=np.int64)
+    # x^n / t plus x itself, signed by chi_2(x / t)
+    codes = L.add_codes_vec(1 + (params.n * logs - tau) % M, 1 + logs)
+    return -_signed_sum(params, L, codes, (logs - tau) % 2 == 0)
+
+
+class DescentReport(NamedTuple):
+    degree: int
+    applicable: bool      # gcd(n, #L - 1) = 1, so x -> x^n is a bijection
+    equal: bool | None
+    lhs: CycInt | None    # sum over s != 0 of |S(s)|^2
+    rhs: CycInt | None    # sum over t != 0 of |D(t)|^2
+
+
+def descent_consistency(params: SystemParams, degree: int) -> DescentReport:
+    """Exact equality of sum |S|^2 and sum |D|^2 over nonzero parameters."""
+    L = params.extension(degree)
+    if math.gcd(params.n, L.order - 1) != 1:
+        return DescentReport(degree, False, None, None, None)
+    lhs = CycInt.zero(params.p)
+    rhs = CycInt.zero(params.p)
+    for code in range(1, L.order):
+        s_val = raw_sum(params, L, L.element(code))
+        d_val = descent_trace(params, L, L.element(code))
+        lhs = lhs + s_val.abs_squared()
+        rhs = rhs + d_val.abs_squared()
+    return DescentReport(degree, True, lhs == rhs, lhs, rhs)
+
+
+# -- characters -----------------------------------------------------------------
+
+def psi_exponent(ctx: CharacterContext, L: FieldDescriptor, x: FieldElement) -> int:
+    return int(psi_exponent_table(ctx, L)[x.code])
+
+
+def psi(ctx: CharacterContext, L: FieldDescriptor, x: FieldElement) -> CycInt:
+    return CycInt.root(ctx.base.p, psi_exponent(ctx, L, x))
+
+
+def sum_psi(ctx: CharacterContext, L: FieldDescriptor) -> CycInt:
+    """sum over all of L of psi(u); orthogonality says 0 for nontrivial psi."""
+    p = ctx.base.p
+    counts = np.bincount(psi_exponent_table(ctx, L), minlength=p)
+    return CycInt.from_power_counts(p, counts.tolist())
+
+
+def sum_chi2(L: FieldDescriptor) -> int:
+    """sum over L^x of chi_2; orthogonality says 0."""
+    return sum(chi2_code(L, c) for c in range(1, L.order))
+
+
+# -- the curve side -------------------------------------------------------------
+
+def triple_sum_direct(params: SystemParams, degree: int, *,
+                      budget: int = DEFAULT_POINT_BUDGET) -> CycInt:
+    """sum of psi(f(x,y)) chi_2(-f(x,y)) over pairs with f(x,y) != 0.
+
+    Independent route to curve_weighted_sum: the same weight is attached
+    pair by pair instead of fiber by fiber, never forming the histogram.
+    """
+    L = _check_geometry(params, degree, budget)
+    N = L.order
+    alphas = _alpha_codes(params, L)
+    ys = np.arange(N, dtype=np.int64)
+    e_tab = psi_exponent_table(params.context(), L)
+    half = (N - 1) // 2
+    even = np.zeros(params.p, dtype=np.int64)
+    odd = np.zeros(params.p, dtype=np.int64)
+    for start in range(0, N, ROW_CHUNK):
+        rows = np.arange(start, min(start + ROW_CHUNK, N), dtype=np.int64)
+        v = _eval_rows(L, alphas, rows, ys).ravel()
+        v = v[v != 0]
+        exps = e_tab[v]
+        neg_parity = (v - 1 + half) % 2
+        even += np.bincount(exps[neg_parity == 0], minlength=params.p)
+        odd += np.bincount(exps[neg_parity == 1], minlength=params.p)
+    return CycInt.from_power_counts(params.p, (even - odd).tolist())

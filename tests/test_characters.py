@@ -14,10 +14,10 @@ import pytest
 from altsums.characters import (CharacterContext, chi2, chi2_code,
                                 chi2_minus_one, gauss_identities, gauss_sum,
                                 hasse_davenport_check, normalization_constant,
-                                psi, psi_exponent, psi_exponent_table,
-                                sum_chi2, sum_psi)
+                                psi_exponent_table)
 from altsums.cyclotomic import CycInt
 from altsums.fields import build_field
+from oracles import psi, psi_exponent, sum_chi2, sum_psi
 
 
 def ctx_for(p, f0=1, mult=1):

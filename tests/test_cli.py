@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import altsums
-from altsums import __version__, cli, traces
+from altsums import __version__, cli, curves, traces
 from altsums.cli import (CACHE_ENV, EMIT_BATCH, RunConfig, _order_too_long,
                          build_parser, config_from_args, main)
 from altsums.groups import REGIMES
@@ -318,6 +318,24 @@ def test_non_rational_trace_exits_one(monkeypatch, capsys):
     assert captured.out == ""
     assert captured.err == ("FALSIFIED: non-rational normalized trace at "
                             "t_index=2 over F_3\n")
+
+
+def test_all_exits_one_when_the_curve_side_differs_from_m3(monkeypatch, capsys):
+    # off by 1/#L^3: far inside the printed q / sqrt(#L), still a mismatch
+    real = curves.modified_third_moment
+    monkeypatch.setattr(curves, "modified_third_moment",
+                        lambda count: real(count) + Fraction(1, count.field_order**3))
+    assert main(["all", "--p", "3", "--max-degree", "6"]) == 1
+    out, err = capsys.readouterr()
+    assert "# section: curve_moments\n" in out and "# result: FAIL\n" in out
+    rows = out.split("# section: curve_moments\n", 1)[1].split("\n#", 1)[0]
+    assert [r.rsplit(",", 1)[1] for r in rows.splitlines()[1:]] == ["1"] * 6
+    falsified = [line for line in err.splitlines() if line.startswith("FALSIFIED: ")]
+    assert [line.split(": ", 2)[1] for line in falsified] == [
+        f"curve moment differs from M3 at degree {D}" for D in range(1, 7)]
+    m3 = trace_table(SystemParams(3, 1), 3).moment(3)
+    assert (f"at degree 3: modified={m3 + Fraction(1, 27**3)} empirical={m3}"
+            in err)
 
 
 RUN_FLAGS = {"--p": int, "--f": int, "--base-degree": int, "--multiplier": int,

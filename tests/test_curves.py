@@ -21,11 +21,11 @@ from altsums.curves import (
     curve_moment_report,
     curve_weighted_sum,
     modified_third_moment,
-    triple_sum_direct,
 )
 from altsums.cyclotomic import CycInt
 from altsums.fields import BudgetExceededError
 from altsums.traces import SystemParams, trace_table
+from oracles import triple_sum_direct
 
 P33 = SystemParams(p=3, f=1)
 P55 = SystemParams(p=5, f=1)
@@ -164,6 +164,40 @@ def test_error_bound_against_empirical_moment(params, degrees):
         assert report.ok, (params.label(), D, report)
         gap = abs(float(report.modified - report.empirical_m3))
         assert gap <= report.bound
+
+
+def _exact_configs():
+    """Every (p, f, base_degree, multiplier) with p <= 13, f and base_degree
+    in {1, 2} and multipliers 1 and 2, with its degrees D of #L <= 3^8 whose
+    L contains F_q; the benchmarked 3^1..3^7, 5^1..5^5 and, at multiplier
+    2, 7^1..7^4 are among them."""
+    cases = []
+    for p in (3, 5, 7, 11, 13):
+        for f in (1, 2):
+            for b in (1, 2):
+                for c in (1, 2):
+                    degrees = [D for D in range(1, 9)
+                               if p ** (b * D) <= 3**8 and (b * D) % f == 0]
+                    cases.append(pytest.param(SystemParams(p, f, b, c), degrees,
+                                              id=f"p{p}-f{f}-b{b}-c{c}"))
+    return cases
+
+
+@pytest.mark.parametrize("params,degrees", _exact_configs())
+def test_curve_side_equals_the_trace_m3_exactly(params, degrees):
+    for D in degrees:
+        count = count_points(params, D, budget=3**8)
+        report = curve_moment_report(count, trace_table(params, D).moment(3))
+        assert report.modified == report.empirical_m3, (params.label(), D)
+        assert report.ok
+
+
+def test_an_m3_off_by_one_over_the_field_order_is_not_ok():
+    count = count_points(P33, 3)
+    m3 = trace_table(P33, 3).moment(3)
+    assert curve_moment_report(count, m3).ok
+    off = curve_moment_report(count, m3 + Fraction(1, 27))
+    assert off.within_bound and not off.ok
 
 
 def test_report_contents():

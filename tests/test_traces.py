@@ -29,10 +29,10 @@ from altsums.fields import BudgetExceededError
 from altsums.traces import (CacheCorruptionError, NonRationalTraceError,
                             SystemParams, TraceTable, _cache_path,
                             _load_table, _save_table, _trace_numerators,
-                            descent_consistency, descent_trace,
-                            moment_report, normalized_trace, raw_sum,
-                            raw_sum_naive, trace_table, trace_tables)
-from oracles import _additive_fft_counts, _finish, exact_numerators
+                            moment_report, trace_table, trace_tables)
+from oracles import (_additive_fft_counts, _finish, descent_consistency,
+                     descent_trace, exact_numerators, normalized_trace,
+                     raw_sum, raw_sum_naive)
 
 P33 = SystemParams(p=3, f=1)
 P55 = SystemParams(p=5, f=1)
@@ -495,6 +495,19 @@ def test_trace_kernel_peak_memory_stays_near_its_budgeted_arrays():
     assert peak <= 80 * 211**2
 
 
+@pytest.mark.parametrize("p", [101, 211])
+def test_fft_kernel_at_bluestein_lengths_equals_the_single_t_oracle(p):
+    # a prime FFT length past the small-radix kernels goes through
+    # Bluestein's algorithm in pocketfft (C in numpy 1.x, C++ in numpy 2)
+    params = SystemParams(p, 1)
+    L = params.extension(2)
+    table = trace_table(params, 2)
+    conjA = normalization_constant(params.context(), L, params.n).conj()
+    for code in random.Random(p).sample(range(L.order), 8):
+        S = raw_sum(params, L, L.element(code))
+        assert table.numerators[code] == ((-S) * conjA).as_rational(), code
+
+
 # -- the table format -----------------------------------------------------------------
 
 
@@ -531,3 +544,43 @@ def test_tables_differing_in_one_numerator_compare_unequal():
     assert not other == table and other != table
     same = table._replace(numerators=table.numerators.copy())
     assert table == same and not table != same and hash(table) == hash(same)
+
+
+@pytest.mark.parametrize("make", [
+    lambda table, nums: table._replace(numerators=nums),
+    lambda table, nums: TraceTable._make((*table[:4], nums)),
+    lambda table, nums: TraceTable(*table[:4], nums)],
+    ids=["_replace", "_make", "constructor"])
+def test_a_table_does_not_change_with_its_source_array(make):
+    table = trace_table(P33, 2)
+    nums = table.numerators.copy()
+    other = make(table, nums)
+    before = hash(other)
+    nums[4] += 9
+    assert other == table and hash(other) == before == hash(table)
+    assert other.numerators.dtype == np.int64
+    assert not other.numerators.flags.writeable
+    view = nums.view()  # read-only, but its base is writeable
+    view.flags.writeable = False
+    from_view = make(table, view)
+    nums[4] -= 9
+    assert from_view.numerators[4] == table.numerators[4] + 9
+
+
+@pytest.mark.parametrize("make", [
+    lambda table, nums: table._replace(numerators=nums),
+    lambda table, nums: TraceTable(*table[:4], nums)],
+    ids=["_replace", "constructor"])
+def test_a_table_refuses_non_integral_numerators(make):
+    table = trace_table(P33, 1)
+    half = np.array([-3.0, 3.0, 0.5])
+    with pytest.raises(ValueError, match="integers within int64"):
+        make(table, half)
+    for bad in ([np.nan, 3.0, 0.0], [-3.0, 2.0**63, 0.0]):
+        with pytest.raises(ValueError, match="integers within int64"):
+            make(table, np.array(bad))
+    with pytest.raises(ValueError, match="not complex128"):
+        make(table, np.array([-3, 3, 0], dtype=complex))
+    for good in ([-3.0, 3.0, 0.0], [-3, 3, 0], np.array([-3, 3, 0], dtype=np.int32)):
+        assert make(table, good) == table
+        assert make(table, good).numerators.dtype == np.int64
