@@ -9,8 +9,8 @@ are rounded to integers under an a-priori error bound and a check of each
 rounding; otherwise floats appear only in human-readable deviation columns.
 
 Results are immutable named-tuple records (`_asdict`, `_replace`); the inputs
-that validate their fields (SystemParams, CharacterContext) are frozen
-dataclasses.
+that validate their fields (SystemParams, CharacterContext) are named tuples
+too, checked by the constructor, `_make` and `_replace` alike.
 """
 
 __version__ = "0.1.0"

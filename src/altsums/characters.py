@@ -22,7 +22,7 @@ it over every extension at once exposes the power law A(L) = A(k)^[L:k].
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -32,16 +32,24 @@ from .cyclotomic import CycInt
 from .fields import FieldDescriptor, FieldElement, build_field, embed
 
 
-@dataclass(frozen=True)
-class CharacterContext:
-    """Base field plus the additive-character multiplier c (nonzero)."""
+class CharacterContext(namedtuple("CharacterContext", "base multiplier_code",
+                                  defaults=(1,))):
+    """Base field plus the additive-character multiplier c (nonzero), given
+    by its code in the base field (1 is the element 1).  Validated by the
+    constructor, `_make` and `_replace` alike."""
 
-    base: FieldDescriptor
-    multiplier_code: int = 1  # code of c in the base field; 1 is the element 1
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 1 <= self.multiplier_code < self.base.order:
+    def __new__(cls, base: FieldDescriptor,
+                multiplier_code: int = 1) -> CharacterContext:
+        if not 1 <= multiplier_code < base.order:
             raise ValueError("psi multiplier must be a nonzero base-field element")
+        return super().__new__(cls, base, multiplier_code)
+
+    @classmethod
+    def _make(cls, iterable) -> CharacterContext:
+        # namedtuple's own _make, which its _replace calls, skips __new__
+        return cls(*iterable)
 
     @property
     def multiplier(self) -> FieldElement:

@@ -18,11 +18,10 @@ from __future__ import annotations
 
 import argparse
 import gc
-import json
 import os
 import sys
+from collections import namedtuple
 from contextlib import nullcontext
-from dataclasses import asdict, dataclass, fields, replace
 from fractions import Fraction
 from itertools import chain
 from pathlib import Path
@@ -61,40 +60,57 @@ from .verdict import VerdictConfig, verdict
 CACHE_ENV = "ALTSUMS_CACHE_DIR"
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Full invocation state; round-trips losslessly through JSON."""
+# Each RunConfig field, in order, with its default and the type it must hold
+# (as the refusal names it).  A bool is refused everywhere; a float field
+# takes an int and stores it as float, to echo 1 as 1.0 like its flag.
+RUN_FIELDS = {
+    "p": (3, "int"),
+    "f": (1, "int"),
+    "base_degree": (1, "int"),
+    "multiplier": (1, "int"),
+    "max_degree": (8, "int"),
+    "budget": (DEFAULT_POINT_BUDGET, "int"),
+    "cache_dir": (None, "str | None"),
+    "threads": (1, "int"),
+    "fmt": ("csv", "str"),
+    "tv_max": (0.05, "float"),
+    "m3_tol": (0.2, "float"),
+    "m3_min_order": (3**8, "int"),
+}
+KINDS = {"int": int, "float": (int, float), "str": str,
+         "str | None": (str, type(None))}
 
-    p: int = 3
-    f: int = 1
-    base_degree: int = 1
-    multiplier: int = 1
-    max_degree: int = 8
-    budget: int = DEFAULT_POINT_BUDGET
-    cache_dir: str | None = None
-    threads: int = 1
-    fmt: str = "csv"
-    tv_max: float = 0.05
-    m3_tol: float = 0.2
-    m3_min_order: int = 3**8
 
-    def __post_init__(self):
-        kinds = {"int": int, "float": (int, float), "str": str,
-                 "str | None": (str, type(None))}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, bool) or not isinstance(value, kinds[f.type]):
-                raise ValueError(f"{f.name} must be {f.type}, got {value!r}")
-            if f.type == "float":  # echo 1 as 1.0 like the flag; a huge int overflows
-                object.__setattr__(self, f.name, float(value))
+class RunConfig(namedtuple("RunConfig", list(RUN_FIELDS),
+                           defaults=[d for d, _ in RUN_FIELDS.values()])):
+    """Full invocation state; round-trips losslessly through JSON.  Validated
+    by the constructor, `_make` and `_replace` alike."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> RunConfig:
+        values = []
+        for name, value in zip(cls._fields, super().__new__(cls, *args, **kwargs)):
+            kind = RUN_FIELDS[name][1]
+            if isinstance(value, bool) or not isinstance(value, KINDS[kind]):
+                raise ValueError(f"{name} must be {kind}, got {value!r}")
+            # float() of a huge int raises OverflowError
+            values.append(float(value) if kind == "float" else value)
+        self = tuple.__new__(cls, values)
         if self.fmt not in ("csv", "json"):
             raise ValueError(f"unknown format {self.fmt!r}")
         if self.max_degree < 1 or self.budget < 1 or self.threads < 1:
             raise ValueError("degrees, budgets and thread counts are positive")
         self.verdict_config().check()
+        return self
+
+    @classmethod
+    def _make(cls, iterable) -> RunConfig:
+        # namedtuple's own _make, which its _replace calls, skips __new__
+        return cls(*iterable)
 
     def params(self) -> SystemParams:
-        return SystemParams(*(getattr(self, f.name) for f in fields(SystemParams)))
+        return SystemParams(*(getattr(self, name) for name in SystemParams._fields))
 
     def verdict_config(self) -> VerdictConfig:
         return VerdictConfig(*(getattr(self, name) for name in VerdictConfig._fields))
@@ -106,20 +122,24 @@ class RunConfig:
 
     def echo_dict(self) -> dict:
         """The fields that may influence results: all but threads and cache_dir."""
-        d = asdict(self)
+        d = self._asdict()
         del d["threads"]
         del d["cache_dir"]
         return d
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=True)
+        import json  # here and in _json_chunks only: a CSV run never loads it
+
+        return json.dumps(self._asdict(), indent=2, sort_keys=True)
 
     @classmethod
-    def from_json(cls, text: str) -> "RunConfig":
+    def from_json(cls, text: str) -> RunConfig:
+        import json
+
         data = json.loads(text)
         if not isinstance(data, dict):
             raise ValueError("a config file holds one JSON object")
-        unknown = sorted(set(data) - {f.name for f in fields(cls)})
+        unknown = sorted(set(data) - set(cls._fields))
         if unknown:
             raise ValueError(f"unknown config keys: {', '.join(unknown)}")
         return cls(**data)
@@ -128,7 +148,7 @@ class RunConfig:
         Path(path).write_text(self.to_json() + "\n", encoding="ascii")
 
     @classmethod
-    def load(cls, path) -> "RunConfig":
+    def load(cls, path) -> RunConfig:
         return cls.from_json(Path(path).read_text(encoding="ascii"))
 
 
@@ -141,6 +161,8 @@ EMIT_BATCH = 1 << 16  # characters gathered into one write
 def _json_chunks(value, level: int = 0):
     """json.dumps(value, indent=2) nested `level` deep, in pieces: a dict (str
     keys) key by key, a Rows list a block of rows at a time."""
+    import json
+
     pad = "\n" + "  " * level
     if isinstance(value, Rows) and len(value.columns[0]):
         item = json.dumps(value.item, indent=2).replace('"%d"', "%d")
@@ -578,11 +600,11 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     in its place; identity and wild echo q = p^f as p and f."""
     cfg = RunConfig.load(args.config) if getattr(args, "config", None) \
         else RunConfig()
-    given = {f.name: getattr(args, f.name) for f in fields(RunConfig)
-             if getattr(args, f.name, None) is not None}
+    given = {name: getattr(args, name) for name in RunConfig._fields
+             if getattr(args, name, None) is not None}
     if getattr(args, "q", None) is not None:
         given["p"], given["f"] = factor_prime_power(args.q)
-    return replace(cfg, **given)
+    return cfg._replace(**given)
 
 
 def main(argv=None) -> int:

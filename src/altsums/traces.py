@@ -33,7 +33,6 @@ import os
 import zlib
 from collections import namedtuple
 from collections.abc import Iterator
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from pathlib import Path
@@ -58,21 +57,29 @@ class CacheCorruptionError(RuntimeError):
     """A trace-table cache file failed its format, checksum, row or sum-rule checks."""
 
 
-@dataclass(frozen=True)
-class SystemParams:
-    """Configuration (p, q = p^f, base field degree, psi multiplier)."""
+class SystemParams(namedtuple("SystemParams", "p f base_degree multiplier",
+                              defaults=(1, 1))):
+    """Configuration (p, q = p^f, base field degree, psi multiplier).
 
-    p: int
-    f: int
-    base_degree: int = 1
-    multiplier: int = 1
+    Validated by every way of making one: the constructor, `_make` and
+    `_replace`.  A collections.namedtuple subclass, as TraceTable is.
+    """
 
-    def __post_init__(self):
-        build_field(self.p, self.base_degree)  # validates p odd prime
-        if self.f < 1:
+    __slots__ = ()
+
+    def __new__(cls, p: int, f: int, base_degree: int = 1,
+                multiplier: int = 1) -> SystemParams:
+        build_field(p, base_degree)  # validates p odd prime
+        if f < 1:
             raise ValueError("f must be >= 1")
-        if self.multiplier % self.p == 0:
+        if multiplier % p == 0:
             raise ValueError("psi multiplier must be nonzero mod p")
+        return super().__new__(cls, p, f, base_degree, multiplier)
+
+    @classmethod
+    def _make(cls, iterable) -> SystemParams:
+        # namedtuple's own _make, which its _replace calls, skips __new__
+        return cls(*iterable)
 
     @property
     def q(self) -> int:

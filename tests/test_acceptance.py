@@ -215,14 +215,14 @@ def test_criterion_09_curve_oracle_consistency(announce, cache_dir):
             ok = ok and count.total() == count.field_order ** 2
             m3 = trace_table(params, D, cache_dir=cache_dir).moment(3)
             report = curve_moment_report(count, m3)
-            ok = ok and report.within_bound
+            ok = ok and report.ok  # exact equality, not the q/sqrt(#L) bound
     # beyond the 4096-element default budget: 3^9 = 19683 elements
     count = count_points(P33, 9, budget=3**9)
     ok = ok and count.total() == count.field_order ** 2
     report = curve_moment_report(
         count, trace_table(P33, 9, cache_dir=cache_dir).moment(3))
-    ok = ok and report.within_bound
-    assert announce(9, "curve count matches M3 within q/sqrt(#L)", ok)
+    ok = ok and report.ok
+    assert announce(9, "curve count equals M3 exactly", ok)
 
 
 def test_criterion_10_pipeline_determinism(announce, tmp_path):

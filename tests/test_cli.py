@@ -21,6 +21,8 @@ from altsums import __version__, cli, curves, traces
 from altsums.cli import (CACHE_ENV, EMIT_BATCH, RunConfig, _order_too_long,
                          build_parser, config_from_args, main)
 from altsums.groups import REGIMES
+from altsums.characters import CharacterContext
+from altsums.fields import build_field
 from altsums.traces import SystemParams, trace_table
 from altsums.verdict import MembershipResult, VerdictConfig
 
@@ -771,23 +773,119 @@ def test_no_openssl_module_is_loaded_after_numpy(tmp_path):
     assert len(list(cache.glob("*.csv"))) == 4
 
 
+STARTUP_PROBE = """
+import sys
+import numpy
+before = set(sys.modules)
+from altsums.cli import main
+cache, doc = sys.argv[1:]
+argv = ["all", "--p", "3", "--max-degree", "4", "--cache-dir", cache]
+print(main(argv + ["--output", doc]))
+print(*sorted({"dataclasses", "copy", "json", "_json"}
+              & (set(sys.modules) - before)))
+print(main(argv + ["--format", "json", "--output", doc + ".json"]))
+"""
+
+
+def test_a_csv_run_loads_no_dataclasses_or_json_after_numpy(tmp_path, capsys):
+    """A CSV `all` loads neither dataclasses (nor the copy module it
+    imports) nor json; a JSON run then loads json and writes what in-process
+    `main` writes.  The comparison starts after `import numpy`, as in
+    test_no_openssl_module_is_loaded_after_numpy."""
+    cache, doc = tmp_path / "cache", tmp_path / "doc"
+    proc = fresh_python(["-c", STARTUP_PROBE, str(cache), str(doc)])
+    assert proc.returncode == 0, proc.stderr
+    # exit 1 both times: the TV bound fails at degree 4 (tv=0.10340)
+    assert proc.stdout == "1\n\n1\n"
+    argv = ["all", "--p", "3", "--max-degree", "4", "--cache-dir", str(cache)]
+    assert main(argv + ["--output", str(tmp_path / "here")]) == 1
+    assert main(argv + ["--format", "json",
+                        "--output", str(tmp_path / "here.json")]) == 1
+    capsys.readouterr()
+    assert doc.read_bytes() == (tmp_path / "here").read_bytes()
+    text = (tmp_path / "doc.json").read_text()
+    assert text == (tmp_path / "here.json").read_text()
+    assert json.loads(text)["config"]["max_degree"] == 4
+
+
 DATACLASS_PROBE = """
 import dataclasses, inspect, sys
 import altsums.cli
 print(*sorted(name for mod, m in list(sys.modules.items())
               if mod.split(".")[0] == "altsums"
               for name, c in vars(m).items()
-              if inspect.isclass(c) and c.__module__ == mod
-              and dataclasses.is_dataclass(c)))
+              if inspect.isclass(c) and dataclasses.is_dataclass(c)))
 """
 
 
-def test_only_the_validating_configs_are_dataclasses():
-    """Result records are NamedTuples, built without generated code at
-    import; the three classes that validate their fields stay dataclasses."""
+def test_no_altsums_class_is_a_dataclass():
+    """Records are named tuples, built without generated code at import;
+    the ones that validate their fields do it in __new__."""
     proc = fresh_python(["-c", DATACLASS_PROBE])
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "CharacterContext RunConfig SystemParams\n"
+    assert proc.stdout == "\n"
+
+
+def _replaced_in_make(cls, good, bad):
+    fields = cls(**good)._asdict()
+    fields.update(bad)
+    return cls._make(fields.values())
+
+
+BUILDS = {
+    "constructor": lambda cls, good, bad: cls(**{**good, **bad}),
+    "_make": _replaced_in_make,
+    "_replace": lambda cls, good, bad: cls(**good)._replace(**bad),
+}
+P3 = {"p": 3, "f": 1}
+F5 = {"base": build_field(5, 1)}
+
+
+REFUSED = [
+    (SystemParams, P3, {"f": 0}),
+    (SystemParams, P3, {"multiplier": 6}),
+    (SystemParams, P3, {"p": 9}),
+    (CharacterContext, F5, {"multiplier_code": 0}),
+    (CharacterContext, F5, {"multiplier_code": 5}),
+    (RunConfig, {}, {"fmt": "yaml"}),
+    (RunConfig, {}, {"threads": 0}),
+    (RunConfig, {}, {"max_degree": True}),
+    (RunConfig, {}, {"budget": 4096.0}),
+    (RunConfig, {}, {"cache_dir": 7}),
+    (RunConfig, {}, {"tv_max": math.nan}),
+    (RunConfig, {}, {"m3_tol": -1.0}),
+]
+
+
+@pytest.mark.parametrize("build", list(BUILDS.values()), ids=list(BUILDS))
+@pytest.mark.parametrize("cls, good, bad", REFUSED, ids=[
+    f"{cls.__name__}-{k}={v!r}" for cls, _, bad in REFUSED for k, v in bad.items()])
+def test_every_way_of_making_a_config_validates_it(build, cls, good, bad):
+    cls(**good)
+    with pytest.raises(ValueError):
+        build(cls, good, bad)
+
+
+def test_config_records_store_floats_and_are_values():
+    cfg = RunConfig(tv_max=1)._replace(m3_tol=0)
+    assert type(cfg.tv_max) is float and type(cfg.m3_tol) is float
+    assert cfg == RunConfig(tv_max=1.0, m3_tol=0.0)
+    base = build_field(5, 1)
+    for a, b, other in [
+            (RunConfig(p=5, tv_max=1), RunConfig(p=5, tv_max=1.0), {"p": 7}),
+            (SystemParams(3, 1), SystemParams(p=3, f=1, base_degree=1),
+             {"multiplier": 2}),
+            (CharacterContext(base, 2),
+             CharacterContext.make(base, base.element(2)),
+             {"multiplier_code": 3})]:
+        assert a == b and hash(a) == hash(b)
+        assert a._replace() == a and a._replace(**other) != a
+    assert repr(RunConfig()) == (
+        "RunConfig(p=3, f=1, base_degree=1, multiplier=1, max_degree=8, "
+        "budget=4096, cache_dir=None, threads=1, fmt='csv', tv_max=0.05, "
+        "m3_tol=0.2, m3_min_order=6561)")
+    with pytest.raises(AttributeError):
+        cfg.p = 5
 
 
 def test_result_records_are_immutable_values():

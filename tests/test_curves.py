@@ -192,6 +192,12 @@ def test_curve_side_equals_the_trace_m3_exactly(params, degrees):
         assert report.ok
 
 
+def test_curve_side_equals_the_trace_m3_exactly_at_3_to_the_12():
+    """The identity at 531441 elements, past every size the sweep reaches."""
+    count = count_points(P33, 12, budget=3**12)
+    assert curve_moment_report(count, trace_table(P33, 12).moment(3)).ok
+
+
 def test_an_m3_off_by_one_over_the_field_order_is_not_ok():
     count = count_points(P33, 3)
     m3 = trace_table(P33, 3).moment(3)
