@@ -23,7 +23,6 @@ it over every extension at once exposes the power law A(L) = A(k)^[L:k].
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -85,17 +84,14 @@ def chi2_minus_one(L: FieldDescriptor) -> int:
     return 1 if L.order % 4 == 1 else -1
 
 
-@lru_cache(maxsize=None)
 def psi_exponent_table(ctx: CharacterContext, L: FieldDescriptor) -> np.ndarray:
-    """Exponent a(u) with psi_{L/k}(u) = zeta_p^a(u), indexed by element code."""
+    """Exponent a(u) = Tr_{L/F_p}(c u) with psi_{L/k}(u) = zeta_p^a(u), c the
+    multiplier embedded in L, by element code: code j >= 1 is g^(j-1), so on
+    L^x it is the absolute trace table shifted left by log c, cyclically."""
     if L.p != ctx.base.p or L.d % ctx.base.d != 0:
         raise ValueError("L is not an extension of the context base field")
-    c_L = embed(ctx.base, L, ctx.multiplier)
-    M = L.order - 1
-    table = np.empty(L.order, dtype=np.int64)
-    table[0] = 0
-    shifted = 1 + (c_L.code - 1 + np.arange(M, dtype=np.int64)) % M
-    table[1:] = L.trace_abs_by_code[shifted]
+    c_code, tr = embed(ctx.base, L, ctx.multiplier).code, L.trace_abs_by_code
+    table = np.concatenate(([0], tr[c_code:], tr[1:c_code]))
     table.setflags(write=False)
     return table
 

@@ -227,6 +227,7 @@ def _trace_numerators(params: SystemParams, L: FieldDescriptor) -> np.ndarray:
     [L : F_p], poly_int(x) packing the coordinates a_i of x in base p.  As
     e(t*x) = sum_i a_i w_i(t) with w_i(t) = e(t * x^i), S(t) = F[w(t)] for
     the unscaled inverse DFT F of h; multiply by conj(A) embedded and round.
+    The generator g is x (fields._antilog), so w_i(g^tau) = e(g^(tau + i)).
     * Exact: for k in F_p^x, n = 1 mod (p - 1), so x -> x/k gives
       sigma_k(S) = chi_2(k) S, and sigma_k(conj A) = chi_2(k) conj(A) (Gauss
       sum): S conj(A) lies in Z[zeta_p] cap Q = Z.
@@ -251,11 +252,11 @@ def _trace_numerators(params: SystemParams, L: FieldDescriptor) -> np.ndarray:
     h = np.zeros(N, dtype=np.complex128)
     h[L.antilog_int] = zeta[e_tab[1 + (params.n * logs) % M]]  # poly_int is injective
     h[L.antilog_int[1::2]] *= -1  # chi_2(g^log) = (-1)^log
-    x_logs = L.log_by_int[p ** np.arange(d)]  # dlog of x^i
+    E = np.concatenate((e_tab[1:], e_tab[1:d]))  # E[j] = e(g^j), j < M + d - 1
     rows = np.zeros(N, dtype=np.int64)  # t = 0 has w = 0
-    for i in range(d):  # digit i of the row of t = g^tau is w_i(g^tau)
-        rows[1:] += e_tab[1 + (logs + x_logs[i]) % M] * p**i
-    del logs  # not held through the FFT
+    for i in range(d):  # digit i of the row of t = g^tau is e(g^(tau + i))
+        rows[1:] += E[i:i + M] * p**i
+    del e_tab, logs, E  # not held through the FFT
     h = np.fft.ifftn(h.reshape((p,) * d), norm="forward").reshape(N)[rows]
 
     a = normalization_constant(params.context(), L, params.n).conj().complex_value()

@@ -15,8 +15,12 @@ independent oracle that only tests import.
   of both.  The descent form D(t) = -sum psi(x^n / t + x) chi_2(x / t)
   satisfies sum |S|^2 = sum |D|^2 over nonzero parameters whenever x -> x^n
   is a bijection (`descent_consistency`).
-* Characters.  `psi`, `psi_exponent`, `sum_psi` and `sum_chi2` evaluate the
-  characters one element, or one orthogonality sum, at a time.
+* Characters.  `psi_table` computes every psi exponent one element at a
+  time, as a Frobenius-orbit sum, and every oracle here reads it (never
+  `altsums.characters.psi_exponent_table`, a rotated trace table);
+  `normalization_constant_direct` sums the Gauss sum over it.  `psi`,
+  `psi_exponent`, `sum_psi` and `sum_chi2` evaluate the characters one
+  element, or one orthogonality sum, at a time.
 * The curve side.  `triple_sum_direct` attaches the weight psi(f) chi_2(-f)
   pair by pair, never forming the fiber histogram that `count_points` and
   `curve_weighted_sum` go through.
@@ -24,16 +28,17 @@ independent oracle that only tests import.
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
-from altsums.characters import (CharacterContext, chi2_code,
-                                normalization_constant, psi_exponent_table)
+from altsums.characters import CharacterContext, chi2_code
 from altsums.curves import (DEFAULT_POINT_BUDGET, _alpha_codes,
                             _check_geometry, _eval_rows)
 from altsums.cyclotomic import CycInt
-from altsums.fields import BudgetExceededError, FieldDescriptor, FieldElement
+from altsums.fields import (BudgetExceededError, FieldDescriptor, FieldElement,
+                            embed)
 from altsums.traces import NonRationalTraceError, SystemParams
 
 ROW_CHUNK = 256  # x-rows per block of triple_sum_direct: bounds its memory
@@ -53,7 +58,7 @@ def _additive_fft_counts(params: SystemParams, L: FieldDescriptor) -> np.ndarray
     """
     p, d, N = L.p, L.d, L.order
     M = N - 1
-    e_tab = psi_exponent_table(params.context(), L)
+    e_tab = psi_table(params.context(), L)
     logs = np.arange(M, dtype=np.int64)
     H = np.zeros((N, p), dtype=np.int64)
     # poly_int is injective, so plain assignment places every term
@@ -103,7 +108,7 @@ def _finish(counts: np.ndarray, conjA: CycInt, N: int,
 
 def exact_numerators(params: SystemParams, L: FieldDescriptor) -> np.ndarray:
     """The numerators of every trace over L, computed exactly."""
-    conjA = normalization_constant(params.context(), L, params.n).conj()
+    conjA = normalization_constant_direct(params, L).conj()
     return _finish(_additive_fft_counts(params, L), conjA, L.order,
                    L.canonical_text())
 
@@ -118,7 +123,7 @@ def _signed_sum(params: SystemParams, L: FieldDescriptor, codes: np.ndarray,
                 plus: np.ndarray) -> CycInt:
     """sum of +-psi(u) over the element codes u, + where `plus` holds."""
     p = params.p
-    exps = psi_exponent_table(params.context(), L)[codes]
+    exps = psi_table(params.context(), L)[codes]
     counts = np.bincount(exps[plus], minlength=p) - np.bincount(exps[~plus], minlength=p)
     return CycInt.from_power_counts(p, counts.tolist())
 
@@ -135,7 +140,7 @@ def raw_sum(params: SystemParams, L: FieldDescriptor, t) -> CycInt:
 def raw_sum_naive(params: SystemParams, L: FieldDescriptor, t) -> CycInt:
     """S(t) by scalar term-by-term accumulation; cross-check implementation."""
     t_code = _t_code(L, t)
-    e_tab = psi_exponent_table(params.context(), L)
+    e_tab = psi_table(params.context(), L)
     acc = CycInt.zero(params.p)
     n = params.n
     for code in range(1, L.order):
@@ -147,7 +152,7 @@ def raw_sum_naive(params: SystemParams, L: FieldDescriptor, t) -> CycInt:
 def normalized_trace(params: SystemParams, L: FieldDescriptor, t) -> Fraction:
     """T(t) = -S(t)/A as an exact rational; raises if not rational."""
     S = raw_sum(params, L, t)
-    A = normalization_constant(params.context(), L, params.n)
+    A = normalization_constant_direct(params, L)
     num = (-S) * A.conj()
     r = num.as_rational()
     if r is None:
@@ -196,8 +201,32 @@ def descent_consistency(params: SystemParams, degree: int) -> DescentReport:
 
 # -- characters -----------------------------------------------------------------
 
+@lru_cache(maxsize=None)
+def psi_table(ctx: CharacterContext, L: FieldDescriptor) -> np.ndarray:
+    """Exponent a(u) with psi_{L/k}(u) = zeta_p^a(u) for every element code
+    u: a(u) = Tr_{L/F_p}(c u) for the multiplier c embedded in L, summed over
+    the Frobenius orbit of c u by scalar code arithmetic (L.trace_to_code).
+    Read-only, and kept per (ctx, L) for the test session."""
+    c = embed(ctx.base, L, ctx.multiplier).code
+    table = np.array([L.element(L.trace_to_code(1, L.mul_code(c, u))).as_int()
+                      for u in range(L.order)], dtype=np.int64)
+    table.flags.writeable = False
+    return table
+
+
+def normalization_constant_direct(params: SystemParams, L: FieldDescriptor) -> CycInt:
+    """A(L, n, psi) = -chi_2(n (-1)^((n-1)/2)) g_L, the Gauss sum g_L =
+    sum over L^x of psi(x) chi_2(x) summed over psi_table."""
+    p, n = params.p, params.n
+    e = psi_table(params.context(), L)[1:]
+    g = CycInt.from_power_counts(p, (np.bincount(e[0::2], minlength=p)
+                                     - np.bincount(e[1::2], minlength=p)).tolist())
+    sign = chi2_code(L, L.from_int(n * (-1) ** ((n - 1) // 2)).code)
+    return (-sign) * g
+
+
 def psi_exponent(ctx: CharacterContext, L: FieldDescriptor, x: FieldElement) -> int:
-    return int(psi_exponent_table(ctx, L)[x.code])
+    return int(psi_table(ctx, L)[x.code])
 
 
 def psi(ctx: CharacterContext, L: FieldDescriptor, x: FieldElement) -> CycInt:
@@ -207,7 +236,7 @@ def psi(ctx: CharacterContext, L: FieldDescriptor, x: FieldElement) -> CycInt:
 def sum_psi(ctx: CharacterContext, L: FieldDescriptor) -> CycInt:
     """sum over all of L of psi(u); orthogonality says 0 for nontrivial psi."""
     p = ctx.base.p
-    counts = np.bincount(psi_exponent_table(ctx, L), minlength=p)
+    counts = np.bincount(psi_table(ctx, L), minlength=p)
     return CycInt.from_power_counts(p, counts.tolist())
 
 
@@ -229,7 +258,7 @@ def triple_sum_direct(params: SystemParams, degree: int, *,
     N = L.order
     alphas = _alpha_codes(params, L)
     ys = np.arange(N, dtype=np.int64)
-    e_tab = psi_exponent_table(params.context(), L)
+    e_tab = psi_table(params.context(), L)
     half = (N - 1) // 2
     even = np.zeros(params.p, dtype=np.int64)
     odd = np.zeros(params.p, dtype=np.int64)

@@ -17,7 +17,7 @@ from altsums.characters import (CharacterContext, chi2, chi2_code,
                                 psi_exponent_table)
 from altsums.cyclotomic import CycInt
 from altsums.fields import build_field
-from oracles import psi, psi_exponent, sum_chi2, sum_psi
+from oracles import psi, psi_exponent, psi_table, sum_chi2, sum_psi
 
 
 def ctx_for(p, f0=1, mult=1):
@@ -90,6 +90,30 @@ def test_psi_multiplier_changes_character():
     F5 = build_field(5, 1)
     assert psi_exponent(ctx1, F5, F5.one()) == 1
     assert psi_exponent(ctx2, F5, F5.one()) == 2
+
+
+def _psi_configs():
+    """(p, base_degree, multiplier, D): p up to 13, base_degree 1 and 2, each
+    multiplier 1..3 nonzero mod p, every #L <= 3^6.  q = p^f does not enter
+    psi, so the f of SystemParams needs no axis here."""
+    return [(p, b, c, D) for p in (3, 5, 7, 11, 13) for b in (1, 2)
+            for c in (1, 2, 3) if c % p for D in range(1, 7) if p**(b * D) <= 3**6]
+
+
+@pytest.mark.parametrize("p,b,c,D", _psi_configs())
+def test_psi_table_equals_the_frobenius_orbit_oracle(p, b, c, D):
+    ctx = ctx_for(p, b, c)
+    L = ctx.extension(D)
+    assert np.array_equal(psi_exponent_table(ctx, L), psi_table(ctx, L))
+
+
+@pytest.mark.parametrize("p,d", sorted({(p, b * D) for p, b, _, D in _psi_configs()}))
+def test_the_field_generator_is_x(p, d):
+    # x^i = g^i for i < d, the fact the trace kernel's row index rests on
+    L = build_field(p, d)
+    powers = p ** np.arange(d)
+    assert np.array_equal(L.antilog_int[:d], powers)
+    assert np.array_equal(L.log_by_int[powers], np.arange(d))
 
 
 def test_psi_nontrivial_on_extension_of_bigger_base():

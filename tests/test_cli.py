@@ -599,6 +599,23 @@ def test_all_output_bytes_are_pinned(tmp_path, capsys, argv, digest):
     assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
 
 
+@pytest.mark.parametrize("argv, digest", [
+    (["traces", "--p", "3", "--degree", "12"],
+     "fa6abf04996e9d657bf99943abb2b81a59acb15e36571d67e048f8448056faf3"),
+    (["traces", "--p", "7", "--degree", "5"],
+     "fcf9061743edb10ed26e227829eedffb6f08d1538999fb2e7cdcfad4c6827e76"),
+    (["compare", "--p", "3", "--max-degree", "12"],
+     "990c06166823ab0f7451b920b7f7029b93e0f6b75b3258ff0836ab11ca0d0604"),
+])
+def test_output_bytes_at_scale_are_pinned(monkeypatch, capsys, argv, digest):
+    """The stdout digests recorded for these invocations at commit 5fff025:
+    trace tables over 3^12 and 7^5 and the tower to 3^12, without a cache."""
+    monkeypatch.delenv(CACHE_ENV, raising=False)
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
+
+
 # stdout sha256 of `identity --q Q --format csv` and `--format json`, recorded
 # at commit 6dfdebd, before the identities were checked at y = 1
 IDENTITY_DIGESTS = {

@@ -482,10 +482,11 @@ def test_int64_guard_before_finish_product():
 
 def test_trace_kernel_peak_memory_stays_near_its_budgeted_arrays():
     # the kernel holds h and the FFT's two stage arrays (complex128) with
-    # the logs (int64), 56 bytes per element; one (#L, p) int64 array (75 MB
-    # here) or a (p, p, p) index table would dwarf them
+    # the rows (int64), 56 bytes per element, and builds its psi tables
+    # inside the measured call; one (#L, p) int64 array (75 MB here) or a
+    # (p, p, p) index table would dwarf them
     params = SystemParams(p=211, f=1)
-    trace_table(params, 2)  # builds the field and character tables first
+    trace_table(params, 2)  # builds the field first
     tracemalloc.start()
     try:
         trace_table(params, 2)
