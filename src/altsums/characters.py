@@ -88,8 +88,6 @@ def psi_exponent_table(ctx: CharacterContext, L: FieldDescriptor) -> np.ndarray:
     """Exponent a(u) = Tr_{L/F_p}(c u) with psi_{L/k}(u) = zeta_p^a(u), c the
     multiplier embedded in L, by element code: code j >= 1 is g^(j-1), so on
     L^x it is the absolute trace table shifted left by log c, cyclically."""
-    if L.p != ctx.base.p or L.d % ctx.base.d != 0:
-        raise ValueError("L is not an extension of the context base field")
     c_code, tr = embed(ctx.base, L, ctx.multiplier).code, L.trace_abs_by_code
     table = np.concatenate(([0], tr[c_code:], tr[1:c_code]))
     table.setflags(write=False)

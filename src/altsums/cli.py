@@ -29,7 +29,6 @@ from pathlib import Path
 from . import __version__
 from .curves import (
     DEFAULT_POINT_BUDGET,
-    _check_geometry,
     count_points,
     curve_moment_report,
     modified_third_moment,
@@ -395,10 +394,10 @@ def _cmd_curves(cfg: RunConfig, args) -> int:
     degree = args.degree
     count = count_points(cfg.params(), degree, budget=cfg.budget)
     doc = Document(cfg)
-    doc.note(f"field: {count.field_text}")
+    doc.note(f"field: {count.field.canonical_text()}")
     modified = modified_third_moment(count)
     doc.section(f"curves_degree_{degree}", COUNT_HEADER, _count_rows(count),
-                {"degree": degree, "field": count.field_text,
+                {"degree": degree, "field": count.field.canonical_text(),
                  "counts": Rows("%d", (count.counts,)),
                  "modified_m3": {"num": modified.numerator,
                                  "den": modified.denominator}})
@@ -477,9 +476,14 @@ def _cmd_all(cfg: RunConfig, args) -> int:
                     "kind,key,num,den",
                     _groupstats_rows(2 * params.q, regime, twist))
 
-    tables = trace_tables(params, cfg.max_degree, cache_dir=cfg.cache_dir)
-    for D, table in tables.items():
-        doc.section(f"traces_degree_{D}", TRACE_HEADER, table.rows())
+    tables, counts = {}, {}
+    for D in params.degrees(cfg.max_degree):  # each level built once, here
+        L = params.extension(D)
+        tables[D] = trace_table(params, D, cache_dir=cfg.cache_dir, field=L)
+        doc.section(f"traces_degree_{D}", TRACE_HEADER, tables[D].rows())
+        if L.order <= cfg.budget and L.d % params.f == 0:  # within --budget, F_q in L
+            counts[D] = count_points(params, D, budget=cfg.budget, field=L)
+        del L  # the next level is built without this one
 
     report = verdict(params, tables, config=cfg.verdict_config())
     doc.section("moments", MOMENT_HEADER, _moment_rows(report))
@@ -487,12 +491,7 @@ def _cmd_all(cfg: RunConfig, args) -> int:
     curve_header = ("degree,field_order,modified_num,modified_den,"
                     "empirical_num,empirical_den,bound,within")
     crows = []
-    for D in range(1, cfg.max_degree + 1):
-        try:
-            _check_geometry(params, D, cfg.budget)
-        except ValueError:  # F_q is not inside L, or #L is over the budget
-            continue
-        count = count_points(params, D, budget=cfg.budget)
+    for D, count in counts.items():
         doc.section(f"curves_degree_{D}", COUNT_HEADER, _count_rows(count))
         cm = curve_moment_report(count, report.rows[D - 1].m3)
         crows.append((D, cm.field_order, *_frac_cols(cm.modified),

@@ -35,8 +35,7 @@ import numpy as np
 
 from .characters import chi2_minus_one, gauss_sum, psi_exponent_table
 from .cyclotomic import CycInt
-from .fields import BudgetExceededError, FieldDescriptor, build_field, embed
-from .identities import _split_alphas
+from .fields import BudgetExceededError, FieldDescriptor
 from .traces import SystemParams
 
 DEFAULT_POINT_BUDGET = 4096  # largest #L counted by default
@@ -47,11 +46,11 @@ class NonRationalMomentError(RuntimeError):
 
 
 class CurveCount(NamedTuple):
-    """Affine point counts of f(x, y) = t, indexed by the element code of t."""
+    """Affine point counts of f(x, y) = t by the code of t, over the L kept as `field`."""
 
     params: SystemParams
     degree: int
-    field_text: str
+    field: FieldDescriptor
     counts: tuple[int, ...]
 
     @property
@@ -66,9 +65,10 @@ class CurveCount(NamedTuple):
 
 
 def _alpha_codes(params: SystemParams, L: FieldDescriptor) -> list[int]:
-    """Codes in L of the embedded elements of F_q minus {0, -1}."""
-    Fq = build_field(params.p, params.f)
-    return [embed(Fq, L, Fq.element(c)).code for c in _split_alphas(Fq)]
+    """Codes in L of F_q minus {0, -1}, in no order: F_q^x in L^x has the codes
+    1 + k (#L - 1)/(q - 1), k < q - 1, and -1 is k = (q - 1)/2."""
+    q, step = params.q, (L.order - 1) // (params.q - 1)
+    return [1 + k * step for k in range(q - 1) if 2 * k != q - 1]
 
 
 def _eval_rows(L: FieldDescriptor, alphas: list[int],
@@ -83,7 +83,11 @@ def _eval_rows(L: FieldDescriptor, alphas: list[int],
     return acc
 
 
-def _check_geometry(params: SystemParams, degree: int, budget: int):
+def count_points(params: SystemParams, degree: int, *,
+                 budget: int = DEFAULT_POINT_BUDGET,
+                 field: FieldDescriptor | None = None) -> CurveCount:
+    """The fiber counts over L, the `field` the caller holds or else one built
+    after the budget check (SystemParams.extension), which the count keeps."""
     d = params.base_degree * degree
     # before the build, which is slow for large #L; since p > 2, p^d passes
     # the budget once d reaches its bit length, and a huge d never forms p**d
@@ -93,17 +97,11 @@ def _check_geometry(params: SystemParams, degree: int, budget: int):
     if params.p**d > budget:
         raise BudgetExceededError(
             f"#L = {params.p**d} exceeds the point-count budget {budget}")
-    L = params.extension(degree)
+    L = params.extension(degree, field)
     if d % params.f != 0:
         raise ValueError(
             f"roots live in a degree-{params.f} field, which is not a "
             f"subfield of {L.canonical_text()}")
-    return L
-
-
-def count_points(params: SystemParams, degree: int, *,
-                 budget: int = DEFAULT_POINT_BUDGET) -> CurveCount:
-    L = _check_geometry(params, degree, budget)
     N = L.order
     g = math.gcd(params.n, N - 1)
     P = _eval_rows(L, _alpha_codes(params, L), np.arange(N, dtype=np.int64),
@@ -112,15 +110,13 @@ def count_points(params: SystemParams, degree: int, *,
     hist = np.empty(N, dtype=np.int64)
     hist[0] = N + (N - 1) * int(np.count_nonzero(P == 0))
     hist[1:] = g * classes[np.arange(N - 1) % g]
-    return CurveCount(params=params, degree=degree,
-                      field_text=L.canonical_text(),
+    return CurveCount(params=params, degree=degree, field=L,
                       counts=tuple(hist.tolist()))
 
 
 def curve_weighted_sum(count: CurveCount) -> CycInt:
     """W = sum over t in L^x of psi(t) chi_2(-t) N_L(t), exact, over `count`'s L."""
-    params = count.params
-    L = params.extension(count.degree)
+    params, L = count.params, count.field
     e_tab = psi_exponent_table(params.context(), L)
     # chi_2(-t) for t = gen^j is (-1)^(j + (#L - 1)/2); sum |W| <= #L^2 fits int64
     j = np.arange(L.order - 1)
@@ -137,8 +133,7 @@ def modified_third_moment(count: CurveCount) -> Fraction:
     Uses 1/g = conj(g)/#L, so the value is chi_2(-1) W conj(g)^3 / (#L)^3;
     a non-rational numerator is a hard error.
     """
-    params = count.params
-    L = params.extension(count.degree)
+    params, L = count.params, count.field
     W = curve_weighted_sum(count)
     g = gauss_sum(params.context(), L)
     num = W * g.conj() ** 3

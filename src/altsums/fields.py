@@ -505,11 +505,13 @@ class FieldElement:
 
 @lru_cache(maxsize=None)
 def build_field(p: int, d: int) -> FieldDescriptor:
-    """Deterministic model of F_{p^d}; repeated calls share one instance."""
+    """Deterministic model of F_{p^d}; repeated calls share one instance for
+    the life of the process.  For the small fields many callers ask for: base
+    fields, F_q, the identities' F_{q^2}, hasse_davenport_check's tower and
+    API users.  A tower level is built by SystemParams.extension instead."""
     return FieldDescriptor(p, d)
 
 
-@lru_cache(maxsize=None)
 def _embedding_log(sub: FieldDescriptor, sup: FieldDescriptor) -> int:
     if sub.p != sup.p:
         raise ValueError("different characteristics")

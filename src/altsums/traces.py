@@ -15,13 +15,14 @@ size #L and rounds -S * conj(A) to the read-only int64 numerators of a
 TraceTable: the numerators are integers by a Galois argument, the rounding
 error has an a-priori bound below 1/4, and each rounding is checked (see
 _trace_numerators).  Every computed table must then satisfy the sum rules
-M1 = 0 and M2 = (#L - 1)/#L exactly.  This kernel is the only production
-path to S(t); the exact oracles it is tested against live with the tests.
-trace_table builds one table and trace_tables the tower of degrees 1..n;
-the statistics take built tables.  Long tables are rendered a block of rows
-at a time (Rows).  A disk cache of altsums-trace-v2 files, each sealed with
+M1 = 0 and M2 = (#L - 1)/#L exactly and be Frobenius invariant, T(t^p) =
+T(t).  This kernel is the only production path to S(t); the exact oracles
+it is tested against live with the tests.  trace_table builds one table and
+trace_tables the tower of degrees 1..n, one level's field at a time; the
+statistics take built tables.  Long tables are rendered a block of rows at
+a time (Rows).  A disk cache of altsums-trace-v2 files, each sealed with
 a CRC-32 trailer (hashlib would load OpenSSL), is read back into a table
-whose rows() must equal the file and which must pass the sum rules; a file
+whose rows() must equal the file and which must pass both checks; a file
 that fails (an older format included) raises CacheCorruptionError naming it
 and its first bad row, never recomputed over.
 """
@@ -40,8 +41,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .characters import (CharacterContext, chi2_minus_one,
-                         normalization_constant, psi_exponent_table)
+from .characters import (CharacterContext, normalization_constant,
+                         psi_exponent_table)
 from .fields import FieldDescriptor, build_field, checked_order
 
 ROW_BLOCK = 1024  # rows per %-format: a long table is never rendered whole
@@ -50,11 +51,13 @@ ROW_BLOCK = 1024  # rows per %-format: a long table is never rendered whole
 class NonRationalTraceError(RuntimeError):
     """A computed trace is wrong: not rational, not within 1/4 of an integer
     numerator in the kernel's float value, or a table that breaks the sum
-    rules M1 = 0 and M2 = (#L - 1)/#L.  Each falsifies the computation."""
+    rules M1 = 0 and M2 = (#L - 1)/#L or Frobenius invariance.  Each
+    falsifies the computation."""
 
 
 class CacheCorruptionError(RuntimeError):
-    """A trace-table cache file failed its format, checksum, row or sum-rule checks."""
+    """A trace-table cache file failed its format, checksum, row, sum-rule or
+    Frobenius checks."""
 
 
 class SystemParams(namedtuple("SystemParams", "p f base_degree multiplier",
@@ -89,14 +92,24 @@ class SystemParams(namedtuple("SystemParams", "p f base_degree multiplier",
     def n(self) -> int:
         return 2 * self.q - 1
 
-    def base_field(self) -> FieldDescriptor:
-        return build_field(self.p, self.base_degree)
-
     def context(self) -> CharacterContext:
-        return CharacterContext.make(self.base_field(), self.multiplier)
+        return CharacterContext.make(build_field(self.p, self.base_degree), self.multiplier)
 
-    def extension(self, degree: int) -> FieldDescriptor:
-        return build_field(self.p, self.base_degree * degree)
+    def extension(self, degree: int, field: FieldDescriptor | None = None) -> FieldDescriptor:
+        """The degree-`degree` extension L: `field` if it is L, else a new L no memo holds."""
+        if field is None:  # FieldDescriptor checks the budget before it builds
+            return FieldDescriptor(self.p, self.base_degree * degree)
+        if (field.p, field.d) != (self.p, self.base_degree * degree):
+            raise ValueError(f"{field!r} is not the degree-{degree} extension")
+        return field
+
+    def degrees(self, max_degree: int) -> range:
+        """1..max_degree, once every degree is within the table budget."""
+        if max_degree < 1:
+            raise ValueError(f"max_degree must be >= 1, got {max_degree}")
+        for D in range(1, max_degree + 1):
+            checked_order(self.p, self.base_degree * D)
+        return range(1, max_degree + 1)
 
     def label(self) -> str:
         return (f"p={self.p} f={self.f} base_degree={self.base_degree} "
@@ -242,7 +255,8 @@ def _trace_numerators(params: SystemParams, L: FieldDescriptor) -> np.ndarray:
     * Checked anyway: a |v - rint(v)| or |Im v| of 1/4 or more raises
       NonRationalTraceError naming the first such t_index.
     Peak: h and the FFT's two stage arrays (complex128) and the rows
-    (int64), 56 bytes per element, 0.9 GiB at #L = 2^24.
+    (int64), 56 bytes per element, 0.9 GiB at #L = 2^24, held beside the
+    level's field L (four int64 tables, 32 bytes per element).
     """
     p, d, N = L.p, L.d, L.order
     M = N - 1
@@ -270,18 +284,20 @@ def _trace_numerators(params: SystemParams, L: FieldDescriptor) -> np.ndarray:
     return num.astype(np.int64)
 
 
-def trace_table(params: SystemParams, degree: int, *,
-                cache_dir=None) -> TraceTable:
-    """Compute (or load from a verified cache) the full trace table.  L over
-    the table budget is refused first; a computed table must pass the sum rules."""
-    checked_order(params.p, params.base_degree * degree)
-    L = params.extension(degree)
+def trace_table(params: SystemParams, degree: int, *, cache_dir=None,
+                field: FieldDescriptor | None = None) -> TraceTable:
+    """Compute (or load from a verified cache) the full trace table over L,
+    the `field` the caller holds or else its own (SystemParams.extension).  L
+    over the table budget is refused first; a table, computed or loaded,
+    must pass the sum rules and be Frobenius invariant."""
+    L = params.extension(degree, field)
     path = _cache_path(cache_dir, params, degree) if cache_dir else None
     if path is not None and path.exists():
         return _load_table(path, params, degree, L)
 
     table = _table(params, degree, L, _trace_numerators(params, L))
     _check_sum_rules(table)
+    _check_frobenius(table)
     if path is not None:
         _save_table(path, table)
     return table
@@ -303,6 +319,23 @@ def _check_sum_rules(table: TraceTable) -> None:
             f"not 0 and {N - 1}/{N}")
 
 
+def _check_frobenius(table: TraceTable) -> None:
+    """Raise NonRationalTraceError unless T(t^p) = T(t) for every t: x -> x^p
+    permutes L and fixes chi_2 and psi (whose multiplier lies in F_p), so
+    S(t^p) = S(t).  For t = g^j (code 1 + j), t^p = g^(p j mod (p^d - 1)),
+    and that product rotates the d base-p digits of j.  So the numerators of
+    L^x, with t = 0 moved into the slot of j = p^d - 1 (which the rotation
+    fixes), must equal themselves with the axes of their (p,)*d shape rolled."""
+    p, d = table.params.p, table.params.base_degree * table.degree
+    v = np.concatenate((table.numerators[1:], table.numerators[:1])).reshape((p,) * d)
+    bad = np.flatnonzero(v != np.moveaxis(v, -1, 0))
+    if bad.size:
+        j, M = int(bad[0]), table.denominator - 1
+        raise NonRationalTraceError(
+            f"Frobenius invariance fails over {table.field_text}: the trace at "
+            f"t_index={1 + j} differs from the one at t_index={1 + p * j % M}")
+
+
 def _table(params: SystemParams, degree: int, L: FieldDescriptor,
            numerators: np.ndarray) -> TraceTable:
     return TraceTable(params, degree, L.canonical_text(), L.order, numerators)
@@ -310,14 +343,10 @@ def _table(params: SystemParams, degree: int, L: FieldDescriptor,
 
 def trace_tables(params: SystemParams, max_degree: int, *,
                  cache_dir=None) -> dict[int, TraceTable]:
-    """The trace tables of degrees 1..max_degree, keyed by degree.  Every
-    degree's budget is checked before any table is built."""
-    if max_degree < 1:
-        raise ValueError(f"max_degree must be >= 1, got {max_degree}")
-    degrees = range(1, max_degree + 1)
-    for D in degrees:
-        checked_order(params.p, params.base_degree * D)
-    return {D: trace_table(params, D, cache_dir=cache_dir) for D in degrees}
+    """The trace tables of degrees 1..max_degree, keyed by degree, each level's
+    field let go with its turn, once every degree's budget is checked."""
+    return {D: trace_table(params, D, cache_dir=cache_dir)
+            for D in params.degrees(max_degree)}
 
 
 # -- disk cache ---------------------------------------------------------------
@@ -372,8 +401,8 @@ def _load_table(path: Path, params: SystemParams, degree: int,
                 L: FieldDescriptor) -> TraceTable:
     """Parse a cache file a block of rows at a time, each row with
     |T| < sqrt(#L); the rows must then equal the loaded table's rows(), and
-    the table must pass the sum rules.  A file of another format is refused
-    before its trailer is read."""
+    the table must pass the sum rules and be Frobenius invariant.  A file of
+    another format is refused before its trailer is read."""
     data = path.read_bytes()
     if not data.startswith(f"# {TRACE_FORMAT} ".encode()):
         raise CacheCorruptionError(f"{path}: not in the {TRACE_FORMAT} format")
@@ -411,6 +440,7 @@ def _load_table(path: Path, params: SystemParams, degree: int,
         pos += len(block)
     try:
         _check_sum_rules(table)
+        _check_frobenius(table)
     except NonRationalTraceError as exc:
         raise CacheCorruptionError(f"{path}: {exc}") from None
     return table
@@ -442,7 +472,7 @@ def moment_report(params: SystemParams,
     The target is chi_2(-1) on the degree-D extension: +1 when #L = 1 mod 4,
     -1 otherwise.
     """
-    rows = tuple(_moment_row(params, t)[0] for t in _tower(params, tables))
+    rows = tuple(_moment_row(t)[0] for t in _tower(params, tables))
     return MomentReport(params=params, rows=rows)
 
 
@@ -463,16 +493,16 @@ def _tower(params: SystemParams,
     return [tables[D] for D in degrees]
 
 
-def _moment_row(params: SystemParams, table: TraceTable):
+def _moment_row(table: TraceTable):
     """M1-M3 of one table, and the value counts they come from (None when
-    the table is not integral)."""
+    the table is not integral).  The target is chi_2(-1) on L, read off #L."""
     try:
         counts = table.value_counts()
     except ValueError:  # not integral
         counts = None
-    L = params.extension(table.degree)
-    target = chi2_minus_one(L)
+    N = table.denominator
+    target = 1 if N % 4 == 1 else -1
     m1, m2, m3 = (table.moment(k, counts) for k in (1, 2, 3))
-    return MomentRow(degree=table.degree, field_order=L.order, m1=m1, m2=m2,
+    return MomentRow(degree=table.degree, field_order=N, m1=m1, m2=m2,
                      m3=m3, m3_target=target, m3_deviation=abs(float(m3 - target)),
                      integral=counts is not None), counts

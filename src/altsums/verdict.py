@@ -18,15 +18,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .characters import chi2_minus_one
+from .fields import checked_order
 from .groups import spectrum
 from .traces import SystemParams, TraceTable, _moment_row, _tower
 
 
 def regime_for(params: SystemParams, degree: int) -> tuple[str, str]:
     """(regime, twist): ('alt', 'plain') when #L = 1 mod 4, else ('coset', 'sgn')."""
-    L = params.extension(degree)
-    if chi2_minus_one(L) == 1:
+    if checked_order(params.p, params.base_degree * degree) % 4 == 1:
         return ("alt", "plain")
     return ("coset", "sgn")
 
@@ -176,7 +175,7 @@ def verdict(params: SystemParams, tables: dict[int, TraceTable], *,
     rows = []
     failures: list[str] = []
     for D, table in enumerate(tower, 1):
-        mrow, counts = _moment_row(params, table)  # one value count per table
+        mrow, counts = _moment_row(table)  # one value count per table
         regime, twist = regime_for(params, D)
         oracle = spectrum(2 * params.q, regime, twist)
 

@@ -23,7 +23,9 @@ independent oracle that only tests import.
   element, or one orthogonality sum, at a time.
 * The curve side.  `triple_sum_direct` attaches the weight psi(f) chi_2(-f)
   pair by pair, never forming the fiber histogram that `count_points` and
-  `curve_weighted_sum` go through.
+  `curve_weighted_sum` go through.  Its alphas, `alpha_codes`, embed F_q
+  minus {0, -1} into L one element at a time (`fields.embed`), where the
+  production `_alpha_codes` reads them off the subgroup F_q^x of L^x.
 """
 
 import math
@@ -34,11 +36,11 @@ from typing import NamedTuple
 import numpy as np
 
 from altsums.characters import CharacterContext, chi2_code
-from altsums.curves import (DEFAULT_POINT_BUDGET, _alpha_codes,
-                            _check_geometry, _eval_rows)
+from altsums.curves import _eval_rows
 from altsums.cyclotomic import CycInt
 from altsums.fields import (BudgetExceededError, FieldDescriptor, FieldElement,
-                            embed)
+                            build_field, embed)
+from altsums.identities import _split_alphas
 from altsums.traces import NonRationalTraceError, SystemParams
 
 ROW_CHUNK = 256  # x-rows per block of triple_sum_direct: bounds its memory
@@ -247,16 +249,21 @@ def sum_chi2(L: FieldDescriptor) -> int:
 
 # -- the curve side -------------------------------------------------------------
 
-def triple_sum_direct(params: SystemParams, degree: int, *,
-                      budget: int = DEFAULT_POINT_BUDGET) -> CycInt:
+def alpha_codes(params: SystemParams, L: FieldDescriptor) -> list[int]:
+    """Codes in L of F_q minus {0, -1}, each element of F_q embedded."""
+    Fq = build_field(params.p, params.f)
+    return [embed(Fq, L, Fq.element(c)).code for c in _split_alphas(Fq)]
+
+
+def triple_sum_direct(params: SystemParams, degree: int) -> CycInt:
     """sum of psi(f(x,y)) chi_2(-f(x,y)) over pairs with f(x,y) != 0.
 
     Independent route to curve_weighted_sum: the same weight is attached
     pair by pair instead of fiber by fiber, never forming the histogram.
     """
-    L = _check_geometry(params, degree, budget)
+    L = params.extension(degree)  # F_q lies in L
     N = L.order
-    alphas = _alpha_codes(params, L)
+    alphas = alpha_codes(params, L)
     ys = np.arange(N, dtype=np.int64)
     e_tab = psi_table(params.context(), L)
     half = (N - 1) // 2

@@ -22,7 +22,7 @@ from altsums.cli import (CACHE_ENV, EMIT_BATCH, RunConfig, _order_too_long,
                          build_parser, config_from_args, main)
 from altsums.groups import REGIMES
 from altsums.characters import CharacterContext
-from altsums.fields import build_field
+from altsums.fields import FieldDescriptor, build_field
 from altsums.traces import SystemParams, trace_table
 from altsums.verdict import MembershipResult, VerdictConfig
 
@@ -131,14 +131,15 @@ def assert_one_usage_error(capsys):
 
 def test_curves_over_budget_exits_two_without_building_the_field(
         monkeypatch, capsys):
-    real = traces.build_field
+    # every field, memoized or not, goes through the constructor
+    real = FieldDescriptor.__init__
 
-    def small_fields_only(p, d, **kwargs):
+    def small_fields_only(self, p, d):
         if p**d > 4096:
             raise AssertionError(f"built F_{p}^{d}")
-        return real(p, d, **kwargs)
+        real(self, p, d)
 
-    monkeypatch.setattr(traces, "build_field", small_fields_only)
+    monkeypatch.setattr(FieldDescriptor, "__init__", small_fields_only)
     assert main(["curves", "--p", "3", "--degree", "10"]) == 2
     assert assert_one_usage_error(capsys) == \
         "usage error: #L = 59049 exceeds the point-count budget 4096\n"

@@ -13,19 +13,19 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from altsums import curves, traces
 from altsums.curves import (
     CurveCount,
     NonRationalMomentError,
+    _alpha_codes,
     count_points,
     curve_moment_report,
     curve_weighted_sum,
     modified_third_moment,
 )
 from altsums.cyclotomic import CycInt
-from altsums.fields import BudgetExceededError
+from altsums.fields import BudgetExceededError, FieldDescriptor
 from altsums.traces import SystemParams, trace_table
-from oracles import triple_sum_direct
+from oracles import alpha_codes, triple_sum_direct
 
 P33 = SystemParams(p=3, f=1)
 P55 = SystemParams(p=5, f=1)
@@ -78,6 +78,12 @@ def test_counts_match_power_sum_oracle(params, degree):
     assert list(got.counts) == brute_counts(params, degree)
 
 
+@pytest.mark.parametrize("params,degree", [(P33, 2), (P327, 3), (P39, 4)] + SWEEP)
+def test_alpha_codes_are_the_embedded_alphas(params, degree):
+    L = params.extension(degree)
+    assert sorted(_alpha_codes(params, L)) == sorted(alpha_codes(params, L))
+
+
 @pytest.mark.parametrize("params,degree", [(P33, 1), (P55, 1), (P327, 3), (P39, 2)])
 def test_form_vanishes_identically_over_base_q(params, degree):
     # these choices make L = F_q, where x^(2q-1) = x for every x
@@ -121,11 +127,11 @@ def test_budget():
 
 
 def test_budget_is_checked_before_the_field_is_built(monkeypatch):
-    def no_build(p, d, **kwargs):
+    # every field, memoized or not, goes through the constructor
+    def no_build(self, p, d):
         raise AssertionError(f"built F_{p}^{d}")
 
-    monkeypatch.setattr(traces, "build_field", no_build)
-    monkeypatch.setattr(curves, "build_field", no_build)
+    monkeypatch.setattr(FieldDescriptor, "__init__", no_build)
     with pytest.raises(BudgetExceededError, match="59049"):
         count_points(P33, 10)
 
@@ -226,7 +232,7 @@ def test_report_takes_degree_and_field_from_the_count():
 def test_curve_count_fields():
     count = count_points(P33, 2)
     assert isinstance(count, CurveCount)
-    assert count.field_text.startswith("p=3 d=2")
+    assert count.field.canonical_text().startswith("p=3 d=2")
     assert count.degree == 2
     assert len(count.counts) == 9
 

@@ -28,7 +28,8 @@ from altsums.cyclotomic import CycInt
 from altsums.fields import BudgetExceededError
 from altsums.traces import (CacheCorruptionError, NonRationalTraceError,
                             SystemParams, TraceTable, _cache_path,
-                            _load_table, _save_table, _trace_numerators,
+                            _check_frobenius, _check_sum_rules, _load_table,
+                            _save_table, _table, _trace_numerators,
                             moment_report, trace_table, trace_tables)
 from oracles import (_additive_fft_counts, _finish, descent_consistency,
                      descent_trace, exact_numerators, normalized_trace,
@@ -154,6 +155,7 @@ def test_fft_kernel_equals_the_exact_oracle(p, f, b, c, D):
     got = _trace_numerators(params, L)
     assert got.dtype == np.int64
     assert np.array_equal(got, exact_numerators(params, L))
+    _check_frobenius(_table(params, D, L, got))  # T(t^p) = T(t) holds
 
 
 @pytest.mark.parametrize("error", [0.4, 0.3j])
@@ -212,6 +214,53 @@ def test_sum_rules_catch_a_doctored_table(monkeypatch, doctor):
     monkeypatch.setattr(traces, "_trace_numerators", doctored)
     with pytest.raises(NonRationalTraceError, match="sum rules fail over "):
         trace_table(P33, 4)
+
+
+def _swap_across_orbits(nums, p):
+    """Swap the rows of t = g and of the first t with another trace outside
+    the Frobenius orbit {g^(p^i)} of g: M1 and M2 do not see it."""
+    M = len(nums) - 1
+    orbit = {1 + pow(p, i, M) for i in range(M.bit_length())}
+    b = next(k for k in range(2, M + 1) if k not in orbit and nums[k] != nums[2])
+    nums[[2, b]] = nums[[b, 2]]
+
+
+def test_frobenius_invariance_catches_rows_swapped_across_orbits(monkeypatch, capsys):
+    table = trace_table(P33, 5)
+    nums = table.numerators.copy()
+    _swap_across_orbits(nums, 3)
+    swapped = table._replace(numerators=nums)
+    _check_sum_rules(swapped)  # symmetric in t: M1 and M2 still hold
+    with pytest.raises(NonRationalTraceError, match="Frobenius invariance fails over "
+                       "p=3 d=5 .*: the trace at t_index=2 differs"):
+        _check_frobenius(swapped)
+    real = traces._trace_numerators
+
+    def doctored(params, L):
+        nums = real(params, L)
+        _swap_across_orbits(nums, params.p)
+        return nums
+
+    monkeypatch.setattr(traces, "_trace_numerators", doctored)
+    assert main(["traces", "--p", "3", "--degree", "5"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("FALSIFIED: Frobenius invariance fails over ")
+
+
+def test_cache_refuses_a_sealed_file_with_rows_swapped_across_orbits(tmp_path, capsys):
+    table = trace_table(P33, 4)
+    path = _cache_path(tmp_path, P33, 4)
+    nums = table.numerators.copy()
+    _swap_across_orbits(nums, 3)
+    _save_table(path, table._replace(numerators=nums))  # a valid CRC-32
+    with pytest.raises(CacheCorruptionError, match="Frobenius invariance fails"):
+        trace_table(P33, 4, cache_dir=tmp_path)
+    argv = ["traces", "--p", "3", "--degree", "4", "--cache-dir", str(tmp_path)]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"usage error: corrupt trace cache file {path}: "
+                          "Frobenius invariance fails over p=3 d=4 ")
 
 
 def test_sum_of_raw_sums_vanishes():
@@ -484,12 +533,15 @@ def test_trace_kernel_peak_memory_stays_near_its_budgeted_arrays():
     # the kernel holds h and the FFT's two stage arrays (complex128) with
     # the rows (int64), 56 bytes per element, and builds its psi tables
     # inside the measured call; one (#L, p) int64 array (75 MB here) or a
-    # (p, p, p) index table would dwarf them
+    # (p, p, p) index table would dwarf them.  The level's field (32 bytes
+    # per element) is built first and handed in, so it is not measured, and
+    # a first call fills numpy's FFT caches (3 bytes per element).
     params = SystemParams(p=211, f=1)
-    trace_table(params, 2)  # builds the field first
+    L = params.extension(2)
+    trace_table(params, 2, field=L)
     tracemalloc.start()
     try:
-        trace_table(params, 2)
+        trace_table(params, 2, field=L)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
