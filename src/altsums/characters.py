@@ -94,13 +94,20 @@ def psi_exponent_table(ctx: CharacterContext, L: FieldDescriptor) -> np.ndarray:
     return table
 
 
+def _chi2_sum(p: int, e: np.ndarray, w=None) -> CycInt:
+    """Sum over L^x of zeta_p^e(x) chi_2(x) w(x), exact, for a psi exponent
+    table `e` and integer weights `w` (default 1), both by code.  Code j >= 1
+    has chi_2 = (-1)^(j-1); a float64 bincount adds integers exactly while
+    sum |w| < 2^53."""
+    even, odd = (None, None) if w is None else (w[1::2], w[2::2])
+    counts = (np.bincount(e[1::2], even, minlength=p)
+              - np.bincount(e[2::2], odd, minlength=p))
+    return CycInt.from_power_counts(p, counts.astype(np.int64).tolist())
+
+
 def gauss_sum(ctx: CharacterContext, L: FieldDescriptor) -> CycInt:
     """g_L = sum over L^x of psi(x) chi_2(x)."""
-    p = ctx.base.p
-    e = psi_exponent_table(ctx, L)[1:]
-    even = np.bincount(e[0::2], minlength=p)
-    odd = np.bincount(e[1::2], minlength=p)
-    return CycInt.from_power_counts(p, (even - odd).tolist())
+    return _chi2_sum(ctx.base.p, psi_exponent_table(ctx, L))
 
 
 class GaussIdentityReport(NamedTuple):

@@ -1,10 +1,9 @@
 """Command-line surface tying the modules into reproducible pipelines.
 
 Every emitted document starts with the tool version and the effective
-configuration.  The echoed configuration deliberately excludes the thread
-count and the cache directory: neither may influence output bytes, and the
-determinism guarantee is exactly that reruns with different --threads
-produce identical files.
+configuration.  The echo excludes the cache directory: output depends on no
+cache state, so a run with no cache, on an empty one or on a filled one
+writes the same bytes.
 
 Exit codes, which `main` alone assigns from what the command returns or
 raises: 0 = all checks passed, 1 = a falsified invariant (the
@@ -18,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import gc
-import os
 import sys
 from collections import namedtuple
 from contextlib import nullcontext
@@ -56,8 +54,6 @@ from .traces import (
 )
 from .verdict import VerdictConfig, verdict
 
-CACHE_ENV = "ALTSUMS_CACHE_DIR"
-
 
 # Each RunConfig field, in order, with its default and the type it must hold
 # (as the refusal names it).  A bool is refused everywhere; a float field
@@ -70,7 +66,6 @@ RUN_FIELDS = {
     "max_degree": (8, "int"),
     "budget": (DEFAULT_POINT_BUDGET, "int"),
     "cache_dir": (None, "str | None"),
-    "threads": (1, "int"),
     "fmt": ("csv", "str"),
     "tv_max": (0.05, "float"),
     "m3_tol": (0.2, "float"),
@@ -98,8 +93,8 @@ class RunConfig(namedtuple("RunConfig", list(RUN_FIELDS),
         self = tuple.__new__(cls, values)
         if self.fmt not in ("csv", "json"):
             raise ValueError(f"unknown format {self.fmt!r}")
-        if self.max_degree < 1 or self.budget < 1 or self.threads < 1:
-            raise ValueError("degrees, budgets and thread counts are positive")
+        if self.max_degree < 1 or self.budget < 1:
+            raise ValueError("degrees and budgets are positive")
         self.verdict_config().check()
         return self
 
@@ -120,9 +115,8 @@ class RunConfig(namedtuple("RunConfig", list(RUN_FIELDS),
                         for k, v in self.echo_dict().items())
 
     def echo_dict(self) -> dict:
-        """The fields that may influence results: all but threads and cache_dir."""
+        """The fields that may influence results: all but cache_dir."""
         d = self._asdict()
-        del d["threads"]
         del d["cache_dir"]
         return d
 
@@ -569,10 +563,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--budget", type=int,
                      help="largest #L whose fiber curves are counted "
                           f"(default {DEFAULT_POINT_BUDGET})")
-    run.add_argument("--threads", type=int,
-                     help="accepted and ignored: the library starts no threads")
-    run.add_argument("--cache-dir", default=os.environ.get(CACHE_ENV) or None,
-                     help=f"trace-table cache directory (env {CACHE_ENV})")
+    run.add_argument("--cache-dir", help="trace-table cache directory")
     run.add_argument("--config",
                      help="JSON config file; explicit flags override it")
     run.add_argument("--tv-max", type=float)

@@ -14,7 +14,9 @@ equals the empirical third moment M3 = sum_t T(t)^3 / #L exactly:
   those pairs give chi_2(-alpha(1 + alpha)) sum over y != 0 of chi_2(y) = 0.
   Hence sum_t S(t)^3 = #L W, W = sum over t != 0 of psi(t) chi_2(-t) N(t).
 * n = -1 mod p, so chi_2(n) = chi_2(-1), and (n - 1)/2 = q - 1 is even, so
-  A = -chi_2(-1) g and M3 = -W / A^3 = (chi_2(-1)/g)^3 W.
+  A = -chi_2(-1) g and M3 = -W / A^3 = (chi_2(-1)/g)^3 W.  As chi_2(-t) =
+  chi_2(-1) chi_2(t), W = chi_2(-1) V with V = sum over t != 0 of psi(t)
+  chi_2(t) N(t), and M3 = V / g^3 = V conj(g)^3 / #L^3.
 So a modified moment that differs from M3 falsifies the counts, the traces
 or one of the identities above.
 
@@ -33,7 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .characters import chi2_minus_one, gauss_sum, psi_exponent_table
+from .characters import _chi2_sum, chi2_minus_one, psi_exponent_table
 from .cyclotomic import CycInt
 from .fields import BudgetExceededError, FieldDescriptor
 from .traces import SystemParams
@@ -115,33 +117,28 @@ def count_points(params: SystemParams, degree: int, *,
 
 
 def curve_weighted_sum(count: CurveCount) -> CycInt:
-    """W = sum over t in L^x of psi(t) chi_2(-t) N_L(t), exact, over `count`'s L."""
+    """W = sum over t in L^x of psi(t) chi_2(-t) N_L(t) = chi_2(-1) V, exact,
+    over `count`'s L."""
     params, L = count.params, count.field
-    e_tab = psi_exponent_table(params.context(), L)
-    # chi_2(-t) for t = gen^j is (-1)^(j + (#L - 1)/2); sum |W| <= #L^2 fits int64
-    j = np.arange(L.order - 1)
-    signed = np.where((j + (L.order - 1) // 2) % 2 == 0, 1, -1) * \
-        np.array(count.counts, dtype=np.int64)[1:]
-    w = np.zeros(params.p, dtype=np.int64)
-    np.add.at(w, e_tab[1:], signed)
-    return CycInt.from_power_counts(params.p, w.tolist())
+    e = psi_exponent_table(params.context(), L)
+    return chi2_minus_one(L) * _chi2_sum(params.p, e, np.array(count.counts))
 
 
 def modified_third_moment(count: CurveCount) -> Fraction:
-    """(chi_2(-1)/g)^3 * W as an exact rational, over the field of `count`.
-
-    Uses 1/g = conj(g)/#L, so the value is chi_2(-1) W conj(g)^3 / (#L)^3;
-    a non-rational numerator is a hard error.
+    """(chi_2(-1)/g)^3 * W = V conj(g)^3 / (#L)^3 as an exact rational, over
+    the field of `count`, with V and g read off one psi table; a non-rational
+    numerator is a hard error.
     """
     params, L = count.params, count.field
-    W = curve_weighted_sum(count)
-    g = gauss_sum(params.context(), L)
-    num = W * g.conj() ** 3
+    e = psi_exponent_table(params.context(), L)
+    # V = W / chi_2(-1); the counts sum to at most #L^2 <= 2^48: exact
+    V = _chi2_sum(params.p, e, np.array(count.counts))
+    num = V * _chi2_sum(params.p, e).conj() ** 3
     r = num.as_rational()
     if r is None:
         raise NonRationalMomentError(
             f"curve-weighted sum is not rational over {L.canonical_text()}")
-    return Fraction(chi2_minus_one(L) * r, L.order**3)
+    return Fraction(r, L.order**3)
 
 
 class CurveMomentReport(NamedTuple):

@@ -41,8 +41,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .characters import (CharacterContext, normalization_constant,
-                         psi_exponent_table)
+from .characters import CharacterContext, _chi2_sum, psi_exponent_table
 from .fields import FieldDescriptor, build_field, checked_order
 
 ROW_BLOCK = 1024  # rows per %-format: a long table is never rendered whole
@@ -239,7 +238,8 @@ def _trace_numerators(params: SystemParams, L: FieldDescriptor) -> np.ndarray:
     Put h[poly_int(x)] = chi_2(x) exp(2 pi i e(x^n) / p) on (Z/p)^d, d =
     [L : F_p], poly_int(x) packing the coordinates a_i of x in base p.  As
     e(t*x) = sum_i a_i w_i(t) with w_i(t) = e(t * x^i), S(t) = F[w(t)] for
-    the unscaled inverse DFT F of h; multiply by conj(A) embedded and round.
+    the unscaled inverse DFT F of h; multiply by -conj(A) = g_L, the Gauss
+    sum read off the same psi table, embedded, and round.
     The generator g is x (fields._antilog), so w_i(g^tau) = e(g^(tau + i)).
     * Exact: for k in F_p^x, n = 1 mod (p - 1), so x -> x/k gives
       sigma_k(S) = chi_2(k) S, and sigma_k(conj A) = chi_2(k) conj(A) (Gauss
@@ -261,6 +261,9 @@ def _trace_numerators(params: SystemParams, L: FieldDescriptor) -> np.ndarray:
     p, d, N = L.p, L.d, L.order
     M = N - 1
     e_tab = psi_exponent_table(params.context(), L)
+    # A = -chi_2(-1) g_L, as n = -1 mod p and (n - 1)/2 is even, and conj(g_L)
+    # = chi_2(-1) g_L: so -conj(A) = g_L, and g_L / sqrt(#L) is one of +-1, +-i
+    a = _chi2_sum(p, e_tab).complex_value() / math.sqrt(N)
     logs = np.arange(M, dtype=np.int64)
     zeta = np.exp(2j * np.pi / p * np.arange(p))
     h = np.zeros(N, dtype=np.complex128)
@@ -272,10 +275,7 @@ def _trace_numerators(params: SystemParams, L: FieldDescriptor) -> np.ndarray:
         rows[1:] += E[i:i + M] * p**i
     del e_tab, logs, E  # not held through the FFT
     h = np.fft.ifftn(h.reshape((p,) * d), norm="forward").reshape(N)[rows]
-
-    a = normalization_constant(params.context(), L, params.n).conj().complex_value()
-    a /= math.sqrt(N)  # conj(A) / sqrt(#L) is one of +-1, +-i
-    h *= -math.sqrt(N) * complex(round(a.real), round(a.imag))
+    h *= math.sqrt(N) * complex(round(a.real), round(a.imag))
     num = np.rint(h.real)
     bad = np.flatnonzero(np.maximum(abs(h.real - num), abs(h.imag)) >= 0.25)
     if bad.size:

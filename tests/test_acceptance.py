@@ -226,16 +226,19 @@ def test_criterion_09_curve_oracle_consistency(announce, cache_dir):
 
 
 def test_criterion_10_pipeline_determinism(announce, tmp_path):
-    outputs = []
-    codes = []
-    for threads in (1, 4, 8):
-        cache = tmp_path / f"cache_{threads}"
-        cache.mkdir()
-        out = tmp_path / f"all_{threads}.csv"
+    """`all` writes the same bytes with no cache, on an empty cache and on the
+    cache that run filled, and the warm run leaves the cache files as they were."""
+    cache = tmp_path / "cache"
+    outputs, codes, files = [], [], []
+    for cache_args in ([], ["--cache-dir", str(cache)], ["--cache-dir", str(cache)]):
+        out = tmp_path / f"all_{len(outputs)}.csv"
         codes.append(main(["all", "--p", "3", "--f", "1", "--max-degree", "5",
-                           "--threads", str(threads), "--cache-dir", str(cache),
-                           "--output", str(out)]))
+                           *cache_args, "--output", str(out)]))
         outputs.append(out.read_bytes())
+        files.append({f.name: (f.read_bytes(), f.stat().st_ino, f.stat().st_mtime_ns)
+                      for f in sorted(cache.glob("*"))})  # not rewritten either
     ok = codes == [0, 0, 0]
     ok = ok and outputs[0] == outputs[1] == outputs[2]
-    assert announce(10, "byte-identical pipeline across 1/4/8 threads", ok)
+    ok = ok and files[0] == {} and len(files[1]) == 5 and files[1] == files[2]
+    assert announce(10, "byte-identical pipeline without, on a cold and on a "
+                        "warm trace cache", ok)

@@ -1,5 +1,5 @@
 """Checks for the command-line surface: config round-trips, exit codes,
-output shapes, header comments, and thread-count byte determinism."""
+output shapes, header comments, and byte determinism across cache states."""
 
 import hashlib
 import json
@@ -17,8 +17,8 @@ from pathlib import Path
 import pytest
 
 import altsums
-from altsums import __version__, cli, curves, traces
-from altsums.cli import (CACHE_ENV, EMIT_BATCH, RunConfig, _order_too_long,
+from altsums import __version__, characters, cli, curves, traces
+from altsums.cli import (EMIT_BATCH, RunConfig, _order_too_long,
                          build_parser, config_from_args, main)
 from altsums.groups import REGIMES
 from altsums.characters import CharacterContext
@@ -32,13 +32,13 @@ from altsums.verdict import MembershipResult, VerdictConfig
 
 def test_config_json_round_trip():
     cfg = RunConfig(p=5, f=1, base_degree=2, multiplier=3, max_degree=4,
-                    budget=512, cache_dir="/tmp/somewhere", threads=7,
+                    budget=512, cache_dir="/tmp/somewhere",
                     fmt="json", tv_max=0.1, m3_tol=0.3, m3_min_order=125)
     assert RunConfig.from_json(cfg.to_json()) == cfg
 
 
 def test_config_file_round_trip(tmp_path):
-    cfg = RunConfig(p=3, f=1, max_degree=2, threads=3)
+    cfg = RunConfig(p=3, f=1, max_degree=2, budget=100)
     path = tmp_path / "run.json"
     cfg.save(path)
     assert RunConfig.load(path) == cfg
@@ -50,19 +50,31 @@ def test_config_validation():
     with pytest.raises(ValueError):
         RunConfig(max_degree=0)
     with pytest.raises(ValueError):
-        RunConfig(threads=0)
+        RunConfig(budget=0)
     with pytest.raises(ValueError):
         RunConfig(tv_max=math.nan)
     assert RunConfig(tv_max=0, m3_tol=0.0).tv_max == 0  # zero bounds are allowed
 
 
 def test_echo_excludes_threads_and_cache_dir():
-    a = RunConfig(threads=1, cache_dir=None)
-    b = RunConfig(threads=8, cache_dir="/tmp/x")
+    a = RunConfig(cache_dir=None)
+    b = RunConfig(cache_dir="/tmp/x")
     assert a.echo() == b.echo()
     assert a.echo_dict() == b.echo_dict()
-    assert "threads" not in a.echo()
     assert "cache" not in a.echo()
+    assert "threads" not in RunConfig._fields  # no thread count to echo
+
+
+def test_threads_is_a_usage_error(tmp_path, capsys):
+    """--threads and a config file's "threads" key are gone: the library
+    starts no threads, and neither ever changed an output byte."""
+    assert main(["all", "--p", "3", "--max-degree", "2", "--threads", "2"]) == 2
+    assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"max_degree": 2, "threads": 1}))
+    assert main(["all", "--config", str(path)]) == 2
+    assert assert_one_usage_error(capsys) == \
+        "usage error: unknown config keys: threads\n"
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -88,25 +100,28 @@ def test_config_file_and_flags_echo_the_same_tolerances(tmp_path, capsys, fmt):
 
 def test_config_from_args_precedence(tmp_path):
     path = tmp_path / "cfg.json"
-    RunConfig(p=5, f=1, max_degree=6, threads=2).save(path)
+    RunConfig(p=5, f=1, max_degree=6, budget=512).save(path)
     parser = build_parser()
     args = parser.parse_args(["moments", "--config", str(path),
                               "--max-degree", "3"])
     cfg = config_from_args(args)
     assert cfg.p == 5            # from the file
     assert cfg.max_degree == 3   # flag wins
-    assert cfg.threads == 2      # from the file
+    assert cfg.budget == 512     # from the file
 
 
-def test_cache_env_fallback(tmp_path, monkeypatch):
-    monkeypatch.setenv(CACHE_ENV, str(tmp_path))
+def test_cache_env_is_ignored(tmp_path, monkeypatch, capsys):
+    """Only --cache-dir names a cache: with ALTSUMS_CACHE_DIR set and no
+    flag, a run recomputes, writes no cache file and the same bytes."""
+    argv = ["all", "--p", "3", "--max-degree", "3"]
+    assert main(argv) == 0
+    unset = capsys.readouterr().out
+    monkeypatch.setenv("ALTSUMS_CACHE_DIR", str(tmp_path))
     parser = build_parser()
-    cfg = config_from_args(parser.parse_args(["traces", "--degree", "1"]))
-    assert cfg.cache_dir == str(tmp_path)
-    monkeypatch.setenv(CACHE_ENV, "/elsewhere")
-    cfg = config_from_args(parser.parse_args(
-        ["traces", "--degree", "1", "--cache-dir", str(tmp_path)]))
-    assert cfg.cache_dir == str(tmp_path)  # explicit flag wins over env
+    assert config_from_args(parser.parse_args(argv)).cache_dir is None
+    assert main(argv) == 0
+    assert capsys.readouterr().out == unset
+    assert list(tmp_path.iterdir()) == []
 
 
 # -- exit codes --------------------------------------------------------------------
@@ -157,7 +172,6 @@ def test_over_budget_tower_exits_two_before_the_kernel_runs(
         return real(*args)
 
     monkeypatch.setattr(traces, "_trace_numerators", counted)
-    monkeypatch.delenv(CACHE_ENV, raising=False)
     assert main([command, "--p", "11", "--max-degree", "7"]) == 2
     assert assert_one_usage_error(capsys) == \
         "usage error: p^d = 11^7 exceeds the table budget 16777216\n"
@@ -173,7 +187,6 @@ def test_a_table_breaking_the_sum_rules_exits_one(monkeypatch, capsys):
         return nums
 
     monkeypatch.setattr(traces, "_trace_numerators", negated)
-    monkeypatch.delenv(CACHE_ENV, raising=False)
     assert main(["traces", "--p", "3", "--degree", "2"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -342,7 +355,7 @@ def test_all_exits_one_when_the_curve_side_differs_from_m3(monkeypatch, capsys):
 
 
 RUN_FLAGS = {"--p": int, "--f": int, "--base-degree": int, "--multiplier": int,
-             "--max-degree": int, "--budget": int, "--threads": int,
+             "--max-degree": int, "--budget": int,
              "--cache-dir": None, "--config": None, "--tv-max": float,
              "--m3-tol": float, "--m3-min-order": int}
 IO_FLAGS = {"--format": ("csv", "json"), "--output": None}
@@ -512,29 +525,7 @@ def test_compare_json_schema(tmp_path):
     assert v["config"]["tv_max"] == 0.05
 
 
-def test_cache_populated_under_env(tmp_path, monkeypatch):
-    monkeypatch.setenv(CACHE_ENV, str(tmp_path))
-    assert main(["traces", "--p", "3", "--f", "1", "--degree", "1",
-                 "--output", str(tmp_path / "o.csv")]) == 0
-    cached = list(tmp_path.glob("altsums_trace_*.csv"))
-    assert len(cached) == 1
-
-
 # -- determinism -------------------------------------------------------------------
-
-
-def test_all_byte_identical_across_threads(tmp_path):
-    digests = []
-    for threads in (1, 3):
-        cache = tmp_path / f"cache_{threads}"
-        cache.mkdir()
-        out = tmp_path / f"all_{threads}.csv"
-        rc = main(["all", "--p", "3", "--f", "1", "--max-degree", "3",
-                   "--threads", str(threads), "--cache-dir", str(cache),
-                   "--output", str(out)])
-        assert rc == 0
-        digests.append(out.read_bytes())
-    assert digests[0] == digests[1]
 
 
 def test_all_computes_each_moment_once(tmp_path, monkeypatch):
@@ -547,7 +538,6 @@ def test_all_computes_each_moment_once(tmp_path, monkeypatch):
         calls.append((self.degree, power))
         return moment(self, power, counts)
 
-    monkeypatch.delenv(CACHE_ENV, raising=False)
     monkeypatch.setattr(traces.TraceTable, "moment", counted)
     assert main(["all", "--p", "3", "--max-degree", "2",
                  "--output", str(tmp_path / "all.csv")]) == 0
@@ -564,11 +554,30 @@ def test_all_counts_each_tables_values_once(tmp_path, monkeypatch):
         calls.append(self.degree)
         return value_counts(self)
 
-    monkeypatch.delenv(CACHE_ENV, raising=False)
     monkeypatch.setattr(traces.TraceTable, "value_counts", counted)
     assert main(["all", "--p", "3", "--max-degree", "2",
                  "--output", str(tmp_path / "all.csv")]) == 0
     assert sorted(calls) == [1, 2]
+
+
+def test_all_builds_one_psi_table_per_trace_table_and_curve_count(
+        tmp_path, monkeypatch):
+    # 3^1..3^4: each trace table and each curve count reads its Gauss sum off
+    # the psi table it already holds (exit 1: the TV bound fails at 3^4)
+    calls = []
+    real = characters.psi_exponent_table
+
+    def counted(ctx, L):
+        calls.append(L.d)
+        return real(ctx, L)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "altsums" and \
+                getattr(module, "psi_exponent_table", None) is real:
+            monkeypatch.setattr(module, "psi_exponent_table", counted)
+    assert main(["all", "--p", "3", "--max-degree", "4",
+                 "--output", str(tmp_path / "all.csv")]) == 1
+    assert sorted(calls) == [1, 1, 2, 2, 3, 3, 4, 4]
 
 
 def test_all_json_passes(tmp_path):
@@ -611,7 +620,6 @@ def test_all_output_bytes_are_pinned(tmp_path, capsys, argv, digest):
 def test_output_bytes_at_scale_are_pinned(monkeypatch, capsys, argv, digest):
     """The stdout digests recorded for these invocations at commit 5fff025:
     trace tables over 3^12 and 7^5 and the tower to 3^12, without a cache."""
-    monkeypatch.delenv(CACHE_ENV, raising=False)
     assert main(argv) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
@@ -866,7 +874,6 @@ REFUSED = [
     (CharacterContext, F5, {"multiplier_code": 0}),
     (CharacterContext, F5, {"multiplier_code": 5}),
     (RunConfig, {}, {"fmt": "yaml"}),
-    (RunConfig, {}, {"threads": 0}),
     (RunConfig, {}, {"max_degree": True}),
     (RunConfig, {}, {"budget": 4096.0}),
     (RunConfig, {}, {"cache_dir": 7}),
@@ -900,7 +907,7 @@ def test_config_records_store_floats_and_are_values():
         assert a._replace() == a and a._replace(**other) != a
     assert repr(RunConfig()) == (
         "RunConfig(p=3, f=1, base_degree=1, multiplier=1, max_degree=8, "
-        "budget=4096, cache_dir=None, threads=1, fmt='csv', tv_max=0.05, "
+        "budget=4096, cache_dir=None, fmt='csv', tv_max=0.05, "
         "m3_tol=0.2, m3_min_order=6561)")
     with pytest.raises(AttributeError):
         cfg.p = 5

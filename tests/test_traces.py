@@ -10,7 +10,6 @@ Frozen oracles, derived by hand:
 """
 
 import hashlib
-import math
 import random
 import shutil
 import sys
@@ -321,14 +320,18 @@ def test_trace_tables_checks_every_budget_before_the_kernel_runs(monkeypatch):
 
 
 def test_multiplier_invariance_of_trace_multiset():
-    # When c is an n-th power in L (true whenever gcd(n, #L-1) = 1), the
-    # substitution x -> ux with u^n c = 1 turns the c-twisted sum into the
-    # plain one at a shifted t, so the value multisets agree exactly.
-    for D in (1, 2, 3):
-        base = trace_table(P33, D)
-        twisted = trace_table(SystemParams(p=3, f=1, multiplier=2), D)
-        assert math.gcd(P33.n, 3**D - 1) == 1
-        assert sorted(base.numerators) == sorted(twisted.numerators)
+    """Stronger than the multisets: the oracle's numerators are equal entry by
+    entry for every multiplier c in F_p^x.  psi_c = sigma_c o psi_1 and A_c =
+    sigma_c(A_1), so each numerator -S_c(t) conj(A_c) is sigma_c of the
+    rational integer -S_1(t) conj(A_1), which sigma_c fixes."""
+    for params, degree in [(P55, 3), (SystemParams(7, 1), 3), (P33, 5),
+                           (SystemParams(5, 1, base_degree=2), 2),
+                           (SystemParams(3, 2), 4)]:  # 5^(2*2); q = 9 at 3^4
+        L = params.extension(degree)
+        plain = exact_numerators(params, L)
+        for c in range(2, params.p):
+            twisted = exact_numerators(params._replace(multiplier=c), L)
+            assert np.array_equal(twisted, plain), (params, degree, c)
 
 
 # -- descent form ----------------------------------------------------------------
