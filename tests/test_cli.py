@@ -11,6 +11,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
@@ -110,9 +111,10 @@ def test_config_from_args_precedence(tmp_path):
     assert cfg.budget == 512     # from the file
 
 
-def test_cache_env_is_ignored(tmp_path, monkeypatch, capsys):
+def test_cache_env_fallback(tmp_path, monkeypatch, capsys):
     """Only --cache-dir names a cache: with ALTSUMS_CACHE_DIR set and no
-    flag, a run recomputes, writes no cache file and the same bytes."""
+    flag, a run falls back to recomputing, writes no cache file and the
+    same bytes; with the flag, the flag's path is the cache."""
     argv = ["all", "--p", "3", "--max-degree", "3"]
     assert main(argv) == 0
     unset = capsys.readouterr().out
@@ -122,6 +124,23 @@ def test_cache_env_is_ignored(tmp_path, monkeypatch, capsys):
     assert main(argv) == 0
     assert capsys.readouterr().out == unset
     assert list(tmp_path.iterdir()) == []
+    monkeypatch.setenv("ALTSUMS_CACHE_DIR", "/elsewhere")
+    cfg = config_from_args(parser.parse_args(argv + ["--cache-dir", str(tmp_path)]))
+    assert cfg.cache_dir == str(tmp_path)
+
+
+def test_cache_populated_under_env(tmp_path, monkeypatch):
+    """With ALTSUMS_CACHE_DIR set, the cache --cache-dir names is filled and
+    the variable's directory is left empty."""
+    env_dir, flag_dir = tmp_path / "env", tmp_path / "flag"
+    env_dir.mkdir()
+    flag_dir.mkdir()
+    monkeypatch.setenv("ALTSUMS_CACHE_DIR", str(env_dir))
+    assert main(["traces", "--p", "3", "--f", "1", "--degree", "1",
+                 "--cache-dir", str(flag_dir),
+                 "--output", str(tmp_path / "o.csv")]) == 0
+    assert len(list(flag_dir.glob("altsums_trace_*.csv"))) == 1
+    assert list(env_dir.iterdir()) == []
 
 
 # -- exit codes --------------------------------------------------------------------
@@ -526,6 +545,24 @@ def test_compare_json_schema(tmp_path):
 
 
 # -- determinism -------------------------------------------------------------------
+
+
+def test_all_byte_identical_across_threads(tmp_path):
+    """`all` run from several threads of one process at once writes the
+    bytes of a run on its own: no run reads state another one leaves."""
+    def run(name):
+        cache = tmp_path / f"cache_{name}"
+        cache.mkdir()
+        out = tmp_path / f"all_{name}.csv"
+        rc = main(["all", "--p", "3", "--f", "1", "--max-degree", "3",
+                   "--cache-dir", str(cache), "--output", str(out)])
+        return rc, out.read_bytes()
+
+    alone = run("alone")
+    with ThreadPoolExecutor(max_workers=3) as pool:
+        together = list(pool.map(run, range(3)))
+    assert alone[0] == 0
+    assert together == [alone] * 3
 
 
 def test_all_computes_each_moment_once(tmp_path, monkeypatch):
