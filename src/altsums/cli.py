@@ -7,8 +7,8 @@ writes the same bytes.
 
 Exit codes, which `main` alone assigns from what the command returns or
 raises: 0 = all checks passed, 1 = a falsified invariant (the
-counterexample is printed), 2 = usage error: invalid parameters or config
-file, a budget exceeded, a file that cannot be read or written, or a trace
+counterexample is printed), 2 = usage error: invalid parameters, a
+budget exceeded, a file that cannot be read or written, or a trace
 cache file that fails its checks (the message names the file; delete it to
 recompute).  The process entry, `entry`, runs `main`, then freezes the heap.
 """
@@ -22,7 +22,6 @@ from collections import namedtuple
 from contextlib import nullcontext
 from fractions import Fraction
 from itertools import chain
-from pathlib import Path
 
 from . import __version__
 from .curves import (
@@ -55,44 +54,21 @@ from .traces import (
 from .verdict import VerdictConfig, verdict
 
 
-# Each RunConfig field, in order, with its default and the type it must hold
-# (as the refusal names it).  A bool is refused everywhere; a float field
-# takes an int and stores it as float, to echo 1 as 1.0 like its flag.
-RUN_FIELDS = {
-    "p": (3, "int"),
-    "f": (1, "int"),
-    "base_degree": (1, "int"),
-    "multiplier": (1, "int"),
-    "max_degree": (8, "int"),
-    "budget": (DEFAULT_POINT_BUDGET, "int"),
-    "cache_dir": (None, "str | None"),
-    "fmt": ("csv", "str"),
-    "tv_max": (0.05, "float"),
-    "m3_tol": (0.2, "float"),
-    "m3_min_order": (3**8, "int"),
-}
-KINDS = {"int": int, "float": (int, float), "str": str,
-         "str | None": (str, type(None))}
+# Each RunConfig field, in order, with its default.
+RUN_FIELDS = {"p": 3, "f": 1, "base_degree": 1, "multiplier": 1, "max_degree": 8,
+              "budget": DEFAULT_POINT_BUDGET, "cache_dir": None, "fmt": "csv",
+              "tv_max": 0.05, "m3_tol": 0.2, "m3_min_order": 3**8}
 
 
 class RunConfig(namedtuple("RunConfig", list(RUN_FIELDS),
-                           defaults=[d for d, _ in RUN_FIELDS.values()])):
-    """Full invocation state; round-trips losslessly through JSON.  Validated
-    by the constructor, `_make` and `_replace` alike."""
+                           defaults=list(RUN_FIELDS.values()))):
+    """Full invocation state, as the run flags set it (argparse types each
+    one).  Validated by the constructor, `_make` and `_replace` alike."""
 
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs) -> RunConfig:
-        values = []
-        for name, value in zip(cls._fields, super().__new__(cls, *args, **kwargs)):
-            kind = RUN_FIELDS[name][1]
-            if isinstance(value, bool) or not isinstance(value, KINDS[kind]):
-                raise ValueError(f"{name} must be {kind}, got {value!r}")
-            # float() of a huge int raises OverflowError
-            values.append(float(value) if kind == "float" else value)
-        self = tuple.__new__(cls, values)
-        if self.fmt not in ("csv", "json"):
-            raise ValueError(f"unknown format {self.fmt!r}")
+        self = super().__new__(cls, *args, **kwargs)
         if self.max_degree < 1 or self.budget < 1:
             raise ValueError("degrees and budgets are positive")
         self.verdict_config().check()
@@ -120,30 +96,6 @@ class RunConfig(namedtuple("RunConfig", list(RUN_FIELDS),
         del d["cache_dir"]
         return d
 
-    def to_json(self) -> str:
-        import json  # here and in _json_chunks only: a CSV run never loads it
-
-        return json.dumps(self._asdict(), indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> RunConfig:
-        import json
-
-        data = json.loads(text)
-        if not isinstance(data, dict):
-            raise ValueError("a config file holds one JSON object")
-        unknown = sorted(set(data) - set(cls._fields))
-        if unknown:
-            raise ValueError(f"unknown config keys: {', '.join(unknown)}")
-        return cls(**data)
-
-    def save(self, path) -> None:
-        Path(path).write_text(self.to_json() + "\n", encoding="ascii")
-
-    @classmethod
-    def load(cls, path) -> RunConfig:
-        return cls.from_json(Path(path).read_text(encoding="ascii"))
-
 
 # -- document assembly ------------------------------------------------------------
 
@@ -154,7 +106,7 @@ EMIT_BATCH = 1 << 16  # characters gathered into one write
 def _json_chunks(value, level: int = 0):
     """json.dumps(value, indent=2) nested `level` deep, in pieces: a dict (str
     keys) key by key, a Rows list a block of rows at a time."""
-    import json
+    import json  # here only: a CSV run never loads it
 
     pad = "\n" + "  " * level
     if isinstance(value, Rows) and len(value.columns[0]):
@@ -355,12 +307,18 @@ def _order_too_long(m: int, regime: str) -> bool:
     return False
 
 
-def _groupstats_rows(m: int, regime: str, twist: str):
+def _refuse_unprintable(m: int, regime: str) -> None:
+    """Refuse an m that `_order_too_long` finds, before anything is computed:
+    groupstats prints the spectrum of m, compare and all (m = 2q) print the
+    Alt(2q) and odd-coset spectra or a TV distance with their denominators."""
     if _order_too_long(m, regime):
         raise ValueError(
             f"m = {m}: the exact probabilities' denominators have more than "
             f"{sys.get_int_max_str_digits()} digits, CPython's limit for "
             "converting an int to text")
+
+
+def _groupstats_rows(m: int, regime: str, twist: str):
     rows = [("prob", v, *_frac_cols(pr))
             for v, pr in spectrum(m, regime, twist).items()]
     rows += [("moment", k, *_frac_cols(exact_moment(m, k, regime, twist)))
@@ -370,6 +328,7 @@ def _groupstats_rows(m: int, regime: str, twist: str):
 
 def _cmd_groupstats(cfg: RunConfig, args) -> int:
     m, regime, twist = args.m, args.regime, args.twist
+    _refuse_unprintable(m, regime)
     doc = Document(cfg)
     doc.section(f"groupstats_m_{m}_{regime}_{twist}", "kind,key,num,den",
                 _groupstats_rows(m, regime, twist))
@@ -435,6 +394,7 @@ def _human_verdict(report) -> str:
 
 def _cmd_compare(cfg: RunConfig, args) -> int:
     params = cfg.params()
+    _refuse_unprintable(2 * params.q, "alt")
     tables = trace_tables(params, cfg.max_degree, cache_dir=cfg.cache_dir)
     report = verdict(params, tables, config=cfg.verdict_config())
     doc = Document(cfg)
@@ -452,6 +412,7 @@ def _cmd_compare(cfg: RunConfig, args) -> int:
 
 def _cmd_all(cfg: RunConfig, args) -> int:
     params = cfg.params()
+    _refuse_unprintable(2 * params.q, "alt")
     doc = Document(cfg)
     falsified: list[str] = []
 
@@ -547,7 +508,7 @@ COMMANDS = {
 
 def build_parser() -> argparse.ArgumentParser:
     # each flag's dest is the RunConfig field it sets; a default of None
-    # leaves that field to the config file, or to RunConfig's default
+    # leaves that field to RunConfig's default
     io = argparse.ArgumentParser(add_help=False)
     io.add_argument("--format", dest="fmt", choices=("csv", "json"))
     io.add_argument("--output", help="write here instead of stdout")
@@ -564,8 +525,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="largest #L whose fiber curves are counted "
                           f"(default {DEFAULT_POINT_BUDGET})")
     run.add_argument("--cache-dir", help="trace-table cache directory")
-    run.add_argument("--config",
-                     help="JSON config file; explicit flags override it")
     run.add_argument("--tv-max", type=float)
     run.add_argument("--m3-tol", type=float)
     run.add_argument("--m3-min-order", type=int)
@@ -586,15 +545,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
-    """The config file's RunConfig, else the defaults, with every flag given
-    in its place; identity and wild echo q = p^f as p and f."""
-    cfg = RunConfig.load(args.config) if getattr(args, "config", None) \
-        else RunConfig()
+    """The RunConfig of the flags given, with RunConfig's defaults for the
+    rest; identity and wild echo q = p^f as p and f."""
     given = {name: getattr(args, name) for name in RunConfig._fields
              if getattr(args, name, None) is not None}
     if getattr(args, "q", None) is not None:
         given["p"], given["f"] = factor_prime_power(args.q)
-    return cfg._replace(**given)
+    return RunConfig(**given)
 
 
 def main(argv=None) -> int:

@@ -267,7 +267,8 @@ def _trace_numerators(params: SystemParams, L: FieldDescriptor) -> np.ndarray:
     logs = np.arange(M, dtype=np.int64)
     zeta = np.exp(2j * np.pi / p * np.arange(p))
     h = np.zeros(N, dtype=np.complex128)
-    h[L.antilog_int] = zeta[e_tab[1 + (params.n * logs) % M]]  # poly_int is injective
+    # n % M first: n * logs wraps int64 once n (#L - 2) >= 2^63
+    h[L.antilog_int] = zeta[e_tab[1 + (params.n % M) * logs % M]]  # poly_int is injective
     h[L.antilog_int[1::2]] *= -1  # chi_2(g^log) = (-1)^log
     E = np.concatenate((e_tab[1:], e_tab[1:d]))  # E[j] = e(g^j), j < M + d - 1
     rows = np.zeros(N, dtype=np.int64)  # t = 0 has w = 0

@@ -1,4 +1,4 @@
-"""Checks for the command-line surface: config round-trips, exit codes,
+"""Checks for the command-line surface: run configs, exit codes,
 output shapes, header comments, and byte determinism across cache states."""
 
 import hashlib
@@ -31,23 +31,7 @@ from altsums.verdict import MembershipResult, VerdictConfig
 # -- RunConfig --------------------------------------------------------------------
 
 
-def test_config_json_round_trip():
-    cfg = RunConfig(p=5, f=1, base_degree=2, multiplier=3, max_degree=4,
-                    budget=512, cache_dir="/tmp/somewhere",
-                    fmt="json", tv_max=0.1, m3_tol=0.3, m3_min_order=125)
-    assert RunConfig.from_json(cfg.to_json()) == cfg
-
-
-def test_config_file_round_trip(tmp_path):
-    cfg = RunConfig(p=3, f=1, max_degree=2, budget=100)
-    path = tmp_path / "run.json"
-    cfg.save(path)
-    assert RunConfig.load(path) == cfg
-
-
 def test_config_validation():
-    with pytest.raises(ValueError):
-        RunConfig(fmt="yaml")
     with pytest.raises(ValueError):
         RunConfig(max_degree=0)
     with pytest.raises(ValueError):
@@ -66,49 +50,37 @@ def test_echo_excludes_threads_and_cache_dir():
     assert "threads" not in RunConfig._fields  # no thread count to echo
 
 
-def test_threads_is_a_usage_error(tmp_path, capsys):
-    """--threads and a config file's "threads" key are gone: the library
-    starts no threads, and neither ever changed an output byte."""
+def test_threads_is_a_usage_error(capsys):
+    """--threads is gone: the library starts no threads, and it never
+    changed an output byte."""
     assert main(["all", "--p", "3", "--max-degree", "2", "--threads", "2"]) == 2
     assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["field"], ["traces", "--degree", "1"],
+                                  ["moments"], ["curves", "--degree", "1"],
+                                  ["compare"], ["all"]], ids=lambda a: a[0])
+def test_config_file_is_a_usage_error(tmp_path, capsys, argv):
+    """Argv is the only source of run settings: --config is no flag."""
     path = tmp_path / "run.json"
-    path.write_text(json.dumps({"max_degree": 2, "threads": 1}))
-    assert main(["all", "--config", str(path)]) == 2
-    assert assert_one_usage_error(capsys) == \
-        "usage error: unknown config keys: threads\n"
+    path.write_text(json.dumps({"max_degree": 2}))
+    assert main([*argv, "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"unrecognized arguments: --config {path}" in captured.err
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_config_file_and_flags_echo_the_same_tolerances(tmp_path, capsys, fmt):
-    """An int tolerance in a config file is kept as the float its flag
-    parses to, so both routes write the same bytes."""
-    path = tmp_path / "run.json"
-    path.write_text(json.dumps({"tv_max": 1, "m3_tol": 0}))
+    """An int given to a tolerance flag parses to a float and echoes as one."""
     argv = ["moments", "--max-degree", "1", "--format", fmt,
-            "--cache-dir", str(tmp_path)]
-    assert main(argv + ["--config", str(path)]) == 0
-    from_file = capsys.readouterr().out
-    assert main(argv + ["--tv-max", "1", "--m3-tol", "0"]) == 0
-    from_flags = capsys.readouterr().out
-    assert from_file == from_flags
+            "--cache-dir", str(tmp_path), "--tv-max", "1", "--m3-tol", "0"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
     if fmt == "csv":
-        assert " tv_max=1.0 m3_tol=0.0 " in from_file.split("\n")[0]
+        assert " tv_max=1.0 m3_tol=0.0 " in out.split("\n")[0]
     else:
-        assert '"tv_max": 1.0,' in from_file and '"m3_tol": 0.0,' in from_file
-    cfg = RunConfig(tv_max=1, m3_tol=0)
-    assert type(cfg.tv_max) is float and type(cfg.m3_tol) is float
-
-
-def test_config_from_args_precedence(tmp_path):
-    path = tmp_path / "cfg.json"
-    RunConfig(p=5, f=1, max_degree=6, budget=512).save(path)
-    parser = build_parser()
-    args = parser.parse_args(["moments", "--config", str(path),
-                              "--max-degree", "3"])
-    cfg = config_from_args(args)
-    assert cfg.p == 5            # from the file
-    assert cfg.max_degree == 3   # flag wins
-    assert cfg.budget == 512     # from the file
+        assert '"tv_max": 1.0,' in out and '"m3_tol": 0.0,' in out
 
 
 def test_cache_env_fallback(tmp_path, monkeypatch, capsys):
@@ -237,6 +209,22 @@ def test_curves_at_a_huge_degree_exits_two_at_once():
                            "point-count budget 4096\n")
 
 
+@pytest.mark.parametrize("command", ["compare", "all"])
+def test_an_unprintable_alt_2q_is_refused_at_once(command):
+    """2q = 4374: 4374!/2 has more than 4300 digits, so the spectra and TV
+    distances could not be printed.  Refused before any identity check,
+    table or spectrum is computed, with groupstats' message."""
+    start = time.perf_counter()
+    proc = fresh_python(["-m", "altsums.cli", command, "--p", "3", "--f", "7",
+                         "--max-degree", "1"], timeout=60)
+    assert time.perf_counter() - start < 10
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == ("usage error: m = 4374: the exact probabilities' "
+                           "denominators have more than 4300 digits, CPython's "
+                           "limit for converting an int to text\n")
+
+
 def test_moments_over_1009_squared_fit_in_two_gigabytes():
     """The kernel's arrays are a few #L-vectors with no factor of p: #L =
     1009^2 (once refused for the 23 GiB its (#L, p) arrays would take)
@@ -266,24 +254,6 @@ def test_unwritable_cache_dir_exits_two(tmp_path, capsys):
 
 def test_output_to_a_directory_exits_two(tmp_path, capsys):
     assert main(["moments", "--max-degree", "2", "--output", str(tmp_path)]) == 2
-    assert_one_usage_error(capsys)
-
-
-@pytest.mark.parametrize("config", [{"p": 3, "bogus": 1}, {"p": "x"}, [3],
-                                    {"max_degree": True}, {"tv_max": False},
-                                    {"tv_max": math.nan}, {"m3_tol": math.nan},
-                                    {"m3_tol": -0.5}])
-def test_bad_config_file_exits_two(tmp_path, capsys, config):
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(config))
-    assert main(["moments", "--config", str(path)]) == 2
-    assert_one_usage_error(capsys)
-
-
-def test_tolerance_past_the_float_range_exits_two(tmp_path, capsys):
-    path = tmp_path / "run.json"
-    path.write_text('{"tv_max": 1' + "0" * 400 + "}")
-    assert main(["moments", "--config", str(path)]) == 2
     assert_one_usage_error(capsys)
 
 
@@ -375,7 +345,7 @@ def test_all_exits_one_when_the_curve_side_differs_from_m3(monkeypatch, capsys):
 
 RUN_FLAGS = {"--p": int, "--f": int, "--base-degree": int, "--multiplier": int,
              "--max-degree": int, "--budget": int,
-             "--cache-dir": None, "--config": None, "--tv-max": float,
+             "--cache-dir": None, "--tv-max": float,
              "--m3-tol": float, "--m3-min-order": int}
 IO_FLAGS = {"--format": ("csv", "json"), "--output": None}
 
@@ -910,10 +880,8 @@ REFUSED = [
     (SystemParams, P3, {"p": 9}),
     (CharacterContext, F5, {"multiplier_code": 0}),
     (CharacterContext, F5, {"multiplier_code": 5}),
-    (RunConfig, {}, {"fmt": "yaml"}),
-    (RunConfig, {}, {"max_degree": True}),
-    (RunConfig, {}, {"budget": 4096.0}),
-    (RunConfig, {}, {"cache_dir": 7}),
+    (RunConfig, {}, {"max_degree": 0}),
+    (RunConfig, {}, {"budget": -1}),
     (RunConfig, {}, {"tv_max": math.nan}),
     (RunConfig, {}, {"m3_tol": -1.0}),
 ]
@@ -929,7 +897,8 @@ def test_every_way_of_making_a_config_validates_it(build, cls, good, bad):
 
 
 def test_config_records_store_floats_and_are_values():
-    cfg = RunConfig(tv_max=1)._replace(m3_tol=0)
+    cfg = config_from_args(build_parser().parse_args(
+        ["moments", "--tv-max", "1", "--m3-tol", "0"]))
     assert type(cfg.tv_max) is float and type(cfg.m3_tol) is float
     assert cfg == RunConfig(tv_max=1.0, m3_tol=0.0)
     base = build_field(5, 1)

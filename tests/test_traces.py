@@ -262,6 +262,17 @@ def test_cache_refuses_a_sealed_file_with_rows_swapped_across_orbits(tmp_path, c
                           "Frobenius invariance fails over p=3 d=4 ")
 
 
+def test_kernel_reduces_n_before_it_multiplies():
+    """Only n mod (#L - 1) enters a table: 3^35 and 3^5 both have n = 485
+    mod 3^10 - 1, and 5^25 and 5 both have n = 9 mod 24.  n * log formed
+    first wraps int64 at 3^35 (and cannot be formed at 3^200)."""
+    for big, small, D in [(SystemParams(3, 35), SystemParams(3, 5), 10),
+                          (SystemParams(5, 25), SystemParams(5, 1), 2)]:
+        assert np.array_equal(trace_table(big, D).numerators,
+                              trace_table(small, D).numerators)
+    assert trace_table(SystemParams(3, 200), 2).integral
+
+
 def test_sum_of_raw_sums_vanishes():
     # sum over t of S(t) = sum_x psi(x^n) chi_2(x) * sum_t psi(tx) = 0
     L = P33.extension(2)
