@@ -87,7 +87,9 @@ def chi2_minus_one(L: FieldDescriptor) -> int:
 def psi_exponent_table(ctx: CharacterContext, L: FieldDescriptor) -> np.ndarray:
     """Exponent a(u) = Tr_{L/F_p}(c u) with psi_{L/k}(u) = zeta_p^a(u), c the
     multiplier embedded in L, by element code: code j >= 1 is g^(j-1), so on
-    L^x it is the absolute trace table shifted left by log c, cyclically."""
+    L^x it is the absolute trace table shifted left by log c, cyclically.
+    The API's psi_c table: the pipeline reads L's own (psi_1), as no trace or
+    moment depends on c in F_p^x (traces._trace_numerators)."""
     c_code, tr = embed(ctx.base, L, ctx.multiplier).code, L.trace_abs_by_code
     table = np.concatenate(([0], tr[c_code:], tr[1:c_code]))
     table.setflags(write=False)

@@ -211,12 +211,9 @@ def _cmd_traces(cfg: RunConfig, args) -> int:
 
 def _moment_rows(report):
     """M1-M3 rows of a moment report or of a verdict report."""
-    rows = []
-    for r in report.rows:
-        rows.append((r.degree, r.field_order,
-                     *_frac_cols(r.m1), *_frac_cols(r.m2), *_frac_cols(r.m3),
-                     r.m3_target, f"{r.m3_deviation:.6f}", int(r.integral)))
-    return rows
+    return [(r.degree, r.field_order, *_frac_cols(r.m1), *_frac_cols(r.m2),
+             *_frac_cols(r.m3), r.m3_target, f"{r.m3_deviation:.6f}", int(r.integral))
+            for r in report.rows]
 
 
 MOMENT_HEADER = ("degree,field_order,m1_num,m1_den,m2_num,m2_den,"
@@ -518,7 +515,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--base-degree", type=int,
                      help="degree of the base field over F_p (default 1)")
     run.add_argument("--multiplier", type=int,
-                     help="additive-character multiplier c (default 1)")
+                     help="psi multiplier c, nonzero mod p (default 1): it "
+                          "labels the run and changes no number")
     run.add_argument("--max-degree", type=int,
                      help="largest extension degree (default 8)")
     run.add_argument("--budget", type=int,

@@ -126,14 +126,15 @@ def curve_weighted_sum(count: CurveCount) -> CycInt:
 
 def modified_third_moment(count: CurveCount) -> Fraction:
     """(chi_2(-1)/g)^3 * W = V conj(g)^3 / (#L)^3 as an exact rational, over
-    the field of `count`, with V and g read off one psi table; a non-rational
-    numerator is a hard error.
+    the field of `count`, with V and g read off L's own trace table (psi_1);
+    a non-rational numerator is a hard error.  For c in F_p^x, psi_c =
+    sigma_c(psi_1), sigma_c: zeta_p -> zeta_p^c, and no count depends on c:
+    V_c conj(g_c)^3 = sigma_c(V_1 conj(g_1)^3), the same rational.
     """
-    params, L = count.params, count.field
-    e = psi_exponent_table(params.context(), L)
+    L, e = count.field, count.field.trace_abs_by_code
     # V = W / chi_2(-1); the counts sum to at most #L^2 <= 2^48: exact
-    V = _chi2_sum(params.p, e, np.array(count.counts))
-    num = V * _chi2_sum(params.p, e).conj() ** 3
+    V = _chi2_sum(L.p, e, np.array(count.counts))
+    num = V * _chi2_sum(L.p, e).conj() ** 3
     r = num.as_rational()
     if r is None:
         raise NonRationalMomentError(

@@ -62,18 +62,13 @@ def prime_factors(n: int) -> tuple[int, ...]:
 
 def factor_prime_power(q: int) -> tuple[int, int]:
     """Write q = p^f with p prime, or raise ValueError."""
-    if q < 2:
-        raise ValueError(f"{q} is not a prime power")
-    facs = prime_factors(q)
+    facs = prime_factors(q)  # () for q < 2
     if len(facs) != 1:
         raise ValueError(f"{q} is not a prime power")
-    p = facs[0]
-    f = 0
+    p, f = facs[0], 0
     while q % p == 0:
         q //= p
         f += 1
-    if q != 1:
-        raise ValueError("not a prime power")
     return p, f
 
 
@@ -200,7 +195,8 @@ def checked_order(p: int, d: int) -> int:
 
 
 class FieldDescriptor:
-    """Immutable model of F_{p^d}; holds the lookup tables.
+    """Immutable model of F_{p^d}; holds the lookup tables, read-only arrays
+    that build_field's memo shares and the trace kernel reads in place.
 
     Element codes: 0 is the zero element, code j >= 1 is g^(j-1).  All
     *_code methods speak codes; FieldElement wraps them for scalar work.
@@ -239,6 +235,8 @@ class FieldDescriptor:
                 raise RuntimeError("absolute trace fell outside the prime field")
             trace_by_int = ((np.arange(p)[:, None] * tr[0] + trace_by_int) % p).ravel()
         trace_by_code = np.concatenate(([0], trace_by_int[antilog]))
+        for table in (antilog, log_by_int, zech, trace_by_code):  # see the class
+            table.flags.writeable = False
 
         self.antilog_int = antilog
         self.log_by_int = log_by_int
@@ -382,8 +380,7 @@ class FieldDescriptor:
 
     def add_codes_vec(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         M = self.order - 1
-        a = np.asarray(a)
-        b = np.asarray(b)
+        a, b = np.asarray(a), np.asarray(b)
         az = a == 0
         bz = b == 0
         la = np.where(az, 0, a - 1)
@@ -393,8 +390,7 @@ class FieldDescriptor:
         return np.where(az, b, np.where(bz, a, summed))
 
     def mul_codes_vec(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        a = np.asarray(a)
-        b = np.asarray(b)
+        a, b = np.asarray(a), np.asarray(b)
         prod = 1 + (a + b - 2) % (self.order - 1)
         return np.where((a == 0) | (b == 0), 0, prod)
 

@@ -41,7 +41,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .characters import CharacterContext, _chi2_sum, psi_exponent_table
+from .characters import CharacterContext, _chi2_sum
 from .fields import FieldDescriptor, build_field, checked_order
 
 ROW_BLOCK = 1024  # rows per %-format: a long table is never rendered whole
@@ -239,8 +239,11 @@ def _trace_numerators(params: SystemParams, L: FieldDescriptor) -> np.ndarray:
     [L : F_p], poly_int(x) packing the coordinates a_i of x in base p.  As
     e(t*x) = sum_i a_i w_i(t) with w_i(t) = e(t * x^i), S(t) = F[w(t)] for
     the unscaled inverse DFT F of h; multiply by -conj(A) = g_L, the Gauss
-    sum read off the same psi table, embedded, and round.
+    sum read off the same table, and round.
     The generator g is x (fields._antilog), so w_i(g^tau) = e(g^(tau + i)).
+    * Any multiplier: e is L's own trace table, psi_1's exponents.  For c in
+      F_p^x, psi_c = sigma_c(psi_1), sigma_c: zeta_p -> zeta_p^c, so T_c =
+      -S_c/A_c = sigma_c(T_1) = T_1, as T_1 is rational.
     * Exact: for k in F_p^x, n = 1 mod (p - 1), so x -> x/k gives
       sigma_k(S) = chi_2(k) S, and sigma_k(conj A) = chi_2(k) conj(A) (Gauss
       sum): S conj(A) lies in Z[zeta_p] cap Q = Z.
@@ -260,7 +263,7 @@ def _trace_numerators(params: SystemParams, L: FieldDescriptor) -> np.ndarray:
     """
     p, d, N = L.p, L.d, L.order
     M = N - 1
-    e_tab = psi_exponent_table(params.context(), L)
+    e_tab = L.trace_abs_by_code  # psi_1: read-only, and not a copy
     # A = -chi_2(-1) g_L, as n = -1 mod p and (n - 1)/2 is even, and conj(g_L)
     # = chi_2(-1) g_L: so -conj(A) = g_L, and g_L / sqrt(#L) is one of +-1, +-i
     a = _chi2_sum(p, e_tab).complex_value() / math.sqrt(N)
@@ -274,7 +277,7 @@ def _trace_numerators(params: SystemParams, L: FieldDescriptor) -> np.ndarray:
     rows = np.zeros(N, dtype=np.int64)  # t = 0 has w = 0
     for i in range(d):  # digit i of the row of t = g^tau is e(g^(tau + i))
         rows[1:] += E[i:i + M] * p**i
-    del e_tab, logs, E  # not held through the FFT
+    del logs, E  # not held through the FFT
     h = np.fft.ifftn(h.reshape((p,) * d), norm="forward").reshape(N)[rows]
     h *= math.sqrt(N) * complex(round(a.real), round(a.imag))
     num = np.rint(h.real)

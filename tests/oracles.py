@@ -64,7 +64,7 @@ def _additive_fft_counts(params: SystemParams, L: FieldDescriptor) -> np.ndarray
     logs = np.arange(M, dtype=np.int64)
     H = np.zeros((N, p), dtype=np.int64)
     # poly_int is injective, so plain assignment places every term
-    H[L.antilog_int, e_tab[1 + (params.n * logs) % M]] = np.where(logs % 2 == 0, 1, -1)
+    H[L.antilog_int, e_tab[1 + (params.n % M) * logs % M]] = np.where(logs % 2 == 0, 1, -1)
 
     k = np.arange(p)
     mul = np.outer(k, k) % p                  # [a_i, w] = a_i * w
@@ -134,7 +134,7 @@ def raw_sum(params: SystemParams, L: FieldDescriptor, t) -> CycInt:
     """S(t) for one t in O(#L); trace_table computes every t at once."""
     M = L.order - 1
     logs = np.arange(M, dtype=np.int64)  # x = g^log runs over L^x
-    codes = L.add_codes_vec(1 + (params.n * logs) % M,
+    codes = L.add_codes_vec(1 + (params.n % M) * logs % M,
                             L.mul_codes_vec(np.int64(_t_code(L, t)), 1 + logs))
     return _signed_sum(params, L, codes, logs % 2 == 0)
 
@@ -174,7 +174,7 @@ def descent_trace(params: SystemParams, L: FieldDescriptor, t) -> CycInt:
     tau = t_code - 1
     logs = np.arange(M, dtype=np.int64)
     # x^n / t plus x itself, signed by chi_2(x / t)
-    codes = L.add_codes_vec(1 + (params.n * logs - tau) % M, 1 + logs)
+    codes = L.add_codes_vec(1 + ((params.n % M) * logs - tau) % M, 1 + logs)
     return -_signed_sum(params, L, codes, (logs - tau) % 2 == 0)
 
 

@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 import altsums
-from altsums import __version__, characters, cli, curves, traces
+from altsums import __version__, characters, cli, curves, fields, traces
 from altsums.cli import (EMIT_BATCH, RunConfig, _order_too_long,
                          build_parser, config_from_args, main)
 from altsums.groups import REGIMES
@@ -567,24 +567,52 @@ def test_all_counts_each_tables_values_once(tmp_path, monkeypatch):
     assert sorted(calls) == [1, 2]
 
 
-def test_all_builds_one_psi_table_per_trace_table_and_curve_count(
-        tmp_path, monkeypatch):
-    # 3^1..3^4: each trace table and each curve count reads its Gauss sum off
-    # the psi table it already holds (exit 1: the TV bound fails at 3^4)
-    calls = []
+def _patch_psi_and_embedding(monkeypatch, psi, embedding_log):
+    """Put `psi` in place of psi_exponent_table in every altsums module that
+    holds it, and `embedding_log` in place of fields._embedding_log."""
     real = characters.psi_exponent_table
-
-    def counted(ctx, L):
-        calls.append(L.d)
-        return real(ctx, L)
-
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "altsums" and \
                 getattr(module, "psi_exponent_table", None) is real:
-            monkeypatch.setattr(module, "psi_exponent_table", counted)
+            monkeypatch.setattr(module, "psi_exponent_table", psi)
+    monkeypatch.setattr(fields, "_embedding_log", embedding_log)
+
+
+def test_all_builds_one_psi_table_per_trace_table_and_curve_count(
+        tmp_path, monkeypatch):
+    # 3^1..3^4: no trace table and no curve count builds a psi table or
+    # embeds the multiplier; each reads its level's own trace table (exit 1:
+    # the TV bound fails at 3^4)
+    calls = []
+    psi, embedding_log = characters.psi_exponent_table, fields._embedding_log
+
+    def counted_psi(ctx, L):
+        calls.append(("psi", L.d))
+        return psi(ctx, L)
+
+    def counted_embedding_log(sub, sup):
+        calls.append(("embed", sup.d))
+        return embedding_log(sub, sup)
+
+    _patch_psi_and_embedding(monkeypatch, counted_psi, counted_embedding_log)
     assert main(["all", "--p", "3", "--max-degree", "4",
                  "--output", str(tmp_path / "all.csv")]) == 1
-    assert sorted(calls) == [1, 1, 2, 2, 3, 3, 4, 4]
+    assert calls == []
+
+
+def test_all_needs_no_psi_table_and_no_embedding(monkeypatch, capsys):
+    """The benchmarked curves-p7-json run, with multiplier 2, writes its
+    recorded bytes though building a psi table or an embedding raises."""
+    def refuse(*args):
+        raise AssertionError("the pipeline built a psi table or an embedding")
+
+    _patch_psi_and_embedding(monkeypatch, refuse, refuse)
+    reference = Path(__file__).resolve().parents[1] / "bench" / "reference.json"
+    want = json.loads(reference.read_text())["cli"]["curves-p7-json"]
+    assert main(["all", "--p", "7", "--f", "1", "--multiplier", "2",
+                 "--max-degree", "4", "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("ascii")).hexdigest() == want
 
 
 def test_all_json_passes(tmp_path):

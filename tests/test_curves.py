@@ -13,6 +13,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from altsums.characters import chi2_minus_one, gauss_sum
 from altsums.curves import (
     CurveCount,
     NonRationalMomentError,
@@ -155,6 +156,23 @@ def test_modified_moment_frozen_degree_one():
     assert modified_third_moment(count_points(P33, 1)) == 0
     assert modified_third_moment(count_points(P55, 1)) == 0
     assert modified_third_moment(count_points(P327, 3)) == 0
+
+
+@pytest.mark.parametrize("params,degree", [
+    (SystemParams(5, 1), 3), (SystemParams(7, 1), 2),
+    (SystemParams(3, 1, base_degree=2), 2), (SystemParams(3, 2), 4)])
+def test_modified_moment_equals_the_psi_c_route(params, degree):
+    """The pipeline reads psi_1 off L's trace table; for every c in F_p^x
+    its M3 is chi_2(-1) W_c conj(g_c)^3 / #L^3, with W_c and g_c built from
+    psi_c (the multiplier embedded in L)."""
+    for c in range(1, params.p):
+        params_c = params._replace(multiplier=c)
+        count = count_points(params_c, degree)
+        L = count.field
+        num = (chi2_minus_one(L) * curve_weighted_sum(count)
+               * gauss_sum(params_c.context(), L).conj() ** 3).as_rational()
+        assert num is not None
+        assert modified_third_moment(count) == Fraction(num, L.order**3), c
 
 
 def report_at(params, degree):

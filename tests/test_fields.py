@@ -120,6 +120,16 @@ def test_shared_instance():
     assert build_field(3, 2) is build_field(3, 2)
 
 
+@pytest.mark.parametrize("table", ["antilog_int", "log_by_int", "zech_log",
+                                   "trace_abs_by_code"])
+def test_tables_are_read_only(table):
+    """build_field's memo shares each table, and the trace kernel reads the
+    trace table in place: no caller can write into one."""
+    for F in (build_field(3, 2), FieldDescriptor(5, 3)):
+        with pytest.raises(ValueError):
+            getattr(F, table)[1] = 0
+
+
 # -- tables against one multiplication by x at a time ---------------------------
 
 def oracle_antilog(modulus, p):

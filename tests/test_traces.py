@@ -24,7 +24,7 @@ from altsums import traces
 from altsums.characters import normalization_constant, psi_exponent_table
 from altsums.cli import main
 from altsums.cyclotomic import CycInt
-from altsums.fields import BudgetExceededError
+from altsums.fields import BudgetExceededError, build_field
 from altsums.traces import (CacheCorruptionError, NonRationalTraceError,
                             SystemParams, TraceTable, _cache_path,
                             _check_frobenius, _check_sum_rules, _load_table,
@@ -271,6 +271,16 @@ def test_kernel_reduces_n_before_it_multiplies():
         assert np.array_equal(trace_table(big, D).numerators,
                               trace_table(small, D).numerators)
     assert trace_table(SystemParams(3, 200), 2).integral
+
+
+def test_oracles_reduce_n_before_they_multiply():
+    """The same for the oracles: 3^35 and 3^5 both have n = 1 mod 3^5 - 1,
+    and n * log formed first wraps int64 at 3^35 over 3^5."""
+    big, small, L = SystemParams(3, 35), SystemParams(3, 5), build_field(3, 5)
+    assert np.array_equal(exact_numerators(big, L), exact_numerators(small, L))
+    t = L.from_log(6)
+    assert raw_sum(big, L, t) == raw_sum(small, L, t)
+    assert descent_trace(big, L, t) == descent_trace(small, L, t)
 
 
 def test_sum_of_raw_sums_vanishes():
