@@ -1,13 +1,13 @@
 """Characters of finite fields and their Gauss sums, in exact arithmetic.
 
-For a base field k of characteristic p and a nonzero multiplier c in k, the
+For a base field k of characteristic p and a multiplier c in F_p^x, the
 additive character is psi_k(x) = zeta_p^Tr_{k/F_p}(c*x), and on an extension
 L/k it is pulled back through the relative trace:
 
-    psi_{L/k}(u) = zeta_p^Tr_{k/F_p}(c * Tr_{L/k}(u)) = zeta_p^Tr_{L/F_p}(c*u),
+    psi_{L/k}(u) = zeta_p^Tr_{k/F_p}(c * Tr_{L/k}(u)) = zeta_p^(c * Tr_{L/F_p}(u)),
 
-the second form because the relative trace is k-linear; it is what the code
-evaluates (one absolute-trace lookup after embedding c into L).
+the second form because the traces are F_p-linear and c lies in F_p; the code
+evaluates it as c times L's own absolute trace table, with nothing embedded.
 
 The quadratic character chi_2 of L^x is discrete-log parity; chi_2(0) = 0.
 Composing the base quadratic character with the norm gives the same function,
@@ -28,39 +28,31 @@ from typing import NamedTuple
 import numpy as np
 
 from .cyclotomic import CycInt
-from .fields import FieldDescriptor, FieldElement, build_field, embed
+from .fields import FieldDescriptor, FieldElement, build_field
 
 
-class CharacterContext(namedtuple("CharacterContext", "base multiplier_code",
+class CharacterContext(namedtuple("CharacterContext", "base multiplier",
                                   defaults=(1,))):
-    """Base field plus the additive-character multiplier c (nonzero), given
-    by its code in the base field (1 is the element 1).  Validated by the
-    constructor, `_make` and `_replace` alike."""
+    """Base field plus the additive-character multiplier c in F_p^x, an int
+    1 <= c < p, so psi_{L/k}(u) = zeta_p^(c Tr_{L/F_p}(u)) on every extension
+    L.  Validated by the constructor, `_make` and `_replace` alike."""
 
     __slots__ = ()
 
-    def __new__(cls, base: FieldDescriptor,
-                multiplier_code: int = 1) -> CharacterContext:
-        if not 1 <= multiplier_code < base.order:
-            raise ValueError("psi multiplier must be a nonzero base-field element")
-        return super().__new__(cls, base, multiplier_code)
+    def __new__(cls, base: FieldDescriptor, multiplier: int = 1) -> CharacterContext:
+        if not 1 <= multiplier < base.p:
+            raise ValueError("psi multiplier must be nonzero mod p")
+        return super().__new__(cls, base, multiplier)
 
     @classmethod
     def _make(cls, iterable) -> CharacterContext:
         # namedtuple's own _make, which its _replace calls, skips __new__
         return cls(*iterable)
 
-    @property
-    def multiplier(self) -> FieldElement:
-        return self.base.element(self.multiplier_code)
-
     @classmethod
-    def make(cls, base: FieldDescriptor, multiplier=1) -> "CharacterContext":
-        if isinstance(multiplier, FieldElement):
-            if multiplier.field != base:
-                raise ValueError("multiplier from a different field")
-            return cls(base, multiplier.code)
-        return cls(base, base.from_int(int(multiplier)).code)
+    def make(cls, base: FieldDescriptor, multiplier: int = 1) -> CharacterContext:
+        """The context of the int `multiplier` reduced mod p."""
+        return cls(base, multiplier % base.p)
 
     def extension(self, degree: int) -> FieldDescriptor:
         return build_field(self.base.p, self.base.d * degree)
@@ -85,13 +77,11 @@ def chi2_minus_one(L: FieldDescriptor) -> int:
 
 
 def psi_exponent_table(ctx: CharacterContext, L: FieldDescriptor) -> np.ndarray:
-    """Exponent a(u) = Tr_{L/F_p}(c u) with psi_{L/k}(u) = zeta_p^a(u), c the
-    multiplier embedded in L, by element code: code j >= 1 is g^(j-1), so on
-    L^x it is the absolute trace table shifted left by log c, cyclically.
-    The API's psi_c table: the pipeline reads L's own (psi_1), as no trace or
-    moment depends on c in F_p^x (traces._trace_numerators)."""
-    c_code, tr = embed(ctx.base, L, ctx.multiplier).code, L.trace_abs_by_code
-    table = np.concatenate(([0], tr[c_code:], tr[1:c_code]))
+    """Exponent a(u) = c Tr_{L/F_p}(u) mod p with psi_{L/k}(u) = zeta_p^a(u),
+    by element code: L's own absolute trace table times the multiplier c in
+    F_p^x, read-only.  The pipeline reads L's table itself (psi_1), as no
+    trace or moment depends on c (traces._trace_numerators)."""
+    table = ctx.multiplier * L.trace_abs_by_code % L.p
     table.setflags(write=False)
     return table
 

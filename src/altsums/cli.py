@@ -6,11 +6,12 @@ cache state, so a run with no cache, on an empty one or on a filled one
 writes the same bytes.
 
 Exit codes, which `main` alone assigns from what the command returns or
-raises: 0 = all checks passed, 1 = a falsified invariant (the
-counterexample is printed), 2 = usage error: invalid parameters, a
-budget exceeded, a file that cannot be read or written, or a trace
-cache file that fails its checks (the message names the file; delete it to
-recompute).  The process entry, `entry`, runs `main`, then freezes the heap.
+raises: 0 = all checks passed, 1 = a falsified invariant, such as a trace or
+curve moment that is not rational (the counterexample is printed), 2 = usage
+error: invalid parameters, a budget exceeded, a file that cannot be read or
+written, or a trace cache file that fails its checks (the message names the
+file; delete it to recompute).  The process entry, `entry`, runs `main`, then
+freezes the heap.
 """
 
 from __future__ import annotations
@@ -26,7 +27,9 @@ from itertools import chain
 from . import __version__
 from .curves import (
     DEFAULT_POINT_BUDGET,
+    NonRationalMomentError,
     count_points,
+    countable,
     curve_moment_report,
     modified_third_moment,
 )
@@ -433,7 +436,7 @@ def _cmd_all(cfg: RunConfig, args) -> int:
         L = params.extension(D)
         tables[D] = trace_table(params, D, cache_dir=cfg.cache_dir, field=L)
         doc.section(f"traces_degree_{D}", TRACE_HEADER, tables[D].rows())
-        if L.order <= cfg.budget and L.d % params.f == 0:  # within --budget, F_q in L
+        if countable(params, D, cfg.budget):
             counts[D] = count_points(params, D, budget=cfg.budget, field=L)
         del L  # the next level is built without this one
 
@@ -558,7 +561,8 @@ def main(argv=None) -> int:
         return COMMANDS[args.command][0](config_from_args(args), args)
     except SystemExit as exc:  # argparse: --help, --version or a usage error
         return int(exc.code or 0)
-    except (NonRationalTraceError, IdentityFalsifiedError) as exc:
+    except (NonRationalTraceError, NonRationalMomentError,
+            IdentityFalsifiedError) as exc:
         print(f"FALSIFIED: {exc}", file=sys.stderr)
         return 1
     except CacheCorruptionError as exc:

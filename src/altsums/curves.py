@@ -85,25 +85,30 @@ def _eval_rows(L: FieldDescriptor, alphas: list[int],
     return acc
 
 
+def countable(params: SystemParams, degree: int, budget: int) -> bool:
+    """Whether count_points counts the degree-`degree` level: #L is within
+    `budget` and F_q is a subfield of L.  Builds no field: since p > 2, p^d
+    passes the budget once d reaches its bit length, and a huge d never
+    forms p**d."""
+    d = params.base_degree * degree
+    return d < budget.bit_length() and params.p**d <= budget and d % params.f == 0
+
+
 def count_points(params: SystemParams, degree: int, *,
                  budget: int = DEFAULT_POINT_BUDGET,
                  field: FieldDescriptor | None = None) -> CurveCount:
     """The fiber counts over L, the `field` the caller holds or else one built
-    after the budget check (SystemParams.extension), which the count keeps."""
-    d = params.base_degree * degree
-    # before the build, which is slow for large #L; since p > 2, p^d passes
-    # the budget once d reaches its bit length, and a huge d never forms p**d
-    if d >= budget.bit_length():
-        raise BudgetExceededError(f"#L = p^d = {params.p}^{d} exceeds the "
-                                  f"point-count budget {budget}")
-    if params.p**d > budget:
-        raise BudgetExceededError(
-            f"#L = {params.p**d} exceeds the point-count budget {budget}")
+    after the budget check (SystemParams.extension), which the count keeps.
+    Refuses exactly the levels that are not `countable`."""
+    if not countable(params, degree, budget):
+        if countable(params._replace(f=1), degree, budget):  # #L is within budget
+            raise ValueError(
+                f"roots live in a degree-{params.f} field, which is not a "
+                f"subfield of {params.extension(degree, field).canonical_text()}")
+        d = params.base_degree * degree
+        size = f"p^d = {params.p}^{d}" if d >= budget.bit_length() else params.p**d
+        raise BudgetExceededError(f"#L = {size} exceeds the point-count budget {budget}")
     L = params.extension(degree, field)
-    if d % params.f != 0:
-        raise ValueError(
-            f"roots live in a degree-{params.f} field, which is not a "
-            f"subfield of {L.canonical_text()}")
     N = L.order
     g = math.gcd(params.n, N - 1)
     P = _eval_rows(L, _alpha_codes(params, L), np.arange(N, dtype=np.int64),

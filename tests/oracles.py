@@ -17,7 +17,7 @@ independent oracle that only tests import.
   is a bijection (`descent_consistency`).
 * Characters.  `psi_table` computes every psi exponent one element at a
   time, as a Frobenius-orbit sum, and every oracle here reads it (never
-  `altsums.characters.psi_exponent_table`, a rotated trace table);
+  `altsums.characters.psi_exponent_table`, c times L's trace table);
   `normalization_constant_direct` sums the Gauss sum over it.  `psi`,
   `psi_exponent`, `sum_psi` and `sum_chi2` evaluate the characters one
   element, or one orthogonality sum, at a time.
@@ -206,10 +206,11 @@ def descent_consistency(params: SystemParams, degree: int) -> DescentReport:
 @lru_cache(maxsize=None)
 def psi_table(ctx: CharacterContext, L: FieldDescriptor) -> np.ndarray:
     """Exponent a(u) with psi_{L/k}(u) = zeta_p^a(u) for every element code
-    u: a(u) = Tr_{L/F_p}(c u) for the multiplier c embedded in L, summed over
-    the Frobenius orbit of c u by scalar code arithmetic (L.trace_to_code).
-    Read-only, and kept per (ctx, L) for the test session."""
-    c = embed(ctx.base, L, ctx.multiplier).code
+    u: a(u) = Tr_{L/F_p}(c u) for the multiplier c in F_p^x, found in L as
+    L.from_int(c), summed over the Frobenius orbit of c u by scalar code
+    arithmetic (L.trace_to_code).  Read-only, and kept per (ctx, L) for the
+    test session."""
+    c = L.from_int(ctx.multiplier).code
     table = np.array([L.element(L.trace_to_code(1, L.mul_code(c, u))).as_int()
                       for u in range(L.order)], dtype=np.int64)
     table.flags.writeable = False

@@ -11,12 +11,13 @@ import random
 import numpy as np
 import pytest
 
+from altsums import fields
 from altsums.characters import (CharacterContext, chi2, chi2_code,
                                 chi2_minus_one, gauss_identities, gauss_sum,
                                 hasse_davenport_check, normalization_constant,
                                 psi_exponent_table)
 from altsums.cyclotomic import CycInt
-from altsums.fields import build_field
+from altsums.fields import FieldDescriptor, build_field
 from oracles import psi, psi_exponent, psi_table, sum_chi2, sum_psi
 
 
@@ -105,6 +106,33 @@ def test_psi_table_equals_the_frobenius_orbit_oracle(p, b, c, D):
     ctx = ctx_for(p, b, c)
     L = ctx.extension(D)
     assert np.array_equal(psi_exponent_table(ctx, L), psi_table(ctx, L))
+
+
+@pytest.mark.parametrize("p,b", [(p, b) for p in (3, 5, 7) for b in (1, 2)])
+def test_psi_table_is_c_times_the_trace_table_with_nothing_embedded(
+        monkeypatch, p, b):
+    # every c in F_p^x and every #L <= 5^6: c lies in F_p, so no search for a
+    # root of the base modulus in L is needed
+    def refuse(sub, sup):
+        raise AssertionError(f"embedded F_{sub.order} into F_{sup.order}")
+
+    monkeypatch.setattr(fields, "_embedding_log", refuse)
+    base = build_field(p, b)
+    for D in range(1, 9):
+        if p**(b * D) > 5**6:
+            break
+        L = FieldDescriptor(p, b * D)
+        for c in range(1, p):
+            tab = psi_exponent_table(CharacterContext(base, c), L)
+            assert np.array_equal(tab, c * L.trace_abs_by_code % p)
+            assert not tab.flags.writeable
+
+
+def test_make_takes_an_int_multiplier_only():
+    base = build_field(5, 2)
+    assert CharacterContext.make(base, 7) == CharacterContext(base, 2)
+    with pytest.raises(TypeError):
+        CharacterContext.make(base, base.element(2))
 
 
 @pytest.mark.parametrize("p,d", sorted({(p, b * D) for p, b, _, D in _psi_configs()}))

@@ -186,6 +186,60 @@ def test_a_table_breaking_the_sum_rules_exits_one(monkeypatch, capsys):
                             "and 8/9\n")
 
 
+@pytest.mark.parametrize("argv", [["all", "--p", "5", "--max-degree", "2"],
+                                  ["curves", "--p", "5", "--degree", "1"]],
+                         ids=lambda a: a[0])
+def test_a_non_rational_curve_moment_exits_one(monkeypatch, capsys, argv):
+    """A doctored fiber count makes the curve moment irrational: exit 1 with
+    one FALSIFIED line and no traceback, and nothing on stdout."""
+    real = cli.count_points
+
+    def doctored(*args, **kwargs):
+        count = real(*args, **kwargs)
+        counts = list(count.counts)
+        counts[2] += 1
+        return count._replace(counts=tuple(counts))
+
+    monkeypatch.setattr(cli, "count_points", doctored)
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    falsified = [line for line in captured.err.splitlines()
+                 if line.startswith("FALSIFIED: ")]
+    assert falsified == ["FALSIFIED: curve-weighted sum is not rational over "
+                         f"{build_field(5, 1).canonical_text()}"]
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("budget, counted", [(81, [2, 4]), (80, [2])])
+def test_all_counts_the_levels_count_points_accepts(capsys, budget, counted):
+    """q = 9: only the even degrees hold F_9, and --budget caps #L."""
+    assert main(["all", "--p", "3", "--f", "2", "--max-degree", "4",
+                 "--budget", str(budget)]) == 0
+    out = capsys.readouterr().out
+    assert re.findall(r"^# section: curves_degree_(\d+)$", out, re.M) == \
+        [str(D) for D in counted]
+
+
+@pytest.mark.parametrize("argv, p", [
+    (["all", "--p", "5", "--base-degree", "2", "--max-degree", "2"], 5),
+    (["all", "--p", "7", "--max-degree", "3"], 7)], ids=["5^2", "7"])
+def test_the_multiplier_changes_nothing_but_its_echo(capsys, argv, p):
+    """Every c in F_p^x gives the exit code and bytes of c = 1, past the CSV
+    header line and with the JSON echoes of c masked."""
+    runs = set()
+    for c in range(1, p):
+        csv_rc = main([*argv, "--multiplier", str(c)])
+        csv = capsys.readouterr().out.split("\n", 1)
+        assert f" multiplier={c} " in csv[0]
+        json_rc = main([*argv, "--multiplier", str(c), "--format", "json"])
+        doc = capsys.readouterr().out
+        assert doc.count(f'"multiplier": {c},') == 2  # config and verdict params
+        runs.add((csv_rc, csv[1], json_rc,
+                  doc.replace(f'"multiplier": {c},', '"multiplier": "c",')))
+    assert len(runs) == 1
+
+
 def fresh_python(args, env=None, timeout=120, **kwargs):
     """Run a new interpreter that imports this checkout's altsums, in `env`
     (default: this process's environment)."""
@@ -906,8 +960,8 @@ REFUSED = [
     (SystemParams, P3, {"f": 0}),
     (SystemParams, P3, {"multiplier": 6}),
     (SystemParams, P3, {"p": 9}),
-    (CharacterContext, F5, {"multiplier_code": 0}),
-    (CharacterContext, F5, {"multiplier_code": 5}),
+    (CharacterContext, F5, {"multiplier": 0}),
+    (CharacterContext, F5, {"multiplier": 5}),
     (RunConfig, {}, {"max_degree": 0}),
     (RunConfig, {}, {"budget": -1}),
     (RunConfig, {}, {"tv_max": math.nan}),
@@ -934,9 +988,8 @@ def test_config_records_store_floats_and_are_values():
             (RunConfig(p=5, tv_max=1), RunConfig(p=5, tv_max=1.0), {"p": 7}),
             (SystemParams(3, 1), SystemParams(p=3, f=1, base_degree=1),
              {"multiplier": 2}),
-            (CharacterContext(base, 2),
-             CharacterContext.make(base, base.element(2)),
-             {"multiplier_code": 3})]:
+            (CharacterContext(base, 2), CharacterContext.make(base, 7),
+             {"multiplier": 3})]:
         assert a == b and hash(a) == hash(b)
         assert a._replace() == a and a._replace(**other) != a
     assert repr(RunConfig()) == (
