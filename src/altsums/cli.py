@@ -31,7 +31,6 @@ from .curves import (
     count_points,
     countable,
     curve_moment_report,
-    modified_third_moment,
 )
 from .fields import factor_prime_power
 from .groups import REGIMES, TWISTS, exact_moment, spectrum
@@ -347,14 +346,13 @@ def _cmd_curves(cfg: RunConfig, args) -> int:
     degree = args.degree
     count = count_points(cfg.params(), degree, budget=cfg.budget)
     doc = Document(cfg)
-    doc.note(f"field: {count.field.canonical_text()}")
-    modified = modified_third_moment(count)
+    doc.note(f"field: {count.field_text}")
+    num, den = _frac_cols(count.modified)
     doc.section(f"curves_degree_{degree}", COUNT_HEADER, _count_rows(count),
-                {"degree": degree, "field": count.field.canonical_text(),
+                {"degree": degree, "field": count.field_text,
                  "counts": Rows("%d", (count.counts,)),
-                 "modified_m3": {"num": modified.numerator,
-                                 "den": modified.denominator}})
-    doc.note(f"modified_m3: {modified.numerator}/{modified.denominator}")
+                 "modified_m3": {"num": num, "den": den}})
+    doc.note(f"modified_m3: {num}/{den}")
     _emit(doc, args.output)
     return 0
 
@@ -438,7 +436,7 @@ def _cmd_all(cfg: RunConfig, args) -> int:
         doc.section(f"traces_degree_{D}", TRACE_HEADER, tables[D].rows())
         if countable(params, D, cfg.budget):
             counts[D] = count_points(params, D, budget=cfg.budget, field=L)
-        del L  # the next level is built without this one
+        del L  # no table or count keeps L: the next level is built without it
 
     report = verdict(params, tables, config=cfg.verdict_config())
     doc.section("moments", MOMENT_HEADER, _moment_rows(report))

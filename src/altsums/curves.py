@@ -30,15 +30,15 @@ for t != 0, where the dlog of code j >= 1 (the element gen^(j-1)) is j - 1.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
 
-from .characters import _chi2_sum, chi2_minus_one, psi_exponent_table
-from .cyclotomic import CycInt
+from .characters import _chi2_sum
 from .fields import BudgetExceededError, FieldDescriptor
-from .traces import SystemParams
+from .traces import SystemParams, _Int64Record
 
 DEFAULT_POINT_BUDGET = 4096  # largest #L counted by default
 
@@ -47,23 +47,24 @@ class NonRationalMomentError(RuntimeError):
     """The curve-weighted sum failed to normalize to a rational number."""
 
 
-class CurveCount(NamedTuple):
-    """Affine point counts of f(x, y) = t by the code of t, over the L kept as `field`."""
+class CurveCount(_Int64Record, namedtuple(
+        "CurveCount", "params degree field_text counts modified")):
+    """Affine point counts of f(x, y) = t over L by the code of t, one read-only
+    int64 array as a TraceTable's numerators are (see _Int64Record), with the
+    exact curve-side moment `modified` taken from them and L's text, not L."""
 
-    params: SystemParams
-    degree: int
-    field: FieldDescriptor
-    counts: tuple[int, ...]
+    __slots__ = ()
+    _array = "counts"
 
     @property
     def field_order(self) -> int:
         return len(self.counts)
 
     def total(self) -> int:
-        return sum(self.counts)
+        return int(self.counts.sum())
 
     def zero_fiber(self) -> int:
-        return self.counts[0]
+        return int(self.counts[0])
 
 
 def _alpha_codes(params: SystemParams, L: FieldDescriptor) -> list[int]:
@@ -98,8 +99,9 @@ def count_points(params: SystemParams, degree: int, *,
                  budget: int = DEFAULT_POINT_BUDGET,
                  field: FieldDescriptor | None = None) -> CurveCount:
     """The fiber counts over L, the `field` the caller holds or else one built
-    after the budget check (SystemParams.extension), which the count keeps.
-    Refuses exactly the levels that are not `countable`."""
+    after the budget check (SystemParams.extension), with their curve-side
+    moment, taken while L is at hand; the count does not keep L.  Refuses
+    exactly the levels that are not `countable`."""
     if not countable(params, degree, budget):
         if countable(params._replace(f=1), degree, budget):  # #L is within budget
             raise ValueError(
@@ -117,28 +119,22 @@ def count_points(params: SystemParams, degree: int, *,
     hist = np.empty(N, dtype=np.int64)
     hist[0] = N + (N - 1) * int(np.count_nonzero(P == 0))
     hist[1:] = g * classes[np.arange(N - 1) % g]
-    return CurveCount(params=params, degree=degree, field=L,
-                      counts=tuple(hist.tolist()))
+    hist.flags.writeable = False  # the count's own array, not a copy
+    return CurveCount(params, degree, L.canonical_text(), hist,
+                      modified_third_moment(L, hist))
 
 
-def curve_weighted_sum(count: CurveCount) -> CycInt:
-    """W = sum over t in L^x of psi(t) chi_2(-t) N_L(t) = chi_2(-1) V, exact,
-    over `count`'s L."""
-    params, L = count.params, count.field
-    e = psi_exponent_table(params.context(), L)
-    return chi2_minus_one(L) * _chi2_sum(params.p, e, np.array(count.counts))
-
-
-def modified_third_moment(count: CurveCount) -> Fraction:
-    """(chi_2(-1)/g)^3 * W = V conj(g)^3 / (#L)^3 as an exact rational, over
-    the field of `count`, with V and g read off L's own trace table (psi_1);
-    a non-rational numerator is a hard error.  For c in F_p^x, psi_c =
-    sigma_c(psi_1), sigma_c: zeta_p -> zeta_p^c, and no count depends on c:
-    V_c conj(g_c)^3 = sigma_c(V_1 conj(g_1)^3), the same rational.
+def modified_third_moment(L: FieldDescriptor, counts: np.ndarray) -> Fraction:
+    """(chi_2(-1)/g)^3 * W = V conj(g)^3 / (#L)^3 as an exact rational, for the
+    fiber `counts` over L by the code of t, with V and g read off L's own
+    trace table (psi_1); a non-rational numerator is a hard error.  For c in
+    F_p^x, psi_c = sigma_c(psi_1), sigma_c: zeta_p -> zeta_p^c, and no count
+    depends on c: V_c conj(g_c)^3 = sigma_c(V_1 conj(g_1)^3), the same
+    rational.
     """
-    L, e = count.field, count.field.trace_abs_by_code
+    e = L.trace_abs_by_code
     # V = W / chi_2(-1); the counts sum to at most #L^2 <= 2^48: exact
-    V = _chi2_sum(L.p, e, np.array(count.counts))
+    V = _chi2_sum(L.p, e, counts)
     num = V * _chi2_sum(L.p, e).conj() ** 3
     r = num.as_rational()
     if r is None:
@@ -164,9 +160,8 @@ class CurveMomentReport(NamedTuple):
 def curve_moment_report(count: CurveCount, m3: Fraction) -> CurveMomentReport:
     """Compare the curve-side moment of `count` with `m3`, the empirical
     third moment of the trace table of the same params and degree."""
-    modified = modified_third_moment(count)
     bound = count.params.q / math.sqrt(count.field_order)
-    gap = abs(float(modified - m3))
+    gap = abs(float(count.modified - m3))
     return CurveMomentReport(degree=count.degree, field_order=count.field_order,
-                             modified=modified, empirical_m3=m3,
+                             modified=count.modified, empirical_m3=m3,
                              bound=bound, within_bound=gap <= bound)

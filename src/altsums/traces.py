@@ -135,18 +135,18 @@ class Rows(NamedTuple):
             yield (row * len(part[0])) % tuple(flat)
 
 
-def _frozen_int64(numerators) -> np.ndarray:
-    """`numerators` as a read-only int64 array that owns its data: any other
-    array is copied (a view too, as its base may be writeable), and ValueError
+def _frozen_int64(values, name: str) -> np.ndarray:
+    """`values` as a read-only int64 array that owns its data: any other array
+    is copied (a view too, as its base may be writeable), and ValueError
     refuses a value that is not an integer within int64."""
-    a = np.asarray(numerators)
+    a = np.asarray(values)
     if a.dtype != np.int64:
         if a.dtype.kind not in "biuf":
-            raise ValueError(f"trace numerators must be integers, not {a.dtype}")
+            raise ValueError(f"{name} must be integers, not {a.dtype}")
         with np.errstate(invalid="ignore"):  # nan, inf and 2^63 fail below
             b = a.astype(np.int64)
         if not np.array_equal(a, b):
-            raise ValueError("trace numerators must be integers within int64")
+            raise ValueError(f"{name} must be integers within int64")
         a = b
     elif a.flags.writeable or a.base is not None:
         a = a.copy()
@@ -154,39 +154,49 @@ def _frozen_int64(numerators) -> np.ndarray:
     return a
 
 
-class TraceTable(namedtuple("TraceTable",
-                            "params degree field_text denominator numerators")):
-    """All N normalized traces over one extension: numerators[j] / #L.
-
-    Entry order is element-code order: index 0 is t = 0, index j >= 1 is
-    t = g^(j-1) for the field generator g.  `numerators` is one read-only
-    int64 array, made so by every way of making a table: the constructor,
-    `_make` and `_replace` (see _frozen_int64).  A collections.namedtuple
-    subclass, as typing.NamedTuple refuses a __new__; tables compare and hash
-    by value.
-    """
+class _Int64Record:
+    """Mixed into a collections.namedtuple (typing.NamedTuple refuses a
+    __new__): the field named `_array` is one read-only int64 array, made so
+    by every way of making a record -- the constructor, `_make` and
+    `_replace` (see _frozen_int64) -- and records compare and hash by value."""
 
     __slots__ = ()
 
-    def __new__(cls, params: SystemParams, degree: int, field_text: str,
-                denominator: int, numerators) -> TraceTable:
-        return super().__new__(cls, params, degree, field_text, denominator,
-                               _frozen_int64(numerators))
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        return tuple.__new__(cls, (_frozen_int64(v, f"{cls.__name__}.{f}") if f == cls._array
+                                   else v for f, v in zip(cls._fields, self)))
 
     @classmethod
-    def _make(cls, iterable) -> TraceTable:
+    def _make(cls, iterable):
         # namedtuple's own _make, which its _replace calls, skips __new__
         return cls(*iterable)
 
     def __eq__(self, other):
-        return (isinstance(other, TraceTable) and self[:4] == other[:4]
-                and np.array_equal(self.numerators, other.numerators))
+        return type(other) is type(self) and all(
+            np.array_equal(a, b) if f == self._array else a == b
+            for f, a, b in zip(self._fields, self, other))
 
     def __ne__(self, other):
         return not self == other
 
     def __hash__(self):
-        return hash((self[:4], self.numerators.tobytes()))
+        return hash(tuple(v.tobytes() if f == self._array else v
+                          for f, v in zip(self._fields, self)))
+
+
+class TraceTable(_Int64Record, namedtuple(
+        "TraceTable", "params degree field_text denominator numerators")):
+    """All N normalized traces over one extension: numerators[j] / #L.
+
+    Entry order is element-code order: index 0 is t = 0, index j >= 1 is
+    t = g^(j-1) for the field generator g.  `numerators` is one read-only
+    int64 array on every way of making a table, and tables compare and hash
+    by value (see _Int64Record).
+    """
+
+    __slots__ = ()
+    _array = "numerators"
 
     @property
     def is_integer(self) -> np.ndarray:

@@ -30,11 +30,6 @@ def regime_for(params: SystemParams, degree: int) -> tuple[str, str]:
     return ("coset", "sgn")
 
 
-def oracle_spectrum(params: SystemParams, degree: int) -> dict[int, Fraction]:
-    regime, twist = regime_for(params, degree)
-    return spectrum(2 * params.q, regime, twist)
-
-
 class MembershipResult(NamedTuple):
     rate: Fraction
     offenders: tuple[tuple[int, int], ...]  # (t_index, integer trace value)

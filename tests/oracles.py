@@ -21,11 +21,14 @@ independent oracle that only tests import.
   `normalization_constant_direct` sums the Gauss sum over it.  `psi`,
   `psi_exponent`, `sum_psi` and `sum_chi2` evaluate the characters one
   element, or one orthogonality sum, at a time.
-* The curve side.  `triple_sum_direct` attaches the weight psi(f) chi_2(-f)
-  pair by pair, never forming the fiber histogram that `count_points` and
-  `curve_weighted_sum` go through.  Its alphas, `alpha_codes`, embed F_q
-  minus {0, -1} into L one element at a time (`fields.embed`), where the
-  production `_alpha_codes` reads them off the subgroup F_q^x of L^x.
+* The curve side.  `curve_weighted_sum` attaches the weight psi(t)
+  chi_2(-t) to a fiber histogram one t at a time; `triple_sum_direct`
+  attaches psi(f) chi_2(-f) pair by pair, never forming the histogram that
+  `count_points` makes.  Its alphas, `alpha_codes`, embed F_q minus {0, -1}
+  into L one element at a time (`fields.embed`), where the production
+  `_alpha_codes` reads them off the subgroup F_q^x of L^x.
+* The group side.  `oracle_spectrum` is the law of fix - 1 that a level's
+  regime (`verdict.regime_for`) predicts for its traces.
 """
 
 import math
@@ -40,8 +43,10 @@ from altsums.curves import _eval_rows
 from altsums.cyclotomic import CycInt
 from altsums.fields import (BudgetExceededError, FieldDescriptor, FieldElement,
                             build_field, embed)
+from altsums.groups import spectrum
 from altsums.identities import _split_alphas
 from altsums.traces import NonRationalTraceError, SystemParams
+from altsums.verdict import regime_for
 
 ROW_CHUNK = 256  # x-rows per block of triple_sum_direct: bounds its memory
 
@@ -256,6 +261,16 @@ def alpha_codes(params: SystemParams, L: FieldDescriptor) -> list[int]:
     return [embed(Fq, L, Fq.element(c)).code for c in _split_alphas(Fq)]
 
 
+def curve_weighted_sum(params: SystemParams, L: FieldDescriptor, counts) -> CycInt:
+    """W = sum over t in L^x of psi(t) chi_2(-t) N_L(t), one t at a time, for
+    the fiber `counts` N_L over L by the code of t."""
+    w = [0] * params.p
+    e = psi_table(params.context(), L)
+    for t in range(1, L.order):
+        w[int(e[t])] += chi2_code(L, L.neg_code(t)) * int(counts[t])
+    return CycInt.from_power_counts(params.p, w)
+
+
 def triple_sum_direct(params: SystemParams, degree: int) -> CycInt:
     """sum of psi(f(x,y)) chi_2(-f(x,y)) over pairs with f(x,y) != 0.
 
@@ -279,3 +294,11 @@ def triple_sum_direct(params: SystemParams, degree: int) -> CycInt:
         even += np.bincount(exps[neg_parity == 0], minlength=params.p)
         odd += np.bincount(exps[neg_parity == 1], minlength=params.p)
     return CycInt.from_power_counts(params.p, (even - odd).tolist())
+
+
+# -- the group side -------------------------------------------------------------
+
+def oracle_spectrum(params: SystemParams, degree: int) -> dict[int, Fraction]:
+    """The law of fix - 1 on the coset of Alt(2q) that regime_for names for
+    the degree-`degree` level."""
+    return spectrum(2 * params.q, *regime_for(params, degree))

@@ -31,7 +31,8 @@ from altsums.identities import (
     wild_inertia_span,
 )
 from altsums.traces import SystemParams, trace_table
-from altsums.verdict import distribution_distance, oracle_spectrum, spectrum_membership
+from altsums.verdict import distribution_distance, spectrum_membership
+from oracles import oracle_spectrum
 
 P33 = SystemParams(p=3, f=1)
 P55 = SystemParams(p=5, f=1)

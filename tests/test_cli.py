@@ -192,15 +192,14 @@ def test_a_table_breaking_the_sum_rules_exits_one(monkeypatch, capsys):
 def test_a_non_rational_curve_moment_exits_one(monkeypatch, capsys, argv):
     """A doctored fiber count makes the curve moment irrational: exit 1 with
     one FALSIFIED line and no traceback, and nothing on stdout."""
-    real = cli.count_points
+    real = curves.modified_third_moment
 
-    def doctored(*args, **kwargs):
-        count = real(*args, **kwargs)
-        counts = list(count.counts)
+    def doctored(L, counts):
+        counts = counts.copy()
         counts[2] += 1
-        return count._replace(counts=tuple(counts))
+        return real(L, counts)
 
-    monkeypatch.setattr(cli, "count_points", doctored)
+    monkeypatch.setattr(curves, "modified_third_moment", doctored)
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -383,7 +382,7 @@ def test_all_exits_one_when_the_curve_side_differs_from_m3(monkeypatch, capsys):
     # off by 1/#L^3: far inside the printed q / sqrt(#L), still a mismatch
     real = curves.modified_third_moment
     monkeypatch.setattr(curves, "modified_third_moment",
-                        lambda count: real(count) + Fraction(1, count.field_order**3))
+                        lambda L, counts: real(L, counts) + Fraction(1, L.order**3))
     assert main(["all", "--p", "3", "--max-degree", "6"]) == 1
     out, err = capsys.readouterr()
     assert "# section: curve_moments\n" in out and "# result: FAIL\n" in out
@@ -705,10 +704,19 @@ def test_all_output_bytes_are_pinned(tmp_path, capsys, argv, digest):
      "fcf9061743edb10ed26e227829eedffb6f08d1538999fb2e7cdcfad4c6827e76"),
     (["compare", "--p", "3", "--max-degree", "12"],
      "990c06166823ab0f7451b920b7f7029b93e0f6b75b3258ff0836ab11ca0d0604"),
+    (["all", "--p", "3", "--max-degree", "10", "--budget", "59049"],
+     "0369a4fa534b23c80f7af3ae12596a8509557e4cc4f9d0d0914918dde9c25178"),
+    (["curves", "--p", "7", "--degree", "5", "--budget", "16807", "--format", "json"],
+     "a940c3ac90a3f3457efe60ccc0923d257bc5b63ae6b9587d7babe83638c61cd2"),
+    (["all", "--p", "5", "--f", "2", "--max-degree", "3", "--budget", "15625",
+      "--format", "json"],
+     "561608ceb74779bda1211577c210746a62239fdcb84ed85f474ddbb463b65898"),
 ])
 def test_output_bytes_at_scale_are_pinned(monkeypatch, capsys, argv, digest):
-    """The stdout digests recorded for these invocations at commit 5fff025:
-    trace tables over 3^12 and 7^5 and the tower to 3^12, without a cache."""
+    """The stdout digests recorded for these invocations without a cache:
+    trace tables over 3^12 and 7^5 and the tower to 3^12 at commit 5fff025;
+    curve counts under budgets past the default (the tower to 3^10, counted
+    at every level; 7^5; q = 25 to 5^3 in JSON) at commit 2cb8ec2."""
     assert main(argv) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest

@@ -80,6 +80,27 @@ def test_compare_holds_no_lower_level_while_it_builds_the_next(builds, capsys):
     assert builds.held == [[]] * 7
 
 
+def test_all_holds_no_earlier_level_once_it_builds_the_next(monkeypatch, capsys):
+    """No trace table or curve count keeps its level's field: each level
+    that SystemParams.extension builds is dead once the next one is built,
+    and every one is dead once `all` returns."""
+    real = SystemParams.extension
+    levels, held = [], []
+
+    def extension(self, degree, field=None):
+        L = real(self, degree, field)
+        if field is None:
+            held.append([r().d for r in levels if r() is not None])
+            levels.append(weakref.ref(L))
+        return L
+
+    monkeypatch.setattr(SystemParams, "extension", extension)
+    assert main(["all", "--p", "3", "--max-degree", "6"]) == 0
+    assert "# section: curves_degree_5\n" in capsys.readouterr().out
+    assert held == [[]] * 6
+    assert [r() for r in levels] == [None] * 6
+
+
 def test_a_handed_field_changes_nothing_and_another_is_refused():
     params = SystemParams(p=3, f=1)
     L = params.extension(4)

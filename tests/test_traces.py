@@ -23,6 +23,7 @@ import pytest
 from altsums import traces
 from altsums.characters import normalization_constant, psi_exponent_table
 from altsums.cli import main
+from altsums.curves import count_points
 from altsums.cyclotomic import CycInt
 from altsums.fields import BudgetExceededError, build_field
 from altsums.traces import (CacheCorruptionError, NonRationalTraceError,
@@ -592,12 +593,12 @@ def test_kernel_and_cache_tables_hold_a_read_only_int64_array(tmp_path):
     built = trace_table(P33, 3, cache_dir=tmp_path)
     loaded = trace_table(P33, 3, cache_dir=tmp_path)
     assert loaded == built
-    for table in (built, loaded):
-        assert isinstance(table.numerators, np.ndarray)
-        assert table.numerators.dtype == np.int64
-        assert not table.numerators.flags.writeable
+    for array in (built.numerators, loaded.numerators, count_points(P33, 3).counts):
+        assert isinstance(array, np.ndarray)
+        assert array.dtype == np.int64
+        assert not array.flags.writeable
         with pytest.raises(ValueError):
-            table.numerators[0] = 0
+            array[0] = 0
 
 
 def test_a_table_retains_about_eight_bytes_per_entry():
@@ -612,52 +613,61 @@ def test_a_table_retains_about_eight_bytes_per_entry():
     assert held <= 9 * 15625 + 4096
 
 
+def _records(degree):
+    """(record, name of its int64 array): a trace table and a curve count over 3^degree."""
+    return [(trace_table(P33, degree), "numerators"), (count_points(P33, degree), "counts")]
+
+
 def test_tables_differing_in_one_numerator_compare_unequal():
-    table = trace_table(P33, 2)
-    nums = table.numerators.copy()
-    nums[4] += 9
-    other = table._replace(numerators=nums)
-    assert not table == other and table != other
-    assert not other == table and other != table
-    same = table._replace(numerators=table.numerators.copy())
-    assert table == same and not table != same and hash(table) == hash(same)
+    records = _records(2)
+    for table, name in records:
+        nums = getattr(table, name).copy()
+        nums[4] += 9
+        other = table._replace(**{name: nums})
+        assert not table == other and table != other
+        assert not other == table and other != table
+        same = table._replace(**{name: getattr(table, name).copy()})
+        assert table == same and not table != same and hash(table) == hash(same)
+    (table, _), (count, _) = records
+    assert table != count and count != table
 
 
 @pytest.mark.parametrize("make", [
-    lambda table, nums: table._replace(numerators=nums),
-    lambda table, nums: TraceTable._make((*table[:4], nums)),
-    lambda table, nums: TraceTable(*table[:4], nums)],
+    lambda record, name, a: record._replace(**{name: a}),
+    lambda record, name, a: type(record)._make(
+        a if field == name else v for field, v in zip(record._fields, record)),
+    lambda record, name, a: type(record)(**{**record._asdict(), name: a})],
     ids=["_replace", "_make", "constructor"])
 def test_a_table_does_not_change_with_its_source_array(make):
-    table = trace_table(P33, 2)
-    nums = table.numerators.copy()
-    other = make(table, nums)
-    before = hash(other)
-    nums[4] += 9
-    assert other == table and hash(other) == before == hash(table)
-    assert other.numerators.dtype == np.int64
-    assert not other.numerators.flags.writeable
-    view = nums.view()  # read-only, but its base is writeable
-    view.flags.writeable = False
-    from_view = make(table, view)
-    nums[4] -= 9
-    assert from_view.numerators[4] == table.numerators[4] + 9
+    for table, name in _records(2):
+        nums = getattr(table, name).copy()
+        other = make(table, name, nums)
+        before = hash(other)
+        nums[4] += 9
+        assert other == table and hash(other) == before == hash(table)
+        assert getattr(other, name).dtype == np.int64
+        assert not getattr(other, name).flags.writeable
+        view = nums.view()  # read-only, but its base is writeable
+        view.flags.writeable = False
+        from_view = make(table, name, view)
+        nums[4] -= 9
+        assert getattr(from_view, name)[4] == getattr(table, name)[4] + 9
 
 
 @pytest.mark.parametrize("make", [
-    lambda table, nums: table._replace(numerators=nums),
-    lambda table, nums: TraceTable(*table[:4], nums)],
+    lambda record, name, a: record._replace(**{name: a}),
+    lambda record, name, a: type(record)(**{**record._asdict(), name: a})],
     ids=["_replace", "constructor"])
 def test_a_table_refuses_non_integral_numerators(make):
-    table = trace_table(P33, 1)
-    half = np.array([-3.0, 3.0, 0.5])
-    with pytest.raises(ValueError, match="integers within int64"):
-        make(table, half)
-    for bad in ([np.nan, 3.0, 0.0], [-3.0, 2.0**63, 0.0]):
+    for table, name in _records(1):
+        values = getattr(table, name).tolist()
         with pytest.raises(ValueError, match="integers within int64"):
-            make(table, np.array(bad))
-    with pytest.raises(ValueError, match="not complex128"):
-        make(table, np.array([-3, 3, 0], dtype=complex))
-    for good in ([-3.0, 3.0, 0.0], [-3, 3, 0], np.array([-3, 3, 0], dtype=np.int32)):
-        assert make(table, good) == table
-        assert make(table, good).numerators.dtype == np.int64
+            make(table, name, np.array(values[:2] + [0.5]))
+        for bad in ([np.nan, 3.0, 0.0], [-3.0, 2.0**63, 0.0]):
+            with pytest.raises(ValueError, match="integers within int64"):
+                make(table, name, np.array(bad))
+        with pytest.raises(ValueError, match="not complex128"):
+            make(table, name, np.array(values, dtype=complex))
+        for good in (np.array(values, dtype=float), values, np.array(values, dtype=np.int32)):
+            assert make(table, name, good) == table
+            assert getattr(make(table, name, good), name).dtype == np.int64

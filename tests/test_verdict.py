@@ -18,11 +18,11 @@ from altsums.verdict import (
     MembershipResult,
     VerdictConfig,
     distribution_distance,
-    oracle_spectrum,
     regime_for,
     spectrum_membership,
     verdict,
 )
+from oracles import oracle_spectrum
 
 P33 = SystemParams(p=3, f=1)
 P55 = SystemParams(p=5, f=1)
