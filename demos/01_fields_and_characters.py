@@ -9,7 +9,7 @@ Gauss-sum identities exactly in the cyclotomic ring Z[zeta_p].
 
 from altsums import (
     CharacterContext,
-    chi2,
+    chi2_code,
     chi2_minus_one,
     build_field,
     gauss_identities,
@@ -25,13 +25,12 @@ print("field:", F9.canonical_text())
 print("order:", F9.order, " generator code:", 2)
 
 # Addition runs through the Zech table; multiplication is index arithmetic.
-a = F9.element(2)          # g
-b = F9.element(3)          # g^2
-print("g + g^2 =", a + b, " g * g^2 =", a * b)
+a, b = 2, 3               # g and g^2
+print("g + g^2 = code", F9.add_code(a, b), " g * g^2 = code", F9.mul_code(a, b))
 
 # The quadratic character is the parity of the discrete log; chi2(-1) tells
 # whether -1 is a square, which is the engine of the parity dichotomy later.
-print("chi2(g) =", chi2(F9, a))
+print("chi2(g) =", chi2_code(F9, a))
 for p, f in ((3, 1), (3, 2), (5, 1), (5, 2)):
     L = build_field(p, f)
     print(f"chi2(-1) on {L.canonical_text()}: {chi2_minus_one(L):+d}")

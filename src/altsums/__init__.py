@@ -8,6 +8,9 @@ integer, cyclotomic integer, or rational, except one complex FFT whose values
 are rounded to integers under an a-priori error bound and a check of each
 rounding; otherwise floats appear only in human-readable deviation columns.
 
+A field element is an int code (altsums.fields): 0 is zero and code j >= 1
+is g^(j-1) for the field's generator g, in every argument and result.
+
 Results are immutable named-tuple records (`_asdict`, `_replace`); the inputs
 that validate their fields (SystemParams, CharacterContext) are named tuples
 too, checked by the constructor, `_make` and `_replace` alike.
@@ -28,10 +31,9 @@ if "numpy" not in _sys.modules and "OPENBLAS_NUM_THREADS" not in _os.environ:
     finally:
         del _os.environ["OPENBLAS_NUM_THREADS"]
 
-from .fields import (BudgetExceededError, FieldDescriptor, FieldElement,
-                     build_field, embed)
+from .fields import BudgetExceededError, FieldDescriptor, build_field, embed
 from .cyclotomic import CycInt
-from .characters import (CharacterContext, chi2, chi2_minus_one,
+from .characters import (CharacterContext, chi2_code, chi2_minus_one,
                          gauss_identities, gauss_sum, hasse_davenport_check,
                          normalization_constant)
 from .traces import (CacheCorruptionError, NonRationalTraceError, SystemParams,
@@ -54,7 +56,6 @@ __all__ = [
     "CurveCount",
     "CycInt",
     "FieldDescriptor",
-    "FieldElement",
     "IdentityFalsifiedError",
     "NonRationalTraceError",
     "SystemParams",
@@ -62,7 +63,7 @@ __all__ = [
     "VerdictConfig",
     "VerdictReport",
     "build_field",
-    "chi2",
+    "chi2_code",
     "chi2_minus_one",
     "count_points",
     "curve_moment_report",

@@ -28,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .cyclotomic import CycInt
-from .fields import FieldDescriptor, FieldElement, build_field
+from .fields import FieldDescriptor, build_field
 
 
 class CharacterContext(namedtuple("CharacterContext", "base multiplier",
@@ -63,12 +63,6 @@ def chi2_code(L: FieldDescriptor, code: int) -> int:
     if code == 0:
         return 0
     return 1 if (code - 1) % 2 == 0 else -1
-
-
-def chi2(L: FieldDescriptor, x: FieldElement) -> int:
-    if x.field != L:
-        raise ValueError("element not in the stated field")
-    return chi2_code(L, x.code)
 
 
 def chi2_minus_one(L: FieldDescriptor) -> int:
@@ -135,8 +129,7 @@ def normalization_constant(ctx: CharacterContext, L: FieldDescriptor, n: int) ->
     if n % p == 0:
         raise ValueError("n must be prime to the characteristic")
     d = (n - 1) // 2
-    arg = L.from_int(n * (-1) ** (d % 2))
-    sign = chi2(L, arg)
+    sign = chi2_code(L, L.code_from_poly_int(n * (-1) ** (d % 2) % p))
     return (-sign) * gauss_sum(ctx, L)
 
 

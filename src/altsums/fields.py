@@ -9,8 +9,9 @@ generates, so does its norm (-1)^d m(0) = x^((p^d - 1)/(p - 1)) in F_p^x
 (Lidl-Niederreiter, Finite Fields, 3.1); the search skips every other m(0).
 DEFAULT_TABLE_BUDGET elements is the only size limit.
 
-Elements are ZERO or a power g^j of the generator g = x.  Multiplication is
-index addition mod p^d - 1; addition goes through a Zech logarithm table
+An element is an int code, the library's only element type: 0 is zero and
+code j >= 1 is g^(j-1) for the generator g = x.  Multiplication is index
+addition mod p^d - 1; addition goes through a Zech logarithm table
 (zech[m] = dlog(1 + g^m)), built once per field.  Dense int arrays make the
 representation cheap to vectorize with numpy.
 """
@@ -198,8 +199,8 @@ class FieldDescriptor:
     """Immutable model of F_{p^d}; holds the lookup tables, read-only arrays
     that build_field's memo shares and the trace kernel reads in place.
 
-    Element codes: 0 is the zero element, code j >= 1 is g^(j-1).  All
-    *_code methods speak codes; FieldElement wraps them for scalar work.
+    Element codes: 0 is the zero element, code j >= 1 is g^(j-1).  Codes
+    are the only element type: every method takes and returns them.
     """
 
     def __init__(self, p: int, d: int):
@@ -278,9 +279,6 @@ class FieldDescriptor:
             return 0
         return 1 + (a - 1 + self.minus_one_log) % (self.order - 1)
 
-    def sub_code(self, a: int, b: int) -> int:
-        return self.add_code(a, self.neg_code(b))
-
     def mul_code(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
@@ -302,9 +300,6 @@ class FieldDescriptor:
 
     def frobenius_code(self, a: int, times: int = 1) -> int:
         return self.pow_code(a, self.p**times)
-
-    def trace_abs_code(self, a: int) -> int:
-        return int(self.trace_abs_by_code[a])
 
     def trace_to_code(self, sub_degree: int, a: int) -> int:
         """Relative trace onto the subfield of degree sub_degree over F_p."""
@@ -336,6 +331,15 @@ class FieldDescriptor:
             return 0
         return int(self.antilog_int[a - 1])
 
+    def prime_int(self, a: int) -> int:
+        """The int 0 <= v < p that the code a names; a must lie in F_p."""
+        if not (0 <= a < self.order and self.in_subfield_code(1, a)):
+            raise ValueError(f"code {a} is not an element of the prime field")
+        v = self.poly_int(a)
+        if v >= self.p:
+            raise RuntimeError("prime-field element with nonconstant coordinates")
+        return v
+
     def code_from_poly_int(self, v: int) -> int:
         v %= self.order
         if v == 0:
@@ -344,37 +348,6 @@ class FieldDescriptor:
         if j < 0:
             raise RuntimeError("poly-int not in table")
         return 1 + j
-
-    # -- element constructors ----------------------------------------------
-
-    def zero(self) -> "FieldElement":
-        return FieldElement(self, 0)
-
-    def one(self) -> "FieldElement":
-        return FieldElement(self, 1)
-
-    def gen(self) -> "FieldElement":
-        if self.order == 2:
-            raise ValueError("trivial group")
-        return FieldElement(self, 2)
-
-    def from_int(self, c: int) -> "FieldElement":
-        c %= self.p
-        if c == 0:
-            return self.zero()
-        return FieldElement(self, self.code_from_poly_int(c))
-
-    def from_log(self, j: int) -> "FieldElement":
-        return FieldElement(self, 1 + j % (self.order - 1))
-
-    def element(self, code: int) -> "FieldElement":
-        if not 0 <= code < self.order:
-            raise ValueError(f"code {code} out of range")
-        return FieldElement(self, code)
-
-    def elements(self):
-        for code in range(self.order):
-            yield FieldElement(self, code)
 
     # -- vectorized code arithmetic ----------------------------------------
 
@@ -393,110 +366,6 @@ class FieldDescriptor:
         a, b = np.asarray(a), np.asarray(b)
         prod = 1 + (a + b - 2) % (self.order - 1)
         return np.where((a == 0) | (b == 0), 0, prod)
-
-
-class FieldElement:
-    """ZERO or a discrete-log power of the field generator."""
-
-    __slots__ = ("field", "code")
-
-    def __init__(self, field: FieldDescriptor, code: int):
-        self.field = field
-        self.code = code
-
-    @property
-    def log(self) -> int | None:
-        return None if self.code == 0 else self.code - 1
-
-    @property
-    def is_zero(self) -> bool:
-        return self.code == 0
-
-    def _coerce(self, other) -> int:
-        if isinstance(other, FieldElement):
-            if other.field != self.field:
-                raise ValueError("elements from different fields")
-            return other.code
-        if isinstance(other, int):
-            return self.field.from_int(other).code
-        return NotImplemented
-
-    def __add__(self, other):
-        c = self._coerce(other)
-        if c is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.add_code(self.code, c))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        c = self._coerce(other)
-        if c is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.sub_code(self.code, c))
-
-    def __rsub__(self, other):
-        c = self._coerce(other)
-        if c is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.sub_code(c, self.code))
-
-    def __neg__(self):
-        return FieldElement(self.field, self.field.neg_code(self.code))
-
-    def __mul__(self, other):
-        c = self._coerce(other)
-        if c is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.mul_code(self.code, c))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        c = self._coerce(other)
-        if c is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.mul_code(self.code, self.field.inv_code(c)))
-
-    def __pow__(self, k: int):
-        return FieldElement(self.field, self.field.pow_code(self.code, k))
-
-    def inverse(self) -> "FieldElement":
-        return FieldElement(self.field, self.field.inv_code(self.code))
-
-    def frobenius(self, times: int = 1) -> "FieldElement":
-        return FieldElement(self.field, self.field.frobenius_code(self.code, times))
-
-    def trace_abs(self) -> int:
-        return self.field.trace_abs_code(self.code)
-
-    def as_int(self) -> int:
-        """Integer representative when the element lies in the prime field."""
-        if not self.field.in_subfield_code(1, self.code):
-            raise ValueError("element is not in the prime field")
-        v = self.field.poly_int(self.code)
-        if v >= self.field.p:
-            raise RuntimeError("prime-field element with nonconstant coordinates")
-        return v
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, int):
-            return self.code == self.field.from_int(other).code
-        return (isinstance(other, FieldElement)
-                and self.field == other.field and self.code == other.code)
-
-    def __hash__(self) -> int:
-        return hash((self.field.p, self.field.d, self.code))
-
-    def __bool__(self) -> bool:
-        return self.code != 0
-
-    def __repr__(self) -> str:
-        if self.code == 0:
-            return "0"
-        if self.code == 1:
-            return "1"
-        return f"g^{self.code - 1}"
 
 
 @lru_cache(maxsize=None)
@@ -526,17 +395,17 @@ def _embedding_log(sub: FieldDescriptor, sup: FieldDescriptor) -> int:
         acc = 0
         for coeff in rev:  # Horner evaluation of sub.modulus at g^(ratio*k)
             acc = sup.mul_code(acc, y_code)
-            acc = sup.add_code(acc, sup.from_int(coeff).code)
+            acc = sup.add_code(acc, sup.code_from_poly_int(coeff))
         if acc == 0:
             return ratio * k
     raise RuntimeError("no root of the subfield modulus found; broken tables")
 
 
-def embed(sub: FieldDescriptor, sup: FieldDescriptor, elem: FieldElement) -> FieldElement:
-    """Field homomorphism F_{p^d} -> F_{p^D}; deterministic root choice."""
-    if elem.field != sub:
-        raise ValueError("element does not belong to the stated subfield")
-    if elem.code == 0:
-        return sup.zero()
+def embed(sub: FieldDescriptor, sup: FieldDescriptor, code: int) -> int:
+    """Field homomorphism F_{p^d} -> F_{p^D} on codes; deterministic root choice."""
+    if not 0 <= code < sub.order:
+        raise ValueError(f"code {code} is not an element of the stated subfield")
+    if code == 0:
+        return 0
     e = _embedding_log(sub, sup)
-    return FieldElement(sup, 1 + (e * (elem.code - 1)) % (sup.order - 1))
+    return 1 + (e * (code - 1)) % (sup.order - 1)

@@ -56,13 +56,19 @@ def class_size(m: int, cycle_type: tuple[int, ...]) -> int:
 def spectrum(m: int, regime: str = "alt",
              twist: str = "plain") -> dict[int, Fraction]:
     """Value -> exact probability of fix - 1 (times sgn if twisted) under the
-    regime's uniform measure; zero-probability values are left out."""
+    regime's uniform measure; zero-probability values are left out.  Each
+    call returns a new dict."""
     if m < 2:
         raise ValueError(f"m must be at least 2, got {m}")
     if regime not in REGIMES:
         raise ValueError(f"unknown regime {regime!r}")
     if twist not in TWISTS:
         raise ValueError(f"unknown twist {twist!r}")
+    return dict(_spectrum(m, regime, twist))
+
+
+@lru_cache(maxsize=2)  # a run asks for at most two: alt/plain and coset/sgn
+def _spectrum(m: int, regime: str, twist: str) -> tuple[tuple[int, Fraction], ...]:
     signs = {"sym": (1, -1), "alt": (1,), "coset": (-1,)}[regime]
     derangements = [1, 0]
     for n in range(2, m + 1):
@@ -77,7 +83,7 @@ def spectrum(m: int, regime: str = "alt",
                 v = s * (k - 1) if twist == "sgn" else k - 1
                 weights[v] = weights.get(v, 0) + count
     order = math.factorial(m) if regime == "sym" else math.factorial(m) // 2
-    return {v: Fraction(w, order) for v, w in sorted(weights.items())}
+    return tuple((v, Fraction(w, order)) for v, w in sorted(weights.items()))
 
 
 def exact_moment(m: int, power: int, regime: str = "alt",

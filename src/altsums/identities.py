@@ -98,7 +98,7 @@ def u_eval(F, a, x_code: int) -> int:
 
 
 def u_deriv(F, a):
-    return u_trim([F.mul_code(c, F.from_int(k).code)
+    return u_trim([F.mul_code(c, F.code_from_poly_int(k % F.p))
                    for k, c in enumerate(a)][1:])
 
 
@@ -115,7 +115,7 @@ def u_div_linear(F, a, alpha_code: int):
 
 def _x_plus_one_power(F, e: int) -> list[int]:
     """(x + 1)^e as dense codes."""
-    return [F.from_int(math.comb(e, k)).code for k in range(e + 1)]
+    return [F.code_from_poly_int(math.comb(e, k) % F.p) for k in range(e + 1)]
 
 
 # -- both sides of the identity at y = 1 --------------------------------------------
@@ -273,8 +273,8 @@ def verify_identity_grouped(q: int) -> GroupedIdentityReport:
         if not all(Fq.in_subfield_code(1, c) for c in h):
             prime_ok = False
             continue
-        dense = [Fq.element(c).as_int() for c in h]
-        factors_fp.append([Fp.from_int(c).code for c in dense])
+        dense = [Fq.prime_int(c) for c in h]
+        factors_fp.append([Fp.code_from_poly_int(c) for c in dense])
         factor_polys.add(tuple(dense))
         if not fp_irreducible(dense, p):
             irred_ok = False

@@ -295,7 +295,9 @@ def _trace_numerators(params: SystemParams, L: FieldDescriptor) -> np.ndarray:
     if bad.size:
         raise NonRationalTraceError(f"trace numerator not within 1/4 of an integer "
                                     f"at t_index={bad[0]} over {L.canonical_text()}")
-    return num.astype(np.int64)
+    num = num.astype(np.int64)
+    num.flags.writeable = False  # so the table adopts it, not a copy
+    return num
 
 
 def trace_table(params: SystemParams, degree: int, *, cache_dir=None,
@@ -447,6 +449,7 @@ def _load_table(path: Path, params: SystemParams, degree: int,
         except ValueError:
             raise CacheCorruptionError(f"{path}: {_row_fault(body, N)}") from None
         numerators[s:s + k], pos = nums, stop
+    numerators.flags.writeable = False  # adopted by the table, not copied
     table, pos = _table(params, degree, L, numerators), 0
     for block in table.rows().blocks():
         if not body.startswith(block, pos):

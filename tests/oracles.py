@@ -41,8 +41,7 @@ import numpy as np
 from altsums.characters import CharacterContext, chi2_code
 from altsums.curves import _eval_rows
 from altsums.cyclotomic import CycInt
-from altsums.fields import (BudgetExceededError, FieldDescriptor, FieldElement,
-                            build_field, embed)
+from altsums.fields import BudgetExceededError, FieldDescriptor, build_field, embed
 from altsums.groups import spectrum
 from altsums.identities import _split_alphas
 from altsums.traces import NonRationalTraceError, SystemParams
@@ -122,10 +121,6 @@ def exact_numerators(params: SystemParams, L: FieldDescriptor) -> np.ndarray:
 
 # -- single sums ----------------------------------------------------------------
 
-def _t_code(L: FieldDescriptor, t) -> int:
-    return t.code if hasattr(t, "code") else L.from_int(int(t)).code
-
-
 def _signed_sum(params: SystemParams, L: FieldDescriptor, codes: np.ndarray,
                 plus: np.ndarray) -> CycInt:
     """sum of +-psi(u) over the element codes u, + where `plus` holds."""
@@ -135,28 +130,27 @@ def _signed_sum(params: SystemParams, L: FieldDescriptor, codes: np.ndarray,
     return CycInt.from_power_counts(p, counts.tolist())
 
 
-def raw_sum(params: SystemParams, L: FieldDescriptor, t) -> CycInt:
-    """S(t) for one t in O(#L); trace_table computes every t at once."""
+def raw_sum(params: SystemParams, L: FieldDescriptor, t: int) -> CycInt:
+    """S(t) for the one code t in O(#L); trace_table computes every t at once."""
     M = L.order - 1
     logs = np.arange(M, dtype=np.int64)  # x = g^log runs over L^x
     codes = L.add_codes_vec(1 + (params.n % M) * logs % M,
-                            L.mul_codes_vec(np.int64(_t_code(L, t)), 1 + logs))
+                            L.mul_codes_vec(np.int64(t), 1 + logs))
     return _signed_sum(params, L, codes, logs % 2 == 0)
 
 
-def raw_sum_naive(params: SystemParams, L: FieldDescriptor, t) -> CycInt:
+def raw_sum_naive(params: SystemParams, L: FieldDescriptor, t: int) -> CycInt:
     """S(t) by scalar term-by-term accumulation; cross-check implementation."""
-    t_code = _t_code(L, t)
     e_tab = psi_table(params.context(), L)
     acc = CycInt.zero(params.p)
     n = params.n
     for code in range(1, L.order):
-        arg = L.add_code(L.pow_code(code, n), L.mul_code(t_code, code))
+        arg = L.add_code(L.pow_code(code, n), L.mul_code(t, code))
         acc = acc + chi2_code(L, code) * CycInt.root(params.p, int(e_tab[arg]))
     return acc
 
 
-def normalized_trace(params: SystemParams, L: FieldDescriptor, t) -> Fraction:
+def normalized_trace(params: SystemParams, L: FieldDescriptor, t: int) -> Fraction:
     """T(t) = -S(t)/A as an exact rational; raises if not rational."""
     S = raw_sum(params, L, t)
     A = normalization_constant_direct(params, L)
@@ -164,19 +158,19 @@ def normalized_trace(params: SystemParams, L: FieldDescriptor, t) -> Fraction:
     r = num.as_rational()
     if r is None:
         raise NonRationalTraceError(
-            f"non-rational normalized trace at t_code={_t_code(L, t)} over {L.canonical_text()}")
+            f"non-rational normalized trace at t_code={t} over {L.canonical_text()}")
     return Fraction(r, L.order)
 
 
 # -- descent form -------------------------------------------------------------
 
-def descent_trace(params: SystemParams, L: FieldDescriptor, t) -> CycInt:
-    """-sum over x in L^x of psi(x^n / t + x) chi_2(x / t); t must be nonzero."""
-    t_code = _t_code(L, t)
-    if t_code == 0:
+def descent_trace(params: SystemParams, L: FieldDescriptor, t: int) -> CycInt:
+    """-sum over x in L^x of psi(x^n / t + x) chi_2(x / t); the code t must
+    be nonzero."""
+    if t == 0:
         raise ValueError("descent trace is only defined for nonzero t")
     M = L.order - 1
-    tau = t_code - 1
+    tau = t - 1
     logs = np.arange(M, dtype=np.int64)
     # x^n / t plus x itself, signed by chi_2(x / t)
     codes = L.add_codes_vec(1 + ((params.n % M) * logs - tau) % M, 1 + logs)
@@ -199,8 +193,8 @@ def descent_consistency(params: SystemParams, degree: int) -> DescentReport:
     lhs = CycInt.zero(params.p)
     rhs = CycInt.zero(params.p)
     for code in range(1, L.order):
-        s_val = raw_sum(params, L, L.element(code))
-        d_val = descent_trace(params, L, L.element(code))
+        s_val = raw_sum(params, L, code)
+        d_val = descent_trace(params, L, code)
         lhs = lhs + s_val.abs_squared()
         rhs = rhs + d_val.abs_squared()
     return DescentReport(degree, True, lhs == rhs, lhs, rhs)
@@ -212,11 +206,11 @@ def descent_consistency(params: SystemParams, degree: int) -> DescentReport:
 def psi_table(ctx: CharacterContext, L: FieldDescriptor) -> np.ndarray:
     """Exponent a(u) with psi_{L/k}(u) = zeta_p^a(u) for every element code
     u: a(u) = Tr_{L/F_p}(c u) for the multiplier c in F_p^x, found in L as
-    L.from_int(c), summed over the Frobenius orbit of c u by scalar code
-    arithmetic (L.trace_to_code).  Read-only, and kept per (ctx, L) for the
-    test session."""
-    c = L.from_int(ctx.multiplier).code
-    table = np.array([L.element(L.trace_to_code(1, L.mul_code(c, u))).as_int()
+    L.code_from_poly_int(c), summed over the Frobenius orbit of c u by scalar
+    code arithmetic (L.trace_to_code).  Read-only, and kept per (ctx, L) for
+    the test session."""
+    c = L.code_from_poly_int(ctx.multiplier)
+    table = np.array([L.prime_int(L.trace_to_code(1, L.mul_code(c, u)))
                       for u in range(L.order)], dtype=np.int64)
     table.flags.writeable = False
     return table
@@ -229,15 +223,15 @@ def normalization_constant_direct(params: SystemParams, L: FieldDescriptor) -> C
     e = psi_table(params.context(), L)[1:]
     g = CycInt.from_power_counts(p, (np.bincount(e[0::2], minlength=p)
                                      - np.bincount(e[1::2], minlength=p)).tolist())
-    sign = chi2_code(L, L.from_int(n * (-1) ** ((n - 1) // 2)).code)
+    sign = chi2_code(L, L.code_from_poly_int(n * (-1) ** ((n - 1) // 2) % p))
     return (-sign) * g
 
 
-def psi_exponent(ctx: CharacterContext, L: FieldDescriptor, x: FieldElement) -> int:
-    return int(psi_table(ctx, L)[x.code])
+def psi_exponent(ctx: CharacterContext, L: FieldDescriptor, x: int) -> int:
+    return int(psi_table(ctx, L)[x])
 
 
-def psi(ctx: CharacterContext, L: FieldDescriptor, x: FieldElement) -> CycInt:
+def psi(ctx: CharacterContext, L: FieldDescriptor, x: int) -> CycInt:
     return CycInt.root(ctx.base.p, psi_exponent(ctx, L, x))
 
 
@@ -258,7 +252,7 @@ def sum_chi2(L: FieldDescriptor) -> int:
 def alpha_codes(params: SystemParams, L: FieldDescriptor) -> list[int]:
     """Codes in L of F_q minus {0, -1}, each element of F_q embedded."""
     Fq = build_field(params.p, params.f)
-    return [embed(Fq, L, Fq.element(c)).code for c in _split_alphas(Fq)]
+    return [embed(Fq, L, c) for c in _split_alphas(Fq)]
 
 
 def curve_weighted_sum(params: SystemParams, L: FieldDescriptor, counts) -> CycInt:

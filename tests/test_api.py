@@ -43,3 +43,15 @@ def test_no_oracle_name_is_an_attribute_of_any_altsums_module():
     assert len(modules) == 10
     assert sorted(f"{m.__name__}.{name}" for m in modules for name in names
                   if hasattr(m, name)) == []
+
+
+def test_element_codes_are_the_only_scalar_api():
+    """An element is an int code everywhere: no module keeps an element
+    wrapper or a character on one, and a field has no element constructors."""
+    modules = [altsums] + [importlib.import_module(f"altsums.{m.name}")
+                           for m in pkgutil.iter_modules(altsums.__path__)]
+    assert [f"{m.__name__}.{name}" for m in modules for name in ("FieldElement", "chi2")
+            if hasattr(m, name)] == []
+    gone = ("zero", "one", "gen", "from_int", "from_log", "element", "elements",
+            "sub_code", "trace_abs_code")
+    assert [name for name in gone if hasattr(altsums.FieldDescriptor, name)] == []

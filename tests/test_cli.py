@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 import altsums
-from altsums import __version__, characters, cli, curves, fields, traces
+from altsums import __version__, characters, cli, curves, fields, groups, traces
 from altsums.cli import (EMIT_BATCH, RunConfig, _order_too_long,
                          build_parser, config_from_args, main)
 from altsums.groups import REGIMES
@@ -173,7 +173,7 @@ def test_a_table_breaking_the_sum_rules_exits_one(monkeypatch, capsys):
     real = traces._trace_numerators
 
     def negated(params, L):  # M1 = 0 no longer holds
-        nums = real(params, L)
+        nums = real(params, L).copy()  # the kernel's array is read-only
         nums[1] = -nums[1]
         return nums
 
@@ -604,6 +604,17 @@ def test_all_computes_each_moment_once(tmp_path, monkeypatch):
     assert sorted(calls) == [(D, k) for D in (1, 2) for k in (1, 2, 3)]
 
 
+def test_all_computes_each_spectrum_once(tmp_path):
+    """3^1..3^4 asks for the alt/plain and coset/sgn spectra of 2q twelve
+    times: four each for the groupstats sections, one per degree for the
+    verdict.  Each is computed once (exit 1: the TV bound fails at 3^4)."""
+    groups._spectrum.cache_clear()
+    assert main(["all", "--p", "3", "--max-degree", "4",
+                 "--output", str(tmp_path / "all.csv")]) == 1
+    info = groups._spectrum.cache_info()
+    assert (info.misses, info.hits + info.misses) == (2, 12)
+
+
 def test_all_counts_each_tables_values_once(tmp_path, monkeypatch):
     # M1-M3, spectrum membership and TV distance of a table, and the curve
     # report's M3, all read one value histogram
@@ -718,6 +729,26 @@ def test_output_bytes_at_scale_are_pinned(monkeypatch, capsys, argv, digest):
     curve counts under budgets past the default (the tower to 3^10, counted
     at every level; 7^5; q = 25 to 5^3 in JSON) at commit 2cb8ec2."""
     assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv, rc, digest", [
+    (["compare", "--p", "5", "--max-degree", "5", "--format", "json"], 0,
+     "42063e9d8069f995a719c7a096dd14984a7ae459237d14052641b419b41e908c"),
+    (["compare", "--p", "3", "--max-degree", "3", "--tv-max", "0", "--format", "json"], 1,
+     "081300b0fefa58c22229f7cfa4b571c50e0f184c927af8c1dd0be7c5004722c8"),
+    # exit 1: TV does not shrink at these small fields; the identities run at q = 243
+    (["all", "--p", "3", "--f", "5", "--max-degree", "5"], 1,
+     "92c7dceb015053a686413d2dfc9b9d6a1f5d5f2db747517b854d5df2c282b515"),
+    (["groupstats", "--m", "486", "--regime", "coset", "--twist", "sgn"], 0,
+     "246715ed0e96150a70f1c2bc6483c4f82ac32a028ac4bcf58353fd113f82758f"),
+])
+def test_verdict_and_spectrum_bytes_are_pinned(capsys, argv, rc, digest):
+    """The stdout digests and exit codes recorded for these invocations
+    without a cache at commit 26f68eb: compare's JSON verdict passing and
+    failing, identities and traces at q = 243, and a large odd-coset spectrum."""
+    assert main(argv) == rc
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
 

@@ -221,13 +221,14 @@ def test_mul_matches_polynomial_mul(p, d):
 def test_field_axioms_spotcheck(p, d):
     F = build_field(p, d)
     rng = random.Random(d * 1000 + p)
+    add, mul = F.add_code, F.mul_code
     for _ in range(50):
-        a, b, c = (F.element(rng.randrange(F.order)) for _ in range(3))
-        assert (a + b) + c == a + (b + c)
-        assert a * (b + c) == a * b + a * c
-        assert a + (-a) == F.zero()
-        if not b.is_zero:
-            assert b * b.inverse() == F.one()
+        a, b, c = (rng.randrange(F.order) for _ in range(3))
+        assert add(add(a, b), c) == add(a, add(b, c))
+        assert mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
+        assert add(a, F.neg_code(a)) == 0
+        if b != 0:
+            assert mul(b, F.inv_code(b)) == 1
 
 
 def test_vectorized_ops_match_scalar():
@@ -252,21 +253,22 @@ def test_frobenius_is_automorphism_fixing_prime_field(p, d):
     for c in fixed:
         assert F.in_subfield_code(1, c)
     rng = random.Random(42)
+    frob = F.frobenius_code
     for _ in range(50):
-        a = F.element(rng.randrange(F.order))
-        b = F.element(rng.randrange(F.order))
-        assert (a + b).frobenius() == a.frobenius() + b.frobenius()
-        assert (a * b).frobenius() == a.frobenius() * b.frobenius()
+        a = rng.randrange(F.order)
+        b = rng.randrange(F.order)
+        assert frob(F.add_code(a, b)) == F.add_code(frob(a), frob(b))
+        assert frob(F.mul_code(a, b)) == F.mul_code(frob(a), frob(b))
 
 
 def test_trace_examples():
     F9 = build_field(3, 2)
-    assert F9.zero().trace_abs() == 0
-    assert F9.one().trace_abs() == 2  # 1 + 1 over two conjugates
+    assert F9.trace_abs_by_code[0] == 0
+    assert F9.trace_abs_by_code[1] == 2  # 1 + 1 over two conjugates
     # the order-4 element i satisfies i + i^3 = i - i = 0
-    i4 = F9.from_log((F9.order - 1) // 4)
-    assert (i4**4) == F9.one() and not (i4**2) == F9.one()
-    assert i4.trace_abs() == 0
+    i4 = 1 + (F9.order - 1) // 4
+    assert F9.pow_code(i4, 4) == 1 and F9.pow_code(i4, 2) != 1
+    assert F9.trace_abs_by_code[i4] == 0
 
 
 @pytest.mark.parametrize("p,d,e", [(3, 2, 1), (3, 4, 2), (3, 4, 1), (5, 2, 1), (3, 3, 1)])
@@ -295,15 +297,15 @@ def test_embed_prime_field_is_integer_inclusion():
         sub = build_field(p, 1)
         sup = build_field(p, d)
         for c in range(p):
-            assert embed(sub, sup, sub.from_int(c)) == sup.from_int(c)
+            assert embed(sub, sup, sub.code_from_poly_int(c)) == sup.code_from_poly_int(c)
 
 
 def test_embed_minus_one_has_order_two():
     sub = build_field(3, 1)
     sup = build_field(3, 2)
-    img = embed(sub, sup, sub.from_int(2))
-    assert img == -sup.one()
-    assert img * img == sup.one()
+    img = embed(sub, sup, sub.code_from_poly_int(2))
+    assert img == sup.neg_code(1)
+    assert sup.mul_code(img, img) == 1
 
 
 @pytest.mark.parametrize("p,e,d", [(3, 1, 2), (3, 1, 3), (3, 2, 4), (5, 1, 2), (3, 2, 6)])
@@ -312,25 +314,55 @@ def test_embed_is_field_homomorphism(p, e, d):
     sup = build_field(p, d)
     rng = random.Random(e * 100 + d)
     for _ in range(60):
-        a = sub.element(rng.randrange(sub.order))
-        b = sub.element(rng.randrange(sub.order))
-        assert embed(sub, sup, a + b) == embed(sub, sup, a) + embed(sub, sup, b)
-        assert embed(sub, sup, a * b) == embed(sub, sup, a) * embed(sub, sup, b)
-    assert embed(sub, sup, sub.one()) == sup.one()
+        a = rng.randrange(sub.order)
+        b = rng.randrange(sub.order)
+        assert embed(sub, sup, sub.add_code(a, b)) == sup.add_code(embed(sub, sup, a),
+                                                                   embed(sub, sup, b))
+        assert embed(sub, sup, sub.mul_code(a, b)) == sup.mul_code(embed(sub, sup, a),
+                                                                   embed(sub, sup, b))
+    assert embed(sub, sup, 1) == 1
 
 
 @pytest.mark.parametrize("p,e,d", [(3, 1, 2), (3, 1, 3), (3, 2, 4), (5, 1, 2)])
 def test_trace_after_embed_is_multiplication_by_degree(p, e, d):
     sub = build_field(p, e)
     sup = build_field(p, d)
-    k = (d // e) % p
+    k = sub.code_from_poly_int(d // e % p)
     rng = random.Random(9)
     for _ in range(10):
-        a = sub.element(rng.randrange(sub.order))
-        lifted = embed(sub, sup, a)
-        back = sup.trace_to_code(e, lifted.code)
-        expected = embed(sub, sup, a * k).code
-        assert back == expected
+        a = rng.randrange(sub.order)
+        back = sup.trace_to_code(e, embed(sub, sup, a))
+        assert back == embed(sub, sup, sub.mul_code(a, k))
+
+
+def test_embed_refuses_a_code_outside_the_subfield():
+    sub, sup = build_field(3, 1), build_field(3, 2)
+    for code in (-1, sub.order):
+        with pytest.raises(ValueError):
+            embed(sub, sup, code)
+
+
+@pytest.mark.parametrize("p,d", [(3, 1), (3, 2), (5, 3), (7, 2)])
+def test_prime_int_reads_the_prime_field(p, d):
+    F = build_field(p, d)
+    assert [F.prime_int(F.code_from_poly_int(c)) for c in range(p)] == list(range(p))
+    outside = [c for c in range(F.order) if not F.in_subfield_code(1, c)]
+    assert len(outside) == F.order - p
+    for code in outside[:5] + [-1, F.order]:
+        with pytest.raises(ValueError):
+            F.prime_int(code)
+
+
+def test_prime_int_refuses_nonconstant_coordinates():
+    """An F_p element whose table entry is not a constant polynomial: the
+    tables are broken, which is a RuntimeError, not a bad argument."""
+    F = FieldDescriptor(3, 2)
+    doctored = F.antilog_int.copy()
+    minus_one = F.neg_code(1)
+    doctored[minus_one - 1] = 5  # 2 + x, where -1 = 2 belongs
+    F.antilog_int = doctored
+    with pytest.raises(RuntimeError):
+        F.prime_int(minus_one)
 
 
 def test_generator_powers_cover_group():

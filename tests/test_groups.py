@@ -116,6 +116,13 @@ def test_spectrum_range_guard():
         assert exact_moment(m, 3, "coset", "sgn") == -1
 
 
+def test_each_spectrum_call_returns_a_new_dict():
+    first = spectrum(6, "alt", "plain")
+    first[2] = Fraction(1)
+    again = spectrum(6, "alt", "plain")
+    assert again is not first and again[2] == Fraction(40, 360)
+
+
 def test_spectrum_rejects_unknown_regime_and_twist():
     with pytest.raises(ValueError):
         spectrum(6, "even", "plain")

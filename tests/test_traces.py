@@ -70,7 +70,7 @@ def test_normalized_trace_single_matches_table():
     table = trace_table(P33, 2)
     L = P33.extension(2)
     for code in range(L.order):
-        assert normalized_trace(P33, L, L.element(code)) == \
+        assert normalized_trace(P33, L, code) == \
             Fraction(table.numerators[code], 9)
 
 
@@ -78,16 +78,14 @@ def test_normalized_trace_single_matches_table():
                                       (SystemParams(p=3, f=1, base_degree=2), 1)])
 def test_bucket_equals_naive_accumulation_all_t(params, D):
     L = params.extension(D)
-    for code in range(L.order):
-        t = L.element(code)
+    for t in range(L.order):
         assert raw_sum(params, L, t) == raw_sum_naive(params, L, t)
 
 
 def test_bucket_equals_naive_sampled_f27():
     L = P33.extension(3)
     rng = random.Random(3)
-    for code in rng.sample(range(L.order), 6):
-        t = L.element(code)
+    for t in rng.sample(range(L.order), 6):
         assert raw_sum(P33, L, t) == raw_sum_naive(P33, L, t)
 
 
@@ -111,14 +109,13 @@ def _check_against_oracle(params, D, t_codes):
     table = trace_table(params, D)
     conjA = normalization_constant(params.context(), L, params.n).conj()
     for code in t_codes:
-        t = L.element(code)
-        naive = raw_sum_naive(params, L, t)
+        naive = raw_sum_naive(params, L, code)
         assert CycInt.from_power_counts(params.p, counts[code]) == naive, code
         num = ((-naive) * conjA).as_rational()
         assert table.numerators[code] == num
         assert table.is_integer[code] == (num % N == 0)
     for code in range(N):  # the single-t path equals every table row
-        assert raw_sum(params, L, L.element(code)) == \
+        assert raw_sum(params, L, code) == \
             CycInt.from_power_counts(params.p, counts[code])
 
 
@@ -207,7 +204,7 @@ def test_sum_rules_catch_a_doctored_table(monkeypatch, doctor):
     real = traces._trace_numerators
 
     def doctored(params, L):
-        nums = real(params, L)
+        nums = real(params, L).copy()  # the kernel's array is read-only
         doctor(nums, L.order)
         return nums
 
@@ -237,7 +234,7 @@ def test_frobenius_invariance_catches_rows_swapped_across_orbits(monkeypatch, ca
     real = traces._trace_numerators
 
     def doctored(params, L):
-        nums = real(params, L)
+        nums = real(params, L).copy()  # the kernel's array is read-only
         _swap_across_orbits(nums, params.p)
         return nums
 
@@ -245,6 +242,35 @@ def test_frobenius_invariance_catches_rows_swapped_across_orbits(monkeypatch, ca
     assert main(["traces", "--p", "3", "--degree", "5"]) == 1
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("FALSIFIED: Frobenius invariance fails over ")
+
+
+def test_a_computed_table_adopts_the_kernels_array(monkeypatch):
+    """The kernel's int64 array is read-only, so the table keeps it rather
+    than a copy: 8 bytes less per entry at each level (38 MB at 3^14)."""
+    made = []
+    real = traces._trace_numerators
+
+    def kept(params, L):
+        made.append(real(params, L))
+        return made[-1]
+
+    monkeypatch.setattr(traces, "_trace_numerators", kept)
+    table = trace_table(P33, 5)
+    assert len(made) == 1 and np.shares_memory(made[0], table.numerators)
+
+
+def test_a_loaded_table_adopts_the_array_it_fills(tmp_path, monkeypatch):
+    trace_table(P33, 4, cache_dir=tmp_path)
+    made = []
+    real = traces._table
+
+    def kept(params, degree, L, numerators):
+        made.append(numerators)
+        return real(params, degree, L, numerators)
+
+    monkeypatch.setattr(traces, "_table", kept)
+    table = trace_table(P33, 4, cache_dir=tmp_path)
+    assert len(made) == 1 and np.shares_memory(made[0], table.numerators)
 
 
 def test_cache_refuses_a_sealed_file_with_rows_swapped_across_orbits(tmp_path, capsys):
@@ -279,7 +305,7 @@ def test_oracles_reduce_n_before_they_multiply():
     and n * log formed first wraps int64 at 3^35 over 3^5."""
     big, small, L = SystemParams(3, 35), SystemParams(3, 5), build_field(3, 5)
     assert np.array_equal(exact_numerators(big, L), exact_numerators(small, L))
-    t = L.from_log(6)
+    t = 1 + 6  # g^6
     assert raw_sum(big, L, t) == raw_sum(small, L, t)
     assert descent_trace(big, L, t) == descent_trace(small, L, t)
 
@@ -289,7 +315,7 @@ def test_sum_of_raw_sums_vanishes():
     L = P33.extension(2)
     total = CycInt.zero(3)
     for code in range(L.order):
-        total = total + raw_sum(P33, L, L.element(code))
+        total = total + raw_sum(P33, L, code)
     assert total.is_zero
 
 
@@ -361,14 +387,14 @@ def test_multiplier_invariance_of_trace_multiset():
 def test_descent_frozen_value_f3():
     L = P33.extension(1)
     z, z2 = CycInt.root(3), CycInt.root(3, 2)
-    assert descent_trace(P33, L, L.from_int(1)) == z - z2
-    assert descent_trace(P33, L, L.from_int(2)).is_zero
+    assert descent_trace(P33, L, L.code_from_poly_int(1)) == z - z2
+    assert descent_trace(P33, L, L.code_from_poly_int(2)).is_zero
 
 
 def test_descent_rejects_zero():
     L = P33.extension(1)
     with pytest.raises(ValueError):
-        descent_trace(P33, L, L.zero())
+        descent_trace(P33, L, 0)
 
 
 @pytest.mark.parametrize("D", [1, 2, 3])
@@ -582,7 +608,7 @@ def test_fft_kernel_at_bluestein_lengths_equals_the_single_t_oracle(p):
     table = trace_table(params, 2)
     conjA = normalization_constant(params.context(), L, params.n).conj()
     for code in random.Random(p).sample(range(L.order), 8):
-        S = raw_sum(params, L, L.element(code))
+        S = raw_sum(params, L, code)
         assert table.numerators[code] == ((-S) * conjA).as_rational(), code
 
 
