@@ -40,7 +40,7 @@ from .traces import (CacheCorruptionError, NonRationalTraceError, SystemParams,
                      TraceTable, moment_report, trace_table, trace_tables)
 from .groups import (exact_moment, singleton_free_partitions, spectrum,
                      tensor_square_check)
-from .identities import (IdentityFalsifiedError, require_ok, unity_root_span,
+from .identities import (IdentityFalsifiedError, require_ok,
                          verify_derivative_steps, verify_identity_grouped,
                          verify_identity_split, virtual_character_table,
                          wild_inertia_span)
@@ -83,7 +83,6 @@ __all__ = [
     "tensor_square_check",
     "trace_table",
     "trace_tables",
-    "unity_root_span",
     "verdict",
     "verify_derivative_steps",
     "verify_identity_grouped",

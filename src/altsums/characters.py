@@ -23,6 +23,7 @@ it over every extension at once exposes the power law A(L) = A(k)^[L:k].
 from __future__ import annotations
 
 from collections import namedtuple
+from operator import index
 from typing import NamedTuple
 
 import numpy as np
@@ -35,11 +36,13 @@ class CharacterContext(namedtuple("CharacterContext", "base multiplier",
                                   defaults=(1,))):
     """Base field plus the additive-character multiplier c in F_p^x, an int
     1 <= c < p, so psi_{L/k}(u) = zeta_p^(c Tr_{L/F_p}(u)) on every extension
-    L.  Validated by the constructor, `_make` and `_replace` alike."""
+    L.  Validated by the constructor, `_make` and `_replace` alike: a
+    non-integer multiplier raises TypeError, a numpy int is stored as int."""
 
     __slots__ = ()
 
     def __new__(cls, base: FieldDescriptor, multiplier: int = 1) -> CharacterContext:
+        multiplier = index(multiplier)
         if not 1 <= multiplier < base.p:
             raise ValueError("psi multiplier must be nonzero mod p")
         return super().__new__(cls, base, multiplier)

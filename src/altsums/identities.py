@@ -12,9 +12,11 @@ Everything here is exact polynomial algebra over small finite fields:
   P vanishes on all of F_q, P' = -x^(n-1) + (x+1)^(n-1) vanishes on
   F_q minus {0,-1}, hence (x - alpha)^2 divides P there.  The x^n and
   constant terms of P cancel, so deg P = 2q - 2 and the leading coefficient
-  is -binom(2q-1, 1) = 1 mod p, matching the degree of the factored side;
+  is -binom(2q-1, 1) = 1 mod p, matching the degree of the factored side.
+  The pointwise steps are one synthetic-division pass over F_q, at every
+  point at once (`u_double_division`);
 * the F_p-linear span of the (2q-2)-nd roots of unity inside F_{q^2}: it is
-  all of F_{q^2} = F_q + zeta F_q for any primitive root zeta, which has
+  all of F_{q^2} = F_q + zeta F_q for the primitive root zeta, which has
   relative trace zero to F_q;
 * the four-value virtual character table (2q-1, q-1, q-1, -1) on
   F_q + F_q indexed by vanishing pattern.
@@ -22,13 +24,15 @@ Everything here is exact polynomial algebra over small finite fields:
 Both sides of the split and grouped identities are degree-n forms, and a
 form is determined by its value at y = 1, so each is checked as the dense
 one-variable equality P(x) = x (x+1) prod h(x)^2 that the derivative
-bookkeeping also ends in (`dehomogenized_sides`).
+bookkeeping also ends in (`dehomogenized_sides`).  Every check of q reads one
+P and one split product (`_split`).
 """
 
 from __future__ import annotations
 
 import math
-from itertools import zip_longest
+from functools import lru_cache
+from itertools import product, zip_longest
 from typing import NamedTuple
 
 import numpy as np
@@ -90,27 +94,22 @@ def u_mul(F, a, b):
     return u_trim(out)
 
 
-def u_eval(F, a, x_code: int) -> int:
-    acc = 0
-    for c in reversed(a):
-        acc = F.add_code(F.mul_code(acc, x_code), c)
-    return acc
-
-
 def u_deriv(F, a):
     return u_trim([F.mul_code(c, F.code_from_poly_int(k % F.p))
                    for k, c in enumerate(a)][1:])
 
 
-def u_div_linear(F, a, alpha_code: int):
-    """Divide by the monic linear (x - alpha); returns (quotient, remainder)."""
-    quot = [0] * max(len(a) - 1, 0)
-    acc = 0
-    for k in range(len(a) - 1, -1, -1):
-        acc = F.add_code(F.mul_code(acc, alpha_code), a[k])
-        if k > 0:
-            quot[k - 1] = acc
-    return quot, acc
+def u_double_division(F, a, x0):
+    """Remainders of a by x - x0 and of that quotient by x - x0 again, a(x0)
+    and a'(x0), at every code of x0 at once: one synthetic division whose
+    first accumulator passes through the quotient's coefficients, which the
+    second runs Horner on.  (x - x0)^2 | a exactly where both are zero."""
+    x0 = np.asarray(x0, dtype=np.int64)
+    r1 = r2 = np.zeros_like(x0)
+    for c in reversed(a):
+        r2 = F.add_codes_vec(F.mul_codes_vec(r2, x0), r1)
+        r1 = F.add_codes_vec(F.mul_codes_vec(r1, x0), c)
+    return r1, r2
 
 
 def _x_plus_one_power(F, e: int) -> list[int]:
@@ -175,15 +174,23 @@ def _split_alphas(F: FieldDescriptor) -> list[int]:
     return [c for c in range(1, F.order) if c != minus_one]
 
 
-def verify_identity_split(q: int) -> SplitIdentityReport:
+@lru_cache(maxsize=1)  # `identity` and `all` check one q at a time
+def _split(q: int):
+    """(p, f, n, F_q, alphas, P, x (x+1) prod (x - alpha)^2) for odd q: the
+    alphas the codes of F_q minus {0, -1}, P and the product dense in F_q."""
     p, f, n = _odd_q(q)
     F = build_field(p, f)
-    alphas = _split_alphas(F)
-    lhs, rhs = dehomogenized_sides(F, n, [[F.neg_code(a), 1] for a in alphas])
+    alphas = tuple(_split_alphas(F))
+    P, prod = dehomogenized_sides(F, n, [[F.neg_code(a), 1] for a in alphas])
+    return p, f, n, F, alphas, tuple(P), tuple(prod)
+
+
+def verify_identity_split(q: int) -> SplitIdentityReport:
+    p, f, n, F, alphas, P, prod = _split(q)
     return SplitIdentityReport(
         q=q, p=p, f=f, field_text=F.canonical_text(), degree=n,
-        factor_count=len(alphas), equal=lhs == rhs,
-        mismatches=mismatch_list(F, n, lhs, rhs))
+        factor_count=len(alphas), equal=P == prod,
+        mismatches=mismatch_list(F, n, P, prod))
 
 
 # -- irreducibility over the prime field (integer coefficient lists mod p) -----------
@@ -207,9 +214,8 @@ def fp_irreducible(coeffs, p) -> bool:
 
 def enumerate_monic_irreducibles(p: int, degree: int):
     """All monic irreducible polynomials of the given degree over F_p."""
-    from itertools import product as iproduct
     out = []
-    for tail in iproduct(range(p), repeat=degree):
+    for tail in product(range(p), repeat=degree):
         poly = list(tail) + [1]
         if fp_irreducible(poly, p):
             out.append(tuple(poly))
@@ -256,15 +262,14 @@ def _frobenius_orbits(F: FieldDescriptor, codes):
 
 
 def verify_identity_grouped(q: int) -> GroupedIdentityReport:
-    p, f, n = _odd_q(q)
-    Fq = build_field(p, f)
-    Fp = build_field(p, 1)
-    alphas = _split_alphas(Fq)
+    """The orbit factors are multiplied in F_q, where their prime-field
+    coefficients already lie, and compared with the split check's P."""
+    p, f, n, Fq, alphas, P, _ = _split(q)
     orbits = _frobenius_orbits(Fq, alphas)
 
     prime_ok = True
     irred_ok = True
-    factors_fp: list[list[int]] = []
+    factors: list[list[int]] = []
     factor_polys: set[tuple[int, ...]] = set()
     for orbit in orbits:
         h = [1]
@@ -274,7 +279,7 @@ def verify_identity_grouped(q: int) -> GroupedIdentityReport:
             prime_ok = False
             continue
         dense = [Fq.prime_int(c) for c in h]
-        factors_fp.append([Fp.code_from_poly_int(c) for c in dense])
+        factors.append(h)
         factor_polys.add(tuple(dense))
         if not fp_irreducible(dense, p):
             irred_ok = False
@@ -287,8 +292,8 @@ def verify_identity_grouped(q: int) -> GroupedIdentityReport:
                     expected.add(poly)
     complete_ok = prime_ok and factor_polys == expected
 
-    lhs, rhs = dehomogenized_sides(Fp, n, factors_fp)
-    equal = prime_ok and lhs == rhs
+    rhs = tuple(dehomogenized_sides(Fq, n, factors)[1])
+    equal = prime_ok and P == rhs
 
     degrees = tuple(sorted(len(orbit) for orbit in orbits))
     return GroupedIdentityReport(
@@ -296,7 +301,7 @@ def verify_identity_grouped(q: int) -> GroupedIdentityReport:
         degrees_sum_ok=sum(degrees) == q - 2,
         prime_field_coeffs_ok=prime_ok, irreducible_ok=irred_ok,
         complete_ok=complete_ok, equal=equal,
-        mismatches=mismatch_list(Fp, n, lhs, rhs) if prime_ok else ())
+        mismatches=mismatch_list(Fq, n, P, rhs) if prime_ok else ())
 
 
 # -- derivative bookkeeping ----------------------------------------------------------
@@ -322,41 +327,31 @@ class DerivativeReport(NamedTuple):
 
 
 def verify_derivative_steps(q: int) -> DerivativeReport:
-    p, f, n = _odd_q(q)
-    F = build_field(p, f)
-
-    alphas = _split_alphas(F)
-    P, prod = dehomogenized_sides(F, n, [[F.neg_code(a), 1] for a in alphas])
+    p, f, n, F, alphas, P, prod = _split(q)
     degree = u_degree(P)
     lead = P[degree] if degree >= 0 else 0
 
-    vanish_field = all(u_eval(F, P, c) == 0 for c in range(F.order))
+    # P(x0) and the second remainder at every x0 in F_q, read at each alpha
+    value, second = u_double_division(F, P, np.arange(F.order))
+    at_alpha = np.array(alphas, dtype=np.int64)
 
     dP = u_deriv(F, P)
     dP_expected = u_add(F, u_neg(F, [0] * (n - 1) + [1]),
                         _x_plus_one_power(F, n - 1))
-    dvanish = all(u_eval(F, dP, a) == 0 for a in alphas)
-
-    division_ok = True
-    for a in alphas:
-        q1, r1 = u_div_linear(F, P, a)
-        q2, r2 = u_div_linear(F, q1, a)
-        if r1 != 0 or r2 != 0:
-            division_ok = False
-            break
+    dP_at_alpha, _ = u_double_division(F, dP, at_alpha)
 
     return DerivativeReport(
         q=q, n=n, degree=degree,
         degree_ok=(degree == 2 * q - 2),
         leading_coeff_one=(lead == 1),
-        vanishes_on_field=vanish_field,
+        vanishes_on_field=not value.any(),
         derivative_formula_ok=(dP == dP_expected),
-        derivative_vanishes_ok=dvanish,
-        double_root_division_ok=division_ok,
+        derivative_vanishes_ok=not dP_at_alpha.any(),
+        double_root_division_ok=not (value[at_alpha] | second[at_alpha]).any(),
         product_form_ok=(P == prod))
 
 
-# -- span of roots of unity (wild inertia dimension) -----------------------------------
+# -- span of the (2q-2)-nd roots of unity (wild inertia dimension) -----------------
 
 def multiplicative_order(a: int, m: int) -> int:
     if math.gcd(a, m) != 1:
@@ -373,58 +368,19 @@ def _fp_rank(rows: list[np.ndarray], p: int) -> int:
     if not rows:
         return 0
     mat = np.array(rows, dtype=np.int64) % p
-    rank = 0
-    ncols = mat.shape[1]
     r = 0
-    for col in range(ncols):
-        pivot = None
-        for i in range(r, len(mat)):
-            if mat[i, col] % p:
-                pivot = i
-                break
-        if pivot is None:
+    for col in range(mat.shape[1]):
+        nonzero = np.flatnonzero(mat[r:, col])
+        if not nonzero.size:
             continue
-        mat[[r, pivot]] = mat[[pivot, r]]
-        inv = pow(int(mat[r, col]), p - 2, p)
-        mat[r] = mat[r] * inv % p
-        for i in range(len(mat)):
-            if i != r and mat[i, col]:
-                mat[i] = (mat[i] - mat[i, col] * mat[r]) % p
+        mat[[r, r + nonzero[0]]] = mat[[r + nonzero[0], r]]
+        mat[r] = mat[r] * pow(int(mat[r, col]), p - 2, p) % p
+        others = np.arange(len(mat)) != r
+        mat[others] = (mat[others] - np.outer(mat[others, col], mat[r])) % p
         r += 1
-        rank += 1
         if r == len(mat):
             break
-    return rank
-
-
-class UnitySpanReport(NamedTuple):
-    p: int
-    root_order: int
-    field_text: str
-    field_degree: int
-    zeta_log: int
-    dimension: int
-
-
-def unity_root_span(p: int, root_order: int, *, zeta_index: int = 1) -> UnitySpanReport:
-    """F_p-linear span of the group of root_order-th roots of unity.
-
-    The containing field has degree equal to the order of p modulo
-    root_order; zeta is the zeta_index-th primitive root in dlog order.
-    """
-    if root_order < 1 or math.gcd(p, root_order) != 1:
-        raise ValueError("root order must be positive and prime to p")
-    deg = multiplicative_order(p, root_order) if root_order > 1 else 1
-    L = build_field(p, deg)
-    step = (L.order - 1) // root_order
-    ks = [k for k in range(1, root_order + 1) if math.gcd(k, root_order) == 1]
-    k = ks[(zeta_index - 1) % len(ks)]
-    zeta_log = (step * k) % (L.order - 1)
-    rows = [L.coeff_vector(1 + (j * step) % (L.order - 1))
-            for j in range(root_order)]
-    return UnitySpanReport(p=p, root_order=root_order,
-                           field_text=L.canonical_text(), field_degree=deg,
-                           zeta_log=zeta_log, dimension=_fp_rank(rows, p))
+    return r
 
 
 class WildInertiaReport(NamedTuple):
@@ -448,40 +404,39 @@ class WildInertiaReport(NamedTuple):
                 and self.trace_zero_ok and self.coset_ok and self.direct_sum_ok)
 
 
-def wild_inertia_span(q: int, *, zeta_index: int = 1) -> WildInertiaReport:
+def wild_inertia_span(q: int) -> WildInertiaReport:
+    """The F_p-span of the (2q-2)-nd roots of unity, in the field L of degree
+    the order of p mod 2q - 2, with zeta the first primitive root in dlog
+    order.  F_q^x in L^x has the codes 1 + k (#L - 1)/(q - 1), k < q - 1."""
     p, f, n = _odd_q(q)
     order = n - 1
-    span = unity_root_span(p, order, zeta_index=zeta_index)
-    L = build_field(p, span.field_degree)
+    deg = multiplicative_order(p, order)
+    L = build_field(p, deg)
     M = L.order - 1
     step = M // order
-    zeta_code = 1 + span.zeta_log
+    zeta_code = 1 + step
+    roots = [1 + j * step for j in range(order)]
+    dimension = _fp_rank([L.coeff_vector(c) for c in roots], p)
 
-    trace_zero = (span.field_degree == 2 * f
-                  and L.trace_to_code(f, zeta_code) == 0)
+    trace_zero = deg == 2 * f and L.trace_to_code(f, zeta_code) == 0
 
     inv_zeta = L.inv_code(zeta_code)
-    coset_ok = True
-    root_codes = [1 + (j * step) % M for j in range(order)]
-    for c in root_codes:
-        if not (L.in_subfield_code(f, c)
-                or L.in_subfield_code(f, L.mul_code(c, inv_zeta))):
-            coset_ok = False
-            break
+    coset_ok = all(L.in_subfield_code(f, c)
+                   or L.in_subfield_code(f, L.mul_code(c, inv_zeta))
+                   for c in roots)
 
-    sub_rows = [L.coeff_vector(c) for c in range(L.order)
-                if c and L.in_subfield_code(f, c)]
-    zeta_rows = [L.coeff_vector(L.mul_code(zeta_code, c)) for c in range(L.order)
-                 if c and L.in_subfield_code(f, c)]
+    units = [1 + k * (M // (q - 1)) for k in range(q - 1)]
+    sub_rows = [L.coeff_vector(c) for c in units]
+    zeta_rows = [L.coeff_vector(L.mul_code(zeta_code, c)) for c in units]
     direct_sum_ok = (_fp_rank(sub_rows, p) == f
                      and _fp_rank(zeta_rows, p) == f
                      and _fp_rank(sub_rows + zeta_rows, p) == 2 * f)
 
     return WildInertiaReport(
         q=q, p=p, f=f, n=n, root_order=order,
-        field_text=span.field_text, field_degree=span.field_degree,
-        zeta_log=span.zeta_log, dimension=span.dimension,
-        dimension_ok=(span.dimension == 2 * f),
+        field_text=L.canonical_text(), field_degree=deg,
+        zeta_log=step, dimension=dimension,
+        dimension_ok=(dimension == 2 * f),
         trace_zero_ok=trace_zero, coset_ok=coset_ok,
         direct_sum_ok=direct_sum_ok)
 

@@ -36,6 +36,7 @@ from collections import namedtuple
 from collections.abc import Iterator
 from fractions import Fraction
 from itertools import chain
+from operator import index
 from pathlib import Path
 from typing import NamedTuple
 
@@ -64,13 +65,15 @@ class SystemParams(namedtuple("SystemParams", "p f base_degree multiplier",
     """Configuration (p, q = p^f, base field degree, psi multiplier).
 
     Validated by every way of making one: the constructor, `_make` and
-    `_replace`.  A collections.namedtuple subclass, as TraceTable is.
+    `_replace`, which refuse a non-integer field (TypeError) and store numpy
+    ints as int.  A collections.namedtuple subclass, as TraceTable is.
     """
 
     __slots__ = ()
 
     def __new__(cls, p: int, f: int, base_degree: int = 1,
                 multiplier: int = 1) -> SystemParams:
+        p, f, base_degree, multiplier = map(index, (p, f, base_degree, multiplier))
         build_field(p, base_degree)  # validates p odd prime
         if f < 1:
             raise ValueError("f must be >= 1")

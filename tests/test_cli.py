@@ -789,6 +789,43 @@ def test_identity_output_bytes_are_pinned(capsys, q):
         assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
 
 
+# recorded at e7708b9, before wild_inertia_span took F_q^x as codes
+WILD_DIGESTS = {
+    3: ("3d0913f654a2329c70ca7995e0f469c24ab4bd894113ad3658bdb7e35a1107f7",
+        "c8420e25febba697b30d34d97e9d7cc6c648397a43b6e27d1f3e72c144c76ff4"),
+    5: ("3da432916b2fe1b34536aa72d2eda563d655f0ebbd71bb54f397e22cf48a84cb",
+        "4c5b8f7adcd05d56bb0a7243cf85edb4fddf597f98bd4053443ec394cffc05d8"),
+    7: ("191eceec1be11bf39e429a3488f86edfee86340b55ed5cb95e443f9019f7138f",
+        "6b577dd462c7e7106ba246ef3d6c8718f1799c370fa95eda12b0f2304f26cc62"),
+    9: ("44308fc41a8ffa9c7e5621bea4b33e53b16439b6228f30a51dbf662389e091a2",
+        "50544f4df33e3171c1ee13a75ece3fa778b27e7da523bf54ca0356a89299ab4a"),
+    11: ("7964febe932c495d901d5bf382625e222bd75df4e2a49d26471fb4160f8f06c0",
+         "0a1d4383521644f35c126a5e7b00134a1805da38defcd535c883e3d1bc141bc2"),
+    13: ("15a918e2f8d93b1879829ed9f8214322cfed497ff6875eb2419f59debe649935",
+         "eecd6740eba749a7cc2337ff9f7e659ac3227bec3c7d3a2708cf484c0952e0c8"),
+    25: ("f80251097f39cb395e4e7df7a39f7a4e3ea3086619d21fcb182a0394cb83d273",
+         "1290a96d165ddb9513fa3d34a7a3ca3b540f96675a8fdb976fbd266b120632fa"),
+    27: ("e2e814e04b5250c44694aff4c8f9467e2d259b4118604029004b7b85e18a43d8",
+         "145af8333ad959b29b6e686ce4de40936d691315255b49e5e91fc116c8e2ff15"),
+    49: ("55a64644d6bde0ed4ad1658e3a92d19f3f99fc69e1e83dc26db3af8a14e82b33",
+         "42d5ca4cce754455041040cc3179202c2ad2e45f97840b0285875d4812df2e24"),
+    81: ("eea2622d520ab03af49453dc57a4a836cc587eaf37132c7fbb0a60b91275b7b5",
+         "83c69edb24f50f19e0b78421036882852948ac5f215ee9f10fd4f67e08defb9e"),
+    121: ("5e285e823caafd070ae7e311b2a0db3395e9d3770c32fac7f6c54bdf45ed3fe4",
+          "4f2fd0ff68adb83f3eb572606c6837fb71ca327e896e273d59184d5b91da9048"),
+    243: ("98c271e521a8a1f8a7f671b42da4ecf6fcb3b82ce00236521a533a39ae1b4b04",
+          "b0764db065c23d26cf3be09f3a4c90bd42f31c921edce4cf63dfef6fc023d7c9"),
+}
+
+
+@pytest.mark.parametrize("q", sorted(WILD_DIGESTS))
+def test_wild_output_bytes_are_pinned(capsys, q):
+    for fmt, digest in zip(("csv", "json"), WILD_DIGESTS[q]):
+        assert main(["wild", "--q", str(q), "--format", fmt]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
+
+
 P7_JSON = ["all", "--p", "7", "--f", "1", "--multiplier", "2",
            "--max-degree", "4", "--format", "json"]
 
@@ -1015,6 +1052,37 @@ def test_every_way_of_making_a_config_validates_it(build, cls, good, bad):
     cls(**good)
     with pytest.raises(ValueError):
         build(cls, good, bad)
+
+
+NON_INTEGER = [
+    (SystemParams, P3, {"p": 3.0}),
+    (SystemParams, {"p": 5, "f": 1}, {"f": 1.5}),
+    (SystemParams, P3, {"base_degree": 1.0}),
+    (SystemParams, {"p": 5, "f": 1}, {"multiplier": 2.5}),
+    (CharacterContext, F5, {"multiplier": 2.5}),
+    (CharacterContext, F5, {"multiplier": 2.0}),
+]
+
+
+@pytest.mark.parametrize("build", list(BUILDS.values()), ids=list(BUILDS))
+@pytest.mark.parametrize("cls, good, bad", NON_INTEGER, ids=[
+    f"{cls.__name__}-{k}={v!r}" for cls, _, bad in NON_INTEGER for k, v in bad.items()])
+def test_every_way_of_making_a_config_refuses_a_non_integer(build, cls, good, bad):
+    cls(**good)
+    with pytest.raises(TypeError):
+        build(cls, good, bad)
+
+
+def test_integer_fields_store_numpy_ints_as_int():
+    import numpy as np
+    base = build_field(5, 1)
+    with pytest.raises(TypeError):
+        CharacterContext.make(base, 2.5)
+    params = SystemParams(np.int64(5), np.int32(1), np.int64(1), np.int64(7))
+    assert params == SystemParams(5, 1, 1, 7)
+    assert params.label() == "p=5 f=1 base_degree=1 multiplier=2 n=9"
+    assert [type(v) for v in params] == [int] * 4
+    assert type(CharacterContext.make(base, np.int64(7)).multiplier) is int
 
 
 def test_config_records_store_floats_and_are_values():

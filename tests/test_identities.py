@@ -2,23 +2,26 @@
 
 Oracles: hand-expanded coefficients for the smallest field, pointwise
 evaluation of both sides of the split identity over F_{q^2} with scalar
-field arithmetic, the necklace formula for counts
+field arithmetic, scalar Horner evaluation and long division against the
+vectorized division pass, the necklace formula for counts
 of monic irreducibles, a brute-force product table as an independent
 irreducibility test, and rank examples where the mod-p answer differs from
 the rational one.
 """
 
+import math
 import random
 
 import pytest
 
+from altsums import identities
+from altsums.cli import main
 from altsums.fields import build_field, embed, factor_prime_power
 from altsums.identities import (
     DerivativeReport,
     GroupedIdentityReport,
     IdentityFalsifiedError,
     SplitIdentityReport,
-    UnitySpanReport,
     WildInertiaReport,
     _fp_rank,
     _split_alphas,
@@ -31,12 +34,10 @@ from altsums.identities import (
     u_add,
     u_degree,
     u_deriv,
-    u_div_linear,
-    u_eval,
+    u_double_division,
     u_mul,
     u_neg,
     u_trim,
-    unity_root_span,
     verify_derivative_steps,
     verify_identity_grouped,
     verify_identity_split,
@@ -137,6 +138,8 @@ def test_require_ok_raises_with_counterexample():
 def test_split_identity_rejects_even_q():
     with pytest.raises(ValueError):
         verify_identity_split(4)
+    with pytest.raises(ValueError):
+        wild_inertia_span(4)
 
 
 # -- irreducibility over the prime field --------------------------------------------
@@ -241,31 +244,69 @@ def test_grouped_orbit_count_matches_split_factor_count():
 # -- univariate helpers ----------------------------------------------------------------
 
 
+def horner(F, a, x0):
+    """a(x0) by scalar Horner."""
+    acc = 0
+    for c in reversed(a):
+        acc = F.add_code(F.mul_code(acc, x0), c)
+    return acc
+
+
+def long_division(F, a, x0):
+    """(quotient, remainder) of a by x - x0: take off c x^(k-1) (x - x0) for
+    the leading c x^k, from the top down."""
+    rem = list(a)
+    quot = [0] * max(len(a) - 1, 0)
+    for k in range(len(a) - 1, 0, -1):
+        quot[k - 1], rem[k] = rem[k], 0
+        rem[k - 1] = F.add_code(rem[k - 1], F.mul_code(quot[k - 1], x0))
+    return quot, rem[0] if rem else 0
+
+
+def random_polys(F, rng):
+    """(a, root, m): random dense a, (x - root)^m dividing a for m = 0, 1, 2."""
+    for _ in range(25):
+        a = u_trim([rng.randrange(F.order) for _ in range(rng.randrange(1, 8))])
+        root = rng.randrange(F.order)
+        lin = [F.neg_code(root), 1]
+        yield a, root, 0
+        yield u_mul(F, lin, a), root, 1
+        yield u_mul(F, u_mul(F, lin, lin), a), root, 2
+
+
 def test_univariate_arithmetic_against_random_evaluation():
+    """u_add, u_mul and u_neg commute with evaluation, which the division
+    pass's first remainder gives at every x0 of F_9 and F_25 at once."""
     rng = random.Random(73)
-    F = build_field(5, 2)
-    for _ in range(25):
-        a = [rng.randrange(F.order) for _ in range(rng.randrange(1, 7))]
-        b = [rng.randrange(F.order) for _ in range(rng.randrange(1, 7))]
-        x0 = rng.randrange(F.order)
-        assert u_eval(F, u_add(F, a, b), x0) == F.add_code(
-            u_eval(F, a, x0), u_eval(F, b, x0))
-        assert u_eval(F, u_mul(F, a, b), x0) == F.mul_code(
-            u_eval(F, a, x0), u_eval(F, b, x0))
-        assert u_eval(F, u_neg(F, a), x0) == F.neg_code(u_eval(F, a, x0))
+    for F in (build_field(3, 2), build_field(5, 2)):
+        everywhere = list(range(F.order))
+        for a, _, _ in random_polys(F, rng):
+            b = [rng.randrange(F.order) for _ in range(rng.randrange(1, 7))]
+            at = {x: (horner(F, a, x), horner(F, b, x)) for x in everywhere}
+            for poly, want in [
+                    (a, [va for va, _ in at.values()]),
+                    (u_add(F, a, b), [F.add_code(*v) for v in at.values()]),
+                    (u_mul(F, a, b), [F.mul_code(*v) for v in at.values()]),
+                    (u_neg(F, a), [F.neg_code(va) for va, _ in at.values()])]:
+                assert u_double_division(F, poly, everywhere)[0].tolist() == want
 
 
-def test_u_div_linear_reconstructs():
+def test_double_division_matches_long_division():
+    """Both remainders against dividing twice by scalar long division over
+    F_9 and F_25, at 0, at a planted root and at random points; the quotient
+    rebuilds the polynomial, and a root planted m times zeroes the first m
+    remainders."""
     rng = random.Random(74)
-    F = build_field(3, 2)
-    for _ in range(25):
-        a = u_trim([rng.randrange(F.order) for _ in range(rng.randrange(2, 8))])
-        alpha = rng.randrange(F.order)
-        quot, rem = u_div_linear(F, a, alpha)
-        lin = [F.neg_code(alpha), 1]
-        back = u_add(F, u_mul(F, lin, quot), [rem])
-        assert back == u_trim(list(a))
-        assert rem == u_eval(F, a, alpha)
+    for F in (build_field(3, 2), build_field(5, 2)):
+        for a, root, m in random_polys(F, rng):
+            x0s = sorted({0, root, *rng.sample(range(F.order), 5)})
+            r1, r2 = u_double_division(F, a, x0s)
+            for x0, got1, got2 in zip(x0s, r1.tolist(), r2.tolist()):
+                quot, rem = long_division(F, a, x0)
+                assert u_add(F, u_mul(F, [F.neg_code(x0), 1], quot), [rem]) == a
+                assert (got1, got2) == (rem, long_division(F, quot, x0)[1])
+                if x0 == root:
+                    assert [got1, got2][:m] == [0] * m
 
 
 def test_u_deriv_product_rule():
@@ -373,24 +414,6 @@ def test_multiplicative_order():
         multiplicative_order(3, 6)
 
 
-def test_unity_root_span_frozen():
-    r = unity_root_span(5, 6)
-    assert r.field_degree == 2 and r.dimension == 2
-    r = unity_root_span(3, 2)
-    assert r.field_degree == 1 and r.dimension == 1
-    r = unity_root_span(7, 3)
-    assert r.field_degree == 1 and r.dimension == 1
-    r = unity_root_span(3, 8)
-    assert r.field_degree == 2 and r.dimension == 2
-
-
-def test_unity_root_span_rejects_bad_order():
-    with pytest.raises(ValueError):
-        unity_root_span(3, 6)
-    with pytest.raises(ValueError):
-        unity_root_span(3, 0)
-
-
 @pytest.mark.parametrize("q", [3, 5, 9, 27])
 def test_wild_inertia_span(q):
     report = wild_inertia_span(q)
@@ -403,13 +426,24 @@ def test_wild_inertia_span(q):
     assert report.direct_sum_ok
 
 
-@pytest.mark.parametrize("q", [3, 5, 9])
+@pytest.mark.parametrize("q", [3, 5, 9, 25, 27])
 def test_wild_inertia_zeta_choice_invariance(q):
-    a = wild_inertia_span(q, zeta_index=1)
-    b = wild_inertia_span(q, zeta_index=2)
-    assert a.zeta_log != b.zeta_log
-    assert (a.dimension, a.trace_zero_ok, a.coset_ok, a.direct_sum_ok) == \
-           (b.dimension, b.trace_zero_ok, b.coset_ok, b.direct_sum_ok)
+    """Every primitive (2q-2)-nd root zeta in F_{q^2} has trace 0 to F_q, and
+    the roots split into F_q^x and zeta F_q^x; the report's zeta is the first
+    in dlog order."""
+    p, f = factor_prime_power(q)
+    L = build_field(p, 2 * f)
+    step = (L.order - 1) // (2 * q - 2)
+    roots = {1 + j * step for j in range(2 * q - 2)}
+    units = {c for c in range(1, L.order) if L.in_subfield_code(f, c)}
+    assert len(units) == q - 1 and units < roots
+    primitive = [1 + k * step for k in range(1, 2 * q - 2)
+                 if math.gcd(k, 2 * q - 2) == 1]
+    assert len(primitive) >= 2
+    for zeta in primitive:
+        assert L.trace_to_code(f, zeta) == 0
+        assert {L.mul_code(zeta, u) for u in units} == roots - units
+    assert wild_inertia_span(q).zeta_log == primitive[0] - 1 == step
 
 
 def test_wild_inertia_field_sizes_frozen():
@@ -417,6 +451,23 @@ def test_wild_inertia_field_sizes_frozen():
     assert wild_inertia_span(5).field_text.startswith("p=5 d=2")
     assert wild_inertia_span(9).field_text.startswith("p=3 d=4")
     assert wild_inertia_span(27).field_text.startswith("p=3 d=6")
+
+
+def test_identity_reads_one_split_product(monkeypatch, capsys):
+    """`identity` builds P and x (x+1) prod (x - alpha)^2 once for all three
+    checks, and the grouped check multiplies its factors in F_q itself: two
+    calls of dehomogenized_sides (split, grouped) and no prime field F_3."""
+    sides, build = identities.dehomogenized_sides, identities.build_field
+    calls, fields = [], []
+    monkeypatch.setattr(identities, "dehomogenized_sides",
+                        lambda *args: calls.append(args[1]) or sides(*args))
+    monkeypatch.setattr(identities, "build_field",
+                        lambda p, d: fields.append((p, d)) or build(p, d))
+    identities._split.cache_clear()
+    assert main(["identity", "--q", "81"]) == 0
+    capsys.readouterr()
+    assert calls == [161, 161]
+    assert (3, 1) not in fields
 
 
 # -- virtual character table ----------------------------------------------------------------------
