@@ -354,13 +354,10 @@ class FieldDescriptor:
     def add_codes_vec(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         M = self.order - 1
         a, b = np.asarray(a), np.asarray(b)
-        az = a == 0
-        bz = b == 0
-        la = np.where(az, 0, a - 1)
-        lb = np.where(bz, 0, b - 1)
-        z = self.zech_log[(la - lb) % M]
-        summed = np.where(z < 0, 0, 1 + (lb + z) % M)
-        return np.where(az, b, np.where(bz, a, summed))
+        # right wherever a and b are nonzero; the outer wheres cover the rest
+        z = self.zech_log[(a - b) % M]
+        summed = np.where(z < 0, 0, 1 + (b - 1 + z) % M)
+        return np.where(a == 0, b, np.where(b == 0, a, summed))
 
     def mul_codes_vec(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         a, b = np.asarray(a), np.asarray(b)

@@ -24,15 +24,18 @@ Everything here is exact polynomial algebra over small finite fields:
 Both sides of the split and grouped identities are degree-n forms, and a
 form is determined by its value at y = 1, so each is checked as the dense
 one-variable equality P(x) = x (x+1) prod h(x)^2 that the derivative
-bookkeeping also ends in (`dehomogenized_sides`).  Every check of q reads one
-P and one split product (`_split`).
+bookkeeping also ends in (`dehomogenized_sides`).  A dense polynomial over
+F_q is an int64 array of element codes, constant term first, with no high
+zero codes; P comes from binomials mod p, and each product step is a few
+vectorized code operations over the longer operand (`u_mul`).  Every check of
+q reads one P and one split product (`_split`).
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
-from itertools import product, zip_longest
+from functools import lru_cache, partial, reduce
+from itertools import accumulate, product, zip_longest
 from typing import NamedTuple
 
 import numpy as np
@@ -57,46 +60,31 @@ def require_ok(report) -> None:
     raise IdentityFalsifiedError(f"{type(report).__name__} failed{detail}")
 
 
-# -- dense univariate helpers over a field (codes) ---------------------------------
+# -- dense univariate code arrays over a field; the zero polynomial is empty -------
 
-def u_trim(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def u_degree(a: list[int]) -> int:
-    return len(u_trim(list(a))) - 1
+def _int_codes(F: FieldDescriptor, ints) -> np.ndarray:
+    """Codes of prime-field ints, one gather: log_by_int is -1 at 0."""
+    return 1 + F.log_by_int[np.array([v % F.p for v in ints], dtype=np.int64)]
 
 
-def u_add(F, a, b):
-    out = [0] * max(len(a), len(b))
-    for i, c in enumerate(a):
-        out[i] = c
-    for i, c in enumerate(b):
-        out[i] = F.add_code(out[i], c)
-    return u_trim(out)
-
-
-def u_neg(F, a):
-    return [F.neg_code(c) for c in a]
+def _binomials(e: int) -> list[int]:
+    """binom(e, k) for k = 0..e, each from the one before."""
+    return list(accumulate(range(1, e + 1), lambda c, k: c * (e - k + 1) // k, initial=1))
 
 
 def u_mul(F, a, b):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                if cb:
-                    out[i + j] = F.add_code(out[i + j], F.mul_code(ca, cb))
-    return u_trim(out)
+    """a b: the longer operand times each nonzero coefficient of the shorter,
+    added in at its shift."""
+    if len(a) < len(b):
+        a, b = b, a
+    out = np.zeros(len(a) + len(b) - 1 if len(b) else 0, dtype=np.int64)
+    for j in np.flatnonzero(b).tolist():
+        out[j:j + len(a)] = F.add_codes_vec(out[j:j + len(a)], F.mul_codes_vec(a, b[j]))
+    return out
 
 
 def u_deriv(F, a):
-    return u_trim([F.mul_code(c, F.code_from_poly_int(k % F.p))
-                   for k, c in enumerate(a)][1:])
+    return np.trim_zeros(F.mul_codes_vec(a[1:], _int_codes(F, range(1, len(a)))), "b")
 
 
 def u_double_division(F, a, x0):
@@ -112,15 +100,10 @@ def u_double_division(F, a, x0):
     return r1, r2
 
 
-def _x_plus_one_power(F, e: int) -> list[int]:
-    """(x + 1)^e as dense codes."""
-    return [F.code_from_poly_int(math.comb(e, k) % F.p) for k in range(e + 1)]
-
-
 # -- both sides of the identity at y = 1 --------------------------------------------
 
 def dehomogenized_sides(F: FieldDescriptor, n: int, factors):
-    """x^n + 1 - (x+1)^n and x (x+1) prod h^2 over the factors h, dense in F.
+    """x^n + 1 - (x+1)^n and x (x+1) (prod h)^2 over the factors h, dense in F.
 
     They are x^n + y^n + (-x-y)^n (n odd) and x y (x+y) prod h(x, y)^2 at
     y = 1, each h monic in x.  A form of degree m is equal to another exactly
@@ -129,17 +112,16 @@ def dehomogenized_sides(F: FieldDescriptor, n: int, factors):
     forms (the x^n terms on the left cancel, -n = 1 mod p), so equal sides
     here mean equal forms.
     """
-    lhs = u_add(F, [1] + [0] * (n - 1) + [1], u_neg(F, _x_plus_one_power(F, n)))
-    rhs = [0, 1, 1]  # x (x + 1)
-    for h in factors:
-        rhs = u_mul(F, rhs, u_mul(F, h, h))
-    return lhs, rhs
+    lhs = _int_codes(F, [(k == 0) + (k == n) - c for k, c in enumerate(_binomials(n))])
+    h = reduce(partial(u_mul, F), factors, np.ones(1, dtype=np.int64))
+    return np.trim_zeros(lhs, "b"), u_mul(F, [0, 1, 1], u_mul(F, h, h))  # x (x + 1)
 
 
 def mismatch_list(F: FieldDescriptor, n: int, lhs, rhs):
     """((i, n - i), a, b) for each x^i y^(n-i) whose coefficients differ."""
     return tuple(((i, n - i), F.poly_int(a), F.poly_int(b))
-                 for i, (a, b) in enumerate(zip_longest(lhs, rhs, fillvalue=0))
+                 for i, (a, b) in enumerate(zip_longest(lhs.tolist(), rhs.tolist(),
+                                                        fillvalue=0))
                  if a != b)
 
 
@@ -177,19 +159,21 @@ def _split_alphas(F: FieldDescriptor) -> list[int]:
 @lru_cache(maxsize=1)  # `identity` and `all` check one q at a time
 def _split(q: int):
     """(p, f, n, F_q, alphas, P, x (x+1) prod (x - alpha)^2) for odd q: the
-    alphas the codes of F_q minus {0, -1}, P and the product dense in F_q."""
+    alphas the codes of F_q minus {0, -1}, P and the product read-only code
+    arrays, which the cache shares between callers."""
     p, f, n = _odd_q(q)
     F = build_field(p, f)
     alphas = tuple(_split_alphas(F))
     P, prod = dehomogenized_sides(F, n, [[F.neg_code(a), 1] for a in alphas])
-    return p, f, n, F, alphas, tuple(P), tuple(prod)
+    P.flags.writeable = prod.flags.writeable = False
+    return p, f, n, F, alphas, P, prod
 
 
 def verify_identity_split(q: int) -> SplitIdentityReport:
     p, f, n, F, alphas, P, prod = _split(q)
     return SplitIdentityReport(
         q=q, p=p, f=f, field_text=F.canonical_text(), degree=n,
-        factor_count=len(alphas), equal=P == prod,
+        factor_count=len(alphas), equal=np.array_equal(P, prod),
         mismatches=mismatch_list(F, n, P, prod))
 
 
@@ -249,14 +233,10 @@ def _frobenius_orbits(F: FieldDescriptor, codes):
     remaining = set(codes)
     orbits = []
     while remaining:
-        start = min(remaining)
-        orbit = []
-        c = start
-        while c not in orbit:
+        orbit = [min(remaining)]
+        while (c := F.frobenius_code(orbit[-1])) != orbit[0]:
             orbit.append(c)
-            c = F.frobenius_code(c)
-        for c in orbit:
-            remaining.discard(c)
+        remaining -= set(orbit)
         orbits.append(tuple(sorted(orbit)))
     return orbits
 
@@ -269,16 +249,15 @@ def verify_identity_grouped(q: int) -> GroupedIdentityReport:
 
     prime_ok = True
     irred_ok = True
-    factors: list[list[int]] = []
+    factors: list[np.ndarray] = []
     factor_polys: set[tuple[int, ...]] = set()
     for orbit in orbits:
-        h = [1]
-        for beta in orbit:
-            h = u_mul(Fq, h, [Fq.neg_code(beta), 1])
-        if not all(Fq.in_subfield_code(1, c) for c in h):
+        h = reduce(partial(u_mul, Fq), ([Fq.neg_code(beta), 1] for beta in orbit),
+                   np.ones(1, dtype=np.int64))
+        if not all(Fq.in_subfield_code(1, c) for c in h.tolist()):
             prime_ok = False
             continue
-        dense = [Fq.prime_int(c) for c in h]
+        dense = [Fq.prime_int(c) for c in h.tolist()]
         factors.append(h)
         factor_polys.add(tuple(dense))
         if not fp_irreducible(dense, p):
@@ -292,8 +271,8 @@ def verify_identity_grouped(q: int) -> GroupedIdentityReport:
                     expected.add(poly)
     complete_ok = prime_ok and factor_polys == expected
 
-    rhs = tuple(dehomogenized_sides(Fq, n, factors)[1])
-    equal = prime_ok and P == rhs
+    rhs = dehomogenized_sides(Fq, n, factors)[1]
+    equal = prime_ok and np.array_equal(P, rhs)
 
     degrees = tuple(sorted(len(orbit) for orbit in orbits))
     return GroupedIdentityReport(
@@ -328,27 +307,26 @@ class DerivativeReport(NamedTuple):
 
 def verify_derivative_steps(q: int) -> DerivativeReport:
     p, f, n, F, alphas, P, prod = _split(q)
-    degree = u_degree(P)
-    lead = P[degree] if degree >= 0 else 0
+    degree = len(P) - 1
 
     # P(x0) and the second remainder at every x0 in F_q, read at each alpha
     value, second = u_double_division(F, P, np.arange(F.order))
     at_alpha = np.array(alphas, dtype=np.int64)
 
     dP = u_deriv(F, P)
-    dP_expected = u_add(F, u_neg(F, [0] * (n - 1) + [1]),
-                        _x_plus_one_power(F, n - 1))
+    dP_expected = np.trim_zeros(_int_codes(
+        F, [c - (k == n - 1) for k, c in enumerate(_binomials(n - 1))]), "b")
     dP_at_alpha, _ = u_double_division(F, dP, at_alpha)
 
     return DerivativeReport(
         q=q, n=n, degree=degree,
         degree_ok=(degree == 2 * q - 2),
-        leading_coeff_one=(lead == 1),
+        leading_coeff_one=degree >= 0 and int(P[-1]) == 1,
         vanishes_on_field=not value.any(),
-        derivative_formula_ok=(dP == dP_expected),
+        derivative_formula_ok=np.array_equal(dP, dP_expected),
         derivative_vanishes_ok=not dP_at_alpha.any(),
         double_root_division_ok=not (value[at_alpha] | second[at_alpha]).any(),
-        product_form_ok=(P == prod))
+        product_form_ok=np.array_equal(P, prod))
 
 
 # -- span of the (2q-2)-nd roots of unity (wild inertia dimension) -----------------

@@ -754,7 +754,8 @@ def test_verdict_and_spectrum_bytes_are_pinned(capsys, argv, rc, digest):
 
 
 # stdout sha256 of `identity --q Q --format csv` and `--format json`, recorded
-# at commit 6dfdebd, before the identities were checked at y = 1
+# at commit 6dfdebd, before the identities were checked at y = 1 (q = 243 at
+# d57c3c0, before the polynomials became code arrays)
 IDENTITY_DIGESTS = {
     3: ("f34ed2cddd2338b45af8ff89f8406d303d2bd72919dd2d9ec7a0a7f6e4429483",
         "5d588343370248494e8c22510b58c501c49309d727b30ad263c070e63a87826b"),
@@ -778,6 +779,8 @@ IDENTITY_DIGESTS = {
          "ece6b6925b232ce6461447cba6f901507526a76397a78fe9ef497a7f899f83b4"),
     121: ("d17bd50b916d7ed0b790012717c7c1061922b7d828ff520fb3a3871efb253a1c",
           "180b8c533280b6c14e153424f6313d8b30af60807e77772e58af525b8ac4b19d"),
+    243: ("979aa9e8dacf25777c32eaf1f477caaacd28db24f1fccb51bd338b8fb92955ae",
+          "5b8ab9efe431c9304b3920d22ec5f2b3d8f893bb843c356a2d14e3f8afb84597"),
 }
 
 

@@ -232,15 +232,21 @@ def test_field_axioms_spotcheck(p, d):
 
 
 def test_vectorized_ops_match_scalar():
-    F = build_field(3, 3)
-    rng = np.random.default_rng(7)
-    a = rng.integers(0, F.order, size=300)
-    b = rng.integers(0, F.order, size=300)
-    adds = F.add_codes_vec(a, b)
-    muls = F.mul_codes_vec(a, b)
-    for i in range(300):
-        assert adds[i] == F.add_code(int(a[i]), int(b[i]))
-        assert muls[i] == F.mul_code(int(a[i]), int(b[i]))
+    """Every pair of codes of F_9 and F_27, zeros included, as two arrays and
+    as one scalar code against the array of all codes, in both orders."""
+    for F in (build_field(3, 2), build_field(3, 3)):
+        codes = np.arange(F.order)
+        a, b = (grid.ravel() for grid in np.meshgrid(codes, codes))
+        pairs = list(zip(a.tolist(), b.tolist()))
+        assert F.add_codes_vec(a, b).tolist() == [F.add_code(x, y) for x, y in pairs]
+        assert F.mul_codes_vec(a, b).tolist() == [F.mul_code(x, y) for x, y in pairs]
+        for c in range(F.order):
+            adds = [F.add_code(x, c) for x in range(F.order)]
+            muls = [F.mul_code(x, c) for x in range(F.order)]
+            assert F.add_codes_vec(codes, c).tolist() == adds
+            assert F.add_codes_vec(c, codes).tolist() == adds
+            assert F.mul_codes_vec(codes, c).tolist() == muls
+            assert F.mul_codes_vec(c, codes).tolist() == muls
 
 
 # -- Frobenius, trace, norm -----------------------------------------------------

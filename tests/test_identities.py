@@ -3,7 +3,7 @@
 Oracles: hand-expanded coefficients for the smallest field, pointwise
 evaluation of both sides of the split identity over F_{q^2} with scalar
 field arithmetic, scalar Horner evaluation and long division against the
-vectorized division pass, the necklace formula for counts
+vectorized product and division passes, the necklace formula for counts
 of monic irreducibles, a brute-force product table as an independent
 irreducibility test, and rank examples where the mod-p answer differs from
 the rational one.
@@ -12,6 +12,7 @@ the rational one.
 import math
 import random
 
+import numpy as np
 import pytest
 
 from altsums import identities
@@ -31,13 +32,9 @@ from altsums.identities import (
     mismatch_list,
     multiplicative_order,
     require_ok,
-    u_add,
-    u_degree,
     u_deriv,
     u_double_division,
     u_mul,
-    u_neg,
-    u_trim,
     verify_derivative_steps,
     verify_identity_grouped,
     verify_identity_split,
@@ -58,7 +55,7 @@ def split_sides(F, q):
 
 
 def as_ints(F, codes):
-    return [F.prime_int(c) for c in codes]
+    return [F.prime_int(c) for c in codes.tolist()]
 
 
 def test_split_identity_frozen_q3():
@@ -86,7 +83,7 @@ def test_split_sides_match_pointwise_evaluation(q):
 
     def horner(codes, x):
         acc = 0
-        for c in reversed(codes):
+        for c in reversed(codes.tolist()):
             acc = L.add_code(L.mul_code(acc, x), embed(F, L, c))
         return acc
 
@@ -118,7 +115,7 @@ def test_split_identity_detects_wrong_factor_set():
     n = 5
     factors = [[F.neg_code(a), 1] for a in range(1, F.order)]  # has alpha = -1
     lhs, rhs = dehomogenized_sides(F, n, factors)
-    assert lhs != rhs
+    assert not np.array_equal(lhs, rhs)
     mism = mismatch_list(F, n, lhs, rhs)
     assert mism != ()
     assert all(i + j == n for (i, j), _, _ in mism)
@@ -241,7 +238,7 @@ def test_grouped_orbit_count_matches_split_factor_count():
         assert sum(grouped.factor_degrees) == split.factor_count
 
 
-# -- univariate helpers ----------------------------------------------------------------
+# -- univariate code arrays ------------------------------------------------------------
 
 
 def horner(F, a, x0):
@@ -263,10 +260,17 @@ def long_division(F, a, x0):
     return quot, rem[0] if rem else 0
 
 
+def random_poly(F, rng, top):
+    """A random code array of fewer than top coefficients, high zeros dropped
+    (the zero polynomial included)."""
+    return np.trim_zeros(np.array([rng.randrange(F.order)
+                                   for _ in range(rng.randrange(1, top))]), "b")
+
+
 def random_polys(F, rng):
     """(a, root, m): random dense a, (x - root)^m dividing a for m = 0, 1, 2."""
     for _ in range(25):
-        a = u_trim([rng.randrange(F.order) for _ in range(rng.randrange(1, 8))])
+        a = random_poly(F, rng, 8)
         root = rng.randrange(F.order)
         lin = [F.neg_code(root), 1]
         yield a, root, 0
@@ -275,20 +279,22 @@ def random_polys(F, rng):
 
 
 def test_univariate_arithmetic_against_random_evaluation():
-    """u_add, u_mul and u_neg commute with evaluation, which the division
-    pass's first remainder gives at every x0 of F_9 and F_25 at once."""
+    """u_mul commutes with evaluation, which the division pass's first
+    remainder gives at every x0 of F_9 and F_25 at once, with either operand
+    the shorter; the product of nonzero arrays has no high zero code."""
     rng = random.Random(73)
     for F in (build_field(3, 2), build_field(5, 2)):
         everywhere = list(range(F.order))
         for a, _, _ in random_polys(F, rng):
-            b = [rng.randrange(F.order) for _ in range(rng.randrange(1, 7))]
+            b = random_poly(F, rng, 7)
             at = {x: (horner(F, a, x), horner(F, b, x)) for x in everywhere}
-            for poly, want in [
-                    (a, [va for va, _ in at.values()]),
-                    (u_add(F, a, b), [F.add_code(*v) for v in at.values()]),
-                    (u_mul(F, a, b), [F.mul_code(*v) for v in at.values()]),
-                    (u_neg(F, a), [F.neg_code(va) for va, _ in at.values()])]:
-                assert u_double_division(F, poly, everywhere)[0].tolist() == want
+            assert u_double_division(F, a, everywhere)[0].tolist() == \
+                [va for va, _ in at.values()]
+            want = [F.mul_code(*v) for v in at.values()]
+            for prod in (u_mul(F, a, b), u_mul(F, b, a)):
+                assert u_double_division(F, prod, everywhere)[0].tolist() == want
+                assert len(prod) == (len(a) + len(b) - 1 if len(a) and len(b) else 0)
+                assert prod.dtype == np.int64 and prod[-1:].all()
 
 
 def test_double_division_matches_long_division():
@@ -303,28 +309,30 @@ def test_double_division_matches_long_division():
             r1, r2 = u_double_division(F, a, x0s)
             for x0, got1, got2 in zip(x0s, r1.tolist(), r2.tolist()):
                 quot, rem = long_division(F, a, x0)
-                assert u_add(F, u_mul(F, [F.neg_code(x0), 1], quot), [rem]) == a
+                lin = [F.neg_code(x0), 1]
+                rebuilt = u_mul(F, lin, np.array(quot, dtype=np.int64)).tolist() or [0]
+                rebuilt[0] = F.add_code(rebuilt[0], rem)
+                assert np.array_equal(np.trim_zeros(np.array(rebuilt), "b"), a)
                 assert (got1, got2) == (rem, long_division(F, quot, x0)[1])
                 if x0 == root:
                     assert [got1, got2][:m] == [0] * m
 
 
 def test_u_deriv_product_rule():
+    """(a b)' = a' b + a b' over F_5 and F_9, the sum taken by scalar
+    addition in the test; u_deriv drops the high zero codes that k = 0 mod p
+    leaves."""
     rng = random.Random(75)
-    F = build_field(5, 1)
-    for _ in range(20):
-        a = [rng.randrange(F.order) for _ in range(rng.randrange(1, 6))]
-        b = [rng.randrange(F.order) for _ in range(rng.randrange(1, 6))]
-        lhs = u_deriv(F, u_mul(F, a, b))
-        rhs = u_add(F, u_mul(F, u_deriv(F, a), b), u_mul(F, a, u_deriv(F, b)))
-        assert u_trim(lhs) == u_trim(rhs)
-
-
-def test_u_degree_and_trim():
-    assert u_degree([0, 0]) == -1
-    assert u_degree([]) == -1
-    assert u_degree([1, 2, 0]) == 1
-    assert u_trim([1, 0, 0]) == [1]
+    for F in (build_field(5, 1), build_field(3, 2)):
+        for _ in range(20):
+            a, b = random_poly(F, rng, 8), random_poly(F, rng, 8)
+            lhs = u_deriv(F, u_mul(F, a, b))
+            terms = [u_mul(F, u_deriv(F, a), b), u_mul(F, a, u_deriv(F, b))]
+            rhs = [0] * max(map(len, terms))
+            for term in terms:
+                for k, c in enumerate(term.tolist()):
+                    rhs[k] = F.add_code(rhs[k], c)
+            assert np.array_equal(lhs, np.trim_zeros(np.array(rhs, dtype=np.int64), "b"))
 
 
 # -- derivative bookkeeping ---------------------------------------------------------------
@@ -333,13 +341,11 @@ def test_u_degree_and_trim():
 def test_derivative_frozen_q3():
     # P = x^4 + 2x^3 + 2x^2 + x over F_3, P' = x^3 + x + 1
     F = build_field(3, 1)
-    n = 5
-    import math as _math
-    P = u_add(F, u_add(F, [0] * n + [1], [1]),
-              u_neg(F, [F.code_from_poly_int(_math.comb(n, k) % 3) for k in range(n + 1)]))
+    P, _ = split_sides(F, 3)
     assert as_ints(F, P) == [0, 1, 2, 2, 1]
-    dints = as_ints(F, u_deriv(F, P))
-    assert dints == [1, 1, 0, 1]
+    assert as_ints(F, u_deriv(F, P)) == [1, 1, 0, 1]
+    # x^3 over F_3 has derivative 3 x^2 = 0: the high zero codes go
+    assert u_deriv(F, np.array([1, 0, 0, 1])).tolist() == []
 
 
 @pytest.mark.parametrize("q", IDENTITY_SIZES)
@@ -354,6 +360,23 @@ def test_derivative_steps_hold(q):
     assert report.double_root_division_ok
     assert report.product_form_ok
     require_ok(report)
+
+
+@pytest.mark.parametrize("q", [5, 9])
+def test_derivative_steps_see_a_simple_root(monkeypatch, q):
+    """P with (x - alpha)^2 replaced by x - alpha at one alpha still vanishes
+    on all of F_q, but its second remainder at alpha is not zero, so the
+    double-root check must fail on the division pass's second accumulator."""
+    p, f, n, F, alphas, P, prod = identities._split(q)
+    alpha = alphas[-1]
+    _, rhs = dehomogenized_sides(F, n, [[F.neg_code(a), 1] for a in alphas if a != alpha])
+    simple = u_mul(F, rhs, [F.neg_code(alpha), 1])
+    monkeypatch.setattr(identities, "_split",
+                        lambda q: (p, f, n, F, alphas, simple, prod))
+    report = verify_derivative_steps(q)
+    assert report.vanishes_on_field
+    assert not report.double_root_division_ok
+    assert not report.ok
 
 
 def test_derivative_degree_drop_is_two():
@@ -446,6 +469,26 @@ def test_wild_inertia_zeta_choice_invariance(q):
     assert wild_inertia_span(q).zeta_log == primitive[0] - 1 == step
 
 
+@pytest.mark.parametrize("q", [3, 5, 9, 25])
+def test_wild_direct_sum_ranks_every_unit(monkeypatch, q):
+    """direct_sum_ok ranks the coordinates of all of F_q^x, of zeta F_q^x and
+    of both together, found here by a scan of F_{q^2}; on true inputs fewer
+    units would give the same ranks, so the rows themselves are checked."""
+    seen = []
+    rank = identities._fp_rank
+    monkeypatch.setattr(identities, "_fp_rank",
+                        lambda rows, p: seen.append(rows) or rank(rows, p))
+    report = wild_inertia_span(q)
+    p, f = factor_prime_power(q)
+    L = build_field(p, 2 * f)
+    units = [c for c in range(1, L.order) if L.in_subfield_code(f, c)]
+    sub = [L.coeff_vector(c) for c in units]
+    shifted = [L.coeff_vector(L.mul_code(report.zeta_log + 1, c)) for c in units]
+    assert [sorted(map(tuple, rows)) for rows in seen[1:]] == \
+        [sorted(map(tuple, rows)) for rows in (sub, shifted, sub + shifted)]
+    assert report.direct_sum_ok
+
+
 def test_wild_inertia_field_sizes_frozen():
     assert wild_inertia_span(3).field_text.startswith("p=3 d=2")
     assert wild_inertia_span(5).field_text.startswith("p=5 d=2")
@@ -468,6 +511,8 @@ def test_identity_reads_one_split_product(monkeypatch, capsys):
     capsys.readouterr()
     assert calls == [161, 161]
     assert (3, 1) not in fields
+    P, prod = identities._split(81)[5:]  # shared by the cache: read-only
+    assert not (P.flags.writeable or prod.flags.writeable)
 
 
 # -- virtual character table ----------------------------------------------------------------------
