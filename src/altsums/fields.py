@@ -73,72 +73,41 @@ def factor_prime_power(q: int) -> tuple[int, int]:
     return p, f
 
 
-# -- dense polynomial arithmetic over F_p, used to build tables, for the
-#    modulus search and for irreducibility tests; coefficient lists are
-#    constant term first, and every modulus is monic.
+# -- F_p[x]/(m), m monic of degree d, as d x d matrices mod p: C^e for the
+#    companion matrix C multiplies by x^e, so C^e = I exactly when x^e = 1,
+#    and g(C) is invertible exactly when g is prime to m.
 
-def _poly_reduce(a: list[int], modulus: tuple[int, ...], p: int) -> list[int]:
+def _companion(modulus, p: int) -> np.ndarray:
+    """Multiplication by x mod the monic modulus: row i is x^(i + 1)."""
     d = len(modulus) - 1
-    a = [c % p for c in a]
-    for i in range(len(a) - 1, d - 1, -1):
-        c = a[i]
-        if c:
-            for j in range(d + 1):
-                a[i - d + j] = (a[i - d + j] - c * modulus[j]) % p
-    a = a[:d]
-    a += [0] * (d - len(a))
-    return a
+    C = np.zeros((d, d), dtype=np.int64)
+    C[:-1, 1:] = np.eye(d - 1, dtype=np.int64)
+    C[-1] = [-c % p for c in modulus[:d]]
+    return C
 
 
-def _poly_mul_mod(a, b, modulus, p):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-    return _poly_reduce(out, modulus, p)
-
-
-def _poly_pow_mod(base, e, modulus, p):
-    d = len(modulus) - 1
-    result = [1] + [0] * (d - 1)
-    cur = list(base)
+def _mat_pow_mod(C: np.ndarray, e: int, p: int) -> np.ndarray:
+    """C^e mod p by repeated squaring.  Entries stay below p, so a product's
+    sums stay below d p^2, under 2^53 for every p^d within the 2^24 table
+    budget: int64 is exact."""
+    out = np.eye(len(C), dtype=np.int64)
     while e:
         if e & 1:
-            result = _poly_mul_mod(result, cur, modulus, p)
-        cur = _poly_mul_mod(cur, cur, modulus, p)
+            out = out @ C % p
+        C = C @ C % p
         e >>= 1
-    return result
-
-
-def _poly_monic(a, p):
-    """a divided by its leading coefficient, high zeros dropped; [] for zero."""
-    a = [c % p for c in a]
-    while a and a[-1] == 0:
-        a.pop()
-    inv = pow(a[-1], p - 2, p) if a else 0
-    return [c * inv % p for c in a]
-
-
-def _poly_gcd(a, b, p):
-    """Monic gcd over F_p."""
-    a, b = _poly_monic(a, p), _poly_monic(b, p)
-    while b:
-        a, b = b, _poly_monic(_poly_reduce(a, b, p), p)
-    return a
+    return out
 
 
 def _x_is_primitive(modulus: tuple[int, ...], p: int) -> bool:
-    d = len(modulus) - 1
-    n_units = p**d - 1
-    one = [1] + [0] * (d - 1)
-    x = _poly_reduce([0, 1], modulus, p)  # nonzero: m(0) != 0
-    if _poly_pow_mod(x, n_units, modulus, p) != one:
-        return False
-    for r in prime_factors(n_units):
-        if _poly_pow_mod(x, n_units // r, modulus, p) == one:
-            return False
-    return True
+    """x has order p^d - 1 mod the modulus: C^(p^d - 1) = I and no
+    C^((p^d - 1)/r) = I for a prime r of p^d - 1."""
+    C = _companion(modulus, p)
+    n_units = p ** len(C) - 1
+    eye = np.eye(len(C), dtype=np.int64)
+    return (np.array_equal(_mat_pow_mod(C, n_units, p), eye)
+            and not any(np.array_equal(_mat_pow_mod(C, n_units // r, p), eye)
+                        for r in prime_factors(n_units)))
 
 
 def _find_modulus(p: int, d: int) -> tuple[int, ...]:
@@ -163,9 +132,7 @@ def _antilog(modulus: tuple[int, ...], p: int) -> np.ndarray:
     """
     d = len(modulus) - 1
     n = p**d
-    step = np.zeros((d, d), dtype=np.int64)  # multiplication by x
-    step[:-1, 1:] = np.eye(d - 1, dtype=np.int64)
-    step[-1] = [-c % p for c in modulus[:d]]
+    step = _companion(modulus, p)  # multiplication by x
     block = np.eye(1, d, dtype=np.int64)
     while len(block) ** 2 < n:
         block = np.vstack((block, block @ step % p))

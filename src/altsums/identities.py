@@ -7,7 +7,9 @@ Everything here is exact polynomial algebra over small finite fields:
                              of (x - alpha y)^2,   n = 2q - 1;
 * the same identity grouped into Frobenius orbits, where each orbit of alpha
   contributes one irreducible homogeneous factor with prime-field
-  coefficients, so the right side lives in F_p[x, y];
+  coefficients, so the right side lives in F_p[x, y]; each factor passes
+  Rabin's test (`fp_irreducible`), and they are all monic irreducibles of
+  degree dividing f but x and x + 1 by a count per degree (`_necklace_count`);
 * the one-variable derivative bookkeeping for P(x) = x^n + 1 - (x+1)^n:
   P vanishes on all of F_q, P' = -x^(n-1) + (x+1)^(n-1) vanishes on
   F_q minus {0,-1}, hence (x - alpha)^2 divides P there.  The x^n and
@@ -34,14 +36,15 @@ q reads one P and one split product (`_split`).
 from __future__ import annotations
 
 import math
+from collections import Counter
 from functools import lru_cache, partial, reduce
-from itertools import accumulate, product, zip_longest
+from itertools import accumulate, combinations, zip_longest
 from typing import NamedTuple
 
 import numpy as np
 
-from .fields import (FieldDescriptor, _poly_gcd, _poly_monic, _poly_pow_mod,
-                     _poly_reduce, build_field, factor_prime_power, prime_factors)
+from .fields import (FieldDescriptor, _companion, _mat_pow_mod, build_field,
+                     factor_prime_power, prime_factors)
 
 
 class IdentityFalsifiedError(AssertionError):
@@ -180,30 +183,27 @@ def verify_identity_split(q: int) -> SplitIdentityReport:
 # -- irreducibility over the prime field (integer coefficient lists mod p) -----------
 
 def fp_irreducible(coeffs, p) -> bool:
-    """Rabin's test for a polynomial over F_p (any nonzero leading coeff)."""
-    h = _poly_monic(coeffs, p)
+    """Rabin's test for a polynomial h over F_p (any nonzero leading coeff),
+    on the companion matrix C of monic h: g(C) = C^(p^k) - C for
+    g = x^(p^k) - x, invertible exactly when g is prime to h.  So h of degree
+    r is irreducible when C^(p^r) = C and, for each prime s of r,
+    C^(p^(r/s)) - C has full rank."""
+    h = np.trim_zeros(np.array([c % p for c in coeffs], dtype=np.int64), "b")
     r = len(h) - 1
     if r < 1:
         return False
-    x = _poly_reduce([0, 1], h, p)
-    if _poly_pow_mod(x, p**r, h, p) != x:
-        return False
-    for s in prime_factors(r):
-        g = _poly_pow_mod(x, p ** (r // s), h, p)
-        g[1] -= 1  # x^(p^(r/s)) - x
-        if len(_poly_gcd(g, h, p)) > 1:
-            return False
-    return True
+    C = _companion(h * pow(int(h[-1]), -1, p) % p, p)
+    return (np.array_equal(_mat_pow_mod(C, p**r, p), C)
+            and all(_fp_rank(list(_mat_pow_mod(C, p ** (r // s), p) - C), p) == r
+                    for s in prime_factors(r)))
 
 
-def enumerate_monic_irreducibles(p: int, degree: int):
-    """All monic irreducible polynomials of the given degree over F_p."""
-    out = []
-    for tail in product(range(p), repeat=degree):
-        poly = list(tail) + [1]
-        if fp_irreducible(poly, p):
-            out.append(tuple(poly))
-    return out
+def _necklace_count(p: int, r: int) -> int:
+    """Monic irreducibles of degree r over F_p: (1/r) sum over d | r of
+    mu(d) p^(r/d), mu nonzero only on products of distinct primes of r."""
+    primes = prime_factors(r)
+    return sum((-1) ** k * p ** (r // math.prod(ds))
+               for k in range(len(primes) + 1) for ds in combinations(primes, k)) // r
 
 
 # -- grouped identity over F_p ------------------------------------------------------
@@ -218,7 +218,8 @@ class GroupedIdentityReport(NamedTuple):
     prime_field_coeffs_ok: bool     # every orbit factor descends to F_p
     irreducible_ok: bool            # each dehomogenized factor irreducible
     complete_ok: bool               # factors = all monic irreducibles of
-                                    # degree dividing f except x and x + 1
+                                    # degree dividing f except x and x + 1,
+                                    # by a count per degree (necklace count)
     equal: bool                     # grouped identity holds in F_p[x, y]
     mismatches: tuple
 
@@ -263,13 +264,14 @@ def verify_identity_grouped(q: int) -> GroupedIdentityReport:
         if not fp_irreducible(dense, p):
             irred_ok = False
 
-    expected: set[tuple[int, ...]] = set()
-    for r in range(1, f + 1):
-        if f % r == 0:
-            for poly in enumerate_monic_irreducibles(p, r):
-                if poly not in {(0, 1), (1, 1)}:  # exclude x and x + 1
-                    expected.add(poly)
-    complete_ok = prime_ok and factor_polys == expected
+    # distinct irreducible factors, not x or x + 1, as many per degree r | f
+    # as the necklace count (two fewer for r = 1) and none of another degree:
+    # a subset of equal size of that finite set is all of it
+    expected = Counter({r: _necklace_count(p, r) - 2 * (r == 1)
+                        for r in range(1, f + 1) if f % r == 0})
+    complete_ok = (prime_ok and irred_ok and len(factor_polys) == len(orbits)
+                   and not factor_polys & {(0, 1), (1, 1)}
+                   and Counter(len(h) - 1 for h in factor_polys) == expected)
 
     rhs = dehomogenized_sides(Fq, n, factors)[1]
     equal = prime_ok and np.array_equal(P, rhs)

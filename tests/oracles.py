@@ -29,11 +29,17 @@ independent oracle that only tests import.
   `_alpha_codes` reads them off the subgroup F_q^x of L^x.
 * The group side.  `oracle_spectrum` is the law of fix - 1 that a level's
   regime (`verdict.regime_for`) predicts for its traces.
+* Irreducibles over F_p.  `brute_irreducible` tries every monic divisor of
+  lower degree, where `identities.fp_irreducible` runs Rabin's test on a
+  companion matrix; `enumerate_monic_irreducibles` lists a degree's monic
+  irreducibles with it, which the grouped identity only counts
+  (`identities._necklace_count`).
 """
 
 import math
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from typing import NamedTuple
 
 import numpy as np
@@ -296,3 +302,38 @@ def oracle_spectrum(params: SystemParams, degree: int) -> dict[int, Fraction]:
     """The law of fix - 1 on the coset of Alt(2q) that regime_for names for
     the degree-`degree` level."""
     return spectrum(2 * params.q, *regime_for(params, degree))
+
+
+# -- irreducibles over the prime field --------------------------------------------
+
+def brute_irreducible(coeffs, p) -> bool:
+    """Trial division by every monic polynomial of degree at most half."""
+
+    def trim(a):
+        a = [c % p for c in a]
+        while a and a[-1] == 0:
+            a.pop()
+        return a
+
+    def remainder(a, b):
+        a = trim(a)
+        inv = pow(b[-1], p - 2, p)
+        while len(a) >= len(b):
+            shift = len(a) - len(b)
+            c = a[-1] * inv % p
+            for i, bc in enumerate(b):
+                a[shift + i] = (a[shift + i] - c * bc) % p
+            a = trim(a)
+        return a
+
+    h = trim(coeffs)
+    r = len(h) - 1
+    return r >= 1 and all(remainder(h, list(tail) + [1])
+                          for deg in range(1, r // 2 + 1)
+                          for tail in product(range(p), repeat=deg))
+
+
+def enumerate_monic_irreducibles(p: int, degree: int) -> list[tuple[int, ...]]:
+    """All monic irreducibles of the given degree over F_p, constant term first."""
+    return [tail + (1,) for tail in product(range(p), repeat=degree)
+            if brute_irreducible(tail + (1,), p)]

@@ -11,8 +11,8 @@ from itertools import product
 import numpy as np
 import pytest
 
-from altsums.fields import (BudgetExceededError, FieldDescriptor, build_field,
-                            embed, is_prime, prime_factors)
+from altsums.fields import (BudgetExceededError, FieldDescriptor, _x_is_primitive,
+                            build_field, embed, is_prime, prime_factors)
 
 
 # -- independent oracle ------------------------------------------------------
@@ -92,6 +92,31 @@ SEARCHED_MODULI = {
 @pytest.mark.parametrize("p,d", sorted(SEARCHED_MODULI))
 def test_modulus_matches_unfiltered_search(p, d):
     assert build_field(p, d).modulus == SEARCHED_MODULI[(p, d)]
+
+
+def oracle_order_of_x(m, p):
+    """The least e >= 1 with x^e = 1 mod m, one multiplication by x at a time."""
+    d = len(m) - 1
+    one = [1] + [0] * (d - 1)
+    cur, e = oracle_reduce([0, 1], m, p), 1
+    while cur != one:
+        cur, e = oracle_mul(cur, [0, 1], m, p), e + 1
+    return e
+
+
+@pytest.mark.parametrize("p,d", [(3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (5, 3), (7, 2)])
+def test_x_is_primitive_matches_the_order_of_x(p, d):
+    """Every monic m with m(0) != 0, reducible ones and irreducible ones whose
+    x is not a generator (x^2 + 1 over F_3, where x has order 4) included."""
+    for tail in product(range(p), repeat=d):
+        if tail[0]:
+            m = tail + (1,)
+            assert _x_is_primitive(m, p) == (oracle_order_of_x(m, p) == p**d - 1), m
+
+
+def test_x_is_not_primitive_mod_an_irreducible_of_smaller_order():
+    assert oracle_order_of_x((1, 0, 1), 3) == 4  # x^2 + 1 over F_3: x^2 = -1
+    assert not _x_is_primitive((1, 0, 1), 3)
 
 
 def test_canonical_text_format():

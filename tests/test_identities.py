@@ -4,9 +4,9 @@ Oracles: hand-expanded coefficients for the smallest field, pointwise
 evaluation of both sides of the split identity over F_{q^2} with scalar
 field arithmetic, scalar Horner evaluation and long division against the
 vectorized product and division passes, the necklace formula for counts
-of monic irreducibles, a brute-force product table as an independent
-irreducibility test, and rank examples where the mod-p answer differs from
-the rational one.
+of monic irreducibles, trial division (`oracles.brute_irreducible`) as an
+independent irreducibility test, and rank examples where the mod-p answer
+differs from the rational one.
 """
 
 import math
@@ -25,9 +25,9 @@ from altsums.identities import (
     SplitIdentityReport,
     WildInertiaReport,
     _fp_rank,
+    _necklace_count,
     _split_alphas,
     dehomogenized_sides,
-    enumerate_monic_irreducibles,
     fp_irreducible,
     mismatch_list,
     multiplicative_order,
@@ -41,6 +41,7 @@ from altsums.identities import (
     virtual_character_table,
     wild_inertia_span,
 )
+from oracles import brute_irreducible, enumerate_monic_irreducibles
 
 IDENTITY_SIZES = [3, 5, 7, 9, 11, 25, 27]
 
@@ -142,42 +143,10 @@ def test_split_identity_rejects_even_q():
 # -- irreducibility over the prime field --------------------------------------------
 
 
-def brute_irreducible(coeffs, p):
-    """Trial division by every lower-degree monic polynomial."""
-    from itertools import product as iproduct
-
-    def trim(a):
-        a = [c % p for c in a]
-        while a and a[-1] == 0:
-            a.pop()
-        return a
-
-    def divmod_(a, b):
-        a = trim(list(a))
-        inv = pow(b[-1], p - 2, p)
-        while len(a) >= len(b):
-            shift = len(a) - len(b)
-            c = a[-1] * inv % p
-            for i, bc in enumerate(b):
-                a[shift + i] = (a[shift + i] - c * bc) % p
-            a = trim(a)
-        return a
-
-    h = trim(list(coeffs))
-    r = len(h) - 1
-    if r < 1:
-        return False
-    for deg in range(1, r // 2 + 1):
-        for tail in iproduct(range(p), repeat=deg):
-            b = list(tail) + [1]
-            if not divmod_(h, b):
-                return False
-    return True
-
-
 def test_fp_irreducible_matches_trial_division():
     from itertools import product as iproduct
-    for p, degree in [(3, 2), (3, 3), (3, 4), (3, 5), (5, 2), (5, 3),
+    # r = 6 is the first degree with two primes, so both rank conditions run
+    for p, degree in [(3, 2), (3, 3), (3, 4), (3, 5), (3, 6), (5, 2), (5, 3),
                       (7, 2), (7, 3)]:
         for tail in iproduct(range(p), repeat=degree):
             poly = list(tail) + [1]
@@ -194,12 +163,19 @@ def test_fp_irreducible_ignores_a_scalar_factor():
                     fp_irreducible(h, p), (c, h)
 
 
+NECKLACE_COUNTS = {  # (1/r) sum over d | r of mu(d) p^(r/d)
+    (3, 1): 3, (3, 2): 3, (3, 3): 8, (3, 4): 18, (5, 1): 5, (5, 2): 10,
+    (7, 1): 7, (11, 1): 11}
+
+
 def test_monic_irreducible_counts_match_necklace_formula():
-    # (1/r) sum over d | r of mu(d) p^(r/d)
-    expected = {(3, 1): 3, (3, 2): 3, (3, 3): 8, (3, 4): 18,
-                (5, 1): 5, (5, 2): 10, (7, 1): 7, (11, 1): 11}
-    for (p, r), count in expected.items():
+    for (p, r), count in NECKLACE_COUNTS.items():
         assert len(enumerate_monic_irreducibles(p, r)) == count
+
+
+@pytest.mark.parametrize("p,r", sorted(NECKLACE_COUNTS) + [(3, 6), (5, 4)])
+def test_necklace_count_matches_trial_division(p, r):
+    assert _necklace_count(p, r) == len(enumerate_monic_irreducibles(p, r))
 
 
 def test_degree_two_irreducibles_over_f3_frozen():
@@ -236,6 +212,32 @@ def test_grouped_orbit_count_matches_split_factor_count():
         grouped = verify_identity_grouped(q)
         split = verify_identity_split(q)
         assert sum(grouped.factor_degrees) == split.factor_count
+
+
+def duplicate_an_orbit(orbits):
+    """The second of two orbits of equal length replaced by the first: the
+    same degree multiset, every factor still irreducible over F_p."""
+    i, j = next((i, j) for j, b in enumerate(orbits) for i, a in enumerate(orbits[:j])
+                if len(a) == len(b))
+    return orbits[:j] + [orbits[i]] + orbits[j + 1:]
+
+
+@pytest.mark.parametrize("tamper", [duplicate_an_orbit, lambda orbits: orbits[:-1]],
+                         ids=["duplicated", "dropped"])
+def test_grouped_completeness_sees_a_wrong_factor_set(monkeypatch, capsys, tamper):
+    """Repeated or missing irreducible factors fail the count per degree, and
+    `identity` exits 1 with one FALSIFIED line."""
+    orbits = identities._frobenius_orbits
+    monkeypatch.setattr(identities, "_frobenius_orbits",
+                        lambda F, codes: tamper(orbits(F, codes)))
+    report = verify_identity_grouped(9)
+    assert report.prime_field_coeffs_ok and report.irreducible_ok
+    assert not report.complete_ok
+    assert not report.ok
+    assert main(["identity", "--q", "9"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("FALSIFIED: GroupedIdentityReport failed")
+    assert err.count("\n") == 1
 
 
 # -- univariate code arrays ------------------------------------------------------------
