@@ -28,8 +28,7 @@ for power in (1, 2, 3):
 
 # The full report shows the parity dichotomy.  Odd degrees over F_3 have
 # -1 a non-square, so M3 tends to -1; even degrees tend to +1.
-report = moment_report(params, trace_tables(params, 6))
-for row in report.rows:
+for row in moment_report(params, trace_tables(params, 6)):
     print(f"degree {row.degree}  #L = {row.field_order:4d}  "
           f"M3 = {float(row.m3):+.4f}  target {row.m3_target:+d}  "
           f"deviation {row.m3_deviation:.4f}")

@@ -37,7 +37,7 @@ from .characters import (CharacterContext, chi2_code, chi2_minus_one,
                          gauss_identities, gauss_sum, hasse_davenport_check,
                          normalization_constant)
 from .traces import (CacheCorruptionError, NonRationalTraceError, SystemParams,
-                     TraceTable, moment_report, trace_table, trace_tables)
+                     TraceTable, trace_table, trace_tables)
 from .groups import (exact_moment, singleton_free_partitions, spectrum,
                      tensor_square_check)
 from .identities import (IdentityFalsifiedError, require_ok,
@@ -47,7 +47,7 @@ from .identities import (IdentityFalsifiedError, require_ok,
 from .curves import (CurveCount, count_points, curve_moment_report,
                      modified_third_moment)
 from .verdict import (VerdictConfig, VerdictReport, distribution_distance,
-                      spectrum_membership, verdict)
+                      moment_report, spectrum_membership, verdict)
 
 __all__ = [
     "BudgetExceededError",

@@ -49,11 +49,10 @@ from .traces import (
     NonRationalTraceError,
     Rows,
     SystemParams,
-    moment_report,
     trace_table,
     trace_tables,
 )
-from .verdict import VerdictConfig, verdict
+from .verdict import VerdictConfig, moment_report, verdict
 
 
 # Each RunConfig field, in order, with its default.
@@ -211,11 +210,11 @@ def _cmd_traces(cfg: RunConfig, args) -> int:
     return 0 if table.integral else 1
 
 
-def _moment_rows(report):
-    """M1-M3 rows of a moment report or of a verdict report."""
+def _moment_rows(rows):
+    """The CSV rows of MomentRows, or of the VerdictRows that extend them."""
     return [(r.degree, r.field_order, *_frac_cols(r.m1), *_frac_cols(r.m2),
              *_frac_cols(r.m3), r.m3_target, f"{r.m3_deviation:.6f}", int(r.integral))
-            for r in report.rows]
+            for r in rows]
 
 
 MOMENT_HEADER = ("degree,field_order,m1_num,m1_den,m2_num,m2_den,"
@@ -224,12 +223,12 @@ MOMENT_HEADER = ("degree,field_order,m1_num,m1_den,m2_num,m2_den,"
 
 def _cmd_moments(cfg: RunConfig, args) -> int:
     params = cfg.params()
-    report = moment_report(params, trace_tables(params, cfg.max_degree,
-                                                cache_dir=cfg.cache_dir))
+    rows = moment_report(params, trace_tables(params, cfg.max_degree,
+                                              cache_dir=cfg.cache_dir))
     doc = Document(cfg)
-    doc.section("moments", MOMENT_HEADER, _moment_rows(report))
+    doc.section("moments", MOMENT_HEADER, _moment_rows(rows))
     _emit(doc, args.output)
-    return 0 if all(r.integral for r in report.rows) else 1
+    return 0 if all(r.integral for r in rows) else 1
 
 
 def _identity_rows(q: int):
@@ -439,7 +438,7 @@ def _cmd_all(cfg: RunConfig, args) -> int:
         del L  # no table or count keeps L: the next level is built without it
 
     report = verdict(params, tables, config=cfg.verdict_config())
-    doc.section("moments", MOMENT_HEADER, _moment_rows(report))
+    doc.section("moments", MOMENT_HEADER, _moment_rows(report.rows))
 
     curve_header = ("degree,field_order,modified_num,modified_den,"
                     "empirical_num,empirical_den,bound,within")

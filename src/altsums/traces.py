@@ -19,12 +19,13 @@ M1 = 0 and M2 = (#L - 1)/#L exactly and be Frobenius invariant, T(t^p) =
 T(t).  This kernel is the only production path to S(t); the exact oracles
 it is tested against live with the tests.  trace_table builds one table and
 trace_tables the tower of degrees 1..n, one level's field at a time; the
-statistics take built tables.  Long tables are rendered a block of rows at
-a time (Rows).  A disk cache of altsums-trace-v2 files, each sealed with
-a CRC-32 trailer (hashlib would load OpenSSL), is read back into a table
-whose rows() must equal the file and which must pass both checks; a file
-that fails (an older format included) raises CacheCorruptionError naming it
-and its first bad row, never recomputed over.
+moments and the verdict over them (altsums.verdict) take built tables.
+Long tables are rendered a block of rows at a time (Rows).  A disk cache of
+altsums-trace-v2 files, each sealed with a CRC-32 trailer (hashlib would
+load OpenSSL), is read back into a table whose rows() must equal the file
+and which must pass both checks; a file that fails (an older format
+included) raises CacheCorruptionError naming it and its first bad row,
+never recomputed over.
 """
 
 from __future__ import annotations
@@ -465,64 +466,3 @@ def _load_table(path: Path, params: SystemParams, degree: int,
         raise CacheCorruptionError(f"{path}: {exc}") from None
     return table
 
-
-# -- moments -------------------------------------------------------------------
-
-class MomentRow(NamedTuple):
-    degree: int
-    field_order: int
-    m1: Fraction
-    m2: Fraction
-    m3: Fraction
-    m3_target: int
-    m3_deviation: float
-    integral: bool
-
-
-class MomentReport(NamedTuple):
-    params: SystemParams
-    rows: tuple[MomentRow, ...]
-
-
-def moment_report(params: SystemParams,
-                  tables: dict[int, TraceTable]) -> MomentReport:
-    """First three exact moments per degree of `tables`, the trace tables of
-    `params` at the degrees 1..n (n >= 1), with the third-moment target.
-
-    The target is chi_2(-1) on the degree-D extension: +1 when #L = 1 mod 4,
-    -1 otherwise.
-    """
-    rows = tuple(_moment_row(t)[0] for t in _tower(params, tables))
-    return MomentReport(params=params, rows=rows)
-
-
-def _tower(params: SystemParams,
-           tables: dict[int, TraceTable]) -> list[TraceTable]:
-    """The tables of degrees 1..n in order; ValueError unless the keys are
-    exactly 1..n (n >= 1) and each table is that degree's table of `params`."""
-    degrees = range(1, len(tables) + 1)
-    if not tables or set(tables) != set(degrees):
-        raise ValueError(f"tables must be keyed by the degrees 1..n, n >= 1, "
-                         f"got {list(tables)}")
-    for D in degrees:
-        if (tables[D].params, tables[D].degree) != (params, D):
-            raise ValueError(
-                f"tables[{D}] is the degree-{tables[D].degree} table of "
-                f"{tables[D].params.label()}, not the degree-{D} table of "
-                f"{params.label()}")
-    return [tables[D] for D in degrees]
-
-
-def _moment_row(table: TraceTable):
-    """M1-M3 of one table, and the value counts they come from (None when
-    the table is not integral).  The target is chi_2(-1) on L, read off #L."""
-    try:
-        counts = table.value_counts()
-    except ValueError:  # not integral
-        counts = None
-    N = table.denominator
-    target = 1 if N % 4 == 1 else -1
-    m1, m2, m3 = (table.moment(k, counts) for k in (1, 2, 3))
-    return MomentRow(degree=table.degree, field_order=N, m1=m1, m2=m2,
-                     m3=m3, m3_target=target, m3_deviation=abs(float(m3 - target)),
-                     integral=counts is not None), counts

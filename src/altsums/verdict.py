@@ -1,18 +1,23 @@
-"""Statistical verdict layer: joins trace tables with exact group spectra.
+"""Statistics layer: per-degree moments, and the verdict that joins trace
+tables with exact group spectra.
 
 Regime dichotomy: the trace values at extension degree D must land in the
 spectrum of the deleted-permutation character of Alt(2q) when -1 is a
 square in the base field or D is even, and in the sgn-twisted spectrum of
 the odd coset of Sym(2q) otherwise.  Both conditions reduce to the sign
-chi_2(-1) on the degree-D extension (#L = 1 mod 4 or not), which is also
-the third-moment target.
+chi_2(-1) on the degree-D extension (#L = 1 mod 4 or not), which regime_for
+reads off #L without building L; the third-moment target is that sign, +1
+exactly in the alt regime.  Each degree has one MomentRow (M1-M3, the
+target, integrality), and its VerdictRow extends it by the regime and the
+spectrum statistics.
 
 All comparison statistics are exact rationals; the only floats are the
-configured tolerances.
+configured tolerances and the M3 deviation column.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -20,7 +25,7 @@ import numpy as np
 
 from .fields import checked_order
 from .groups import spectrum
-from .traces import SystemParams, TraceTable, _moment_row, _tower
+from .traces import SystemParams, TraceTable
 
 
 def regime_for(params: SystemParams, degree: int) -> tuple[str, str]:
@@ -29,6 +34,55 @@ def regime_for(params: SystemParams, degree: int) -> tuple[str, str]:
         return ("alt", "plain")
     return ("coset", "sgn")
 
+
+# -- moments -------------------------------------------------------------------
+
+class MomentRow(NamedTuple):
+    degree: int
+    field_order: int
+    m1: Fraction
+    m2: Fraction
+    m3: Fraction
+    m3_target: int
+    m3_deviation: float
+    integral: bool
+
+
+def moment_report(params: SystemParams,
+                  tables: dict[int, TraceTable]) -> tuple[MomentRow, ...]:
+    """First three exact moments per degree of `tables`, the trace tables of
+    `params` at the degrees 1..n (n >= 1), with the third-moment target."""
+    return tuple(_moment_row(t)[0] for t in _tower(params, tables))
+
+
+def _tower(params: SystemParams,
+           tables: dict[int, TraceTable]) -> list[TraceTable]:
+    """The tables of degrees 1..n in order; ValueError unless the keys are
+    exactly 1..n (n >= 1) and each table is that degree's table of `params`."""
+    degrees = range(1, len(tables) + 1)
+    if not tables or set(tables) != set(degrees):
+        raise ValueError(f"tables must be keyed by the degrees 1..n, n >= 1, "
+                         f"got {list(tables)}")
+    for D in degrees:
+        if (tables[D].params, tables[D].degree) != (params, D):
+            raise ValueError(
+                f"tables[{D}] is the degree-{tables[D].degree} table of "
+                f"{tables[D].params.label()}, not the degree-{D} table of "
+                f"{params.label()}")
+    return [tables[D] for D in degrees]
+
+
+def _moment_row(table: TraceTable):
+    """M1-M3 of one table, and the value counts they come from (None when
+    the table is not integral).  The target is +1 in the alt regime, else -1."""
+    try:
+        counts = table.value_counts()
+    except ValueError:  # not integral
+        counts = None
+    target = 1 if regime_for(table.params, table.degree)[0] == "alt" else -1
+    m1, m2, m3 = (table.moment(k, counts) for k in (1, 2, 3))
+    return MomentRow(table.degree, table.denominator, m1, m2, m3, target,
+                     abs(float(m3 - target)), counts is not None), counts
 
 class MembershipResult(NamedTuple):
     rate: Fraction
@@ -77,9 +131,6 @@ class VerdictConfig(NamedTuple):
     m3_tol: float = 0.2        # third-moment deviation threshold
     m3_min_order: int = 3**8   # enforce m3_tol on degrees with #L at least this
 
-    def as_dict(self) -> dict:
-        return self._asdict()
-
     def check(self) -> None:
         """Refuse a negative or NaN bound: NaN compares false both ways, so
         it would pass every check."""
@@ -94,20 +145,13 @@ def _frac(x: Fraction | None):
     return {"num": x.numerator, "den": x.denominator}
 
 
-class VerdictRow(NamedTuple):
-    degree: int
-    field_order: int
-    regime: str
-    twist: str
-    integral: bool
-    membership_rate: Fraction | None   # None when the table is not integral
-    offenders: tuple[tuple[int, int], ...]
-    tv_distance: Fraction | None
-    m1: Fraction
-    m2: Fraction
-    m3: Fraction
-    m3_target: int
-    m3_deviation: float
+class VerdictRow(namedtuple("VerdictRow", MomentRow._fields + (
+        "regime", "twist", "membership_rate", "offenders", "tv_distance"))):
+    """A degree's MomentRow extended by its regime and twist, its spectrum
+    membership rate and offenders ((t_index, integer trace value) pairs),
+    and its TV distance: None, () and None when the table is not integral."""
+
+    __slots__ = ()
 
     def as_dict(self) -> dict:
         return {
@@ -145,7 +189,7 @@ class VerdictReport(NamedTuple):
                 "q": self.params.q, "n": self.params.n,
             },
             "max_degree": self.max_degree,
-            "config": self.config.as_dict(),
+            "config": self.config._asdict(),
             "rows": [r.as_dict() for r in self.rows],
             "passed": self.passed,
             "failures": list(self.failures),
@@ -175,10 +219,8 @@ def verdict(params: SystemParams, tables: dict[int, TraceTable], *,
         oracle = spectrum(2 * params.q, regime, twist)
 
         if mrow.integral:
-            member = spectrum_membership(table, oracle, counts)
+            membership_rate, offenders = spectrum_membership(table, oracle, counts)
             tv = distribution_distance(table, oracle, counts)
-            membership_rate = member.rate
-            offenders = member.offenders
             if offenders:
                 first = offenders[0]
                 failures.append(
@@ -186,9 +228,7 @@ def verdict(params: SystemParams, tables: dict[int, TraceTable], *,
                     f"{regime}/{twist} spectrum, first t_index={first[0]} "
                     f"value={first[1]}")
         else:
-            membership_rate = None
-            tv = None
-            offenders = ()
+            membership_rate, offenders, tv = None, (), None
             bad = int(np.argmin(table.is_integer))  # the first False
             failures.append(
                 f"degree {D}: non-integer trace at t_index={bad} "
@@ -201,12 +241,8 @@ def verdict(params: SystemParams, tables: dict[int, TraceTable], *,
                 f"{mrow.m3_deviation:.4f} exceeds {cfg.m3_tol} "
                 f"at #L = {mrow.field_order}")
 
-        rows.append(VerdictRow(
-            degree=D, field_order=mrow.field_order, regime=regime, twist=twist,
-            integral=mrow.integral, membership_rate=membership_rate,
-            offenders=offenders, tv_distance=tv,
-            m1=mrow.m1, m2=mrow.m2, m3=mrow.m3,
-            m3_target=mrow.m3_target, m3_deviation=mrow.m3_deviation))
+        rows.append(VerdictRow(*mrow, regime, twist, membership_rate,
+                               offenders, tv))
 
     top = rows[-1]
     if top.tv_distance is not None:

@@ -743,11 +743,19 @@ def test_output_bytes_at_scale_are_pinned(monkeypatch, capsys, argv, digest):
      "92c7dceb015053a686413d2dfc9b9d6a1f5d5f2db747517b854d5df2c282b515"),
     (["groupstats", "--m", "486", "--regime", "coset", "--twist", "sgn"], 0,
      "246715ed0e96150a70f1c2bc6483c4f82ac32a028ac4bcf58353fd113f82758f"),
+    (["moments", "--p", "3", "--max-degree", "8"], 0,
+     "738067eecadad23f5937b9a965c074012a8459f5b1ba44bb1ba576763622ae58"),
+    (["moments", "--p", "5", "--max-degree", "4", "--format", "json"], 0,
+     "a101fe75a06f43061f7218056d5d9d1a13e53f51776cc5738c77000208bc82ce"),
+    (["moments", "--p", "3", "--f", "2", "--max-degree", "11"], 0,
+     "223b77b0d045f1f982f23cab9e91c3ee842e169604c63c7b8a41a0fe7436832e"),
 ])
 def test_verdict_and_spectrum_bytes_are_pinned(capsys, argv, rc, digest):
     """The stdout digests and exit codes recorded for these invocations
     without a cache at commit 26f68eb: compare's JSON verdict passing and
-    failing, identities and traces at q = 243, and a large odd-coset spectrum."""
+    failing, identities and traces at q = 243, and a large odd-coset spectrum;
+    and at 437afb9, before the moment rows moved into altsums.verdict, the
+    moments of the tower to 3^8, of F_5 to 5^4 in JSON and of q = 9 to 3^11."""
     assert main(argv) == rc
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
@@ -1127,9 +1135,9 @@ def test_result_records_are_immutable_values():
         "degree=2, field_text=")
     with pytest.raises(AttributeError):
         table.numerators = ()
-    assert VerdictConfig().as_dict() == {"tv_max": 0.05, "m3_tol": 0.2,
-                                         "m3_min_order": 6561}
-    assert type(VerdictConfig().as_dict()) is dict
+    assert VerdictConfig()._asdict() == {"tv_max": 0.05, "m3_tol": 0.2,
+                                          "m3_min_order": 6561}
+    assert type(VerdictConfig()._asdict()) is dict
 
 
 # -- process entry -------------------------------------------------------------------

@@ -34,6 +34,7 @@ from altsums.identities import (
     require_ok,
     u_deriv,
     u_double_division,
+    u_eval,
     u_mul,
     verify_derivative_steps,
     verify_identity_grouped,
@@ -320,6 +321,20 @@ def test_double_division_matches_long_division():
                     assert [got1, got2][:m] == [0] * m
 
 
+def test_u_eval_is_the_first_remainder():
+    """u_eval, the Horner pass that reads P' at the alphas, equals the first
+    remainder of u_double_division at every x0 of F_9, F_25 and F_27, for
+    random code arrays with planted simple and double roots."""
+    rng = random.Random(76)
+    for F in (build_field(3, 2), build_field(5, 2), build_field(3, 3)):
+        everywhere = np.arange(F.order)
+        for a, root, m in random_polys(F, rng):
+            got = u_eval(F, a, everywhere)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, u_double_division(F, a, everywhere)[0])
+            assert m == 0 or got[root] == 0
+
+
 def test_u_deriv_product_rule():
     """(a b)' = a' b + a b' over F_5 and F_9, the sum taken by scalar
     addition in the test; u_deriv drops the high zero codes that k = 0 mod p
@@ -368,7 +383,8 @@ def test_derivative_steps_hold(q):
 def test_derivative_steps_see_a_simple_root(monkeypatch, q):
     """P with (x - alpha)^2 replaced by x - alpha at one alpha still vanishes
     on all of F_q, but its second remainder at alpha is not zero, so the
-    double-root check must fail on the division pass's second accumulator."""
+    double-root check must fail on the division pass's second accumulator,
+    and its derivative, read by the Horner pass at the alphas, with it."""
     p, f, n, F, alphas, P, prod = identities._split(q)
     alpha = alphas[-1]
     _, rhs = dehomogenized_sides(F, n, [[F.neg_code(a), 1] for a in alphas if a != alpha])
@@ -378,6 +394,7 @@ def test_derivative_steps_see_a_simple_root(monkeypatch, q):
     report = verify_derivative_steps(q)
     assert report.vanishes_on_field
     assert not report.double_root_division_ok
+    assert not report.derivative_vanishes_ok
     assert not report.ok
 
 

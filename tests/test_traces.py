@@ -30,7 +30,8 @@ from altsums.traces import (CacheCorruptionError, NonRationalTraceError,
                             SystemParams, TraceTable, _cache_path,
                             _check_frobenius, _check_sum_rules, _load_table,
                             _save_table, _table, _trace_numerators,
-                            moment_report, trace_table, trace_tables)
+                            trace_table, trace_tables)
+from altsums.verdict import moment_report
 from oracles import (_additive_fft_counts, _finish, descent_consistency,
                      descent_trace, exact_numerators, normalized_trace,
                      raw_sum, raw_sum_naive)
@@ -333,12 +334,12 @@ def test_exact_moment_rules_and_integrality(params, maxD):
 
 
 def test_moment_report_targets():
-    rep = moment_report(P33, trace_tables(P33, 3))
-    assert [r.m3_target for r in rep.rows] == [-1, 1, -1]
-    assert all(r.m1 == 0 for r in rep.rows)
-    assert [r.field_order for r in rep.rows] == [3, 9, 27]
-    rep5 = moment_report(P55, trace_tables(P55, 2))
-    assert [r.m3_target for r in rep5.rows] == [1, 1]
+    rows = moment_report(P33, trace_tables(P33, 3))
+    assert [r.m3_target for r in rows] == [-1, 1, -1]
+    assert all(r.m1 == 0 for r in rows)
+    assert [r.field_order for r in rows] == [3, 9, 27]
+    rows5 = moment_report(P55, trace_tables(P55, 2))
+    assert [r.m3_target for r in rows5] == [1, 1]
 
 
 def test_empirical_moment_helper():

@@ -11,13 +11,16 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from altsums.characters import chi2_minus_one
 from altsums.groups import spectrum
-from altsums.traces import (SystemParams, TraceTable, moment_report,
-                            trace_table, trace_tables)
+from altsums.traces import SystemParams, TraceTable, trace_table, trace_tables
 from altsums.verdict import (
     MembershipResult,
+    MomentRow,
     VerdictConfig,
+    VerdictRow,
     distribution_distance,
+    moment_report,
     regime_for,
     spectrum_membership,
     verdict,
@@ -55,6 +58,51 @@ def test_oracle_spectrum_supports():
     assert set(oracle_spectrum(P33, 1)) == {-3, -1, 0, 1}
     assert oracle_spectrum(P33, 2) == spectrum(6, "alt", "plain")
     assert oracle_spectrum(P33, 1) == spectrum(6, "coset", "sgn")
+
+
+# -- one row per degree -----------------------------------------------------------
+
+
+def test_verdict_row_fields_extend_the_moment_row():
+    k = len(MomentRow._fields)
+    assert VerdictRow._fields[:k] == MomentRow._fields
+    assert VerdictRow._fields[k:] == ("regime", "twist", "membership_rate",
+                                      "offenders", "tv_distance")
+
+
+@pytest.mark.parametrize("params,max_degree", [
+    (P33, 6), (P55, 4), (SystemParams(3, 1, base_degree=2), 3)],
+    ids=["3^1..3^6", "5^1..5^4", "9^1..9^3"])
+def test_verdict_rows_start_with_the_moment_rows(params, max_degree):
+    tables = trace_tables(params, max_degree)
+    rows = moment_report(params, tables)
+    assert len(rows) == max_degree
+    k = len(MomentRow._fields)
+    assert [r[:k] for r in verdict(params, tables).rows] == list(rows)
+
+
+def test_verdict_row_extends_a_non_integral_moment_row():
+    """A hand-built tower whose degree-2 table has one entry 1/3: its value
+    counts are None, and the verdict row still starts with the moment row."""
+    bad = make_table(P33, 2, [9, -9, 0, -9, 0, 18, 0, -9, 3], 9)
+    tables = {1: trace_table(P33, 1), 2: bad}
+    rows = moment_report(P33, tables)
+    assert [r.integral for r in rows] == [True, False]
+    vrows = verdict(P33, tables).rows
+    k = len(MomentRow._fields)
+    assert [r[:k] for r in vrows] == list(rows)
+    assert vrows[1][k:] == ("alt", "plain", None, (), None)
+
+
+@pytest.mark.parametrize("base_degree", [1, 2])
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+def test_m3_target_is_chi2_minus_one_and_names_the_regime(p, base_degree):
+    """The target is chi_2(-1) on the built level, and +1 exactly when the
+    level's regime is alt: the two are read off #L by one rule."""
+    params = SystemParams(p, 1, base_degree=base_degree)
+    for row in moment_report(params, trace_tables(params, 2)):
+        assert row.m3_target == chi2_minus_one(params.extension(row.degree))
+        assert (row.m3_target == 1) == (regime_for(params, row.degree)[0] == "alt")
 
 
 # -- membership -------------------------------------------------------------------
