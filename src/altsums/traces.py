@@ -21,11 +21,11 @@ it is tested against live with the tests.  trace_table builds one table and
 trace_tables the tower of degrees 1..n, one level's field at a time; the
 moments and the verdict over them (altsums.verdict) take built tables.
 Long tables are rendered a block of rows at a time (Rows).  A disk cache of
-altsums-trace-v2 files, each sealed with a CRC-32 trailer (hashlib would
-load OpenSSL), is read back into a table whose rows() must equal the file
-and which must pass both checks; a file that fails (an older format
-included) raises CacheCorruptionError naming it and its first bad row,
-never recomputed over.
+altsums-trace-v3 files, each the table's int64 numerators under a two-line
+header and sealed with a CRC-32 trailer (hashlib would load OpenSSL), is
+read back into a table that must hold |T| < sqrt(#L) and pass both checks;
+a file that fails (an older format included) raises CacheCorruptionError
+naming it, never recomputed over.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ import zlib
 from collections import namedtuple
 from collections.abc import Iterator
 from fractions import Fraction
-from itertools import chain
 from operator import index
 from pathlib import Path
 from typing import NamedTuple
@@ -47,6 +46,7 @@ from .characters import CharacterContext, _chi2_sum
 from .fields import FieldDescriptor, build_field, checked_order
 
 ROW_BLOCK = 1024  # rows per %-format: a long table is never rendered whole
+TRACE_HEADER = "t_index,numerator,denominator,is_integer"
 
 
 class NonRationalTraceError(RuntimeError):
@@ -57,8 +57,8 @@ class NonRationalTraceError(RuntimeError):
 
 
 class CacheCorruptionError(RuntimeError):
-    """A trace-table cache file failed its format, checksum, row, sum-rule or
-    Frobenius checks."""
+    """A trace-table cache file failed its format, checksum, header, length,
+    range, sum-rule or Frobenius checks."""
 
 
 class SystemParams(namedtuple("SystemParams", "p f base_degree multiplier",
@@ -211,7 +211,7 @@ class TraceTable(_Int64Record, namedtuple(
         return bool(self.is_integer.all())
 
     def rows(self) -> Rows:
-        """The TRACE_HEADER rows, as in the cache and the CLI's output."""
+        """The TRACE_HEADER rows, as in the CLI's output."""
         return Rows(["%d", "%d", self.denominator, "%d"],
                     (range(len(self.numerators)), self.numerators, self.is_integer))
 
@@ -271,9 +271,10 @@ def _trace_numerators(params: SystemParams, L: FieldDescriptor) -> np.ndarray:
       c_p = 30 log2(4p).  The largest residual seen is 9e-8 (4001^2).
     * Checked anyway: a |v - rint(v)| or |Im v| of 1/4 or more raises
       NonRationalTraceError naming the first such t_index.
-    Peak: h and the FFT's two stage arrays (complex128) and the rows
-    (int64), 56 bytes per element, 0.9 GiB at #L = 2^24, held beside the
-    level's field L (four int64 tables, 32 bytes per element).
+    Peak: h and the FFT's two stage arrays (complex128), 48 bytes per
+    element, 0.75 GiB at #L = 2^24, held beside the level's field L (four
+    int64 tables, 32 bytes per element).  The rows (int64) are formed after
+    the FFT, and h is let go before them and the gather.
     """
     p, d, N = L.p, L.d, L.order
     M = N - 1
@@ -287,12 +288,16 @@ def _trace_numerators(params: SystemParams, L: FieldDescriptor) -> np.ndarray:
     # n % M first: n * logs wraps int64 once n (#L - 2) >= 2^63
     h[L.antilog_int] = zeta[e_tab[1 + (params.n % M) * logs % M]]  # poly_int is injective
     h[L.antilog_int[1::2]] *= -1  # chi_2(g^log) = (-1)^log
+    del logs  # not held through the FFT
+    F = np.fft.ifftn(h.reshape((p,) * d), norm="forward").reshape(N)
+    del h  # not held through the gather
     E = np.concatenate((e_tab[1:], e_tab[1:d]))  # E[j] = e(g^j), j < M + d - 1
     rows = np.zeros(N, dtype=np.int64)  # t = 0 has w = 0
     for i in range(d):  # digit i of the row of t = g^tau is e(g^(tau + i))
         rows[1:] += E[i:i + M] * p**i
-    del logs, E  # not held through the FFT
-    h = np.fft.ifftn(h.reshape((p,) * d), norm="forward").reshape(N)[rows]
+    del E
+    h = F[rows]
+    del F, rows
     h *= math.sqrt(N) * complex(round(a.real), round(a.imag))
     num = np.rint(h.real)
     bad = np.flatnonzero(np.maximum(abs(h.real - num), abs(h.imag)) >= 0.25)
@@ -377,19 +382,17 @@ def _cache_path(cache_dir, params: SystemParams, degree: int) -> Path:
     return Path(cache_dir) / name
 
 
-TRACE_HEADER = "t_index,numerator,denominator,is_integer"
-TRACE_FORMAT = "altsums-trace-v2"
+TRACE_FORMAT = "altsums-trace-v3"
 
 
-def _table_payload(table: TraceTable) -> bytes:
-    head = (f"# {TRACE_FORMAT} {table.params.label()} D={table.degree}\n"
-            f"# field: {table.field_text}\n{TRACE_HEADER}\n")
-    return "".join(chain((head,), table.rows().blocks())).encode()
+def _cache_header(params: SystemParams, degree: int, field_text: str) -> bytes:
+    return f"# {TRACE_FORMAT} {params.label()} D={degree}\n# field: {field_text}\n".encode()
 
 
 def _save_table(path: Path, table: TraceTable) -> None:
-    payload = _table_payload(table)
-    data = payload + f"# crc32={zlib.crc32(payload):08x}\n".encode()
+    data = (_cache_header(table.params, table.degree, table.field_text)
+            + table.numerators.astype("<i8").tobytes())
+    data += zlib.crc32(data).to_bytes(4, "little")
     path.parent.mkdir(parents=True, exist_ok=True)
     # a fresh name per writer; open(..., "x") keeps the umask mode (mkstemp: 0600)
     tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
@@ -402,67 +405,35 @@ def _save_table(path: Path, table: TraceTable) -> None:
         raise
 
 
-def _row_fault(body: str, N: int) -> str:
-    """Name the first row of a cache body that is not canonical or in range."""
-    for i, row in enumerate(body.split("\n")):
-        try:
-            num = int(row.split(",")[1])
-        except (IndexError, ValueError):
-            return f"malformed row {i}"
-        if row == f"{i},{num},{N},{int(num % N != 0)}":
-            return f"inconsistent integrality flag at row {i}"
-        if row != f"{i},{num},{N},{int(num % N == 0)}":
-            return f"malformed row {i}"
-        if num * num >= N**3:  # |T| < sqrt(#L), as |S| < #L and |A| = sqrt(#L)
-            return f"trace out of range at row {i}"
-
-
 def _load_table(path: Path, params: SystemParams, degree: int,
                 L: FieldDescriptor) -> TraceTable:
-    """Parse a cache file a block of rows at a time, each row with
-    |T| < sqrt(#L); the rows must then equal the loaded table's rows(), and
-    the table must pass the sum rules and be Frobenius invariant.  A file of
-    another format is refused before its trailer is read."""
+    """Check, in turn, a cache file's format tag, its CRC-32 trailer, its
+    header against the request and its length, then read its numerators,
+    each with |T| < sqrt(#L); the table must then pass the sum rules and be
+    Frobenius invariant."""
     data = path.read_bytes()
     if not data.startswith(f"# {TRACE_FORMAT} ".encode()):
         raise CacheCorruptionError(f"{path}: not in the {TRACE_FORMAT} format")
-    end = data.rfind(b"\n")
-    cut = data.rfind(b"\n", 0, max(end, 0)) + 1
-    payload = data[:cut]
-    if payload.count(b"\n") < 3 or not data.startswith(b"# crc32=", cut):
-        raise CacheCorruptionError(f"{path}: missing checksum trailer")
-    if data[cut:end] != f"# crc32={zlib.crc32(payload):08x}".encode():
+    if zlib.crc32(memoryview(data)[:-4]) != int.from_bytes(data[-4:], "little"):
         raise CacheCorruptionError(f"{path}: checksum mismatch")
-    head, field, columns, body = payload.decode("ascii", "replace").split("\n", 3)
-    if (head != f"# {TRACE_FORMAT} {params.label()} D={degree}"
-            or field != f"# field: {L.canonical_text()}"):
+    head = _cache_header(params, degree, L.canonical_text())
+    if not data.startswith(head):
         raise CacheCorruptionError(f"{path}: header does not match the request")
-    if columns != TRACE_HEADER:
-        raise CacheCorruptionError(f"{path}: bad column header")
-    N, rows = L.order, body.count("\n")
-    if rows != N:
-        raise CacheCorruptionError(f"{path}: expected {N} rows, found {rows}")
-    numerators, pos = np.empty(N, dtype=np.int64), 0
-    for s in range(0, N, ROW_BLOCK):
-        k = min(ROW_BLOCK, N - s)
-        stop = body.find(f"\n{s + k},", pos) + 1 if s + k < N else len(body)
-        try:
-            nums = list(map(int, body[pos:stop].split(",")[1::3]))
-            if len(nums) != k or max(map(abs, nums))**2 >= N**3:
-                raise ValueError
-        except ValueError:
-            raise CacheCorruptionError(f"{path}: {_row_fault(body, N)}") from None
-        numerators[s:s + k], pos = nums, stop
+    N, size = L.order, len(data) - len(head) - 4
+    if size != 8 * N:
+        raise CacheCorruptionError(f"{path}: expected {8 * N} bytes of numerators, "
+                                   f"found {size}")
+    numerators = np.frombuffer(data, "<i8", N, len(head)).astype(np.int64)
+    del data  # not held through the checks
     numerators.flags.writeable = False  # adopted by the table, not copied
-    table, pos = _table(params, degree, L, numerators), 0
-    for block in table.rows().blocks():
-        if not body.startswith(block, pos):
-            raise CacheCorruptionError(f"{path}: {_row_fault(body, N)}")
-        pos += len(block)
+    b = math.isqrt(N**3 - 1)  # |T| < sqrt(#L), as |S| < #L and |A| = sqrt(#L)
+    bad = np.flatnonzero((numerators > b) | (numerators < -b))
+    if bad.size:
+        raise CacheCorruptionError(f"{path}: trace out of range at t_index={bad[0]}")
+    table = _table(params, degree, L, numerators)
     try:
         _check_sum_rules(table)
         _check_frobenius(table)
     except NonRationalTraceError as exc:
         raise CacheCorruptionError(f"{path}: {exc}") from None
     return table
-

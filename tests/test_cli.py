@@ -322,7 +322,9 @@ def test_corrupt_cache_file_exits_two(tmp_path, capsys):
     argv = ["traces", "--p", "3", "--degree", "1", "--cache-dir", str(tmp_path)]
     assert main(argv) == 0
     cached = next(tmp_path.glob("altsums_trace_*.csv"))
-    cached.write_bytes(cached.read_bytes().replace(b"-3", b"-6", 1))
+    data = bytearray(cached.read_bytes())
+    data[-5] ^= 1  # the last numerator's top byte
+    cached.write_bytes(data)
     capsys.readouterr()
     assert main(argv) == 2
     assert cached.name in assert_one_usage_error(capsys)

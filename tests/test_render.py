@@ -1,27 +1,20 @@
-"""Block rendering and block parsing of long tables, against per-row oracles.
+"""Block rendering of long tables, against per-row oracles.
 
 Long tables (trace rows, curve counts) are rendered a block of rows at a
 time, one %-format per block, and the JSON document is written piece by
 piece.  The oracles here are the plain ways: `json.dumps(obj, indent=2)` for
-JSON, and one f-string per row for CSV and the trace cache, as the library
-wrote them before.  Cache files are parsed back a block at a time; a row
-must be spelled exactly as it is written, and the error names the first bad
-row.
+JSON, and one f-string per row for CSV, as the library wrote them before.
 """
 
 import json
 import random
-import zlib
 
 import numpy as np
 import pytest
 
-from altsums import traces
 from altsums.cli import _count_rows, _json_chunks, main
 from altsums.curves import count_points
-from altsums.traces import (ROW_BLOCK, CacheCorruptionError, Rows,
-                            SystemParams, TraceTable, _cache_path, _load_table,
-                            _table_payload, trace_table)
+from altsums.traces import ROW_BLOCK, Rows, SystemParams, TraceTable, trace_table
 
 P33 = SystemParams(p=3, f=1)
 
@@ -61,7 +54,7 @@ def rendered(value):
     return "".join(_json_chunks(value))
 
 
-# -- CSV and cache text ----------------------------------------------------------------
+# -- CSV text --------------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("params, degree", KERNEL)
@@ -69,9 +62,6 @@ def test_trace_rows_match_the_per_row_text(params, degree):
     table = trace_table(params, degree)
     text = "".join(table.rows().blocks())
     assert text == ref_trace_text(table)
-    head = (f"# altsums-trace-v2 {params.label()} D={degree}\n"
-            f"# field: {table.field_text}\n{traces.TRACE_HEADER}\n")
-    assert _table_payload(table) == (head + text).encode()
 
 
 @pytest.mark.parametrize("params, degree",
@@ -166,82 +156,3 @@ def test_traces_json_document_matches_json_dumps(capsys):
         [i, c, 6561, int(f)] for i, (c, f) in
         enumerate(zip(table.numerators, table.is_integer))]
     assert out == json.dumps(blob, indent=2) + "\n"
-
-
-# -- the trace cache, parsed a block at a time ----------------------------------------------
-
-
-def rewrite(path, edit):
-    """Apply `edit` to the payload of a cache file and re-seal its checksum."""
-    payload = path.read_bytes().rsplit(b"# crc32=", 1)[0]
-    payload = edit(payload.decode()).encode()
-    path.write_bytes(payload + f"# crc32={zlib.crc32(payload):08x}\n".encode())
-
-
-@pytest.mark.parametrize("block", [1, 2, 8, 9, 10, 26, 27, 28])
-def test_cache_round_trip_across_block_sizes(tmp_path, monkeypatch, block):
-    table = trace_table(P33, 3)  # 27 rows
-    trace_table(P33, 3, cache_dir=tmp_path)
-    monkeypatch.setattr(traces, "ROW_BLOCK", block)
-    assert _load_table(_cache_path(tmp_path, P33, 3), P33, 3,
-                       P33.extension(3)) == table
-
-
-# row 1 of the degree-1 table at p = 3 is "1,3,3,1"
-@pytest.mark.parametrize("spelling", ["+3", "03", "0_3", " 3", "3 ", "٣"])
-def test_cache_rejects_a_numerator_not_spelled_as_written(tmp_path, capsys,
-                                                          spelling):
-    argv = ["traces", "--p", "3", "--degree", "1", "--cache-dir", str(tmp_path)]
-    assert main(argv) == 0
-    path = _cache_path(tmp_path, P33, 1)
-    rewrite(path, lambda text: text.replace("\n1,3,3,1\n", f"\n1,{spelling},3,1\n"))
-    with pytest.raises(CacheCorruptionError, match="malformed row 1$"):
-        trace_table(P33, 1, cache_dir=tmp_path)
-    capsys.readouterr()
-    assert main(argv) == 2
-    err = capsys.readouterr().err
-    assert "malformed row 1" in err and err.count("\n") == 1
-
-
-ROW_FAULTS = [
-    ("\n1,3,3,1\n", "\n2,3,3,1\n", "malformed row 1"),         # wrong index
-    ("\n1,3,3,1\n", "\n1,3,9,1\n", "malformed row 1"),         # wrong denominator
-    ("\n1,3,3,1\n", "\n1,3,3,0\n", "inconsistent integrality flag at row 1"),
-    ("\n1,3,3,1\n", "\n1,3,3,2\n", "malformed row 1"),         # flag not 0/1
-    ("\n1,3,3,1\n", "\n1,3,3\n", "malformed row 1"),           # a missing cell
-    ("\n1,3,3,1\n", "\n1,3,3,1,0\n", "malformed row 1"),       # an extra cell
-    ("\n1,3,3,1\n", "\n1,3,3,1\r\n", "malformed row 1"),       # CRLF
-    ("\n1,3,3,1\n", "\n1,-0,3,1\n", "malformed row 1"),
-    ("\n1,3,3,1\n", "\n1,x,3,1\n", "malformed row 1"),
-    ("\n1,3,3,1\n", "\n1," + "9" * 5000 + ",3,1\n", "malformed row 1"),
-    ("\n1,3,3,1\n", "\n1,6,3,1\n", "trace out of range at row 1"),
-    ("\n0,-3,3,1\n", "\n0,-3,3,1\n1,3,3,1\n", "expected 3 rows, found 4"),
-    ("\n1,3,3,1\n", "\n", "expected 3 rows, found 2"),
-    ("\n1,3,3,1\n", "\n\n", "malformed row 1"),                # an empty row
-    ("t_index,", "t-index,", "bad column header"),
-]
-
-
-@pytest.mark.parametrize("old, new, message", ROW_FAULTS)
-def test_cache_row_faults_name_the_first_bad_row(tmp_path, capsys, old, new,
-                                                 message):
-    argv = ["traces", "--p", "3", "--degree", "1", "--cache-dir", str(tmp_path)]
-    assert main(argv) == 0
-    path = _cache_path(tmp_path, P33, 1)
-    rewrite(path, lambda text: text.replace(old, new, 1))
-    with pytest.raises(CacheCorruptionError, match=message):
-        trace_table(P33, 1, cache_dir=tmp_path)
-    capsys.readouterr()
-    assert main(argv) == 2
-
-
-def test_cache_names_the_first_bad_row_of_a_later_block(tmp_path, monkeypatch):
-    trace_table(P33, 3, cache_dir=tmp_path)
-    path = _cache_path(tmp_path, P33, 3)
-    lines = path.read_text().split("\n")
-    row = lines[3 + 20].split(",")  # row 20, in the third block of 8
-    lines[3 + 20] = ",".join([row[0], "+" + row[1].lstrip("-"), *row[2:]])
-    rewrite(path, lambda text: "\n".join(lines[:-2]) + "\n")
-    monkeypatch.setattr(traces, "ROW_BLOCK", 8)
-    with pytest.raises(CacheCorruptionError, match="malformed row 20$"):
-        trace_table(P33, 3, cache_dir=tmp_path)

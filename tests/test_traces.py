@@ -15,6 +15,7 @@ import shutil
 import sys
 import threading
 import tracemalloc
+import zlib
 from fractions import Fraction
 
 import numpy as np
@@ -272,6 +273,8 @@ def test_a_loaded_table_adopts_the_array_it_fills(tmp_path, monkeypatch):
     monkeypatch.setattr(traces, "_table", kept)
     table = trace_table(P33, 4, cache_dir=tmp_path)
     assert len(made) == 1 and np.shares_memory(made[0], table.numerators)
+    # a copy off the file's bytes, which it does not keep alive
+    assert table.numerators.base is None and not table.numerators.flags.writeable
 
 
 def test_cache_refuses_a_sealed_file_with_rows_swapped_across_orbits(tmp_path, capsys):
@@ -433,13 +436,18 @@ def test_cache_roundtrip_and_byte_stability(tmp_path, monkeypatch):
     trace_table(P33, 2, cache_dir=d2)
     blob2 = (d2 / files[0].name).read_bytes()
     assert blob1 == blob2
+    head = (f"# altsums-trace-v3 {P33.label()} D=2\n"
+            f"# field: {t1.field_text}\n").encode()
+    assert blob1 == head + t1.numerators.astype("<i8").tobytes() + \
+        zlib.crc32(blob1[:-4]).to_bytes(4, "little")
 
 
 def test_cache_corruption_detected(tmp_path):
     trace_table(P33, 1, cache_dir=tmp_path)
     f = next(tmp_path.glob("*.csv"))
-    data = f.read_bytes()
-    f.write_bytes(data.replace(b"-3", b"-6", 1))
+    data = bytearray(f.read_bytes())
+    data[-5] ^= 1  # the last numerator's top byte
+    f.write_bytes(data)
     with pytest.raises(CacheCorruptionError):
         trace_table(P33, 1, cache_dir=tmp_path)
 
@@ -460,7 +468,7 @@ def test_cache_rejects_a_checksummed_trace_out_of_range(tmp_path):
     nums = table.numerators.copy()
     nums[0] = 27 * 9
     _save_table(path, table._replace(numerators=nums))
-    with pytest.raises(CacheCorruptionError, match="out of range at row 0"):
+    with pytest.raises(CacheCorruptionError, match="out of range at t_index=0$"):
         trace_table(P33, 2, cache_dir=tmp_path)
     nums[0] = 2 * 9  # in range, but M1 = 1/9: the sum rules refuse it
     _save_table(path, table._replace(numerators=nums))
@@ -469,42 +477,109 @@ def test_cache_rejects_a_checksummed_trace_out_of_range(tmp_path):
 
 
 def test_cache_rejects_swapped_rows_by_the_checksum_alone(tmp_path):
-    # swapping two numerators keeps the format, every row's range and flag,
-    # and M1/M2: only the CRC-32 trailer tells the file from the table
+    # swapping two numerators keeps the format, the length, every range and
+    # M1/M2: only the CRC-32 trailer tells the file from the table
     table = trace_table(P33, 2, cache_dir=tmp_path)
     path = _cache_path(tmp_path, P33, 2)
     nums = table.numerators.copy()
     j = int(np.flatnonzero(nums != nums[0])[0])
     nums[[0, j]] = nums[[j, 0]]
-    trailer = path.read_bytes().rsplit(b"# crc32=", 1)[1]
     swapped = table._replace(numerators=nums)
-    path.write_bytes(traces._table_payload(swapped) + b"# crc32=" + trailer)
+    data = path.read_bytes()
+    body = len(data) - 4 - 8 * len(nums)
+    path.write_bytes(data[:body] + nums.astype("<i8").tobytes() + data[-4:])
     with pytest.raises(CacheCorruptionError, match="checksum mismatch$"):
         trace_table(P33, 2, cache_dir=tmp_path)
     _save_table(path, swapped)  # re-sealed, it passes every check
     assert np.array_equal(trace_table(P33, 2, cache_dir=tmp_path).numerators, nums)
 
 
-def test_cache_refuses_a_v1_file_by_its_format(tmp_path, capsys):
-    # the sha256-sealed v1 format: refused before its trailer is read
+def v2_payload(table):
+    """The altsums-trace-v2 CSV file of `table` up to its trailer."""
+    N = table.denominator
+    return "".join([f"# altsums-trace-v2 {table.params.label()} D={table.degree}\n"
+                    f"# field: {table.field_text}\n"
+                    "t_index,numerator,denominator,is_integer\n",
+                    *(f"{i},{c},{N},{c % N == 0:d}\n"
+                      for i, c in enumerate(table.numerators.tolist()))]).encode()
+
+
+def refused_by_its_format(tmp_path, capsys, seal):
+    """An older file, `seal`ed from the v2 payload, is refused by its format
+    tag, exits 2 with nothing on stdout and is left as it is; deleted, it is
+    recomputed."""
     argv = ["traces", "--p", "3", "--degree", "2", "--cache-dir", str(tmp_path)]
     assert main(argv) == 0
     want = capsys.readouterr().out
     path = _cache_path(tmp_path, P33, 2)
-    payload = path.read_bytes().rsplit(b"# crc32=", 1)[0].replace(
-        b"# altsums-trace-v2 ", b"# altsums-trace-v1 ", 1)
-    v1 = payload + f"# sha256={hashlib.sha256(payload).hexdigest()}\n".encode()
-    path.write_bytes(v1)
-    with pytest.raises(CacheCorruptionError, match="not in the altsums-trace-v2 format$"):
+    old = seal(v2_payload(trace_table(P33, 2)))
+    path.write_bytes(old)
+    with pytest.raises(CacheCorruptionError, match="not in the altsums-trace-v3 format$"):
         trace_table(P33, 2, cache_dir=tmp_path)
     assert main(argv) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert err == (f"usage error: corrupt trace cache file {path}: not in the "
-                   "altsums-trace-v2 format; delete it to recompute\n")
-    assert path.read_bytes() == v1
+                   "altsums-trace-v3 format; delete it to recompute\n")
+    assert path.read_bytes() == old
     path.unlink()
     assert main(argv) == 0 and capsys.readouterr().out == want
+
+
+def test_cache_refuses_a_v1_file_by_its_format(tmp_path, capsys):
+    # the sha256-sealed v1 format
+    def seal(payload):
+        payload = payload.replace(b"# altsums-trace-v2 ", b"# altsums-trace-v1 ", 1)
+        return payload + f"# sha256={hashlib.sha256(payload).hexdigest()}\n".encode()
+    refused_by_its_format(tmp_path, capsys, seal)
+
+
+def test_cache_refuses_a_v2_csv_file_by_its_format(tmp_path, capsys):
+    refused_by_its_format(tmp_path, capsys, lambda payload: payload + (
+        f"# crc32={zlib.crc32(payload):08x}\n".encode()))
+
+
+@pytest.mark.parametrize("edit", [
+    lambda data: data[:-6] + bytes([data[-6] ^ 0x80]) + data[-5:],  # a body bit
+    lambda data: data[:-1],                                          # truncated
+    lambda data: data[:-12],                                         # mid-numerator
+    lambda data: data + b"\0"],                                      # a byte more
+    ids=["flipped", "truncated", "truncated-mid-numerator", "appended"])
+def test_cache_refuses_a_damaged_file_by_its_checksum(tmp_path, edit):
+    trace_table(P33, 2, cache_dir=tmp_path)
+    path = _cache_path(tmp_path, P33, 2)
+    path.write_bytes(edit(path.read_bytes()))
+    with pytest.raises(CacheCorruptionError, match="checksum mismatch$"):
+        trace_table(P33, 2, cache_dir=tmp_path)
+
+
+B9 = 26  # isqrt(9**3 - 1): |numerator| <= 26 over #L = 9
+
+
+def put(j, value):
+    """An edit that sets numerator j to `value`."""
+    return lambda nums: np.where(np.arange(len(nums)) == j, np.int64(value), nums)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda nums: np.append(nums, 0), "expected 72 bytes of numerators, found 80$"),
+    (lambda nums: nums[:-1], "expected 72 bytes of numerators, found 64$"),
+    (put(4, B9 + 1), "trace out of range at t_index=4$"),
+    (put(4, -B9 - 1), "trace out of range at t_index=4$"),
+    (put(5, -2**63), "trace out of range at t_index=5$"),
+    (put(6, 2**63 - 1), "trace out of range at t_index=6$"),
+    (put(4, B9), "sum rules fail over "),
+    (put(4, -B9), "sum rules fail over ")],
+    ids=["one-more", "one-fewer", "b+1", "-b-1", "int64-min", "int64-max", "b", "-b"])
+def test_cache_refuses_resealed_numerators(tmp_path, capsys, edit, message):
+    # each file carries a valid CRC-32 and the requested header
+    table = trace_table(P33, 2)
+    path = _cache_path(tmp_path, P33, 2)
+    _save_table(path, table._replace(numerators=edit(table.numerators)))
+    with pytest.raises(CacheCorruptionError, match=message):
+        trace_table(P33, 2, cache_dir=tmp_path)
+    assert main(["traces", "--p", "3", "--degree", "2", "--cache-dir", str(tmp_path)]) == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_cache_header_mismatch_detected(tmp_path):
@@ -582,12 +657,13 @@ def test_int64_guard_before_finish_product():
 
 
 def test_trace_kernel_peak_memory_stays_near_its_budgeted_arrays():
-    # the kernel holds h and the FFT's two stage arrays (complex128) with
-    # the rows (int64), 56 bytes per element, and builds its psi tables
-    # inside the measured call; one (#L, p) int64 array (75 MB here) or a
-    # (p, p, p) index table would dwarf them.  The level's field (32 bytes
-    # per element) is built first and handed in, so it is not measured, and
-    # a first call fills numpy's FFT caches (3 bytes per element).
+    # the kernel holds h and the FFT's two stage arrays (complex128), 48
+    # bytes per element, forms the rows (int64) after the FFT, and builds
+    # its psi tables inside the measured call; one (#L, p) int64 array (75
+    # MB here) or a (p, p, p) index table would dwarf them.  The level's
+    # field (32 bytes per element) is built first and handed in, so it is
+    # not measured, and a first call fills numpy's FFT caches (3 bytes per
+    # element).
     params = SystemParams(p=211, f=1)
     L = params.extension(2)
     trace_table(params, 2, field=L)
