@@ -25,6 +25,8 @@ f(u y, y) = y^n P(u) with P(u) = f(u, 1), and y -> y^n maps L^x g-to-one
 onto the g-th powers, g = gcd(n, #L - 1).  Hence N(0) = #L + (#L - 1)
 #{u : P(u) = 0} and N(t) = g #{u : P(u) != 0, dlog P(u) = dlog t mod g}
 for t != 0, where the dlog of code j >= 1 (the element gen^(j-1)) is j - 1.
+P is read off the sum form in passes whose number does not depend on q; the
+tests evaluate the product form, and so check the identity over L as well.
 """
 
 from __future__ import annotations
@@ -67,30 +69,12 @@ class CurveCount(_Int64Record, namedtuple(
         return int(self.counts[0])
 
 
-def _alpha_codes(params: SystemParams, L: FieldDescriptor) -> list[int]:
-    """Codes in L of F_q minus {0, -1}, in no order: F_q^x in L^x has the codes
-    1 + k (#L - 1)/(q - 1), k < q - 1, and -1 is k = (q - 1)/2."""
-    q, step = params.q, (L.order - 1) // (params.q - 1)
-    return [1 + k * step for k in range(q - 1) if 2 * k != q - 1]
-
-
-def _eval_rows(L: FieldDescriptor, alphas: list[int],
-               x_codes: np.ndarray, y_codes: np.ndarray) -> np.ndarray:
-    """Value codes of f on the grid x_codes x y_codes."""
-    X = x_codes[:, None]
-    Y = y_codes[None, :]
-    acc = L.mul_codes_vec(L.mul_codes_vec(X, Y), L.add_codes_vec(X, Y))
-    for a in alphas:
-        term = L.add_codes_vec(X, L.mul_codes_vec(np.int64(L.neg_code(a)), Y))
-        acc = L.mul_codes_vec(acc, L.mul_codes_vec(term, term))
-    return acc
-
-
 def countable(params: SystemParams, degree: int, budget: int) -> bool:
     """Whether count_points counts the degree-`degree` level: #L is within
-    `budget` and F_q is a subfield of L.  Builds no field: since p > 2, p^d
-    passes the budget once d reaches its bit length, and a huge d never
-    forms p**d."""
+    `budget` and F_q is a subfield of L.  The sum form needs no F_q in L, but
+    the rule fixes which levels `all` counts at f > 1, and so its bytes.
+    Builds no field: since p > 2, p^d passes the budget once d reaches its
+    bit length, and a huge d never forms p**d."""
     d = params.base_degree * degree
     return d < budget.bit_length() and params.p**d <= budget and d % params.f == 0
 
@@ -111,14 +95,18 @@ def count_points(params: SystemParams, degree: int, *,
         size = f"p^d = {params.p}^{d}" if d >= budget.bit_length() else params.p**d
         raise BudgetExceededError(f"#L = {size} exceeds the point-count budget {budget}")
     L = params.extension(degree, field)
-    N = L.order
-    g = math.gcd(params.n, N - 1)
-    P = _eval_rows(L, _alpha_codes(params, L), np.arange(N, dtype=np.int64),
-                   np.ones(1, dtype=np.int64)).ravel()
+    N, M = L.order, L.order - 1
+    g = math.gcd(params.n, M)
+    # c^n at every code c: both factors are below 2^24, so int64 is exact
+    pw = np.concatenate(([0], 1 + np.arange(M, dtype=np.int64) * (params.n % M) % M))
+    # P(u) = u^n + 1 + (-u-1)^n = u^n + 1 - (u+1)^n, as n is odd
+    u1 = L.add_codes_vec(np.arange(N, dtype=np.int64), 1)
+    minus = L.mul_codes_vec(L.neg_code(1), pw[u1])
+    P = L.add_codes_vec(L.add_codes_vec(pw, 1), minus)
     classes = np.bincount((P[P != 0] - 1) % g, minlength=g)
     hist = np.empty(N, dtype=np.int64)
-    hist[0] = N + (N - 1) * int(np.count_nonzero(P == 0))
-    hist[1:] = g * classes[np.arange(N - 1) % g]
+    hist[0] = N + M * int(np.count_nonzero(P == 0))
+    hist[1:] = g * classes[np.arange(M) % g]
     hist.flags.writeable = False  # the count's own array, not a copy
     return CurveCount(params, degree, L.canonical_text(), hist,
                       modified_third_moment(L, hist))

@@ -12,14 +12,14 @@ DEFAULT_TABLE_BUDGET elements is the only size limit.
 An element is an int code, the library's only element type: 0 is zero and
 code j >= 1 is g^(j-1) for the generator g = x.  Multiplication is index
 addition mod p^d - 1; addition goes through a Zech logarithm table
-(zech[m] = dlog(1 + g^m)), built once per field.  Dense int arrays make the
+(zech[m] = dlog(1 + g^m)), built on first use.  Dense int arrays make the
 representation cheap to vectorize with numpy.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
 
 import numpy as np
@@ -164,7 +164,8 @@ def checked_order(p: int, d: int) -> int:
 
 class FieldDescriptor:
     """Immutable model of F_{p^d}; holds the lookup tables, read-only arrays
-    that build_field's memo shares and the trace kernel reads in place.
+    that build_field's memo shares and the trace kernel reads in place.  The
+    log and Zech tables, which the kernel never reads, are built on first use.
 
     Element codes: 0 is the zero element, code j >= 1 is g^(j-1).  Codes
     are the only element type: every method takes and returns them.
@@ -185,13 +186,6 @@ class FieldDescriptor:
             raise RuntimeError("generator order is not p^d - 1; table build broken")
         antilog = antilog[:M]
 
-        log_by_int = np.full(N, -1, dtype=np.int64)
-        log_by_int[antilog] = np.arange(M, dtype=np.int64)
-
-        a0 = antilog % p
-        zech_src = antilog - a0 + (a0 + 1) % p
-        zech = log_by_int[zech_src]
-
         # the absolute trace is F_p-linear: its value on x^i (a Frobenius
         # orbit sum, which must land in F_p) extends its table on base-p
         # packings by coordinate i, the next most significant digit
@@ -203,14 +197,29 @@ class FieldDescriptor:
                 raise RuntimeError("absolute trace fell outside the prime field")
             trace_by_int = ((np.arange(p)[:, None] * tr[0] + trace_by_int) % p).ravel()
         trace_by_code = np.concatenate(([0], trace_by_int[antilog]))
-        for table in (antilog, log_by_int, zech, trace_by_code):  # see the class
+        for table in (antilog, trace_by_code):  # see the class
             table.flags.writeable = False
 
         self.antilog_int = antilog
-        self.log_by_int = log_by_int
-        self.zech_log = zech
         self.trace_abs_by_code = trace_by_code
         self.minus_one_log = M // 2
+
+    @cached_property
+    def log_by_int(self) -> np.ndarray:
+        """dlog by base-p packing, -1 at 0; built on first use, read-only."""
+        table = np.full(self.order, -1, dtype=np.int64)
+        table[self.antilog_int] = np.arange(self.order - 1, dtype=np.int64)
+        table.flags.writeable = False
+        return table
+
+    @cached_property
+    def zech_log(self) -> np.ndarray:
+        """zech[m] = dlog(1 + g^m), -1 where 1 + g^m = 0; built on first use,
+        read-only.  Adding 1 changes only the constant coordinate."""
+        a0 = self.antilog_int % self.p
+        table = self.log_by_int[self.antilog_int - a0 + (a0 + 1) % self.p]
+        table.flags.writeable = False
+        return table
 
     # -- identity ---------------------------------------------------------
 

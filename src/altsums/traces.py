@@ -75,7 +75,7 @@ class SystemParams(namedtuple("SystemParams", "p f base_degree multiplier",
     def __new__(cls, p: int, f: int, base_degree: int = 1,
                 multiplier: int = 1) -> SystemParams:
         p, f, base_degree, multiplier = map(index, (p, f, base_degree, multiplier))
-        build_field(p, base_degree)  # validates p odd prime
+        checked_order(p, base_degree)  # p an odd prime; builds no field
         if f < 1:
             raise ValueError("f must be >= 1")
         if multiplier % p == 0:
@@ -272,9 +272,9 @@ def _trace_numerators(params: SystemParams, L: FieldDescriptor) -> np.ndarray:
     * Checked anyway: a |v - rint(v)| or |Im v| of 1/4 or more raises
       NonRationalTraceError naming the first such t_index.
     Peak: h and the FFT's two stage arrays (complex128), 48 bytes per
-    element, 0.75 GiB at #L = 2^24, held beside the level's field L (four
-    int64 tables, 32 bytes per element).  The rows (int64) are formed after
-    the FFT, and h is let go before them and the gather.
+    element, 0.75 GiB at #L = 2^24, held beside the level's field L (its
+    antilog and trace tables, 16 bytes per element).  The rows (int64) are
+    formed after the FFT, and h is let go before them and the gather.
     """
     p, d, N = L.p, L.d, L.order
     M = N - 1

@@ -21,12 +21,15 @@ independent oracle that only tests import.
   `normalization_constant_direct` sums the Gauss sum over it.  `psi`,
   `psi_exponent`, `sum_psi` and `sum_chi2` evaluate the characters one
   element, or one orthogonality sum, at a time.
-* The curve side.  `curve_weighted_sum` attaches the weight psi(t)
-  chi_2(-t) to a fiber histogram one t at a time; `triple_sum_direct`
-  attaches psi(f) chi_2(-f) pair by pair, never forming the histogram that
-  `count_points` makes.  Its alphas, `alpha_codes`, embed F_q minus {0, -1}
-  into L one element at a time (`fields.embed`), where the production
-  `_alpha_codes` reads them off the subgroup F_q^x of L^x.
+* The curve side.  `count_points` reads the fiber form f off its sum form
+  x^n + y^n + (-x-y)^n by homogeneity; `product_form_values` evaluates its
+  product form x y (x + y) prod (x - alpha y)^2 at every pair, a Zech pass
+  per factor, with each alpha in F_q minus {0, -1} embedded into L one
+  element at a time (`alpha_codes`, through `fields.embed`).  Their
+  agreement checks the split identity over L.  `curve_weighted_sum`
+  attaches the weight psi(t) chi_2(-t) to a fiber histogram one t at a
+  time; `triple_sum_direct` attaches psi(f) chi_2(-f) pair by pair, never
+  forming the histogram that `count_points` makes.
 * The group side.  `oracle_spectrum` is the law of fix - 1 that a level's
   regime (`verdict.regime_for`) predicts for its traces.
 * Irreducibles over F_p.  `brute_irreducible` tries every monic divisor of
@@ -37,6 +40,7 @@ independent oracle that only tests import.
 """
 
 import math
+from collections.abc import Iterator
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -45,7 +49,6 @@ from typing import NamedTuple
 import numpy as np
 
 from altsums.characters import CharacterContext, chi2_code
-from altsums.curves import _eval_rows
 from altsums.cyclotomic import CycInt
 from altsums.fields import BudgetExceededError, FieldDescriptor, build_field, embed
 from altsums.groups import spectrum
@@ -53,7 +56,7 @@ from altsums.identities import _split_alphas
 from altsums.traces import NonRationalTraceError, SystemParams
 from altsums.verdict import regime_for
 
-ROW_CHUNK = 256  # x-rows per block of triple_sum_direct: bounds its memory
+ROW_CHUNK = 256  # x-rows per block of product_form_values: bounds its memory
 
 
 def _additive_fft_counts(params: SystemParams, L: FieldDescriptor) -> np.ndarray:
@@ -271,6 +274,29 @@ def curve_weighted_sum(params: SystemParams, L: FieldDescriptor, counts) -> CycI
     return CycInt.from_power_counts(params.p, w)
 
 
+def _eval_rows(L: FieldDescriptor, alphas: list[int],
+               x_codes: np.ndarray, y_codes: np.ndarray) -> np.ndarray:
+    """Value codes of the product form f on the grid x_codes x y_codes, one
+    factor (x - alpha y)^2 per alpha."""
+    X = x_codes[:, None]
+    Y = y_codes[None, :]
+    acc = L.mul_codes_vec(L.mul_codes_vec(X, Y), L.add_codes_vec(X, Y))
+    for a in alphas:
+        term = L.add_codes_vec(X, L.mul_codes_vec(np.int64(L.neg_code(a)), Y))
+        acc = L.mul_codes_vec(acc, L.mul_codes_vec(term, term))
+    return acc
+
+
+def product_form_values(params: SystemParams, L: FieldDescriptor) -> Iterator[np.ndarray]:
+    """The value codes of the product form f over every pair of L, ROW_CHUNK
+    x-rows at a time; L must contain F_q."""
+    alphas = alpha_codes(params, L)
+    ys = np.arange(L.order, dtype=np.int64)
+    for start in range(0, L.order, ROW_CHUNK):
+        rows = np.arange(start, min(start + ROW_CHUNK, L.order), dtype=np.int64)
+        yield _eval_rows(L, alphas, rows, ys).ravel()
+
+
 def triple_sum_direct(params: SystemParams, degree: int) -> CycInt:
     """sum of psi(f(x,y)) chi_2(-f(x,y)) over pairs with f(x,y) != 0.
 
@@ -278,16 +304,11 @@ def triple_sum_direct(params: SystemParams, degree: int) -> CycInt:
     pair by pair instead of fiber by fiber, never forming the histogram.
     """
     L = params.extension(degree)  # F_q lies in L
-    N = L.order
-    alphas = alpha_codes(params, L)
-    ys = np.arange(N, dtype=np.int64)
     e_tab = psi_table(params.context(), L)
-    half = (N - 1) // 2
+    half = (L.order - 1) // 2
     even = np.zeros(params.p, dtype=np.int64)
     odd = np.zeros(params.p, dtype=np.int64)
-    for start in range(0, N, ROW_CHUNK):
-        rows = np.arange(start, min(start + ROW_CHUNK, N), dtype=np.int64)
-        v = _eval_rows(L, alphas, rows, ys).ravel()
+    for v in product_form_values(params, L):
         v = v[v != 0]
         exps = e_tab[v]
         neg_parity = (v - 1 + half) % 2

@@ -1,9 +1,11 @@
 """Checks for the curve point-count module.
 
-The independent oracle evaluates the fiber form through its power-sum
-expression x^n + y^n + (-x-y)^n with scalar code arithmetic, never touching
-the vectorized alpha-product kernel.  Over L = F_q the form vanishes
-identically (x^(2q-1) = x there), which freezes the degree-one counts.
+count_points reads the fiber form off its sum form x^n + y^n + (-x-y)^n by
+homogeneity.  Two oracles count every pair instead: `brute_counts`, the sum
+form in scalar code arithmetic, and the product form x y (x + y) prod
+(x - alpha y)^2 with its alphas embedded (oracles.product_form_values).
+Over L = F_q the form vanishes identically (x^(2q-1) = x there), which
+freezes the degree-one counts.
 """
 
 import math
@@ -17,7 +19,6 @@ from altsums.characters import chi2_minus_one, gauss_sum
 from altsums.curves import (
     CurveCount,
     NonRationalMomentError,
-    _alpha_codes,
     count_points,
     curve_moment_report,
     modified_third_moment,
@@ -25,7 +26,7 @@ from altsums.curves import (
 from altsums.cyclotomic import CycInt
 from altsums.fields import BudgetExceededError, FieldDescriptor
 from altsums.traces import SystemParams, trace_table
-from oracles import alpha_codes, curve_weighted_sum, triple_sum_direct
+from oracles import curve_weighted_sum, product_form_values, triple_sum_direct
 
 P33 = SystemParams(p=3, f=1)
 P55 = SystemParams(p=5, f=1)
@@ -78,10 +79,13 @@ def test_counts_match_power_sum_oracle(params, degree):
     assert list(got.counts) == brute_counts(params, degree)
 
 
-@pytest.mark.parametrize("params,degree", [(P33, 2), (P327, 3), (P39, 4)] + SWEEP)
-def test_alpha_codes_are_the_embedded_alphas(params, degree):
+@pytest.mark.parametrize("params,degree", [(P39, 4), (SystemParams(5, 2), 4), (P327, 6)])
+def test_counts_match_the_product_form_at_many_alphas(params, degree):
+    # q = 9, 25 and 27 over 3^4, 5^4 and 3^6: 7, 23 and 25 factors
+    # (x - alpha y)^2, each alpha embedded, where the count reads the sum form
     L = params.extension(degree)
-    assert sorted(_alpha_codes(params, L)) == sorted(alpha_codes(params, L))
+    hist = sum(np.bincount(v, minlength=L.order) for v in product_form_values(params, L))
+    assert np.array_equal(count_points(params, degree, field=L).counts, hist)
 
 
 @pytest.mark.parametrize("params,degree", [(P33, 1), (P55, 1), (P327, 3), (P39, 2)])

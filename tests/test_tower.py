@@ -45,6 +45,7 @@ RUNS = {  # argv: (q, the orders of the tower's levels)
     "all --p 3 --f 2 --max-degree 6": (9, [3**d for d in range(1, 7)]),
     "all --p 3 --base-degree 2 --max-degree 4": (3, [9, 81, 729, 6561]),
     "compare --p 3 --max-degree 9": (3, [3**d for d in range(1, 10)]),
+    "compare --p 3 --base-degree 3 --max-degree 3": (3, [27, 729, 19683]),
 }
 
 
@@ -111,3 +112,14 @@ def test_a_handed_field_changes_nothing_and_another_is_refused():
             trace_table(params, 4, field=other)
         with pytest.raises(ValueError, match="is not the degree-4 extension"):
             count_points(params, 4, field=other)
+
+
+def test_a_level_builds_its_log_and_zech_tables_only_for_a_count():
+    # the trace kernel reads the antilog and trace tables alone, so a level
+    # that only feeds it holds 16 bytes per element, not 32
+    params = SystemParams(p=3, f=1)
+    L = params.extension(5)
+    trace_table(params, 5, field=L)
+    assert {"log_by_int", "zech_log"}.isdisjoint(vars(L))
+    count_points(params, 5, field=L)
+    assert {"log_by_int", "zech_log"} <= vars(L).keys()

@@ -661,7 +661,7 @@ def test_trace_kernel_peak_memory_stays_near_its_budgeted_arrays():
     # bytes per element, forms the rows (int64) after the FFT, and builds
     # its psi tables inside the measured call; one (#L, p) int64 array (75
     # MB here) or a (p, p, p) index table would dwarf them.  The level's
-    # field (32 bytes per element) is built first and handed in, so it is
+    # field (16 bytes per element) is built first and handed in, so it is
     # not measured, and a first call fills numpy's FFT caches (3 bytes per
     # element).
     params = SystemParams(p=211, f=1)
