@@ -13,12 +13,12 @@ from altsums import SystemParams, moment_report, trace_table, trace_tables
 params = SystemParams(p=3, f=1)
 print("n =", params.n, " base field: F_3")
 
-# The degree-2 table: 9 exact values, one per element t of F_9.  Numerators
-# are exact cyclotomic integers divided by the normalization constant; the
-# table stores them as integers once integrality is verified.
+# The degree-2 table: 9 exact values, one per element t of F_9.  Each is a
+# numerator -S(t) conj(A) divided by #L = 9; no table is made unless #L
+# divides every numerator, so the table holds the integers themselves.
 table = trace_table(params, 2)
-print("degree 2 values:", table.int_values())
-print("all integral:", all(table.is_integer))
+print("degree 2 values:", table.values.tolist())
+print("numerators over #L =", table.denominator, ":", table.numerators.tolist())
 
 # Moments are exact rationals.  The first moment vanishes for degree >= 2,
 # the second counts the trivial constituent, the third detects the sign

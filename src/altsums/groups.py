@@ -27,6 +27,7 @@ from typing import NamedTuple
 
 REGIMES = ("sym", "alt", "coset")
 TWISTS = ("plain", "sgn")
+CHAR_LIMIT = 10  # tensor_square_check checks characters pointwise up to m = CHAR_LIMIT
 
 
 def partitions(m: int, _max: int | None = None):
@@ -176,12 +177,12 @@ class TensorSquareReport(NamedTuple):
     mismatches: tuple[tuple[tuple[int, ...], int, int], ...]
 
 
-def tensor_square_check(n: int, *, char_limit: int = 10) -> TensorSquareReport:
+def tensor_square_check(n: int) -> TensorSquareReport:
     """(fix-1)^2 decomposes into four irreducibles; dims always, values if m small.
 
     The constituents for Sym(m), m = n+1, are the partitions (m), (m-1,1),
     (m-2,2), (m-2,1,1) with dimensions 1, n, (n+1)(n-2)/2, n(n-1)/2; they sum
-    to n^2.  For m <= char_limit the identity is also verified pointwise on
+    to n^2.  For m <= CHAR_LIMIT the identity is also verified pointwise on
     every conjugacy class via the rim-hook recursion.
     """
     if n < 3:
@@ -197,7 +198,7 @@ def tensor_square_check(n: int, *, char_limit: int = 10) -> TensorSquareReport:
     expected = {"trivial": 1, "standard": n,
                 "two_row": (n + 1) * (n - 2) // 2, "hook": n * (n - 1) // 2}
     dim_ok = dims == expected and sum(dims.values()) == n * n
-    char_checked = m <= char_limit
+    char_checked = m <= CHAR_LIMIT
     char_ok = None
     mismatches: list[tuple[tuple[int, ...], int, int]] = []
     if char_checked:

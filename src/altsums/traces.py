@@ -8,14 +8,15 @@ base field k, the raw sum
 is a cyclotomic integer, and the normalized trace T(t) = -S(t) / A(L, n, psi)
 is a rational number with denominator dividing #L (computed exactly as
 -S * conj(A) / #L, since A * conj(A) = #L).  That every T(t) is a rational
-*integer* is a verification target, read off the numerators, never assumed.
+*integer* is a verification target, checked before any table is made.
 
 The production kernel computes every S(t) at once with one complex FFT of
-size #L and rounds -S * conj(A) to the read-only int64 numerators of a
-TraceTable: the numerators are integers by a Galois argument, the rounding
-error has an a-priori bound below 1/4, and each rounding is checked (see
-_trace_numerators).  Every computed table must then satisfy the sum rules
-M1 = 0 and M2 = (#L - 1)/#L exactly and be Frobenius invariant, T(t^p) =
+size #L and rounds -S * conj(A) to int64 numerators: they are integers by a
+Galois argument, the rounding error has an a-priori bound below 1/4, and
+each rounding is checked (see _trace_numerators).  _table, which makes every
+table, computed or loaded, then checks that #L divides each numerator, keeps
+the quotients T(t) as the TraceTable's read-only int64 values, and checks
+the sum rules M1 = 0 and M2 = (#L - 1)/#L and Frobenius invariance, T(t^p) =
 T(t).  This kernel is the only production path to S(t); the exact oracles
 it is tested against live with the tests.  trace_table builds one table and
 trace_tables the tower of degrees 1..n, one level's field at a time; the
@@ -23,9 +24,9 @@ moments and the verdict over them (altsums.verdict) take built tables.
 Long tables are rendered a block of rows at a time (Rows).  A disk cache of
 altsums-trace-v3 files, each the table's int64 numerators under a two-line
 header and sealed with a CRC-32 trailer (hashlib would load OpenSSL), is
-read back into a table that must hold |T| < sqrt(#L) and pass both checks;
-a file that fails (an older format included) raises CacheCorruptionError
-naming it, never recomputed over.
+read back into a table that must hold |T| < sqrt(#L) and pass the same
+checks; a file that fails (an older format included) raises
+CacheCorruptionError naming it, never recomputed over.
 """
 
 from __future__ import annotations
@@ -51,14 +52,14 @@ TRACE_HEADER = "t_index,numerator,denominator,is_integer"
 
 class NonRationalTraceError(RuntimeError):
     """A computed trace is wrong: not rational, not within 1/4 of an integer
-    numerator in the kernel's float value, or a table that breaks the sum
-    rules M1 = 0 and M2 = (#L - 1)/#L or Frobenius invariance.  Each
-    falsifies the computation."""
+    numerator in the kernel's float value, not an integer, or a table that
+    breaks the sum rules M1 = 0 and M2 = (#L - 1)/#L or Frobenius
+    invariance.  Each falsifies the computation."""
 
 
 class CacheCorruptionError(RuntimeError):
     """A trace-table cache file failed its format, checksum, header, length,
-    range, sum-rule or Frobenius checks."""
+    range, integrality, sum-rule or Frobenius checks."""
 
 
 class SystemParams(namedtuple("SystemParams", "p f base_degree multiplier",
@@ -190,60 +191,51 @@ class _Int64Record:
 
 
 class TraceTable(_Int64Record, namedtuple(
-        "TraceTable", "params degree field_text denominator numerators")):
-    """All N normalized traces over one extension: numerators[j] / #L.
+        "TraceTable", "params degree field_text values")):
+    """All N = #L normalized traces T(t) over one extension, as integers.
 
     Entry order is element-code order: index 0 is t = 0, index j >= 1 is
-    t = g^(j-1) for the field generator g.  `numerators` is one read-only
-    int64 array on every way of making a table, and tables compare and hash
-    by value (see _Int64Record).
+    t = g^(j-1) for the field generator g.  `values` is one read-only int64
+    array on every way of making a table, and tables compare and hash by
+    value (see _Int64Record).  The library makes tables with _table alone,
+    which checks them first.
     """
 
     __slots__ = ()
-    _array = "numerators"
+    _array = "values"
 
     @property
-    def is_integer(self) -> np.ndarray:
-        return self.numerators % self.denominator == 0
+    def denominator(self) -> int:
+        """#L, one entry per element of L."""
+        return len(self.values)
 
     @property
-    def integral(self) -> bool:
-        return bool(self.is_integer.all())
+    def numerators(self) -> np.ndarray:
+        """T(t) #L = -S(t) conj(A), as the cache stores it: a new array per read."""
+        return self.values * self.denominator
 
     def rows(self) -> Rows:
         """The TRACE_HEADER rows, as in the CLI's output."""
-        return Rows(["%d", "%d", self.denominator, "%d"],
-                    (range(len(self.numerators)), self.numerators, self.is_integer))
-
-    def int_array(self) -> np.ndarray:
-        """The values as int64, in entry order; raises on a non-integral table."""
-        values, rest = np.divmod(self.numerators, self.denominator)
-        if rest.any():
-            raise ValueError(f"non-integer trace at t_index={np.flatnonzero(rest)[0]}")
-        return values
-
-    def int_values(self) -> list[int]:
-        return self.int_array().tolist()
+        # is_integer is 1 on every row: the bytes bench/reference.json pins
+        return Rows(["%d", "%d", self.denominator, 1],
+                    (range(len(self.values)), self.numerators))
 
     def value_counts(self) -> tuple[int, np.ndarray]:
         """(lo, counts): counts[k] entries have the value lo + k.
 
         |T| < sqrt(#L), so a table from the kernel or the cache spans fewer
-        than 2 sqrt(#L) + 1 values.  Raises on a non-integral table.
+        than 2 sqrt(#L) + 1 values.
         """
-        v = self.int_array()
-        lo = int(v.min())
-        return lo, np.bincount(v - lo)
+        lo = int(self.values.min())
+        return lo, np.bincount(self.values - lo)
 
     def moment(self, power: int, counts=None) -> Fraction:
         """M_k = sum of T(t)^k over the entries, divided by #L (`counts`: the
         value_counts(), if already taken)."""
-        N = self.denominator
-        if not (counts or self.integral):  # exact per entry, over Python ints
-            return Fraction(sum(c**power for c in self.numerators.tolist()), N**(power + 1))
         lo, counts = counts or self.value_counts()
         return Fraction(sum(c * (lo + k)**power
-                            for k, c in enumerate(counts.tolist()) if c), N)
+                            for k, c in enumerate(counts.tolist()) if c),
+                        self.denominator)
 
 
 def _trace_numerators(params: SystemParams, L: FieldDescriptor) -> np.ndarray:
@@ -271,6 +263,8 @@ def _trace_numerators(params: SystemParams, L: FieldDescriptor) -> np.ndarray:
       c_p = 30 log2(4p).  The largest residual seen is 9e-8 (4001^2).
     * Checked anyway: a |v - rint(v)| or |Im v| of 1/4 or more raises
       NonRationalTraceError naming the first such t_index.
+    That #L divides each numerator, so that T(t) is an integer, is not
+    proved here: _table checks it.
     Peak: h and the FFT's two stage arrays (complex128), 48 bytes per
     element, 0.75 GiB at #L = 2^24, held beside the level's field L (its
     antilog and trace tables, 16 bytes per element).  The rows (int64) are
@@ -304,25 +298,21 @@ def _trace_numerators(params: SystemParams, L: FieldDescriptor) -> np.ndarray:
     if bad.size:
         raise NonRationalTraceError(f"trace numerator not within 1/4 of an integer "
                                     f"at t_index={bad[0]} over {L.canonical_text()}")
-    num = num.astype(np.int64)
-    num.flags.writeable = False  # so the table adopts it, not a copy
-    return num
+    return num.astype(np.int64)
 
 
 def trace_table(params: SystemParams, degree: int, *, cache_dir=None,
                 field: FieldDescriptor | None = None) -> TraceTable:
     """Compute (or load from a verified cache) the full trace table over L,
     the `field` the caller holds or else its own (SystemParams.extension).  L
-    over the table budget is refused first; a table, computed or loaded,
-    must pass the sum rules and be Frobenius invariant."""
+    over the table budget is refused first; a table, computed or loaded, is
+    made by _table, which checks it."""
     L = params.extension(degree, field)
     path = _cache_path(cache_dir, params, degree) if cache_dir else None
     if path is not None and path.exists():
         return _load_table(path, params, degree, L)
 
     table = _table(params, degree, L, _trace_numerators(params, L))
-    _check_sum_rules(table)
-    _check_frobenius(table)
     if path is not None:
         _save_table(path, table)
     return table
@@ -332,12 +322,9 @@ def _check_sum_rules(table: TraceTable) -> None:
     """Raise NonRationalTraceError unless M1 = 0 and M2 = (#L - 1)/#L: sum_t
     psi(t x) = #L [x = 0] and chi_2(0) = 0 give sum_t S(t) = 0, and Parseval
     gives sum_t |S(t)|^2 = #L (#L - 1), where |S|^2 = T^2 #L."""
-    N = table.denominator
-    try:
-        v = table.int_array()  # |T| < sqrt(#L): sum T^2 < #L^2 fits int64
-        m1, m2 = Fraction(int(v.sum()), N), Fraction(int(v @ v), N)
-    except ValueError:  # not integral: exact over the numerators
-        m1, m2 = table.moment(1), table.moment(2)
+    N, v = table.denominator, table.values
+    # |T| < sqrt(#L): sum T^2 < #L^2 fits int64
+    m1, m2 = Fraction(int(v.sum()), N), Fraction(int(v @ v), N)
     if m1 != 0 or m2 != Fraction(N - 1, N):
         raise NonRationalTraceError(
             f"sum rules fail over {table.field_text}: M1 = {m1} and M2 = {m2}, "
@@ -348,11 +335,11 @@ def _check_frobenius(table: TraceTable) -> None:
     """Raise NonRationalTraceError unless T(t^p) = T(t) for every t: x -> x^p
     permutes L and fixes chi_2 and psi (whose multiplier lies in F_p), so
     S(t^p) = S(t).  For t = g^j (code 1 + j), t^p = g^(p j mod (p^d - 1)),
-    and that product rotates the d base-p digits of j.  So the numerators of
+    and that product rotates the d base-p digits of j.  So the values of
     L^x, with t = 0 moved into the slot of j = p^d - 1 (which the rotation
     fixes), must equal themselves with the axes of their (p,)*d shape rolled."""
     p, d = table.params.p, table.params.base_degree * table.degree
-    v = np.concatenate((table.numerators[1:], table.numerators[:1])).reshape((p,) * d)
+    v = np.concatenate((table.values[1:], table.values[:1])).reshape((p,) * d)
     bad = np.flatnonzero(v != np.moveaxis(v, -1, 0))
     if bad.size:
         j, M = int(bad[0]), table.denominator - 1
@@ -363,7 +350,20 @@ def _check_frobenius(table: TraceTable) -> None:
 
 def _table(params: SystemParams, degree: int, L: FieldDescriptor,
            numerators: np.ndarray) -> TraceTable:
-    return TraceTable(params, degree, L.canonical_text(), L.order, numerators)
+    """The table of the writeable int64 `numerators` over L, each T(t) #L,
+    divided by #L in place and adopted as its values.  Raise
+    NonRationalTraceError unless #L divides every numerator, then unless
+    the values pass the sum rules and are Frobenius invariant."""
+    bad = np.flatnonzero(numerators % L.order)
+    if bad.size:
+        raise NonRationalTraceError(f"non-integer trace at t_index={bad[0]} "
+                                    f"over {L.canonical_text()}")
+    numerators //= L.order
+    numerators.flags.writeable = False  # so the table adopts it, not a copy
+    table = TraceTable(params, degree, L.canonical_text(), numerators)
+    _check_sum_rules(table)
+    _check_frobenius(table)
+    return table
 
 
 def trace_tables(params: SystemParams, max_degree: int, *,
@@ -391,7 +391,7 @@ def _cache_header(params: SystemParams, degree: int, field_text: str) -> bytes:
 
 def _save_table(path: Path, table: TraceTable) -> None:
     data = (_cache_header(table.params, table.degree, table.field_text)
-            + table.numerators.astype("<i8").tobytes())
+            + table.numerators.astype("<i8", copy=False).tobytes())
     data += zlib.crc32(data).to_bytes(4, "little")
     path.parent.mkdir(parents=True, exist_ok=True)
     # a fresh name per writer; open(..., "x") keeps the umask mode (mkstemp: 0600)
@@ -409,8 +409,8 @@ def _load_table(path: Path, params: SystemParams, degree: int,
                 L: FieldDescriptor) -> TraceTable:
     """Check, in turn, a cache file's format tag, its CRC-32 trailer, its
     header against the request and its length, then read its numerators,
-    each with |T| < sqrt(#L); the table must then pass the sum rules and be
-    Frobenius invariant."""
+    each with |T| < sqrt(#L); _table then checks them as it checks the
+    kernel's."""
     data = path.read_bytes()
     if not data.startswith(f"# {TRACE_FORMAT} ".encode()):
         raise CacheCorruptionError(f"{path}: not in the {TRACE_FORMAT} format")
@@ -425,15 +425,11 @@ def _load_table(path: Path, params: SystemParams, degree: int,
                                    f"found {size}")
     numerators = np.frombuffer(data, "<i8", N, len(head)).astype(np.int64)
     del data  # not held through the checks
-    numerators.flags.writeable = False  # adopted by the table, not copied
     b = math.isqrt(N**3 - 1)  # |T| < sqrt(#L), as |S| < #L and |A| = sqrt(#L)
     bad = np.flatnonzero((numerators > b) | (numerators < -b))
     if bad.size:
         raise CacheCorruptionError(f"{path}: trace out of range at t_index={bad[0]}")
-    table = _table(params, degree, L, numerators)
     try:
-        _check_sum_rules(table)
-        _check_frobenius(table)
+        return _table(params, degree, L, numerators)
     except NonRationalTraceError as exc:
         raise CacheCorruptionError(f"{path}: {exc}") from None
-    return table

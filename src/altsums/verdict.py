@@ -7,9 +7,9 @@ square in the base field or D is even, and in the sgn-twisted spectrum of
 the odd coset of Sym(2q) otherwise.  Both conditions reduce to the sign
 chi_2(-1) on the degree-D extension (#L = 1 mod 4 or not), which regime_for
 reads off #L without building L; the third-moment target is that sign, +1
-exactly in the alt regime.  Each degree has one MomentRow (M1-M3, the
-target, integrality), and its VerdictRow extends it by the regime and the
-spectrum statistics.
+exactly in the alt regime.  Each degree has one MomentRow (M1-M3 and the
+target), and its VerdictRow extends it by the regime and the spectrum
+statistics, all read off the table's integer values (see traces._table).
 
 All comparison statistics are exact rationals; the only floats are the
 configured tolerances and the M3 deviation column.
@@ -45,7 +45,6 @@ class MomentRow(NamedTuple):
     m3: Fraction
     m3_target: int
     m3_deviation: float
-    integral: bool
 
 
 def moment_report(params: SystemParams,
@@ -73,16 +72,13 @@ def _tower(params: SystemParams,
 
 
 def _moment_row(table: TraceTable):
-    """M1-M3 of one table, and the value counts they come from (None when
-    the table is not integral).  The target is +1 in the alt regime, else -1."""
-    try:
-        counts = table.value_counts()
-    except ValueError:  # not integral
-        counts = None
+    """M1-M3 of one table, and the value counts they come from.  The target
+    is +1 in the alt regime, else -1."""
+    counts = table.value_counts()
     target = 1 if regime_for(table.params, table.degree)[0] == "alt" else -1
     m1, m2, m3 = (table.moment(k, counts) for k in (1, 2, 3))
     return MomentRow(table.degree, table.denominator, m1, m2, m3, target,
-                     abs(float(m3 - target)), counts is not None), counts
+                     abs(float(m3 - target))), counts
 
 class MembershipResult(NamedTuple):
     rate: Fraction
@@ -98,18 +94,17 @@ def spectrum_membership(table: TraceTable, oracle: dict[int, Fraction],
     """Fraction of entries whose value lies in the oracle support.
 
     Read off the table's value counts; entries are visited only to list the
-    offenders, when some value lies outside the support.  Requires an
-    integral table: a non-integer entry is an upstream hard error, not a
-    membership miss.  `counts`: the table's value_counts(), if already taken.
+    offenders, when some value lies outside the support.  `counts`: the
+    table's value_counts(), if already taken.
     """
     lo, counts = counts or table.value_counts()
     outside = [k for k in np.flatnonzero(counts).tolist() if lo + k not in oracle]
     if not outside:
         return MembershipResult(rate=Fraction(1), offenders=())
-    total = len(table.numerators)
+    values = table.values
+    total = len(values)
     miss = np.zeros(len(counts), dtype=bool)
     miss[outside] = True
-    values = table.int_array()
     at = np.flatnonzero(miss[values - lo])
     return MembershipResult(
         rate=Fraction(total - len(at), total),
@@ -120,7 +115,7 @@ def distribution_distance(table: TraceTable, oracle: dict[int, Fraction],
                           counts=None) -> Fraction:
     """Exact total-variation distance between the empirical law and the oracle."""
     lo, counts = counts or table.value_counts()
-    total = len(table.numerators)
+    total = len(table.values)
     emp = {lo + k: Fraction(c, total) for k, c in enumerate(counts.tolist()) if c}
     gap = sum(abs(emp.get(v, 0) - oracle.get(v, 0)) for v in emp.keys() | oracle.keys())
     return gap / 2
@@ -139,9 +134,7 @@ class VerdictConfig(NamedTuple):
                              f"{self.tv_max} and {self.m3_tol}")
 
 
-def _frac(x: Fraction | None):
-    if x is None:
-        return None
+def _frac(x: Fraction):
     return {"num": x.numerator, "den": x.denominator}
 
 
@@ -149,7 +142,7 @@ class VerdictRow(namedtuple("VerdictRow", MomentRow._fields + (
         "regime", "twist", "membership_rate", "offenders", "tv_distance"))):
     """A degree's MomentRow extended by its regime and twist, its spectrum
     membership rate and offenders ((t_index, integer trace value) pairs),
-    and its TV distance: None, () and None when the table is not integral."""
+    and its TV distance."""
 
     __slots__ = ()
 
@@ -159,7 +152,7 @@ class VerdictRow(namedtuple("VerdictRow", MomentRow._fields + (
             "field_order": self.field_order,
             "regime": self.regime,
             "twist": self.twist,
-            "integral": self.integral,
+            "integral": True,  # no table is made otherwise; bench/reference.json pins it
             "membership_rate": _frac(self.membership_rate),
             "offender_count": len(self.offenders),
             "offenders": [list(o) for o in self.offenders[:10]],
@@ -201,11 +194,11 @@ def verdict(params: SystemParams, tables: dict[int, TraceTable], *,
     """Assemble per-degree checks and the overall pass/fail decision over
     `tables`, the trace tables of `params` at the degrees 1..max_degree.
 
-    PASS requires: every table integral, spectrum membership 100%
-    everywhere, |M3 - target| within tolerance on every degree with
-    #L >= m3_min_order, TV within tolerance at the largest degree, and a
-    smaller TV at the largest degree than at degree 1 (when max_degree > 1).
-    A bad tolerance, or tables that are not such a tower, raise ValueError.
+    PASS requires: spectrum membership 100% everywhere, |M3 - target|
+    within tolerance on every degree with #L >= m3_min_order, TV within
+    tolerance at the largest degree, and a smaller TV at the largest degree
+    than at degree 1 (when max_degree > 1).  A bad tolerance, or tables that
+    are not such a tower, raise ValueError.
     """
     cfg = config or VerdictConfig()
     cfg.check()
@@ -218,21 +211,14 @@ def verdict(params: SystemParams, tables: dict[int, TraceTable], *,
         regime, twist = regime_for(params, D)
         oracle = spectrum(2 * params.q, regime, twist)
 
-        if mrow.integral:
-            membership_rate, offenders = spectrum_membership(table, oracle, counts)
-            tv = distribution_distance(table, oracle, counts)
-            if offenders:
-                first = offenders[0]
-                failures.append(
-                    f"degree {D}: {len(offenders)} trace value(s) outside the "
-                    f"{regime}/{twist} spectrum, first t_index={first[0]} "
-                    f"value={first[1]}")
-        else:
-            membership_rate, offenders, tv = None, (), None
-            bad = int(np.argmin(table.is_integer))  # the first False
+        membership_rate, offenders = spectrum_membership(table, oracle, counts)
+        tv = distribution_distance(table, oracle, counts)
+        if offenders:
+            first = offenders[0]
             failures.append(
-                f"degree {D}: non-integer trace at t_index={bad} "
-                f"({table.numerators[bad]}/{table.denominator})")
+                f"degree {D}: {len(offenders)} trace value(s) outside the "
+                f"{regime}/{twist} spectrum, first t_index={first[0]} "
+                f"value={first[1]}")
 
         if (mrow.field_order >= cfg.m3_min_order
                 and mrow.m3_deviation > cfg.m3_tol):
@@ -244,18 +230,15 @@ def verdict(params: SystemParams, tables: dict[int, TraceTable], *,
         rows.append(VerdictRow(*mrow, regime, twist, membership_rate,
                                offenders, tv))
 
-    top = rows[-1]
-    if top.tv_distance is not None:
-        if float(top.tv_distance) > cfg.tv_max:
-            failures.append(
-                f"degree {max_degree}: TV distance {float(top.tv_distance):.4f} "
-                f"exceeds {cfg.tv_max}")
-        first_tv = rows[0].tv_distance
-        if (max_degree > 1 and first_tv is not None
-                and top.tv_distance >= first_tv):
-            failures.append(
-                f"TV distance did not shrink: degree {max_degree} has "
-                f"{float(top.tv_distance):.4f} vs {float(first_tv):.4f} at degree 1")
+    top_tv, first_tv = rows[-1].tv_distance, rows[0].tv_distance
+    if float(top_tv) > cfg.tv_max:
+        failures.append(
+            f"degree {max_degree}: TV distance {float(top_tv):.4f} "
+            f"exceeds {cfg.tv_max}")
+    if max_degree > 1 and top_tv >= first_tv:
+        failures.append(
+            f"TV distance did not shrink: degree {max_degree} has "
+            f"{float(top_tv):.4f} vs {float(first_tv):.4f} at degree 1")
 
     return VerdictReport(params=params, max_degree=max_degree, config=cfg,
                          rows=tuple(rows), passed=not failures,

@@ -173,7 +173,7 @@ def test_a_table_breaking_the_sum_rules_exits_one(monkeypatch, capsys):
     real = traces._trace_numerators
 
     def negated(params, L):  # M1 = 0 no longer holds
-        nums = real(params, L).copy()  # the kernel's array is read-only
+        nums = real(params, L)
         nums[1] = -nums[1]
         return nums
 
@@ -184,6 +184,32 @@ def test_a_table_breaking_the_sum_rules_exits_one(monkeypatch, capsys):
     assert captured.err == ("FALSIFIED: sum rules fail over p=3 d=2 "
                             "modulus=[2,1,1]: M1 = 2/9 and M2 = 8/9, not 0 "
                             "and 8/9\n")
+
+
+@pytest.mark.parametrize("argv", [["traces", "--p", "3", "--degree", "3"],
+                                  ["compare", "--p", "3", "--max-degree", "4"],
+                                  ["all", "--p", "3", "--max-degree", "4"]],
+                         ids=lambda a: a[0])
+def test_a_non_integer_kernel_trace_exits_one(monkeypatch, capsys, argv):
+    """One kernel numerator 1 off a multiple of #L at 3^3: no table is made,
+    so the run exits 1 with one FALSIFIED line, before any document."""
+    real = traces._trace_numerators
+
+    def plus_one(params, L):
+        nums = real(params, L)
+        if L.order == 27:
+            nums[7] += 1
+        return nums
+
+    monkeypatch.setattr(traces, "_trace_numerators", plus_one)
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    falsified = [line for line in captured.err.splitlines()
+                 if line.startswith("FALSIFIED: ")]
+    assert falsified == ["FALSIFIED: non-integer trace at t_index=7 over "
+                         f"{build_field(3, 3).canonical_text()}"]
+    assert "Traceback" not in captured.err
 
 
 @pytest.mark.parametrize("argv", [["all", "--p", "5", "--max-degree", "2"],
@@ -724,12 +750,17 @@ def test_all_output_bytes_are_pinned(tmp_path, capsys, argv, digest):
     (["all", "--p", "5", "--f", "2", "--max-degree", "3", "--budget", "15625",
       "--format", "json"],
      "561608ceb74779bda1211577c210746a62239fdcb84ed85f474ddbb463b65898"),
+    (["traces", "--p", "3", "--degree", "9", "--format", "json"],
+     "0302708f4ae75dac1ed29ad9dce50b7e0a79739f2c0e587fe97ea2ba787d8d93"),
+    (["traces", "--p", "5", "--base-degree", "2", "--degree", "3", "--format", "json"],
+     "afc69108b7c54f646ed62f72fca1c8d86f81321c56fe32abc16907853d15da4a"),
 ])
 def test_output_bytes_at_scale_are_pinned(monkeypatch, capsys, argv, digest):
     """The stdout digests recorded for these invocations without a cache:
     trace tables over 3^12 and 7^5 and the tower to 3^12 at commit 5fff025;
     curve counts under budgets past the default (the tower to 3^10, counted
-    at every level; 7^5; q = 25 to 5^3 in JSON) at commit 2cb8ec2."""
+    at every level; 7^5; q = 25 to 5^3 in JSON) at commit 2cb8ec2; the JSON
+    trace rows over 3^9 and over 5^6 as the cube of F_25 at commit 1a73a1a."""
     assert main(argv) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest

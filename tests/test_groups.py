@@ -13,7 +13,7 @@ from itertools import permutations
 
 import pytest
 
-from altsums.groups import (REGIMES, TWISTS, bell_number, character_value,
+from altsums.groups import (CHAR_LIMIT, REGIMES, TWISTS, bell_number, character_value,
                             class_size, conjugate_partition, exact_moment,
                             partitions, singleton_free_partitions, specht_dim,
                             spectrum, tensor_square_check)
@@ -345,6 +345,14 @@ def test_tensor_square_large_dims_only():
     assert rep.char_ok is None
     assert rep.dims == {"trivial": 1, "standard": 13, "two_row": 77, "hook": 78}
     assert sum(rep.dims.values()) == 169
+
+
+def test_tensor_square_checks_values_up_to_the_module_limit():
+    """m = n + 1 up to CHAR_LIMIT is checked pointwise; the limit is no keyword."""
+    assert tensor_square_check(CHAR_LIMIT - 1).char_checked
+    assert not tensor_square_check(CHAR_LIMIT).char_checked
+    with pytest.raises(TypeError):
+        tensor_square_check(5, char_limit=20)
 
 
 def test_tensor_square_pointwise_identity_sym6_explicit():

@@ -76,12 +76,11 @@ def test_count_rows_match_the_per_row_text(params, degree):
 def test_blocks_at_the_block_size_edges(n):
     rng = random.Random(n)
     nums = tuple(rng.randrange(-2**70, 2**70) for _ in range(n))
-    # numerators over the int64 range and its ends, about half of them
-    # multiples of 9 (flag 1)
-    nums64 = [rng.randrange(-2**63, 2**63) if rng.random() < 0.5 else
-              9 * rng.randrange(-(2**63 // 9), 2**63 // 9 + 1) for _ in range(n)]
-    nums64[:2] = [-2**63, 2**63 - 1][:n]
-    table = TraceTable(P33, 1, "field", 9, np.array(nums64, dtype=np.int64))
+    # values whose numerators (value * n) span the int64 range and reach its ends
+    top = 2**63 // max(n, 1)
+    values = [rng.randrange(-top, top) for _ in range(n)]
+    values[:2] = [-top, top - 1][:n]
+    table = TraceTable(P33, 1, "field", np.array(values, dtype=np.int64))
     blocks = list(table.rows().blocks())
     assert len(blocks) == -(-n // ROW_BLOCK)
     assert "".join(blocks) == ref_trace_text(table)
@@ -153,6 +152,5 @@ def test_traces_json_document_matches_json_dumps(capsys):
     table = trace_table(P33, 8)
     blob = json.loads(out)
     assert blob["traces_degree_8"]["rows"] == [
-        [i, c, 6561, int(f)] for i, (c, f) in
-        enumerate(zip(table.numerators, table.is_integer))]
+        [i, c, 6561, int(c % 6561 == 0)] for i, c in enumerate(table.numerators.tolist())]
     assert out == json.dumps(blob, indent=2) + "\n"

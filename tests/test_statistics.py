@@ -3,8 +3,8 @@
 `TraceTable.moment`, `spectrum_membership` and `distribution_distance` take
 one `np.bincount` of a table's integer values.  The references below walk
 the entries one by one in plain Python ints, as the library did before; they
-are compared on kernel tables and on seeded random tables: integral ones,
-ones with values outside the oracle support, and doctored non-integral ones.
+are compared on kernel tables and on seeded random tables, some with values
+outside the oracle support.
 """
 
 import random
@@ -61,18 +61,15 @@ def assert_matches_references(table, oracle):
     member = spectrum_membership(table, oracle)
     assert (member.rate, member.offenders) == ref_membership(table, oracle)
     assert distribution_distance(table, oracle) == ref_distance(table, oracle)
-    assert table.int_values() == ref_values(table)
+    assert table.values.tolist() == ref_values(table)
 
 
 # -- tables ------------------------------------------------------------------------------
 
 
-def random_table(rng, N, values, non_integral=0):
-    nums = [rng.choice(values) * N for _ in range(N)]
-    for i in rng.sample(range(N), non_integral):
-        nums[i] += rng.randrange(1, N)
-    return TraceTable(params=P33, degree=1, field_text="random", denominator=N,
-                      numerators=np.array(nums, dtype=np.int64))
+def random_table(rng, N, values):
+    return TraceTable(params=P33, degree=1, field_text="random",
+                      values=np.array([rng.choice(values) for _ in range(N)]))
 
 
 @pytest.mark.parametrize("params, degrees", [
@@ -108,35 +105,6 @@ def test_random_tables_with_offenders_match_the_references(seed):
     _, offenders = ref_membership(table, oracle)
     assert offenders  # -2 and 3 lie in neither support; each seed draws one
     assert spectrum_membership(table, oracle).offenders == offenders
-
-
-@pytest.mark.parametrize("seed", range(8))
-def test_doctored_non_integral_tables_keep_exact_moments(seed):
-    rng = random.Random(200 + seed)
-    N = rng.choice((9, 27, 81))
-    table = random_table(rng, N, range(-3, 6), non_integral=rng.randrange(1, 4))
-    assert not table.integral
-    for k in (1, 2, 3, 5):
-        assert table.moment(k) == ref_moment(table, k)
-    bad = next(i for i, c in enumerate(table.numerators.tolist()) if c % N)
-    oracle = oracle_spectrum(P33, 2)
-    for read in (table.int_values, table.value_counts,
-                 lambda: spectrum_membership(table, oracle),
-                 lambda: distribution_distance(table, oracle)):
-        with pytest.raises(ValueError, match=f"non-integer trace at t_index={bad}$"):
-            read()
-
-
-def test_non_integral_moments_do_not_wrap_around_int64():
-    # c^7 for |c| near 10^4 is near 10^28, past int64: a moment taken over
-    # the array's own int64 entries would wrap around silently
-    rng = random.Random(81)
-    nums = [rng.choice((-1, 1)) * rng.randrange(9_000, 10_001) for _ in range(81)]
-    nums[0] = 10_000  # not a multiple of 81
-    table = TraceTable(params=P33, degree=1, field_text="doctored",
-                       denominator=81, numerators=np.array(nums, dtype=np.int64))
-    assert not table.integral
-    assert table.moment(7) == Fraction(sum(c**7 for c in nums), 81**8)
 
 
 def test_value_counts_span_the_values():

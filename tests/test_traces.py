@@ -11,6 +11,7 @@ Frozen oracles, derived by hand:
 
 import hashlib
 import random
+import re
 import shutil
 import sys
 import threading
@@ -28,7 +29,7 @@ from altsums.curves import count_points
 from altsums.cyclotomic import CycInt
 from altsums.fields import BudgetExceededError, build_field
 from altsums.traces import (CacheCorruptionError, NonRationalTraceError,
-                            SystemParams, TraceTable, _cache_path,
+                            SystemParams, _cache_header, _cache_path,
                             _check_frobenius, _check_sum_rules, _load_table,
                             _save_table, _table, _trace_numerators,
                             trace_table, trace_tables)
@@ -57,15 +58,14 @@ def test_frozen_table_f3():
     table = trace_table(P33, 1)
     assert table.denominator == 3
     assert table.numerators.tolist() == [-3, 3, 0]
-    assert table.integral
-    assert table.int_values() == [-1, 1, 0]
+    assert table.values.tolist() == [-1, 1, 0]
 
 
 def test_frozen_table_f5():
     table = trace_table(P55, 1)
     assert table.denominator == 5
     assert table.numerators.tolist() == [5, -5, 5, 0, -5]
-    assert table.int_values() == [1, -1, 1, 0, -1]
+    assert table.values.tolist() == [1, -1, 1, 0, -1]
 
 
 def test_normalized_trace_single_matches_table():
@@ -104,7 +104,8 @@ def _sweep_configs():
 
 
 def _check_against_oracle(params, D, t_codes):
-    """FFT counts, numerators and flags equal the naive oracle at t_codes."""
+    """FFT counts and numerators equal the naive oracle at t_codes, and #L
+    divides each numerator."""
     L = params.extension(D)
     N = L.order
     counts = _additive_fft_counts(params, L)
@@ -115,7 +116,7 @@ def _check_against_oracle(params, D, t_codes):
         assert CycInt.from_power_counts(params.p, counts[code]) == naive, code
         num = ((-naive) * conjA).as_rational()
         assert table.numerators[code] == num
-        assert table.is_integer[code] == (num % N == 0)
+        assert num % N == 0
     for code in range(N):  # the single-t path equals every table row
         assert raw_sum(params, L, code) == \
             CycInt.from_power_counts(params.p, counts[code])
@@ -198,21 +199,54 @@ def _copy_another(nums, N):
     nums[1] = nums[j]
 
 
-@pytest.mark.parametrize("doctor", [
-    _negate_one, _plus_and_minus(lambda N: N), _plus_and_minus(lambda N: 1),
-    _copy_another], ids=["negated", "plus-minus-T", "plus-minus-numerator",
-                         "copied"])
-def test_sum_rules_catch_a_doctored_table(monkeypatch, doctor):
+@pytest.mark.parametrize("doctor, message", [
+    (_negate_one, "sum rules fail over "),
+    (_plus_and_minus(lambda N: N), "sum rules fail over "),
+    # M1 and M2 would not see it either: integrality, checked first, does
+    (_plus_and_minus(lambda N: 1), "non-integer trace at t_index=1 over "),
+    (_copy_another, "sum rules fail over ")],
+    ids=["negated", "plus-minus-T", "plus-minus-numerator", "copied"])
+def test_sum_rules_catch_a_doctored_table(monkeypatch, doctor, message):
     real = traces._trace_numerators
 
     def doctored(params, L):
-        nums = real(params, L).copy()  # the kernel's array is read-only
+        nums = real(params, L)
         doctor(nums, L.order)
         return nums
 
     monkeypatch.setattr(traces, "_trace_numerators", doctored)
-    with pytest.raises(NonRationalTraceError, match="sum rules fail over "):
+    with pytest.raises(NonRationalTraceError, match=message):
         trace_table(P33, 4)
+
+
+@pytest.mark.parametrize("t_index", [0, 1, 40])
+def test_a_kernel_numerator_off_a_multiple_of_the_order_is_refused(monkeypatch, t_index):
+    """#L must divide every numerator: one kernel numerator plus 1 makes no
+    table, before the sum rules are taken."""
+    real = traces._trace_numerators
+
+    def plus_one(params, L):
+        nums = real(params, L)
+        nums[t_index] += 1
+        return nums
+
+    monkeypatch.setattr(traces, "_trace_numerators", plus_one)
+    monkeypatch.setattr(traces, "_check_sum_rules", None)  # not reached
+    field = re.escape(P33.extension(4).canonical_text())
+    with pytest.raises(NonRationalTraceError,
+                       match=f"^non-integer trace at t_index={t_index} over {field}$"):
+        trace_table(P33, 4)
+
+
+@pytest.mark.parametrize("params, degrees", [
+    (P33, range(1, 7)), (P55, range(1, 4)), (SystemParams(3, 2, base_degree=2), range(1, 3))])
+def test_kernel_tables_hold_the_quotients_of_the_numerators(params, degrees):
+    for D in degrees:
+        L = params.extension(D)
+        table = trace_table(params, D)
+        assert table.denominator == L.order == len(table.values)
+        assert np.array_equal(table.numerators, table.values * table.denominator)
+        assert np.array_equal(table.numerators, exact_numerators(params, L))
 
 
 def _swap_across_orbits(nums, p):
@@ -226,9 +260,9 @@ def _swap_across_orbits(nums, p):
 
 def test_frobenius_invariance_catches_rows_swapped_across_orbits(monkeypatch, capsys):
     table = trace_table(P33, 5)
-    nums = table.numerators.copy()
-    _swap_across_orbits(nums, 3)
-    swapped = table._replace(numerators=nums)
+    values = table.values.copy()
+    _swap_across_orbits(values, 3)
+    swapped = table._replace(values=values)
     _check_sum_rules(swapped)  # symmetric in t: M1 and M2 still hold
     with pytest.raises(NonRationalTraceError, match="Frobenius invariance fails over "
                        "p=3 d=5 .*: the trace at t_index=2 differs"):
@@ -236,7 +270,7 @@ def test_frobenius_invariance_catches_rows_swapped_across_orbits(monkeypatch, ca
     real = traces._trace_numerators
 
     def doctored(params, L):
-        nums = real(params, L).copy()  # the kernel's array is read-only
+        nums = real(params, L)
         _swap_across_orbits(nums, params.p)
         return nums
 
@@ -247,8 +281,9 @@ def test_frobenius_invariance_catches_rows_swapped_across_orbits(monkeypatch, ca
 
 
 def test_a_computed_table_adopts_the_kernels_array(monkeypatch):
-    """The kernel's int64 array is read-only, so the table keeps it rather
-    than a copy: 8 bytes less per entry at each level (38 MB at 3^14)."""
+    """The kernel's int64 array is divided by #L in place and kept as the
+    table's values rather than a copy: 8 bytes less per entry at each level
+    (38 MB at 3^14)."""
     made = []
     real = traces._trace_numerators
 
@@ -258,7 +293,7 @@ def test_a_computed_table_adopts_the_kernels_array(monkeypatch):
 
     monkeypatch.setattr(traces, "_trace_numerators", kept)
     table = trace_table(P33, 5)
-    assert len(made) == 1 and np.shares_memory(made[0], table.numerators)
+    assert len(made) == 1 and np.shares_memory(made[0], table.values)
 
 
 def test_a_loaded_table_adopts_the_array_it_fills(tmp_path, monkeypatch):
@@ -272,17 +307,17 @@ def test_a_loaded_table_adopts_the_array_it_fills(tmp_path, monkeypatch):
 
     monkeypatch.setattr(traces, "_table", kept)
     table = trace_table(P33, 4, cache_dir=tmp_path)
-    assert len(made) == 1 and np.shares_memory(made[0], table.numerators)
+    assert len(made) == 1 and np.shares_memory(made[0], table.values)
     # a copy off the file's bytes, which it does not keep alive
-    assert table.numerators.base is None and not table.numerators.flags.writeable
+    assert table.values.base is None and not table.values.flags.writeable
 
 
 def test_cache_refuses_a_sealed_file_with_rows_swapped_across_orbits(tmp_path, capsys):
     table = trace_table(P33, 4)
     path = _cache_path(tmp_path, P33, 4)
-    nums = table.numerators.copy()
-    _swap_across_orbits(nums, 3)
-    _save_table(path, table._replace(numerators=nums))  # a valid CRC-32
+    values = table.values.copy()
+    _swap_across_orbits(values, 3)
+    _save_table(path, table._replace(values=values))  # a valid CRC-32
     with pytest.raises(CacheCorruptionError, match="Frobenius invariance fails"):
         trace_table(P33, 4, cache_dir=tmp_path)
     argv = ["traces", "--p", "3", "--degree", "4", "--cache-dir", str(tmp_path)]
@@ -301,7 +336,7 @@ def test_kernel_reduces_n_before_it_multiplies():
                           (SystemParams(5, 25), SystemParams(5, 1), 2)]:
         assert np.array_equal(trace_table(big, D).numerators,
                               trace_table(small, D).numerators)
-    assert trace_table(SystemParams(3, 200), 2).integral
+    assert len(trace_table(SystemParams(3, 200), 2).values) == 9
 
 
 def test_oracles_reduce_n_before_they_multiply():
@@ -329,11 +364,10 @@ def test_exact_moment_rules_and_integrality(params, maxD):
     for D in range(1, maxD + 1):
         table = trace_table(params, D)
         N = table.denominator
-        assert table.integral
         assert table.moment(1) == 0
         assert table.moment(2) == Fraction(N - 1, N)
         bound = params.n  # crude: rank times unit eigenvalues
-        assert all(abs(v) <= bound for v in table.int_values())
+        assert all(abs(v) <= bound for v in table.values.tolist())
 
 
 def test_moment_report_targets():
@@ -465,13 +499,13 @@ def test_cache_rejects_a_checksummed_trace_out_of_range(tmp_path):
     # valid checksum, would blow up the value counts the statistics read
     table = trace_table(P33, 2)
     path = _cache_path(tmp_path, P33, 2)
-    nums = table.numerators.copy()
-    nums[0] = 27 * 9
-    _save_table(path, table._replace(numerators=nums))
+    values = table.values.copy()
+    values[0] = 27
+    _save_table(path, table._replace(values=values))
     with pytest.raises(CacheCorruptionError, match="out of range at t_index=0$"):
         trace_table(P33, 2, cache_dir=tmp_path)
-    nums[0] = 2 * 9  # in range, but M1 = 1/9: the sum rules refuse it
-    _save_table(path, table._replace(numerators=nums))
+    values[0] = 2  # in range, but M1 = 1/9: the sum rules refuse it
+    _save_table(path, table._replace(values=values))
     with pytest.raises(CacheCorruptionError, match="sum rules fail .* M1 = 1/9"):
         trace_table(P33, 2, cache_dir=tmp_path)
 
@@ -481,10 +515,11 @@ def test_cache_rejects_swapped_rows_by_the_checksum_alone(tmp_path):
     # M1/M2: only the CRC-32 trailer tells the file from the table
     table = trace_table(P33, 2, cache_dir=tmp_path)
     path = _cache_path(tmp_path, P33, 2)
-    nums = table.numerators.copy()
-    j = int(np.flatnonzero(nums != nums[0])[0])
-    nums[[0, j]] = nums[[j, 0]]
-    swapped = table._replace(numerators=nums)
+    values = table.values.copy()
+    j = int(np.flatnonzero(values != values[0])[0])
+    values[[0, j]] = values[[j, 0]]
+    swapped = table._replace(values=values)
+    nums = swapped.numerators
     data = path.read_bytes()
     body = len(data) - 4 - 8 * len(nums)
     path.write_bytes(data[:body] + nums.astype("<i8").tobytes() + data[-4:])
@@ -553,6 +588,34 @@ def test_cache_refuses_a_damaged_file_by_its_checksum(tmp_path, edit):
         trace_table(P33, 2, cache_dir=tmp_path)
 
 
+def reseal(path, table, numerators):
+    """Write `numerators` (any int64 values) as the cache file of `table`:
+    its header, their bytes and a valid CRC-32 trailer, as _save_table
+    seals a table's own numerators."""
+    data = _cache_header(table.params, table.degree, table.field_text) + \
+        np.asarray(numerators, dtype="<i8").tobytes()
+    path.write_bytes(data + zlib.crc32(data).to_bytes(4, "little"))
+
+
+def test_cache_refuses_a_sealed_numerator_off_a_multiple_of_the_order(tmp_path, capsys):
+    """One numerator 1 off a multiple of #L, in range and sealed: the loader
+    refuses it, and the CLI exits 2 naming the file, with nothing on stdout."""
+    table = trace_table(P33, 3)
+    path = _cache_path(tmp_path, P33, 3)
+    nums = table.numerators
+    nums[5] += 1
+    reseal(path, table, nums)
+    with pytest.raises(CacheCorruptionError, match="non-integer trace at t_index=5 over "):
+        trace_table(P33, 3, cache_dir=tmp_path)
+    argv = ["traces", "--p", "3", "--degree", "3", "--cache-dir", str(tmp_path)]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"usage error: corrupt trace cache file {path}: non-integer "
+                   f"trace at t_index=5 over {table.field_text}; delete it to "
+                   "recompute\n")
+
+
 B9 = 26  # isqrt(9**3 - 1): |numerator| <= 26 over #L = 9
 
 
@@ -568,14 +631,15 @@ def put(j, value):
     (put(4, -B9 - 1), "trace out of range at t_index=4$"),
     (put(5, -2**63), "trace out of range at t_index=5$"),
     (put(6, 2**63 - 1), "trace out of range at t_index=6$"),
-    (put(4, B9), "sum rules fail over "),
-    (put(4, -B9), "sum rules fail over ")],
+    # b is in range, but not a multiple of #L = 9
+    (put(4, B9), "non-integer trace at t_index=4 over "),
+    (put(4, -B9), "non-integer trace at t_index=4 over ")],
     ids=["one-more", "one-fewer", "b+1", "-b-1", "int64-min", "int64-max", "b", "-b"])
 def test_cache_refuses_resealed_numerators(tmp_path, capsys, edit, message):
     # each file carries a valid CRC-32 and the requested header
     table = trace_table(P33, 2)
     path = _cache_path(tmp_path, P33, 2)
-    _save_table(path, table._replace(numerators=edit(table.numerators)))
+    reseal(path, table, edit(table.numerators))
     with pytest.raises(CacheCorruptionError, match=message):
         trace_table(P33, 2, cache_dir=tmp_path)
     assert main(["traces", "--p", "3", "--degree", "2", "--cache-dir", str(tmp_path)]) == 2
@@ -642,9 +706,6 @@ def test_finish_flags_rational_non_integers():
     counts = np.array([[1, 0, 0], [3, 0, 0], [1, 1, 1]])
     nums = _finish(counts, CycInt.one(3), 3, "synthetic")
     assert nums.dtype == np.int64 and nums.tolist() == [-1, -3, 0]
-    table = TraceTable(P33, 1, "synthetic", 3, nums)
-    assert table.is_integer.tolist() == [False, True, True]
-    assert not table.integral
 
 
 def test_int64_guard_before_finish_product():
@@ -696,7 +757,7 @@ def test_kernel_and_cache_tables_hold_a_read_only_int64_array(tmp_path):
     built = trace_table(P33, 3, cache_dir=tmp_path)
     loaded = trace_table(P33, 3, cache_dir=tmp_path)
     assert loaded == built
-    for array in (built.numerators, loaded.numerators, count_points(P33, 3).counts):
+    for array in (built.values, loaded.values, count_points(P33, 3).counts):
         assert isinstance(array, np.ndarray)
         assert array.dtype == np.int64
         assert not array.flags.writeable
@@ -712,13 +773,13 @@ def test_a_table_retains_about_eight_bytes_per_entry():
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert len(table.numerators) == 15625
+    assert len(table.values) == 15625
     assert held <= 9 * 15625 + 4096
 
 
 def _records(degree):
     """(record, name of its int64 array): a trace table and a curve count over 3^degree."""
-    return [(trace_table(P33, degree), "numerators"), (count_points(P33, degree), "counts")]
+    return [(trace_table(P33, degree), "values"), (count_points(P33, degree), "counts")]
 
 
 def test_tables_differing_in_one_numerator_compare_unequal():

@@ -32,10 +32,9 @@ P55 = SystemParams(p=5, f=1)
 P39 = SystemParams(p=3, f=2)
 
 
-def make_table(params, degree, numerators, denominator):
+def make_table(params, degree, values):
     return TraceTable(params=params, degree=degree, field_text="fabricated",
-                      denominator=denominator,
-                      numerators=np.array(numerators, dtype=np.int64))
+                      values=np.array(values, dtype=np.int64))
 
 
 # -- regime dispatch -------------------------------------------------------------
@@ -81,19 +80,6 @@ def test_verdict_rows_start_with_the_moment_rows(params, max_degree):
     assert [r[:k] for r in verdict(params, tables).rows] == list(rows)
 
 
-def test_verdict_row_extends_a_non_integral_moment_row():
-    """A hand-built tower whose degree-2 table has one entry 1/3: its value
-    counts are None, and the verdict row still starts with the moment row."""
-    bad = make_table(P33, 2, [9, -9, 0, -9, 0, 18, 0, -9, 3], 9)
-    tables = {1: trace_table(P33, 1), 2: bad}
-    rows = moment_report(P33, tables)
-    assert [r.integral for r in rows] == [True, False]
-    vrows = verdict(P33, tables).rows
-    k = len(MomentRow._fields)
-    assert [r[:k] for r in vrows] == list(rows)
-    assert vrows[1][k:] == ("alt", "plain", None, (), None)
-
-
 @pytest.mark.parametrize("base_degree", [1, 2])
 @pytest.mark.parametrize("p", [3, 5, 7, 11])
 def test_m3_target_is_chi2_minus_one_and_names_the_regime(p, base_degree):
@@ -109,7 +95,7 @@ def test_m3_target_is_chi2_minus_one_and_names_the_regime(p, base_degree):
 
 
 def test_membership_full():
-    table = make_table(P33, 2, [9, -9, 0, 18, 45, 9, 0, -9, 9], 9)
+    table = make_table(P33, 2, [1, -1, 0, 2, 5, 1, 0, -1, 1])
     result = spectrum_membership(table, oracle_spectrum(P33, 2))
     assert result.full
     assert result.rate == 1
@@ -118,24 +104,18 @@ def test_membership_full():
 
 def test_membership_offenders():
     # 3 and 4 are not trace values of the deleted permutation rep of Alt(6)
-    table = make_table(P33, 2, [9, 27, 0, 36, 45, 9, 0, -9, 9], 9)
+    table = make_table(P33, 2, [1, 3, 0, 4, 5, 1, 0, -1, 1])
     result = spectrum_membership(table, oracle_spectrum(P33, 2))
     assert result.rate == Fraction(7, 9)
     assert result.offenders == ((1, 3), (3, 4))
     assert not result.full
 
 
-def test_membership_requires_integral_table():
-    table = make_table(P33, 2, [9, 5, 0], 9)
-    with pytest.raises(ValueError, match="non-integer"):
-        spectrum_membership(table, oracle_spectrum(P33, 2))
-
-
 # -- total variation ---------------------------------------------------------------
 
 
 def test_distance_zero_and_one():
-    table = make_table(P33, 2, [0, 0, 4, 4], 4)
+    table = make_table(P33, 2, [0, 0, 1, 1])
     assert distribution_distance(
         table, {0: Fraction(1, 2), 1: Fraction(1, 2)}) == 0
     assert distribution_distance(
@@ -143,7 +123,7 @@ def test_distance_zero_and_one():
 
 
 def test_distance_hand_value():
-    table = make_table(P33, 2, [0, 0, 4, 4], 4)
+    table = make_table(P33, 2, [0, 0, 1, 1])
     oracle = {0: Fraction(1, 4), 1: Fraction(3, 4)}
     assert distribution_distance(table, oracle) == Fraction(1, 4)
 
@@ -172,7 +152,6 @@ def test_verdict_small_pipeline_passes():
     assert [r.regime for r in report.rows] == ["coset", "alt", "coset"]
     assert [r.twist for r in report.rows] == ["sgn", "plain", "sgn"]
     assert [r.m3_target for r in report.rows] == [-1, 1, -1]
-    assert all(r.integral for r in report.rows)
     assert all(r.membership_rate == 1 for r in report.rows)
     assert report.rows[0].tv_distance == Fraction(1, 12)
     assert report.rows[-1].tv_distance < report.rows[0].tv_distance
@@ -189,22 +168,12 @@ def test_verdict_reports_tv_failures_at_degree_four():
     assert all(r.membership_rate == 1 for r in report.rows)
 
 
-def test_verdict_flags_non_integral_table():
-    fake = make_table(P33, 1, [-3, 2, 0], 3)
-    report = verdict(P33, {1: fake})
-    assert not report.passed
-    assert any("non-integer trace at t_index=1" in f for f in report.failures)
-    row = report.rows[0]
-    assert row.membership_rate is None
-    assert row.tv_distance is None
-
-
 def test_verdict_flags_spectrum_offender():
     relaxed = VerdictConfig(tv_max=1.0)
-    fake = make_table(P33, 1, [-9, 3, 0], 3)  # values -3, 1, 0: all coset values
+    fake = make_table(P33, 1, [-3, 1, 0])  # values -3, 1, 0: all coset values
     report = verdict(P33, {1: fake}, config=relaxed)
     assert report.passed
-    fake = make_table(P33, 1, [6, 3, 0], 3)   # value 2 is not a coset value
+    fake = make_table(P33, 1, [2, 1, 0])   # value 2 is not a coset value
     report = verdict(P33, {1: fake}, config=relaxed)
     assert not report.passed
     assert any("outside" in f for f in report.failures)
@@ -212,7 +181,7 @@ def test_verdict_flags_spectrum_offender():
 
 
 def test_verdict_enforces_m3_threshold_by_field_order():
-    fake = make_table(P33, 1, [9, 9, 9], 3)  # all values 3: M3 = 27
+    fake = make_table(P33, 1, [3, 3, 3])  # all values 3: M3 = 27
     relaxed = VerdictConfig(tv_max=1.0, m3_min_order=10**9)
     report = verdict(P33, {1: fake}, config=relaxed)
     assert not any("M3" in f for f in report.failures)
