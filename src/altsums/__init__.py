@@ -14,12 +14,19 @@ is g^(j-1) for the field's generator g, in every argument and result.
 Results are immutable named-tuple records (`_asdict`, `_replace`); the inputs
 that validate their fields (SystemParams, CharacterContext) are named tuples
 too, checked by the constructor, `_make` and `_replace` alike.
+
+The package loads lazily (PEP 562): `import altsums` imports numpy and no
+layer module.  A public name, or a layer module's name, imports its home
+module on first access and is the very object that module holds; until then
+it is not in `vars(altsums)`.
 """
 
 __version__ = "0.1.0"
 
+import importlib as _importlib
 import os as _os
 import sys as _sys
+import types as _types
 
 # Integer arrays never reach BLAS, so an OpenBLAS worker pool would only cost
 # start-up time.  OpenBLAS reads the variable once, when numpy first loads it:
@@ -31,63 +38,51 @@ if "numpy" not in _sys.modules and "OPENBLAS_NUM_THREADS" not in _os.environ:
     finally:
         del _os.environ["OPENBLAS_NUM_THREADS"]
 
-from .fields import BudgetExceededError, FieldDescriptor, build_field, embed
-from .cyclotomic import CycInt
-from .characters import (CharacterContext, chi2_code, chi2_minus_one,
-                         gauss_identities, gauss_sum, hasse_davenport_check,
-                         normalization_constant)
-from .traces import (CacheCorruptionError, NonRationalTraceError, SystemParams,
-                     TraceTable, trace_table, trace_tables)
-from .groups import (exact_moment, singleton_free_partitions, spectrum,
-                     tensor_square_check)
-from .identities import (IdentityFalsifiedError, require_ok,
-                         verify_derivative_steps, verify_identity_grouped,
-                         verify_identity_split, virtual_character_table,
-                         wild_inertia_span)
-from .curves import (CurveCount, count_points, curve_moment_report,
-                     modified_third_moment)
-from .verdict import (VerdictConfig, VerdictReport, distribution_distance,
-                      moment_report, spectrum_membership, verdict)
+# The public names, by home module.
+_EXPORTS = {
+    "fields": ("BudgetExceededError", "FieldDescriptor", "build_field", "embed"),
+    "cyclotomic": ("CycInt",),
+    "characters": ("CharacterContext", "chi2_code", "chi2_minus_one",
+                   "gauss_identities", "gauss_sum", "hasse_davenport_check",
+                   "normalization_constant"),
+    "traces": ("CacheCorruptionError", "NonRationalTraceError", "SystemParams",
+               "TraceTable", "trace_table", "trace_tables"),
+    "groups": ("exact_moment", "singleton_free_partitions", "spectrum",
+               "tensor_square_check"),
+    "identities": ("IdentityFalsifiedError", "require_ok", "verify_derivative_steps",
+                   "verify_identity_grouped", "verify_identity_split",
+                   "virtual_character_table", "wild_inertia_span"),
+    "curves": ("CurveCount", "count_points", "curve_moment_report",
+               "modified_third_moment"),
+    "verdict": ("VerdictConfig", "VerdictReport", "distribution_distance",
+                "moment_report", "spectrum_membership", "verdict"),
+}
+_HOME = {name: layer for layer, names in _EXPORTS.items() for name in names}
 
-__all__ = [
-    "BudgetExceededError",
-    "CacheCorruptionError",
-    "CharacterContext",
-    "CurveCount",
-    "CycInt",
-    "FieldDescriptor",
-    "IdentityFalsifiedError",
-    "NonRationalTraceError",
-    "SystemParams",
-    "TraceTable",
-    "VerdictConfig",
-    "VerdictReport",
-    "build_field",
-    "chi2_code",
-    "chi2_minus_one",
-    "count_points",
-    "curve_moment_report",
-    "distribution_distance",
-    "embed",
-    "exact_moment",
-    "gauss_identities",
-    "gauss_sum",
-    "hasse_davenport_check",
-    "modified_third_moment",
-    "moment_report",
-    "normalization_constant",
-    "require_ok",
-    "singleton_free_partitions",
-    "spectrum",
-    "spectrum_membership",
-    "tensor_square_check",
-    "trace_table",
-    "trace_tables",
-    "verdict",
-    "verify_derivative_steps",
-    "verify_identity_grouped",
-    "verify_identity_split",
-    "virtual_character_table",
-    "wild_inertia_span",
-    "__version__",
-]
+__all__ = sorted(_HOME) + ["__version__"]
+
+
+def __getattr__(name):
+    if name in _HOME:
+        value = getattr(_importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+        globals()[name] = value
+        return value
+    if name in _EXPORTS:
+        return _importlib.import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_HOME) | set(_EXPORTS))
+
+
+class _Package(_types.ModuleType):
+    # Importing altsums.verdict binds the submodule to the package's
+    # `verdict`; the public function of that name keeps it.
+    def __setattr__(self, name, value):
+        if name in _HOME and isinstance(value, _types.ModuleType):
+            value = getattr(value, name)
+        super().__setattr__(name, value)
+
+
+_sys.modules[__name__].__class__ = _Package
