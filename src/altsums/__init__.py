@@ -4,9 +4,10 @@ The library evaluates, in certified exact arithmetic, the trace functions of
 a family of rank 2q - 1 local systems on the affine line in odd
 characteristic, and confronts their value statistics with the character
 theory of Alt(2q) and Sym(2q).  Everything downstream of the field tables is
-integer, cyclotomic integer, or rational, except one complex FFT whose values
-are rounded to integers under an a-priori error bound and a check of each
-rounding; otherwise floats appear only in human-readable deviation columns.
+integer or rational (cyclotomic integers only in the Gauss-sum API), except
+one complex FFT whose values are rounded to integers under an a-priori error
+bound and a check of each rounding; otherwise floats appear only in
+human-readable deviation columns.
 
 A field element is an int code (altsums.fields): 0 is zero and code j >= 1
 is g^(j-1) for the field's generator g, in every argument and result.

@@ -18,6 +18,8 @@ g * conj(g) = #L, g^2 = chi_2(-1) * #L and conj(g) = chi_2(-1) * g; these are
 verified objects here, not assumptions.  The normalization constant of the
 twisted sums is A(L, n, psi) = -chi_2(n * (-1)^((n-1)/2)) * g_L, and building
 it over every extension at once exposes the power law A(L) = A(k)^[L:k].
+The pipeline takes no Gauss sum in Z[zeta_p]: the trace kernel has g_L in
+closed form, and the curve moment reads the zeta-power counts of _chi2_counts.
 """
 
 from __future__ import annotations
@@ -29,11 +31,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .cyclotomic import CycInt
-from .fields import FieldDescriptor, build_field
+from .fields import FieldDescriptor, _Checked, build_field
 
 
-class CharacterContext(namedtuple("CharacterContext", "base multiplier",
-                                  defaults=(1,))):
+class CharacterContext(_Checked, namedtuple("CharacterContext", "base multiplier",
+                                            defaults=(1,))):
     """Base field plus the additive-character multiplier c in F_p^x, an int
     1 <= c < p, so psi_{L/k}(u) = zeta_p^(c Tr_{L/F_p}(u)) on every extension
     L.  Validated by the constructor, `_make` and `_replace` alike: a
@@ -46,11 +48,6 @@ class CharacterContext(namedtuple("CharacterContext", "base multiplier",
         if not 1 <= multiplier < base.p:
             raise ValueError("psi multiplier must be nonzero mod p")
         return super().__new__(cls, base, multiplier)
-
-    @classmethod
-    def _make(cls, iterable) -> CharacterContext:
-        # namedtuple's own _make, which its _replace calls, skips __new__
-        return cls(*iterable)
 
     @classmethod
     def make(cls, base: FieldDescriptor, multiplier: int = 1) -> CharacterContext:
@@ -83,20 +80,21 @@ def psi_exponent_table(ctx: CharacterContext, L: FieldDescriptor) -> np.ndarray:
     return table
 
 
-def _chi2_sum(p: int, e: np.ndarray, w=None) -> CycInt:
-    """Sum over L^x of zeta_p^e(x) chi_2(x) w(x), exact, for a psi exponent
-    table `e` and integer weights `w` (default 1), both by code.  Code j >= 1
-    has chi_2 = (-1)^(j-1); a float64 bincount adds integers exactly while
-    sum |w| < 2^53."""
+def _chi2_counts(p: int, e: np.ndarray, w=None) -> np.ndarray:
+    """Int64 counts c, sum_k c[k] zeta_p^k = sum over L^x of zeta_p^e(x)
+    chi_2(x) w(x), for a psi exponent table `e` and integer weights `w`
+    (default 1), both by code.  Code j >= 1 has chi_2 = (-1)^(j-1); a float64
+    bincount adds integers exactly while sum |w| < 2^53."""
     even, odd = (None, None) if w is None else (w[1::2], w[2::2])
     counts = (np.bincount(e[1::2], even, minlength=p)
               - np.bincount(e[2::2], odd, minlength=p))
-    return CycInt.from_power_counts(p, counts.astype(np.int64).tolist())
+    return counts.astype(np.int64)
 
 
 def gauss_sum(ctx: CharacterContext, L: FieldDescriptor) -> CycInt:
     """g_L = sum over L^x of psi(x) chi_2(x)."""
-    return _chi2_sum(ctx.base.p, psi_exponent_table(ctx, L))
+    p = ctx.base.p
+    return CycInt.from_power_counts(p, _chi2_counts(p, psi_exponent_table(ctx, L)))
 
 
 class GaussIdentityReport(NamedTuple):

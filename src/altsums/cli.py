@@ -32,7 +32,7 @@ from .curves import (
     countable,
     curve_moment_report,
 )
-from .fields import factor_prime_power
+from .fields import _Checked, factor_prime_power
 from .groups import REGIMES, TWISTS, exact_moment, spectrum
 from .identities import (
     IdentityFalsifiedError,
@@ -61,8 +61,8 @@ RUN_FIELDS = {"p": 3, "f": 1, "base_degree": 1, "multiplier": 1, "max_degree": 8
               "tv_max": 0.05, "m3_tol": 0.2, "m3_min_order": 3**8}
 
 
-class RunConfig(namedtuple("RunConfig", list(RUN_FIELDS),
-                           defaults=list(RUN_FIELDS.values()))):
+class RunConfig(_Checked, namedtuple("RunConfig", list(RUN_FIELDS),
+                                     defaults=list(RUN_FIELDS.values()))):
     """Full invocation state, as the run flags set it (argparse types each
     one).  Validated by the constructor, `_make` and `_replace` alike."""
 
@@ -74,11 +74,6 @@ class RunConfig(namedtuple("RunConfig", list(RUN_FIELDS),
             raise ValueError("degrees and budgets are positive")
         self.verdict_config().check()
         return self
-
-    @classmethod
-    def _make(cls, iterable) -> RunConfig:
-        # namedtuple's own _make, which its _replace calls, skips __new__
-        return cls(*iterable)
 
     def params(self) -> SystemParams:
         return SystemParams(*(getattr(self, name) for name in SystemParams._fields))

@@ -16,7 +16,9 @@ equals the empirical third moment M3 = sum_t T(t)^3 / #L exactly:
 * n = -1 mod p, so chi_2(n) = chi_2(-1), and (n - 1)/2 = q - 1 is even, so
   A = -chi_2(-1) g and M3 = -W / A^3 = (chi_2(-1)/g)^3 W.  As chi_2(-t) =
   chi_2(-1) chi_2(t), W = chi_2(-1) V with V = sum over t != 0 of psi(t)
-  chi_2(t) N(t), and M3 = V / g^3 = V conj(g)^3 / #L^3.
+  chi_2(t) N(t), and M3 = V / g^3 = V conj(g)^3 / #L^3 = chi_2(-1) V conj(g)
+  / #L^2, as conj(g)^2 = chi_2(-1) #L: one integer, read off two integer
+  count vectors with no ring arithmetic (modified_third_moment).
 So a modified moment that differs from M3 falsifies the counts, the traces
 or one of the identities above.
 
@@ -38,7 +40,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .characters import _chi2_sum
+from .characters import _chi2_counts, chi2_minus_one
 from .fields import BudgetExceededError, FieldDescriptor
 from .traces import SystemParams, _Int64Record
 
@@ -113,22 +115,24 @@ def count_points(params: SystemParams, degree: int, *,
 
 
 def modified_third_moment(L: FieldDescriptor, counts: np.ndarray) -> Fraction:
-    """(chi_2(-1)/g)^3 * W = V conj(g)^3 / (#L)^3 as an exact rational, for the
-    fiber `counts` over L by the code of t, with V and g read off L's own
-    trace table (psi_1); a non-rational numerator is a hard error.  For c in
-    F_p^x, psi_c = sigma_c(psi_1), sigma_c: zeta_p -> zeta_p^c, and no count
-    depends on c: V_c conj(g_c)^3 = sigma_c(V_1 conj(g_1)^3), the same
-    rational.
-    """
-    e = L.trace_abs_by_code
-    # V = W / chi_2(-1); the counts sum to at most #L^2 <= 2^48: exact
-    V = _chi2_sum(L.p, e, counts)
-    num = V * _chi2_sum(L.p, e).conj() ** 3
-    r = num.as_rational()
-    if r is None:
+    """V conj(g)^3 / #L^3 = chi_2(-1) r / #L^2, r = V conj(g), as an exact
+    rational for the fiber `counts` over L by the code of t; an r that is not
+    rational is a hard error.  V and g are read off L's own trace table
+    (psi_1) as power counts v and gc, and r is rational iff #L v - r gc is a
+    constant vector, as sum_k zeta_p^k = 0 is the one relation on the powers
+    of zeta_p (g != 0, so gc is not constant).  For c in F_p^x, psi_c =
+    sigma_c(psi_1), sigma_c: zeta_p -> zeta_p^c, and no count depends on c:
+    r_c = sigma_c(r_1) = r_1."""
+    N, e = L.order, L.trace_abs_by_code
+    # the counts sum to at most #L^2 <= 2^48: exact; #L v, up to 2^72, in ints
+    v = [N * x for x in _chi2_counts(L.p, e, counts).tolist()]
+    gc = _chi2_counts(L.p, e).tolist()
+    k = next(k for k in range(L.p) if gc[k] != gc[0])  # fixes r
+    dv, dg = v[k] - v[0], gc[k] - gc[0]
+    if any((x - v[0]) * dg != dv * (y - gc[0]) for x, y in zip(v, gc)):
         raise NonRationalMomentError(
             f"curve-weighted sum is not rational over {L.canonical_text()}")
-    return Fraction(r, L.order**3)
+    return chi2_minus_one(L) * Fraction(dv, dg) / N**2
 
 
 class CurveMomentReport(NamedTuple):

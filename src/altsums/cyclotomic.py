@@ -3,13 +3,11 @@
 Elements are stored on the power basis 1, zeta, ..., zeta^(p-2) with the
 relation zeta^(p-1) = -(1 + zeta + ... + zeta^(p-2)).  The basis is a Z-basis,
 so equality is coefficient equality and "is rational" is "all non-constant
-coefficients vanish".  The complex embedding zeta -> exp(2*pi*i/p) is fixed
-once; it serves float checks and tells the trace kernel the sign of conj(A).
+coefficients vanish".  The Gauss-sum layer (altsums.characters) and the
+tests' oracles compute here; the trace kernel and the curve moment do not.
 """
 
 from __future__ import annotations
-
-import cmath
 
 
 class CycInt:
@@ -139,10 +137,6 @@ class CycInt:
         if any(c != 0 for c in self.coeffs[1:]):
             return None
         return self.coeffs[0]
-
-    def complex_value(self) -> complex:
-        z = cmath.exp(2j * cmath.pi / self.p)
-        return sum(c * z**i for i, c in enumerate(self.coeffs))
 
     def __eq__(self, other) -> bool:
         if isinstance(other, int):

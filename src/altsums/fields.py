@@ -31,6 +31,18 @@ class BudgetExceededError(ValueError):
     """Requested object is larger than the configured enumeration budget."""
 
 
+class _Checked:
+    """Mixed into a collections.namedtuple whose __new__ checks its fields, so
+    that `_make` and `_replace`, which calls it, check them too: namedtuple's
+    own `_make` skips __new__."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
 def is_prime(n: int) -> bool:
     if n < 2:
         return False

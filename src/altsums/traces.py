@@ -43,8 +43,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .characters import CharacterContext, _chi2_sum
-from .fields import FieldDescriptor, build_field, checked_order
+from .characters import CharacterContext
+from .fields import FieldDescriptor, _Checked, build_field, checked_order
 
 ROW_BLOCK = 1024  # rows per %-format: a long table is never rendered whole
 TRACE_HEADER = "t_index,numerator,denominator,is_integer"
@@ -62,8 +62,8 @@ class CacheCorruptionError(RuntimeError):
     range, integrality, sum-rule or Frobenius checks."""
 
 
-class SystemParams(namedtuple("SystemParams", "p f base_degree multiplier",
-                              defaults=(1, 1))):
+class SystemParams(_Checked, namedtuple("SystemParams", "p f base_degree multiplier",
+                                        defaults=(1, 1))):
     """Configuration (p, q = p^f, base field degree, psi multiplier).
 
     Validated by every way of making one: the constructor, `_make` and
@@ -82,11 +82,6 @@ class SystemParams(namedtuple("SystemParams", "p f base_degree multiplier",
         if multiplier % p == 0:
             raise ValueError("psi multiplier must be nonzero mod p")
         return super().__new__(cls, p, f, base_degree, multiplier)
-
-    @classmethod
-    def _make(cls, iterable) -> SystemParams:
-        # namedtuple's own _make, which its _replace calls, skips __new__
-        return cls(*iterable)
 
     @property
     def q(self) -> int:
@@ -159,7 +154,7 @@ def _frozen_int64(values, name: str) -> np.ndarray:
     return a
 
 
-class _Int64Record:
+class _Int64Record(_Checked):
     """Mixed into a collections.namedtuple (typing.NamedTuple refuses a
     __new__): the field named `_array` is one read-only int64 array, made so
     by every way of making a record -- the constructor, `_make` and
@@ -171,11 +166,6 @@ class _Int64Record:
         self = super().__new__(cls, *args, **kwargs)
         return tuple.__new__(cls, (_frozen_int64(v, f"{cls.__name__}.{f}") if f == cls._array
                                    else v for f, v in zip(cls._fields, self)))
-
-    @classmethod
-    def _make(cls, iterable):
-        # namedtuple's own _make, which its _replace calls, skips __new__
-        return cls(*iterable)
 
     def __eq__(self, other):
         return type(other) is type(self) and all(
@@ -238,14 +228,21 @@ class TraceTable(_Int64Record, namedtuple(
                         self.denominator)
 
 
+def _gauss_unit(p: int, d: int) -> complex:
+    """g_L / sqrt(#L) = -(-eps_p)^d exactly, for psi_1 on #L = p^d: Gauss's
+    sign g_p = eps_p sqrt(p), eps_p = 1 if p = 1 mod 4 and i otherwise,
+    lifted by Hasse-Davenport, -g_L = (-g_p)^d."""
+    return complex(-(-1 if p % 4 == 1 else -1j) ** d)
+
+
 def _trace_numerators(params: SystemParams, L: FieldDescriptor) -> np.ndarray:
     """Numerators -S(t) conj(A) for every t by one complex FFT; row = code.
 
     Put h[poly_int(x)] = chi_2(x) exp(2 pi i e(x^n) / p) on (Z/p)^d, d =
     [L : F_p], poly_int(x) packing the coordinates a_i of x in base p.  As
     e(t*x) = sum_i a_i w_i(t) with w_i(t) = e(t * x^i), S(t) = F[w(t)] for
-    the unscaled inverse DFT F of h; multiply by -conj(A) = g_L, the Gauss
-    sum read off the same table, and round.
+    the unscaled inverse DFT F of h; multiply by -conj(A) = g_L =
+    sqrt(#L) _gauss_unit(p, d), and round.
     The generator g is x (fields._antilog), so w_i(g^tau) = e(g^(tau + i)).
     * Any multiplier: e is L's own trace table, psi_1's exponents.  For c in
       F_p^x, psi_c = sigma_c(psi_1), sigma_c: zeta_p -> zeta_p^c, so T_c =
@@ -256,11 +253,11 @@ def _trace_numerators(params: SystemParams, L: FieldDescriptor) -> np.ndarray:
     * Error below 1/4 for every #L <= 2^24.  With u = 2^-53, |h| = 1 and
       ||F||_2 < #L, the d stages leave each entry of F within d c_p u #L,
       c_p = O(log p) per length-p stage, Bluestein's included (Higham,
-      Accuracy and Stability of Numerical Algorithms, ch. 24).  As A^2 =
-      chi_2(-1) #L, conj(A) is +-sqrt(#L) or +-i sqrt(#L), embedded within
-      u sqrt(#L), and |S conj(A)| < #L^(3/2).  So the error is below
-      (d c_p + 3) u #L^(3/2): under 0.01 at every p^d <= 2^24 even with
-      c_p = 30 log2(4p).  The largest residual seen is 9e-8 (4001^2).
+      Accuracy and Stability of Numerical Algorithms, ch. 24).  conj(A) is
+      sqrt(#L) times an exact unit, so within u sqrt(#L) in floats, and
+      |S conj(A)| < #L^(3/2).  So the error is below (d c_p + 3) u #L^(3/2):
+      under 0.01 at every p^d <= 2^24 even with c_p = 30 log2(4p).  The
+      largest residual seen is 9e-8 (4001^2).
     * Checked anyway: a |v - rint(v)| or |Im v| of 1/4 or more raises
       NonRationalTraceError naming the first such t_index.
     That #L divides each numerator, so that T(t) is an integer, is not
@@ -273,9 +270,6 @@ def _trace_numerators(params: SystemParams, L: FieldDescriptor) -> np.ndarray:
     p, d, N = L.p, L.d, L.order
     M = N - 1
     e_tab = L.trace_abs_by_code  # psi_1: read-only, and not a copy
-    # A = -chi_2(-1) g_L, as n = -1 mod p and (n - 1)/2 is even, and conj(g_L)
-    # = chi_2(-1) g_L: so -conj(A) = g_L, and g_L / sqrt(#L) is one of +-1, +-i
-    a = _chi2_sum(p, e_tab).complex_value() / math.sqrt(N)
     logs = np.arange(M, dtype=np.int64)
     zeta = np.exp(2j * np.pi / p * np.arange(p))
     h = np.zeros(N, dtype=np.complex128)
@@ -292,7 +286,9 @@ def _trace_numerators(params: SystemParams, L: FieldDescriptor) -> np.ndarray:
     del E
     h = F[rows]
     del F, rows
-    h *= math.sqrt(N) * complex(round(a.real), round(a.imag))
+    # A = -chi_2(-1) g_L, as n = -1 mod p and (n - 1)/2 is even, and conj(g_L)
+    # = chi_2(-1) g_L: so -conj(A) = g_L
+    h *= math.sqrt(N) * _gauss_unit(p, d)
     num = np.rint(h.real)
     bad = np.flatnonzero(np.maximum(abs(h.real - num), abs(h.imag)) >= 0.25)
     if bad.size:

@@ -21,6 +21,9 @@ independent oracle that only tests import.
   `normalization_constant_direct` sums the Gauss sum over it.  `psi`,
   `psi_exponent`, `sum_psi` and `sum_chi2` evaluate the characters one
   element, or one orthogonality sum, at a time.
+* The complex embedding.  `complex_value` evaluates a CycInt at zeta_p =
+  exp(2 pi i / p), the float check of the Gauss unit the trace kernel takes
+  in closed form (`traces._gauss_unit`).
 * The curve side.  `count_points` reads the fiber form f off its sum form
   x^n + y^n + (-x-y)^n by homogeneity; `product_form_values` evaluates its
   product form x y (x + y) prod (x - alpha y)^2 at every pair, a Zech pass
@@ -39,6 +42,7 @@ independent oracle that only tests import.
   (`identities._necklace_count`).
 """
 
+import cmath
 import math
 from collections.abc import Iterator
 from fractions import Fraction
@@ -234,6 +238,12 @@ def normalization_constant_direct(params: SystemParams, L: FieldDescriptor) -> C
                                      - np.bincount(e[1::2], minlength=p)).tolist())
     sign = chi2_code(L, L.code_from_poly_int(n * (-1) ** ((n - 1) // 2) % p))
     return (-sign) * g
+
+
+def complex_value(z: CycInt) -> complex:
+    """z at zeta_p = exp(2 pi i / p)."""
+    w = cmath.exp(2j * cmath.pi / z.p)
+    return sum(c * w**i for i, c in enumerate(z.coeffs))
 
 
 def psi_exponent(ctx: CharacterContext, L: FieldDescriptor, x: int) -> int:

@@ -15,6 +15,7 @@ from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import altsums
@@ -184,6 +185,22 @@ def test_a_table_breaking_the_sum_rules_exits_one(monkeypatch, capsys):
     assert captured.err == ("FALSIFIED: sum rules fail over p=3 d=2 "
                             "modulus=[2,1,1]: M1 = 2/9 and M2 = 8/9, not 0 "
                             "and 8/9\n")
+
+
+def test_a_wrong_gauss_sign_is_seen_only_by_spectrum_membership(monkeypatch, capsys):
+    """-conj(A) with the wrong sign negates every table: integrality, the
+    sum rules and Frobenius invariance still hold, so the tables are made.
+    Only membership sees it: negated values leave the fix - 1 spectrum at
+    3^2..3^4 (at 3^1, T = (-1, 1, 0) negated stays inside it)."""
+    right = trace_table(SystemParams(3, 1), 4)
+    real = traces._gauss_unit
+    monkeypatch.setattr(traces, "_gauss_unit", lambda p, d: -real(p, d))
+    assert np.array_equal(trace_table(SystemParams(3, 1), 4).values, -right.values)
+    assert main(["compare", "--p", "3", "--max-degree", "4"]) == 1
+    captured = capsys.readouterr()
+    assert "FALSIFIED" not in captured.err
+    assert re.findall(r"^# failure: degree (\d+): \d+ trace value\(s\) outside",
+                      captured.out, re.M) == ["2", "3", "4"]
 
 
 @pytest.mark.parametrize("argv", [["traces", "--p", "3", "--degree", "3"],

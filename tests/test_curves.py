@@ -148,37 +148,56 @@ def test_weighted_sum_equals_direct_triple_sum(params, degree):
     assert W == triple_sum_direct(params, degree)
 
 
-def test_weighted_sum_conj_invariant_after_gauss_normalization():
-    # the normalized value is rational, hence real
-    for params, degree in [(P33, 2), (P33, 3), (P55, 2)]:
-        L = params.extension(degree)
-        count = count_points(params, degree, field=L)
-        value = modified_third_moment(L, count.counts)
-        assert value.denominator >= 1  # exact Fraction came back
-        assert value == count.modified
-
-
 def test_modified_moment_frozen_degree_one():
     assert count_points(P33, 1).modified == 0
     assert count_points(P55, 1).modified == 0
     assert count_points(P327, 3).modified == 0
 
 
+def _psi_c_route(params, L, counts):
+    """chi_2(-1) W_c conj(g_c)^3 in Z[zeta_p], with W_c and g_c built from
+    psi_c (the multiplier embedded in L): the ring route to #L^3 M3."""
+    return (chi2_minus_one(L) * curve_weighted_sum(params, L, counts)
+            * gauss_sum(params.context(), L).conj() ** 3)
+
+
 @pytest.mark.parametrize("params,degree", [
     (SystemParams(5, 1), 3), (SystemParams(7, 1), 2),
-    (SystemParams(3, 1, base_degree=2), 2), (SystemParams(3, 2), 4)])
+    (SystemParams(3, 1, base_degree=2), 2), (SystemParams(3, 2), 4),
+    (P33, 2), (P33, 3), (P55, 2), (SystemParams(1021, 1), 1)])
 def test_modified_moment_equals_the_psi_c_route(params, degree):
-    """The pipeline reads psi_1 off L's trace table; for every c in F_p^x
-    its M3 is chi_2(-1) W_c conj(g_c)^3 / #L^3, with W_c and g_c built from
-    psi_c (the multiplier embedded in L)."""
-    for c in range(1, params.p):
+    """The pipeline reads psi_1 off L's trace table and tests V conj(g) for
+    rationality on two count vectors; for every c in F_p^x (1, 2 and -1 at
+    p = 1021) its M3 is the psi_c route's rational over #L^3, and
+    modified_third_moment takes the same value again from the counts.  One
+    fiber count 1 too many, at a t with Tr(t) != 0, is refused by both."""
+    for c in range(1, params.p) if params.p < 100 else (1, 2, params.p - 1):
         params_c = params._replace(multiplier=c)
         L = params_c.extension(degree)
         count = count_points(params_c, degree, field=L)
-        num = (chi2_minus_one(L) * curve_weighted_sum(params_c, L, count.counts)
-               * gauss_sum(params_c.context(), L).conj() ** 3).as_rational()
+        num = _psi_c_route(params_c, L, count.counts).as_rational()
         assert num is not None
         assert count.modified == Fraction(num, L.order**3), c
+        assert modified_third_moment(L, count.counts) == count.modified
+        doctored = count.counts.copy()
+        doctored[np.flatnonzero(L.trace_abs_by_code)[0]] += 1
+        with pytest.raises(NonRationalMomentError, match="not rational over"):
+            modified_third_moment(L, doctored)
+        assert _psi_c_route(params_c, L, doctored).as_rational() is None
+
+
+def test_modified_moment_is_exact_where_hash_l_times_v_passes_int64():
+    """Weights c = 2^52 - 1 on t = 1 and t = -1 alone, F_3^x in L = F_3^7:
+    Tr(+-1) = +-7 and chi_2(-1) = -1 (d odd) give V = +-c g_3, a rational
+    multiple of g.  The bincount stays exact (sum |w| < 2^53), but #L c
+    passes 2^63, so int64 arithmetic would wrap.  The ring route is exact."""
+    params, L = P33, FieldDescriptor(3, 7)
+    counts = np.zeros(L.order, dtype=np.int64)
+    counts[[1, L.neg_code(1)]] = c = 2**52 - 1
+    assert L.order * c >= 2**63
+    num = _psi_c_route(params, L, counts).as_rational()
+    assert num is not None
+    assert modified_third_moment(L, counts) == Fraction(num, L.order**3)
 
 
 def report_at(params, degree):

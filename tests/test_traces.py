@@ -10,6 +10,7 @@ Frozen oracles, derived by hand:
 """
 
 import hashlib
+import math
 import random
 import re
 import shutil
@@ -23,20 +24,21 @@ import numpy as np
 import pytest
 
 from altsums import traces
-from altsums.characters import normalization_constant, psi_exponent_table
+from altsums.characters import (CharacterContext, gauss_sum,
+                                normalization_constant, psi_exponent_table)
 from altsums.cli import main
 from altsums.curves import count_points
 from altsums.cyclotomic import CycInt
-from altsums.fields import BudgetExceededError, build_field
+from altsums.fields import BudgetExceededError, FieldDescriptor, build_field
 from altsums.traces import (CacheCorruptionError, NonRationalTraceError,
                             SystemParams, _cache_header, _cache_path,
                             _check_frobenius, _check_sum_rules, _load_table,
                             _save_table, _table, _trace_numerators,
                             trace_table, trace_tables)
 from altsums.verdict import moment_report
-from oracles import (_additive_fft_counts, _finish, descent_consistency,
-                     descent_trace, exact_numerators, normalized_trace,
-                     raw_sum, raw_sum_naive)
+from oracles import (_additive_fft_counts, _finish, complex_value,
+                     descent_consistency, descent_trace, exact_numerators,
+                     normalized_trace, raw_sum, raw_sum_naive)
 
 P33 = SystemParams(p=3, f=1)
 P55 = SystemParams(p=5, f=1)
@@ -148,6 +150,19 @@ def _kernel_configs():
     return out
 
 
+def test_the_gauss_unit_is_the_gauss_sum_over_sqrt_of_the_order():
+    """The kernel's closed form -(-eps_p)^d against the Gauss sum in
+    Z[zeta_p] at every level with p <= 23 and #L <= 2^20 (49 levels)."""
+    levels = [(p, d) for p in (3, 5, 7, 11, 13, 17, 19, 23)
+              for d in range(1, 21) if p**d <= 2**20]
+    assert len(levels) == 49
+    for p, d in levels:
+        g = gauss_sum(CharacterContext(build_field(p, 1)), FieldDescriptor(p, d))
+        unit = traces._gauss_unit(p, d)
+        assert unit in (1, -1, 1j, -1j), (p, d)
+        assert abs(complex_value(g) / math.sqrt(p**d) - unit) < 1e-9, (p, d)
+
+
 @pytest.mark.parametrize("p,f,b,c,D", _kernel_configs())
 def test_fft_kernel_equals_the_exact_oracle(p, f, b, c, D):
     params = SystemParams(p=p, f=f, base_degree=b, multiplier=c)
@@ -173,7 +188,7 @@ def test_a_doctored_fft_output_names_its_t_index(monkeypatch, error):
 
     def doctored(*args, **kwargs):
         out = fft(*args, **kwargs)
-        out.flat[row] -= error / conjA.complex_value()
+        out.flat[row] -= error / complex_value(conjA)
         return out
 
     monkeypatch.setattr(np.fft, "ifftn", doctored)
