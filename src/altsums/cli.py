@@ -18,11 +18,14 @@ from __future__ import annotations
 
 import argparse
 import gc
+import math
 import sys
 from collections import namedtuple
+from collections.abc import Iterator
 from contextlib import nullcontext
 from fractions import Fraction
 from itertools import chain
+from typing import NamedTuple
 
 from . import __version__
 from .curves import (
@@ -44,10 +47,8 @@ from .identities import (
     wild_inertia_span,
 )
 from .traces import (
-    TRACE_HEADER,
     CacheCorruptionError,
     NonRationalTraceError,
-    Rows,
     SystemParams,
     trace_table,
     trace_tables,
@@ -97,6 +98,30 @@ class RunConfig(_Checked, namedtuple("RunConfig", list(RUN_FIELDS),
 
 
 EMIT_BATCH = 1 << 16  # characters gathered into one write
+ROW_BLOCK = 1024  # rows per %-format: a long table is never rendered whole
+# every is_integer and integral cell, JSON's too: traces._table makes only integral
+# tables, so it is constant, kept for bench/reference.json until ROADMAP item 6
+INTEGRAL = 1
+
+
+class Rows(NamedTuple):
+    """A long table: a row per index of the `columns` (equal-length int
+    sequences), shaped as `item`, whose "%d" strings take the columns in turn."""
+
+    item: object
+    columns: tuple
+
+    def blocks(self, row: str = "", start: int = 0) -> Iterator[str]:
+        """The %-format `row` (by default the CSV line of `item`) filled in
+        for each row from `start` on, ROW_BLOCK rows per string."""
+        row = row or ",".join(map(str, self.item)) + "\n"
+        m = len(self.columns)
+        for s in range(start, len(self.columns[0]), ROW_BLOCK):
+            part = [c[s:s + ROW_BLOCK] for c in self.columns]
+            flat = [0] * (len(part[0]) * m)
+            for j, c in enumerate(part):  # Python ints %-format faster
+                flat[j::m] = c.tolist() if hasattr(c, "tolist") else c
+            yield (row * len(part[0])) % tuple(flat)
 
 
 def _json_chunks(value, level: int = 0):
@@ -172,8 +197,11 @@ def _emit(doc: Document, output: str | None) -> None:
         out.write(text)
 
 
-def _frac_cols(x: Fraction) -> tuple[int, int]:
-    return x.numerator, x.denominator
+_Frac = namedtuple("_Frac", "num den")  # CSV columns; _asdict() is the JSON object
+
+
+def _frac(x: Fraction) -> _Frac:
+    return _Frac(x.numerator, x.denominator)
 
 
 # -- subcommand bodies ---------------------------------------------------------------
@@ -193,23 +221,31 @@ def _cmd_field(cfg: RunConfig, args) -> int:
     return 0
 
 
+TRACE_HEADER = "t_index,numerator,denominator,is_integer"
+
+
+def _trace_rows(table) -> Rows:
+    """The TRACE_HEADER rows of a trace table."""
+    return Rows(["%d", "%d", table.denominator, INTEGRAL],
+                (range(table.denominator), table.numerators))
+
+
 def _cmd_traces(cfg: RunConfig, args) -> int:
-    degree = args.degree
-    table = trace_table(cfg.params(), degree, cache_dir=cfg.cache_dir)
+    table = trace_table(cfg.params(), args.degree, cache_dir=cfg.cache_dir)
+    rows = _trace_rows(table)  # one numerators array, whichever format
     doc = Document(cfg)
     doc.note(f"field: {table.field_text}")
-    doc.section(f"traces_degree_{degree}", TRACE_HEADER, table.rows(),
-                {"degree": degree, "field": table.field_text,
-                 "denominator": table.denominator, "rows": table.rows()})
+    doc.section(f"traces_degree_{args.degree}", TRACE_HEADER, rows,
+                {"degree": args.degree, "field": table.field_text,
+                 "denominator": table.denominator, "rows": rows})
     _emit(doc, args.output)
     return 0
 
 
 def _moment_rows(rows):
     """The CSV rows of MomentRows, or of the VerdictRows that extend them."""
-    # integral is 1 on every row: the bytes bench/reference.json pins
-    return [(r.degree, r.field_order, *_frac_cols(r.m1), *_frac_cols(r.m2),
-             *_frac_cols(r.m3), r.m3_target, f"{r.m3_deviation:.6f}", 1)
+    return [(r.degree, r.field_order, *_frac(r.m1), *_frac(r.m2),
+             *_frac(r.m3), r.m3_target, f"{r.m3_deviation:.6f}", INTEGRAL)
             for r in rows]
 
 
@@ -313,9 +349,9 @@ def _refuse_unprintable(m: int, regime: str) -> None:
 
 
 def _groupstats_rows(m: int, regime: str, twist: str):
-    rows = [("prob", v, *_frac_cols(pr))
+    rows = [("prob", v, *_frac(pr))
             for v, pr in spectrum(m, regime, twist).items()]
-    rows += [("moment", k, *_frac_cols(exact_moment(m, k, regime, twist)))
+    rows += [("moment", k, *_frac(exact_moment(m, k, regime, twist)))
              for k in (1, 2, 3)]
     return rows
 
@@ -342,21 +378,20 @@ def _cmd_curves(cfg: RunConfig, args) -> int:
     count = count_points(cfg.params(), degree, budget=cfg.budget)
     doc = Document(cfg)
     doc.note(f"field: {count.field_text}")
-    num, den = _frac_cols(count.modified)
+    modified = _frac(count.modified)
     doc.section(f"curves_degree_{degree}", COUNT_HEADER, _count_rows(count),
                 {"degree": degree, "field": count.field_text,
                  "counts": Rows("%d", (count.counts,)),
-                 "modified_m3": {"num": num, "den": den}})
-    doc.note(f"modified_m3: {num}/{den}")
+                 "modified_m3": modified._asdict()})
+    doc.note("modified_m3: %d/%d" % modified)
     _emit(doc, args.output)
     return 0
 
 
 def _verdict_rows(report):
-    # integral is 1 on every row: the bytes bench/reference.json pins
-    return [(r.degree, r.field_order, r.regime, r.twist, 1,
-             "%d/%d" % _frac_cols(r.membership_rate), len(r.offenders),
-             "%d/%d" % _frac_cols(r.tv_distance), *_frac_cols(r.m3),
+    return [(r.degree, r.field_order, r.regime, r.twist, INTEGRAL,
+             "%d/%d" % _frac(r.membership_rate), len(r.offenders),
+             "%d/%d" % _frac(r.tv_distance), *_frac(r.m3),
              r.m3_target, f"{r.m3_deviation:.6f}")
             for r in report.rows]
 
@@ -370,12 +405,55 @@ def _human_verdict(report) -> str:
     for r in report.rows:
         lines.append(
             f"degree {r.degree}: #L={r.field_order} {r.regime}/{r.twist} "
-            f"integral=True membership={float(100 * r.membership_rate):.1f}% "
-            f"tv={float(r.tv_distance):.5f} "
+            f"integral={bool(INTEGRAL)} membership="
+            f"{float(100 * r.membership_rate):.1f}% tv={float(r.tv_distance):.5f} "
             f"m3={float(r.m3):+.4f} target={r.m3_target:+d}")
     lines.append("PASS" if report.passed else
                  "FAIL\n" + "\n".join(f"  {f}" for f in report.failures))
     return "\n".join(lines)
+
+
+def _verdict_json(report) -> dict:
+    """The verdict's JSON object, in the key order bench/reference.json pins."""
+    params = report.params
+    return {
+        "params": {**params._asdict(), "q": params.q, "n": params.n},
+        "max_degree": report.max_degree,
+        "config": report.config._asdict(),
+        "rows": [{"degree": r.degree, "field_order": r.field_order,
+                  "regime": r.regime, "twist": r.twist,
+                  "integral": bool(INTEGRAL),
+                  "membership_rate": _frac(r.membership_rate)._asdict(),
+                  "offender_count": len(r.offenders),
+                  "offenders": [list(o) for o in r.offenders[:10]],
+                  "tv_distance": _frac(r.tv_distance)._asdict(),
+                  "m1": _frac(r.m1)._asdict(), "m2": _frac(r.m2)._asdict(),
+                  "m3": _frac(r.m3)._asdict(), "m3_target": r.m3_target,
+                  "m3_deviation": r.m3_deviation}
+                 for r in report.rows],
+        "passed": report.passed,
+        "failures": list(report.failures),
+    }
+
+
+def _report_verdict(doc: Document, report, args, falsified=None) -> int:
+    """End compare, or all with its `falsified` list (and JSON "passed"):
+    write the verdict and the document, then stderr; 0 if all passed, else 1."""
+    passed = report.passed and not falsified
+    if doc.json:
+        doc.obj["verdict"] = _verdict_json(report)
+        if falsified is not None:
+            doc.obj["passed"] = passed
+    else:
+        doc.section("verdict", VERDICT_HEADER, _verdict_rows(report))
+    doc.note(f"result: {'PASS' if passed else 'FAIL'}")
+    for failure in [*report.failures, *(falsified or ())]:
+        doc.note(f"failure: {failure}")
+    _emit(doc, args.output)
+    print(_human_verdict(report), file=sys.stderr)
+    for failure in falsified or ():
+        print(f"FALSIFIED: {failure}", file=sys.stderr)
+    return 0 if passed else 1
 
 
 def _cmd_compare(cfg: RunConfig, args) -> int:
@@ -383,17 +461,7 @@ def _cmd_compare(cfg: RunConfig, args) -> int:
     _refuse_unprintable(2 * params.q, "alt")
     tables = trace_tables(params, cfg.max_degree, cache_dir=cfg.cache_dir)
     report = verdict(params, tables, config=cfg.verdict_config())
-    doc = Document(cfg)
-    if doc.json:
-        doc.obj["verdict"] = report.as_dict()
-    else:
-        doc.section("verdict", VERDICT_HEADER, _verdict_rows(report))
-    doc.note(f"result: {'PASS' if report.passed else 'FAIL'}")
-    for failure in report.failures:
-        doc.note(f"failure: {failure}")
-    _emit(doc, args.output)
-    print(_human_verdict(report), file=sys.stderr)
-    return 0 if report.passed else 1
+    return _report_verdict(Document(cfg), report, args)
 
 
 def _cmd_all(cfg: RunConfig, args) -> int:
@@ -421,7 +489,7 @@ def _cmd_all(cfg: RunConfig, args) -> int:
     for D in params.degrees(cfg.max_degree):  # each level built once, here
         L = params.extension(D)
         tables[D] = trace_table(params, D, cache_dir=cfg.cache_dir, field=L)
-        doc.section(f"traces_degree_{D}", TRACE_HEADER, tables[D].rows())
+        doc.section(f"traces_degree_{D}", TRACE_HEADER, _trace_rows(tables[D]))
         if countable(params, D, cfg.budget):
             counts[D] = count_points(params, D, budget=cfg.budget, field=L)
         del L  # no table or count keeps L: the next level is built without it
@@ -435,29 +503,17 @@ def _cmd_all(cfg: RunConfig, args) -> int:
     for D, count in counts.items():
         doc.section(f"curves_degree_{D}", COUNT_HEADER, _count_rows(count))
         cm = curve_moment_report(count, report.rows[D - 1].m3)
-        crows.append((D, cm.field_order, *_frac_cols(cm.modified),
-                      *_frac_cols(cm.empirical_m3), f"{cm.bound:.6f}",
-                      int(cm.within_bound)))
+        # q / sqrt(#L), and |modified - M3| within it: printed, read by no check
+        bound = params.q / math.sqrt(cm.field_order)
+        crows.append((D, cm.field_order, *_frac(cm.modified),
+                      *_frac(cm.empirical_m3), f"{bound:.6f}",
+                      int(abs(float(cm.modified - cm.empirical_m3)) <= bound)))
         if not cm.ok:
             falsified.append(
                 f"curve moment differs from M3 at degree {D}: "
                 f"modified={cm.modified} empirical={cm.empirical_m3}")
     doc.section("curve_moments", curve_header, crows)
-
-    passed = report.passed and not falsified
-    if doc.json:
-        doc.obj["verdict"] = report.as_dict()
-        doc.obj["passed"] = passed
-    else:
-        doc.section("verdict", VERDICT_HEADER, _verdict_rows(report))
-    doc.note(f"result: {'PASS' if passed else 'FAIL'}")
-    for failure in list(report.failures) + falsified:
-        doc.note(f"failure: {failure}")
-    _emit(doc, args.output)
-    print(_human_verdict(report), file=sys.stderr)
-    for failure in falsified:
-        print(f"FALSIFIED: {failure}", file=sys.stderr)
-    return 0 if passed else 1
+    return _report_verdict(doc, report, args, falsified)
 
 
 # -- argument parsing -------------------------------------------------------------------
@@ -493,8 +549,13 @@ COMMANDS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
-    # each flag's dest is the RunConfig field it sets; a default of None
-    # leaves that field to RunConfig's default
+    return _parser(COMMANDS)
+
+
+def _parser(names) -> argparse.ArgumentParser:
+    """The parser of the commands `names`; its usage lists all nine, so no
+    text depends on which it builds.  Each flag's dest is the RunConfig field
+    it sets; a default of None leaves that field to RunConfig's default."""
     io = argparse.ArgumentParser(add_help=False)
     io.add_argument("--format", dest="fmt", choices=("csv", "json"))
     io.add_argument("--output", help="write here instead of stdout")
@@ -522,8 +583,10 @@ def build_parser() -> argparse.ArgumentParser:
                     "finite-field towers")
     parser.add_argument("--version", action="version",
                         version=f"altsums {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help_text, run_flags, own) in COMMANDS.items():
+    sub = parser.add_subparsers(dest="command", required=True, metavar=(
+        None if len(names) == len(COMMANDS) else "{%s}" % ",".join(COMMANDS)))
+    for name in names:
+        _, help_text, run_flags, own = COMMANDS[name]
         sp = sub.add_parser(name, help=help_text,
                             parents=[run, io] if run_flags else [io])
         for flag, kwargs in own.items():
@@ -542,8 +605,9 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
 
 
 def main(argv=None) -> int:
-    try:
-        args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    try:  # only the named command's parser, when argv starts with one
+        args = _parser(COMMANDS.keys() & argv[:1] or COMMANDS).parse_args(argv)
         return COMMANDS[args.command][0](config_from_args(args), args)
     except SystemExit as exc:  # argparse: --help, --version or a usage error
         return int(exc.code or 0)

@@ -140,8 +140,6 @@ class CurveMomentReport(NamedTuple):
     field_order: int
     modified: Fraction
     empirical_m3: Fraction
-    bound: float                 # q / sqrt(#L): printed, read by no check
-    within_bound: bool
 
     @property
     def ok(self) -> bool:
@@ -152,8 +150,5 @@ class CurveMomentReport(NamedTuple):
 def curve_moment_report(count: CurveCount, m3: Fraction) -> CurveMomentReport:
     """Compare the curve-side moment of `count` with `m3`, the empirical
     third moment of the trace table of the same params and degree."""
-    bound = count.params.q / math.sqrt(count.field_order)
-    gap = abs(float(count.modified - m3))
     return CurveMomentReport(degree=count.degree, field_order=count.field_order,
-                             modified=count.modified, empirical_m3=m3,
-                             bound=bound, within_bound=gap <= bound)
+                             modified=count.modified, empirical_m3=m3)

@@ -123,14 +123,16 @@ def _x_is_primitive(modulus: tuple[int, ...], p: int) -> bool:
 
 
 def _find_modulus(p: int, d: int) -> tuple[int, ...]:
-    # x primitive mod m makes its norm (-1)^d m(0) generate F_p^x, so no other
-    # constant term can win; survivors keep lex order and the full test
+    # x primitive mod m makes its norm (-1)^d m(0) generate F_p^x, and m, being
+    # irreducible, has no root a in F_p^x once d > 1: skipping every other m
+    # leaves the choice unchanged, as survivors keep lex order and the full test
+    powers = np.vander(np.arange(1, p), d + 1, increasing=True)  # a^i < p^d <= 2^24
     for c0 in range(1, p):
         if any(pow((-1) ** d * c0, (p - 1) // r, p) == 1 for r in prime_factors(p - 1)):
             continue
         for rest in product(range(p), repeat=d - 1):
             modulus = (c0,) + rest + (1,)
-            if _x_is_primitive(modulus, p):
+            if (d == 1 or (powers @ modulus % p).all()) and _x_is_primitive(modulus, p):
                 return modulus
     raise RuntimeError(f"no primitive modulus found for p={p} d={d}")
 

@@ -20,12 +20,11 @@ the sum rules M1 = 0 and M2 = (#L - 1)/#L and Frobenius invariance, T(t^p) =
 T(t).  This kernel is the only production path to S(t); the exact oracles
 it is tested against live with the tests.  trace_table builds one table and
 trace_tables the tower of degrees 1..n, one level's field at a time; the
-moments and the verdict over them (altsums.verdict) take built tables.
-Long tables are rendered a block of rows at a time (Rows).  A disk cache of
-altsums-trace-v3 files, each the table's int64 numerators under a two-line
-header and sealed with a CRC-32 trailer (hashlib would load OpenSSL), is
-read back into a table that must hold |T| < sqrt(#L) and pass the same
-checks; a file that fails (an older format included) raises
+moments and the verdict over them (altsums.verdict) take built tables.  A
+disk cache of altsums-trace-v3 files, each the table's int64 numerators
+under a two-line header and sealed with a CRC-32 trailer (hashlib would
+load OpenSSL), is read back into a table that must hold |T| < sqrt(#L) and
+pass the same checks; a file that fails (an older format included) raises
 CacheCorruptionError naming it, never recomputed over.
 """
 
@@ -35,19 +34,14 @@ import math
 import os
 import zlib
 from collections import namedtuple
-from collections.abc import Iterator
 from fractions import Fraction
 from operator import index
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
 from .characters import CharacterContext
 from .fields import FieldDescriptor, _Checked, build_field, checked_order
-
-ROW_BLOCK = 1024  # rows per %-format: a long table is never rendered whole
-TRACE_HEADER = "t_index,numerator,denominator,is_integer"
 
 
 class NonRationalTraceError(RuntimeError):
@@ -113,26 +107,6 @@ class SystemParams(_Checked, namedtuple("SystemParams", "p f base_degree multipl
     def label(self) -> str:
         return (f"p={self.p} f={self.f} base_degree={self.base_degree} "
                 f"multiplier={self.multiplier % self.p} n={self.n}")
-
-
-class Rows(NamedTuple):
-    """A long table: a row per index of the `columns` (equal-length int
-    sequences), shaped as `item`, whose "%d" strings take the columns in turn."""
-
-    item: object
-    columns: tuple
-
-    def blocks(self, row: str = "", start: int = 0) -> Iterator[str]:
-        """The %-format `row` (by default the CSV line of `item`) filled in
-        for each row from `start` on, ROW_BLOCK rows per string."""
-        row = row or ",".join(map(str, self.item)) + "\n"
-        m = len(self.columns)
-        for s in range(start, len(self.columns[0]), ROW_BLOCK):
-            part = [c[s:s + ROW_BLOCK] for c in self.columns]
-            flat = [0] * (len(part[0]) * m)
-            for j, c in enumerate(part):  # Python ints %-format faster
-                flat[j::m] = c.tolist() if isinstance(c, np.ndarray) else c
-            yield (row * len(part[0])) % tuple(flat)
 
 
 def _frozen_int64(values, name: str) -> np.ndarray:
@@ -203,12 +177,6 @@ class TraceTable(_Int64Record, namedtuple(
     def numerators(self) -> np.ndarray:
         """T(t) #L = -S(t) conj(A), as the cache stores it: a new array per read."""
         return self.values * self.denominator
-
-    def rows(self) -> Rows:
-        """The TRACE_HEADER rows, as in the CLI's output."""
-        # is_integer is 1 on every row: the bytes bench/reference.json pins
-        return Rows(["%d", "%d", self.denominator, 1],
-                    (range(len(self.values)), self.numerators))
 
     def value_counts(self) -> tuple[int, np.ndarray]:
         """(lo, counts): counts[k] entries have the value lo + k.

@@ -134,10 +134,6 @@ class VerdictConfig(NamedTuple):
                              f"{self.tv_max} and {self.m3_tol}")
 
 
-def _frac(x: Fraction):
-    return {"num": x.numerator, "den": x.denominator}
-
-
 class VerdictRow(namedtuple("VerdictRow", MomentRow._fields + (
         "regime", "twist", "membership_rate", "offenders", "tv_distance"))):
     """A degree's MomentRow extended by its regime and twist, its spectrum
@@ -145,24 +141,6 @@ class VerdictRow(namedtuple("VerdictRow", MomentRow._fields + (
     and its TV distance."""
 
     __slots__ = ()
-
-    def as_dict(self) -> dict:
-        return {
-            "degree": self.degree,
-            "field_order": self.field_order,
-            "regime": self.regime,
-            "twist": self.twist,
-            "integral": True,  # no table is made otherwise; bench/reference.json pins it
-            "membership_rate": _frac(self.membership_rate),
-            "offender_count": len(self.offenders),
-            "offenders": [list(o) for o in self.offenders[:10]],
-            "tv_distance": _frac(self.tv_distance),
-            "m1": _frac(self.m1),
-            "m2": _frac(self.m2),
-            "m3": _frac(self.m3),
-            "m3_target": self.m3_target,
-            "m3_deviation": self.m3_deviation,
-        }
 
 
 class VerdictReport(NamedTuple):
@@ -172,21 +150,6 @@ class VerdictReport(NamedTuple):
     rows: tuple[VerdictRow, ...]
     passed: bool
     failures: tuple[str, ...]
-
-    def as_dict(self) -> dict:
-        return {
-            "params": {
-                "p": self.params.p, "f": self.params.f,
-                "base_degree": self.params.base_degree,
-                "multiplier": self.params.multiplier,
-                "q": self.params.q, "n": self.params.n,
-            },
-            "max_degree": self.max_degree,
-            "config": self.config._asdict(),
-            "rows": [r.as_dict() for r in self.rows],
-            "passed": self.passed,
-            "failures": list(self.failures),
-        }
 
 
 def verdict(params: SystemParams, tables: dict[int, TraceTable], *,

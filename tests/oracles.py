@@ -40,6 +40,9 @@ independent oracle that only tests import.
   companion matrix; `enumerate_monic_irreducibles` lists a degree's monic
   irreducibles with it, which the grouped identity only counts
   (`identities._necklace_count`).
+* Field moduli.  `fields._find_modulus` skips a candidate with a root in
+  F_p^x before it tests x for primitivity; `unfiltered_modulus` puts every
+  candidate whose norm generates F_p^x through that test.
 """
 
 import cmath
@@ -54,7 +57,8 @@ import numpy as np
 
 from altsums.characters import CharacterContext, chi2_code
 from altsums.cyclotomic import CycInt
-from altsums.fields import BudgetExceededError, FieldDescriptor, build_field, embed
+from altsums.fields import (BudgetExceededError, FieldDescriptor, _x_is_primitive,
+                            build_field, embed, prime_factors)
 from altsums.groups import spectrum
 from altsums.identities import _split_alphas
 from altsums.traces import NonRationalTraceError, SystemParams
@@ -368,3 +372,18 @@ def enumerate_monic_irreducibles(p: int, degree: int) -> list[tuple[int, ...]]:
     """All monic irreducibles of the given degree over F_p, constant term first."""
     return [tail + (1,) for tail in product(range(p), repeat=degree)
             if brute_irreducible(tail + (1,), p)]
+
+
+# -- field moduli ---------------------------------------------------------------------
+
+def unfiltered_modulus(p: int, d: int) -> tuple[int, ...]:
+    """The lex-smallest monic degree-d m, constant term first, modulo which x
+    generates: every m whose norm (-1)^d m(0) generates F_p^x (as x's norm
+    must) is tested for primitivity, with no root pre-check."""
+    for tail in product(range(p), repeat=d):
+        m = tail + (1,)
+        norm = (-1) ** d * m[0] % p
+        if norm and all(pow(norm, (p - 1) // r, p) != 1 for r in prime_factors(p - 1)) \
+                and _x_is_primitive(m, p):
+            return m
+    raise AssertionError(f"no primitive modulus for p={p} d={d}")

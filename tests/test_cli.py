@@ -441,6 +441,42 @@ def test_all_exits_one_when_the_curve_side_differs_from_m3(monkeypatch, capsys):
             in err)
 
 
+def curve_moment_rows(out):
+    """The cells of all's curve_moments rows, header left out."""
+    rows = out.split("# section: curve_moments\n", 1)[1].split("\n#", 1)[0]
+    return [row.split(",") for row in rows.splitlines()[1:]]
+
+
+@pytest.mark.parametrize("p, top", [(3, 4), (5, 2)])
+def test_curve_moments_bound_column_holds_every_gap(capsys, p, top):
+    """The bound column is q / sqrt(#L) and within is 1: the curve side
+    equals M3, so every gap is 0; no check reads either column."""
+    main(["all", "--p", str(p), "--max-degree", str(top)])
+    rows = curve_moment_rows(capsys.readouterr().out)
+    assert [int(r[0]) for r in rows] == list(range(1, top + 1))
+    for _, order, *modified_empirical, bound, within in rows:
+        assert modified_empirical[:2] == modified_empirical[2:]
+        assert (bound, within) == (f"{p / math.sqrt(int(order)):.6f}", "1")
+    if p == 3:
+        assert rows[1] == ["2", "9", "2", "3", "2", "3", "1.000000", "1"]
+
+
+def test_a_curve_moment_within_the_bound_but_off_m3_fails(monkeypatch, capsys):
+    # off by 1/#L: within q / sqrt(#L) at every level, so within reads 1
+    real = curves.modified_third_moment
+    monkeypatch.setattr(curves, "modified_third_moment",
+                        lambda L, counts: real(L, counts) + Fraction(1, L.order))
+    assert main(["all", "--p", "3", "--max-degree", "3"]) == 1
+    out, err = capsys.readouterr()
+    assert curve_moment_rows(out) == [
+        ["1", "3", "1", "3", "0", "1", "1.732051", "1"],
+        ["2", "9", "7", "9", "2", "3", "1.000000", "1"],
+        ["3", "27", "-23", "27", "-8", "9", "0.577350", "1"]]
+    assert "# result: FAIL\n" in out
+    assert ("FALSIFIED: curve moment differs from M3 at degree 3: "
+            "modified=-23/27 empirical=-8/9\n") in err
+
+
 RUN_FLAGS = {"--p": int, "--f": int, "--base-degree": int, "--multiplier": int,
              "--max-degree": int, "--budget": int,
              "--cache-dir": None, "--tv-max": float,
@@ -474,6 +510,40 @@ def test_each_subcommand_keeps_its_options(name, own):
         want.update({s: (getattr(t, "__name__", None), None, False)
                      for s, t in RUN_FLAGS.items()})
     assert subcommand_surface(name) == {**want, **own}
+
+
+@pytest.mark.parametrize("name", list(cli.COMMANDS))
+def test_a_commands_own_parser_prints_what_the_full_parser_prints(
+        monkeypatch, capsys, name):
+    """main builds only the named command's parser; its help, its usage,
+    the top-level usage and a usage error read as from all nine."""
+    full, own = build_parser(), cli._parser([name])
+
+    def sub(parser):
+        return next(a for a in parser._actions if a.dest == "command").choices[name]
+
+    assert list(next(a for a in own._actions if a.dest == "command").choices) == [name]
+    assert own.format_usage() == full.format_usage()
+    assert sub(own).format_help() == sub(full).format_help()
+    assert sub(own).format_usage() == sub(full).format_usage()
+    with pytest.raises(SystemExit) as exc:
+        full.parse_args([name, "--bogus"])
+    want = capsys.readouterr().err
+    built = []
+    real = cli._parser
+    monkeypatch.setattr(cli, "_parser", lambda names: built.append(set(names)) or real(names))
+    assert main([name, "--bogus"]) == exc.value.code == 2
+    assert capsys.readouterr().err == want
+    assert built == [{name}]
+
+
+@pytest.mark.parametrize("argv", [[], ["--help"], ["--version"], ["bogus"], ["--p", "3"]])
+def test_no_command_first_builds_all_nine_parsers(monkeypatch, capsys, argv):
+    built = []
+    real = cli._parser
+    monkeypatch.setattr(cli, "_parser", lambda names: built.append(set(names)) or real(names))
+    main(argv)
+    assert built == [set(cli.COMMANDS)]
 
 
 def test_compare_pass_and_fail(tmp_path, capsys):
@@ -809,6 +879,27 @@ def test_verdict_and_spectrum_bytes_are_pinned(capsys, argv, rc, digest):
     assert main(argv) == rc
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv, out_digest, err_digest", [
+    (["compare", "--p", "3", "--max-degree", "4", "--format", "json"],
+     "02ea04fd43c4487dcd61e90c6ab331662c2d03b9988d81b37b3a6fd205cd90d5",
+     "f90e205dbb1d7dc5736ba0d13612b2b5bb8b13f500cd141ff60b8e566389d909"),
+    (["all", "--p", "3", "--f", "2", "--max-degree", "2", "--format", "json"],
+     "eda7bbafa40393c34f9628777ffacce668dd59e12b49d3bf9900f2275ec64de7",
+     "3d40061597996dfc36f1d35c6ea0c963b594432a3a8372c210049d09e0fb5f2a"),
+])
+def test_failing_json_verdicts_are_pinned(capsys, argv, out_digest, err_digest):
+    """The stdout and stderr digests of two failing JSON runs, recorded at
+    commit 3a53b1a: compare lists its failures and has no "passed" key, all
+    adds "passed": false; both exit 1."""
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert hashlib.sha256(out.encode("ascii")).hexdigest() == out_digest
+    assert hashlib.sha256(err.encode("ascii")).hexdigest() == err_digest
+    blob = json.loads(out)
+    assert blob["verdict"]["failures"] and not blob["verdict"]["passed"]
+    assert blob.get("passed", "absent") == ("absent" if argv[0] == "compare" else False)
 
 
 # stdout sha256 of `identity --q Q --format csv` and `--format json`, recorded

@@ -11,8 +11,9 @@ from itertools import product
 import numpy as np
 import pytest
 
-from altsums.fields import (BudgetExceededError, FieldDescriptor, _x_is_primitive,
-                            build_field, embed, is_prime, prime_factors)
+from altsums.fields import (BudgetExceededError, FieldDescriptor, _find_modulus,
+                            _x_is_primitive, build_field, embed, is_prime, prime_factors)
+from oracles import unfiltered_modulus
 
 
 # -- independent oracle ------------------------------------------------------
@@ -92,6 +93,15 @@ SEARCHED_MODULI = {
 @pytest.mark.parametrize("p,d", sorted(SEARCHED_MODULI))
 def test_modulus_matches_unfiltered_search(p, d):
     assert build_field(p, d).modulus == SEARCHED_MODULI[(p, d)]
+
+
+@pytest.mark.parametrize("p", [p for p in range(3, 24) if is_prime(p)])
+def test_root_pre_check_keeps_every_modulus(p):
+    """A candidate with a root in F_p^x is reducible (d > 1), so skipping it
+    changes no choice: every p^d <= 2^16 against the search without it."""
+    for d in range(1, 17):
+        if p**d <= 2**16:
+            assert _find_modulus(p, d) == unfiltered_modulus(p, d), (p, d)
 
 
 def oracle_order_of_x(m, p):

@@ -12,9 +12,9 @@ import random
 import numpy as np
 import pytest
 
-from altsums.cli import _count_rows, _json_chunks, main
+from altsums.cli import ROW_BLOCK, Rows, _count_rows, _json_chunks, _trace_rows, main
 from altsums.curves import count_points
-from altsums.traces import ROW_BLOCK, Rows, SystemParams, TraceTable, trace_table
+from altsums.traces import SystemParams, TraceTable, trace_table
 
 P33 = SystemParams(p=3, f=1)
 
@@ -60,7 +60,7 @@ def rendered(value):
 @pytest.mark.parametrize("params, degree", KERNEL)
 def test_trace_rows_match_the_per_row_text(params, degree):
     table = trace_table(params, degree)
-    text = "".join(table.rows().blocks())
+    text = "".join(_trace_rows(table).blocks())
     assert text == ref_trace_text(table)
 
 
@@ -81,7 +81,7 @@ def test_blocks_at_the_block_size_edges(n):
     values = [rng.randrange(-top, top) for _ in range(n)]
     values[:2] = [-top, top - 1][:n]
     table = TraceTable(P33, 1, "field", np.array(values, dtype=np.int64))
-    blocks = list(table.rows().blocks())
+    blocks = list(_trace_rows(table).blocks())
     assert len(blocks) == -(-n // ROW_BLOCK)
     assert "".join(blocks) == ref_trace_text(table)
     assert "".join(Rows(["%d", "%d"], (range(n), nums)).blocks()) == \

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from altsums.characters import chi2_minus_one
+from altsums.cli import _verdict_json
 from altsums.groups import spectrum
 from altsums.traces import SystemParams, TraceTable, trace_table, trace_tables
 from altsums.verdict import (
@@ -243,7 +244,7 @@ def test_verdict_tv_threshold_applies_at_top_degree():
 
 def test_verdict_json_round_trip():
     report = verdict(P33, trace_tables(P33, 2))
-    blob = json.dumps(report.as_dict())
+    blob = json.dumps(_verdict_json(report))
     back = json.loads(blob)
     assert back["params"]["p"] == 3
     assert back["params"]["q"] == 3
