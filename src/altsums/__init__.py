@@ -53,8 +53,7 @@ _EXPORTS = {
     "identities": ("IdentityFalsifiedError", "require_ok", "verify_derivative_steps",
                    "verify_identity_grouped", "verify_identity_split",
                    "virtual_character_table", "wild_inertia_span"),
-    "curves": ("CurveCount", "count_points", "curve_moment_report",
-               "modified_third_moment"),
+    "curves": ("CurveCount", "count_points", "modified_third_moment"),
     "verdict": ("VerdictConfig", "VerdictReport", "distribution_distance",
                 "moment_report", "spectrum_membership", "verdict"),
 }

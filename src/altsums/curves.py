@@ -22,11 +22,12 @@ equals the empirical third moment M3 = sum_t T(t)^3 / #L exactly:
 So a modified moment that differs from M3 falsifies the counts, the traces
 or one of the identities above.
 
-The counts follow from homogeneity in one pass over L: f(x, 0) = 0 and
+The counts follow from homogeneity in chunks of L: f(x, 0) = 0 and
 f(u y, y) = y^n P(u) with P(u) = f(u, 1), and y -> y^n maps L^x g-to-one
 onto the g-th powers, g = gcd(n, #L - 1).  Hence N(0) = #L + (#L - 1)
 #{u : P(u) = 0} and N(t) = g #{u : P(u) != 0, dlog P(u) = dlog t mod g}
 for t != 0, where the dlog of code j >= 1 (the element gen^(j-1)) is j - 1.
+So the count is the number of roots of P in L and the g class totals.
 P is read off the sum form in passes whose number does not depend on q; the
 tests evaluate the product form, and so check the identity over L as well.
 """
@@ -36,39 +37,46 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from fractions import Fraction
-from typing import NamedTuple
 
 import numpy as np
 
 from .characters import _chi2_counts, chi2_minus_one
-from .fields import BudgetExceededError, FieldDescriptor
-from .traces import SystemParams, _Int64Record
+from .fields import BudgetExceededError, FieldDescriptor, _field_text
+from .traces import SystemParams
 
 DEFAULT_POINT_BUDGET = 4096  # largest #L counted by default
+CHUNK = 1 << 14  # codes u per pass of count_points
 
 
 class NonRationalMomentError(RuntimeError):
     """The curve-weighted sum failed to normalize to a rational number."""
 
 
-class CurveCount(_Int64Record, namedtuple(
-        "CurveCount", "params degree field_text counts modified")):
-    """Affine point counts of f(x, y) = t over L by the code of t, one read-only
-    int64 array as a TraceTable's numerators are (see _Int64Record), with the
-    exact curve-side moment `modified` taken from them and L's text, not L."""
+class CurveCount(namedtuple("CurveCount", "params degree field_text field_order "
+                                          "zeros classes modified")):
+    """Affine point counts of f(x, y) = t over L, as what determines them: the
+    number `zeros` of roots of P in L and the g = gcd(n, #L - 1) class totals
+    `classes` (see the module docstring), with the exact curve-side moment
+    `modified` taken from them and L's text, not L."""
 
     __slots__ = ()
-    _array = "counts"
 
     @property
-    def field_order(self) -> int:
-        return len(self.counts)
+    def counts(self) -> np.ndarray:
+        """N(t) by the code of t: a new read-only int64 array per read."""
+        g = len(self.classes)
+        counts = np.empty(self.field_order, dtype=np.int64)
+        counts[0] = self.zero_fiber()
+        counts[1:].reshape(-1, g)[:] = np.multiply(self.classes, g, dtype=np.int64)
+        counts.flags.writeable = False
+        return counts
 
     def total(self) -> int:
-        return int(self.counts.sum())
+        """#L^2, as sum(classes) = #L - zeros and each class has (#L - 1)/g codes."""
+        return self.zero_fiber() + (self.field_order - 1) * sum(self.classes)
 
     def zero_fiber(self) -> int:
-        return int(self.counts[0])
+        return self.field_order + (self.field_order - 1) * self.zeros
 
 
 def countable(params: SystemParams, degree: int, budget: int) -> bool:
@@ -89,29 +97,30 @@ def count_points(params: SystemParams, degree: int, *,
     moment, taken while L is at hand; the count does not keep L.  Refuses
     exactly the levels that are not `countable`."""
     if not countable(params, degree, budget):
-        if countable(params._replace(f=1), degree, budget):  # #L is within budget
-            raise ValueError(
-                f"roots live in a degree-{params.f} field, which is not a "
-                f"subfield of {params.extension(degree, field).canonical_text()}")
         d = params.base_degree * degree
+        if countable(params._replace(f=1), degree, budget):  # #L is within budget
+            raise ValueError(  # L named from its modulus: no table is built
+                f"roots live in a degree-{params.f} field, which is not a "
+                f"subfield of {_field_text(params.p, d)}")
         size = f"p^d = {params.p}^{d}" if d >= budget.bit_length() else params.p**d
         raise BudgetExceededError(f"#L = {size} exceeds the point-count budget {budget}")
     L = params.extension(degree, field)
     N, M = L.order, L.order - 1
-    g = math.gcd(params.n, M)
-    # c^n at every code c: both factors are below 2^24, so int64 is exact
-    pw = np.concatenate(([0], 1 + np.arange(M, dtype=np.int64) * (params.n % M) % M))
-    # P(u) = u^n + 1 + (-u-1)^n = u^n + 1 - (u+1)^n, as n is odd
-    u1 = L.add_codes_vec(np.arange(N, dtype=np.int64), 1)
-    minus = L.mul_codes_vec(L.neg_code(1), pw[u1])
-    P = L.add_codes_vec(L.add_codes_vec(pw, 1), minus)
-    classes = np.bincount((P[P != 0] - 1) % g, minlength=g)
-    hist = np.empty(N, dtype=np.int64)
-    hist[0] = N + M * int(np.count_nonzero(P == 0))
-    hist[1:] = g * classes[np.arange(M) % g]
-    hist.flags.writeable = False  # the count's own array, not a copy
-    return CurveCount(params, degree, L.canonical_text(), hist,
-                      modified_third_moment(L, hist))
+    g, e, minus_one = math.gcd(params.n, M), params.n % M, L.neg_code(1)
+    zeros, classes = 0, np.zeros(g, dtype=np.int64)
+    for start in range(0, N, CHUNK):
+        u = np.arange(start, min(start + CHUNK, N), dtype=np.int64)
+        u1 = L.add_codes_vec(u, 1)
+        # c^n at the codes u and u + 1: both factors are below 2^24, so int64 is exact
+        un, u1n = (np.where(c == 0, 0, 1 + (c - 1) * e % M) for c in (u, u1))
+        # P(u) = u^n + 1 + (-u-1)^n = u^n + 1 - (u+1)^n, as n is odd
+        P = L.add_codes_vec(L.add_codes_vec(un, 1), L.mul_codes_vec(minus_one, u1n))
+        P = P[P != 0]
+        zeros += len(u) - len(P)
+        classes += np.bincount((P - 1) % g, minlength=g)
+    count = CurveCount(params, degree, L.canonical_text(), N, zeros,
+                       tuple(classes.tolist()), None)
+    return count._replace(modified=modified_third_moment(L, count.counts))
 
 
 def modified_third_moment(L: FieldDescriptor, counts: np.ndarray) -> Fraction:
@@ -133,22 +142,3 @@ def modified_third_moment(L: FieldDescriptor, counts: np.ndarray) -> Fraction:
         raise NonRationalMomentError(
             f"curve-weighted sum is not rational over {L.canonical_text()}")
     return chi2_minus_one(L) * Fraction(dv, dg) / N**2
-
-
-class CurveMomentReport(NamedTuple):
-    degree: int
-    field_order: int
-    modified: Fraction
-    empirical_m3: Fraction
-
-    @property
-    def ok(self) -> bool:
-        """The curve side equals M3 exactly, as the module docstring proves."""
-        return self.modified == self.empirical_m3
-
-
-def curve_moment_report(count: CurveCount, m3: Fraction) -> CurveMomentReport:
-    """Compare the curve-side moment of `count` with `m3`, the empirical
-    third moment of the trace table of the same params and degree."""
-    return CurveMomentReport(degree=count.degree, field_order=count.field_order,
-                             modified=count.modified, empirical_m3=m3)

@@ -176,6 +176,16 @@ def checked_order(p: int, d: int) -> int:
     return p**d
 
 
+def _field_text(p: int, d: int, modulus: tuple[int, ...] | None = None) -> str:
+    """The canonical text of F_{p^d} with its `modulus`, found here if not
+    given (after the budget check a build makes): naming a field builds none
+    of its tables."""
+    if modulus is None:
+        checked_order(p, d)
+        modulus = _find_modulus(p, d)
+    return f"p={p} d={d} modulus=[{','.join(str(c) for c in modulus)}]"
+
+
 class FieldDescriptor:
     """Immutable model of F_{p^d}; holds the lookup tables, read-only arrays
     that build_field's memo shares and the trace kernel reads in place.  The
@@ -238,8 +248,7 @@ class FieldDescriptor:
     # -- identity ---------------------------------------------------------
 
     def canonical_text(self) -> str:
-        coeffs = ",".join(str(c) for c in self.modulus)
-        return f"p={self.p} d={self.d} modulus=[{coeffs}]"
+        return _field_text(self.p, self.d, self.modulus)
 
     def __repr__(self) -> str:
         return f"FieldDescriptor({self.canonical_text()})"

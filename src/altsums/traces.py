@@ -109,18 +109,18 @@ class SystemParams(_Checked, namedtuple("SystemParams", "p f base_degree multipl
                 f"multiplier={self.multiplier % self.p} n={self.n}")
 
 
-def _frozen_int64(values, name: str) -> np.ndarray:
+def _frozen_int64(values) -> np.ndarray:
     """`values` as a read-only int64 array that owns its data: any other array
     is copied (a view too, as its base may be writeable), and ValueError
     refuses a value that is not an integer within int64."""
     a = np.asarray(values)
     if a.dtype != np.int64:
         if a.dtype.kind not in "biuf":
-            raise ValueError(f"{name} must be integers, not {a.dtype}")
+            raise ValueError(f"TraceTable.values must be integers, not {a.dtype}")
         with np.errstate(invalid="ignore"):  # nan, inf and 2^63 fail below
             b = a.astype(np.int64)
         if not np.array_equal(a, b):
-            raise ValueError(f"{name} must be integers within int64")
+            raise ValueError("TraceTable.values must be integers within int64")
         a = b
     elif a.flags.writeable or a.base is not None:
         a = a.copy()
@@ -128,45 +128,31 @@ def _frozen_int64(values, name: str) -> np.ndarray:
     return a
 
 
-class _Int64Record(_Checked):
-    """Mixed into a collections.namedtuple (typing.NamedTuple refuses a
-    __new__): the field named `_array` is one read-only int64 array, made so
-    by every way of making a record -- the constructor, `_make` and
-    `_replace` (see _frozen_int64) -- and records compare and hash by value."""
+class TraceTable(_Checked, namedtuple("TraceTable", "params degree field_text values")):
+    """All N = #L normalized traces T(t) over one extension, as integers.
+
+    Entry order is element-code order: index 0 is t = 0, index j >= 1 is
+    t = g^(j-1) for the field generator g.  `values` is one read-only int64
+    array, made so by every way of making a table -- the constructor, `_make`
+    and `_replace` (see _frozen_int64) -- and tables compare and hash by
+    value.  The library makes tables with _table alone, which checks them
+    first.
+    """
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        return tuple.__new__(cls, (_frozen_int64(v, f"{cls.__name__}.{f}") if f == cls._array
-                                   else v for f, v in zip(cls._fields, self)))
+    def __new__(cls, params, degree, field_text, values) -> TraceTable:
+        return super().__new__(cls, params, degree, field_text, _frozen_int64(values))
 
     def __eq__(self, other):
-        return type(other) is type(self) and all(
-            np.array_equal(a, b) if f == self._array else a == b
-            for f, a, b in zip(self._fields, self, other))
+        return (type(other) is type(self) and self[:3] == other[:3]
+                and np.array_equal(self.values, other.values))
 
     def __ne__(self, other):
         return not self == other
 
     def __hash__(self):
-        return hash(tuple(v.tobytes() if f == self._array else v
-                          for f, v in zip(self._fields, self)))
-
-
-class TraceTable(_Int64Record, namedtuple(
-        "TraceTable", "params degree field_text values")):
-    """All N = #L normalized traces T(t) over one extension, as integers.
-
-    Entry order is element-code order: index 0 is t = 0, index j >= 1 is
-    t = g^(j-1) for the field generator g.  `values` is one read-only int64
-    array on every way of making a table, and tables compare and hash by
-    value (see _Int64Record).  The library makes tables with _table alone,
-    which checks them first.
-    """
-
-    __slots__ = ()
-    _array = "values"
+        return hash((*self[:3], self.values.tobytes()))
 
     @property
     def denominator(self) -> int:

@@ -18,7 +18,7 @@ import pytest
 from altsums import traces
 from altsums.characters import chi2_minus_one, gauss_identities, hasse_davenport_check
 from altsums.cli import main
-from altsums.curves import count_points, curve_moment_report
+from altsums.curves import count_points
 from altsums.groups import (
     class_size,
     exact_moment,
@@ -220,14 +220,11 @@ def test_criterion_09_curve_oracle_consistency(announce, cache_dir):
             count = count_points(params, D)
             ok = ok and count.total() == count.field_order ** 2
             m3 = trace_table(params, D, cache_dir=cache_dir).moment(3)
-            report = curve_moment_report(count, m3)
-            ok = ok and report.ok  # exact equality, not the q/sqrt(#L) bound
+            ok = ok and count.modified == m3  # exact, not the q/sqrt(#L) bound
     # beyond the 4096-element default budget: 3^9 = 19683 elements
     count = count_points(P33, 9, budget=3**9)
     ok = ok and count.total() == count.field_order ** 2
-    report = curve_moment_report(
-        count, trace_table(P33, 9, cache_dir=cache_dir).moment(3))
-    ok = ok and report.ok
+    ok = ok and count.modified == trace_table(P33, 9, cache_dir=cache_dir).moment(3)
     assert announce(9, "curve count equals M3 exactly", ok)
 
 

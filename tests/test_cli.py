@@ -152,6 +152,21 @@ def test_curves_over_budget_exits_two_without_building_the_field(
         "usage error: #L = 59049 exceeds the point-count budget 4096\n"
 
 
+def test_curves_without_f_q_in_l_exits_two_without_building_the_field(
+        monkeypatch, capsys):
+    """F_9 is no subfield of F_{3^15}: the refusal names L from its modulus
+    alone, in the words it had when it built L's tables to name it."""
+    def no_build(self, p, d):
+        raise AssertionError(f"built F_{p}^{d}")
+
+    monkeypatch.setattr(FieldDescriptor, "__init__", no_build)
+    assert main(["curves", "--p", "3", "--f", "2", "--degree", "15",
+                 "--budget", "16777216"]) == 2
+    assert assert_one_usage_error(capsys) == (
+        "usage error: roots live in a degree-2 field, which is not a subfield "
+        "of p=3 d=15 modulus=[1,0,0,0,0,0,0,0,0,0,0,0,0,1,2,1]\n")
+
+
 @pytest.mark.parametrize("command", ["moments", "compare", "all"])
 def test_over_budget_tower_exits_two_before_the_kernel_runs(
         monkeypatch, capsys, command):

@@ -67,8 +67,8 @@ def test_trace_rows_match_the_per_row_text(params, degree):
 @pytest.mark.parametrize("params, degree",
                          [(P33, D) for D in range(1, 8)] + [(SystemParams(5, 1), 4)])
 def test_count_rows_match_the_per_row_text(params, degree):
-    count = count_points(params, degree)
-    assert "".join(_count_rows(count).blocks()) == ref_count_text(count.counts)
+    counts = count_points(params, degree).counts
+    assert "".join(_count_rows(counts).blocks()) == ref_count_text(counts)
 
 
 @pytest.mark.parametrize("n", [0, 1, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1,

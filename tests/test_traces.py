@@ -31,7 +31,7 @@ from altsums.curves import count_points
 from altsums.cyclotomic import CycInt
 from altsums.fields import BudgetExceededError, FieldDescriptor, build_field
 from altsums.traces import (CacheCorruptionError, NonRationalTraceError,
-                            SystemParams, _cache_header, _cache_path,
+                            SystemParams, TraceTable, _cache_header, _cache_path,
                             _check_frobenius, _check_sum_rules, _load_table,
                             _save_table, _table, _trace_numerators,
                             trace_table, trace_tables)
@@ -792,61 +792,52 @@ def test_a_table_retains_about_eight_bytes_per_entry():
     assert held <= 9 * 15625 + 4096
 
 
-def _records(degree):
-    """(record, name of its int64 array): a trace table and a curve count over 3^degree."""
-    return [(trace_table(P33, degree), "values"), (count_points(P33, degree), "counts")]
-
-
 def test_tables_differing_in_one_numerator_compare_unequal():
-    records = _records(2)
-    for table, name in records:
-        nums = getattr(table, name).copy()
-        nums[4] += 9
-        other = table._replace(**{name: nums})
-        assert not table == other and table != other
-        assert not other == table and other != table
-        same = table._replace(**{name: getattr(table, name).copy()})
-        assert table == same and not table != same and hash(table) == hash(same)
-    (table, _), (count, _) = records
-    assert table != count and count != table
+    table = trace_table(P33, 2)
+    nums = table.values.copy()
+    nums[4] += 9
+    other = table._replace(values=nums)
+    assert not table == other and table != other
+    assert not other == table and other != table
+    same = table._replace(values=table.values.copy())
+    assert table == same and not table != same and hash(table) == hash(same)
 
 
-@pytest.mark.parametrize("make", [
-    lambda record, name, a: record._replace(**{name: a}),
-    lambda record, name, a: type(record)._make(
-        a if field == name else v for field, v in zip(record._fields, record)),
-    lambda record, name, a: type(record)(**{**record._asdict(), name: a})],
-    ids=["_replace", "_make", "constructor"])
+MAKES = {
+    "_replace": lambda table, a: table._replace(values=a),
+    "_make": lambda table, a: TraceTable._make((*table[:3], a)),
+    "constructor": lambda table, a: TraceTable(**{**table._asdict(), "values": a})}
+
+
+@pytest.mark.parametrize("make", MAKES.values(), ids=MAKES.keys())
 def test_a_table_does_not_change_with_its_source_array(make):
-    for table, name in _records(2):
-        nums = getattr(table, name).copy()
-        other = make(table, name, nums)
-        before = hash(other)
-        nums[4] += 9
-        assert other == table and hash(other) == before == hash(table)
-        assert getattr(other, name).dtype == np.int64
-        assert not getattr(other, name).flags.writeable
-        view = nums.view()  # read-only, but its base is writeable
-        view.flags.writeable = False
-        from_view = make(table, name, view)
-        nums[4] -= 9
-        assert getattr(from_view, name)[4] == getattr(table, name)[4] + 9
+    table = trace_table(P33, 2)
+    nums = table.values.copy()
+    other = make(table, nums)
+    before = hash(other)
+    nums[4] += 9
+    assert other == table and hash(other) == before == hash(table)
+    assert other.values.dtype == np.int64
+    assert not other.values.flags.writeable
+    view = nums.view()  # read-only, but its base is writeable
+    view.flags.writeable = False
+    from_view = make(table, view)
+    nums[4] -= 9
+    assert from_view.values[4] == table.values[4] + 9
 
 
-@pytest.mark.parametrize("make", [
-    lambda record, name, a: record._replace(**{name: a}),
-    lambda record, name, a: type(record)(**{**record._asdict(), name: a})],
-    ids=["_replace", "constructor"])
+@pytest.mark.parametrize("make", [MAKES["_replace"], MAKES["constructor"]],
+                         ids=["_replace", "constructor"])
 def test_a_table_refuses_non_integral_numerators(make):
-    for table, name in _records(1):
-        values = getattr(table, name).tolist()
+    table = trace_table(P33, 1)
+    values = table.values.tolist()
+    with pytest.raises(ValueError, match="integers within int64"):
+        make(table, np.array(values[:2] + [0.5]))
+    for bad in ([np.nan, 3.0, 0.0], [-3.0, 2.0**63, 0.0]):
         with pytest.raises(ValueError, match="integers within int64"):
-            make(table, name, np.array(values[:2] + [0.5]))
-        for bad in ([np.nan, 3.0, 0.0], [-3.0, 2.0**63, 0.0]):
-            with pytest.raises(ValueError, match="integers within int64"):
-                make(table, name, np.array(bad))
-        with pytest.raises(ValueError, match="not complex128"):
-            make(table, name, np.array(values, dtype=complex))
-        for good in (np.array(values, dtype=float), values, np.array(values, dtype=np.int32)):
-            assert make(table, name, good) == table
-            assert getattr(make(table, name, good), name).dtype == np.int64
+            make(table, np.array(bad))
+    with pytest.raises(ValueError, match="not complex128"):
+        make(table, np.array(values, dtype=complex))
+    for good in (np.array(values, dtype=float), values, np.array(values, dtype=np.int32)):
+        assert make(table, good) == table
+        assert make(table, good).values.dtype == np.int64
