@@ -12,7 +12,6 @@ from altsums import (
     verify_derivative_steps,
     verify_identity_grouped,
     verify_identity_split,
-    virtual_character_table,
     wild_inertia_span,
 )
 
@@ -47,9 +46,12 @@ for q in (3, 5, 9, 27):
     print(f"q = {q:2d}  span dim {span.dimension} (expected {2 * span.f})  "
           f"trace zero: {span.trace_zero_ok}  coset: {span.coset_ok}")
 
-# A four-line virtual character bookkeeping device used in the moment
-# calculation; its weighted sum collapses to q^2.
-table = virtual_character_table(9)
-print("virtual character values:", table.zero_zero, table.nonzero_zero,
-      table.zero_nonzero, table.both_nonzero, " weighted sum:",
-      table.weighted_sum())
+# A four-value virtual character bookkeeping device used in the moment
+# calculation: 2 Reg - 1 on F_q + F_q, read off which of (a, b) vanish.
+# Summed over the element codes (a, b) of F_9 x F_9, code 0 being zero, it
+# collapses to q^2.
+q = 9
+values = {(True, True): 2 * q - 1, (False, True): q - 1,
+          (True, False): q - 1, (False, False): -1}
+total = sum(values[a == 0, b == 0] for a in range(q) for b in range(q))
+print("virtual character values:", *values.values(), " weighted sum:", total)

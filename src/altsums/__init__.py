@@ -52,7 +52,7 @@ _EXPORTS = {
                "tensor_square_check"),
     "identities": ("IdentityFalsifiedError", "require_ok", "verify_derivative_steps",
                    "verify_identity_grouped", "verify_identity_split",
-                   "virtual_character_table", "wild_inertia_span"),
+                   "wild_inertia_span"),
     "curves": ("CurveCount", "count_points", "modified_third_moment"),
     "verdict": ("VerdictConfig", "VerdictReport", "distribution_distance",
                 "moment_report", "spectrum_membership", "verdict"),

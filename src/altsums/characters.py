@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from collections import namedtuple
 from operator import index
-from typing import NamedTuple
 
 import numpy as np
 
@@ -97,12 +96,13 @@ def gauss_sum(ctx: CharacterContext, L: FieldDescriptor) -> CycInt:
     return CycInt.from_power_counts(p, _chi2_counts(p, psi_exponent_table(ctx, L)))
 
 
-class GaussIdentityReport(NamedTuple):
-    field_text: str
-    g: CycInt
-    norm_ok: bool        # g * conj(g) = #L
-    square_ok: bool      # g^2 = chi_2(-1) * #L
-    conj_ok: bool        # conj(g) = chi_2(-1) * g
+class GaussIdentityReport(namedtuple("GaussIdentityReport",
+                                     "field_text g norm_ok square_ok conj_ok")):
+    """The Gauss sum g of L (`field_text`), a CycInt, and its identities:
+    g * conj(g) = #L (`norm_ok`), g^2 = chi_2(-1) * #L (`square_ok`) and
+    conj(g) = chi_2(-1) * g (`conj_ok`)."""
+
+    __slots__ = ()
 
     @property
     def all_ok(self) -> bool:
@@ -134,21 +134,23 @@ def normalization_constant(ctx: CharacterContext, L: FieldDescriptor, n: int) ->
     return (-sign) * gauss_sum(ctx, L)
 
 
-class HasseDavenportRow(NamedTuple):
-    degree: int
-    field_text: str
-    direct: CycInt
-    powered: CycInt
+class HasseDavenportRow(namedtuple("HasseDavenportRow",
+                                   "degree field_text direct powered")):
+    """A(L, n, psi) on the degree-D extension L, `direct` and as the base
+    field's A to the D (`powered`), both CycInts."""
+
+    __slots__ = ()
 
     @property
     def equal(self) -> bool:
         return self.direct == self.powered
 
 
-class HasseDavenportReport(NamedTuple):
-    n: int
-    base_text: str
-    rows: tuple[HasseDavenportRow, ...]
+class HasseDavenportReport(namedtuple("HasseDavenportReport", "n base_text rows")):
+    """The Hasse-Davenport check for n over the base field (`base_text`), a
+    HasseDavenportRow per degree."""
+
+    __slots__ = ()
 
     @property
     def all_equal(self) -> bool:

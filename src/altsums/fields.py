@@ -43,21 +43,6 @@ class _Checked:
         return cls(*iterable)
 
 
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
-
-
 def prime_factors(n: int) -> tuple[int, ...]:
     """Distinct prime divisors of n, ascending."""
     out = []
@@ -71,6 +56,10 @@ def prime_factors(n: int) -> tuple[int, ...]:
     if n > 1:
         out.append(n)
     return tuple(out)
+
+
+def is_prime(n: int) -> bool:
+    return n > 1 and prime_factors(n) == (n,)
 
 
 def factor_prime_power(q: int) -> tuple[int, int]:
@@ -297,8 +286,8 @@ class FieldDescriptor:
             return 0
         return 1 + ((a - 1) * k) % (self.order - 1)
 
-    def frobenius_code(self, a: int, times: int = 1) -> int:
-        return self.pow_code(a, self.p**times)
+    def frobenius_code(self, a: int) -> int:
+        return self.pow_code(a, self.p)
 
     def trace_to_code(self, sub_degree: int, a: int) -> int:
         """Relative trace onto the subfield of degree sub_degree over F_p."""

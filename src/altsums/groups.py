@@ -21,9 +21,9 @@ Independent routes kept deliberately separate for cross-checking:
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple
 
 REGIMES = ("sym", "alt", "coset")
 TWISTS = ("plain", "sgn")
@@ -167,14 +167,15 @@ def character_value(lam: tuple[int, ...], mu: tuple[int, ...]) -> int:
 
 # -- tensor square of the deleted permutation module --------------------------------
 
-class TensorSquareReport(NamedTuple):
-    n: int                      # dim of the deleted permutation module of Sym(n+1)
-    m: int                      # n + 1
-    dims: dict[str, int]
-    dim_ok: bool
-    char_checked: bool
-    char_ok: bool | None
-    mismatches: tuple[tuple[tuple[int, ...], int, int], ...]
+class TensorSquareReport(namedtuple("TensorSquareReport", "n m dims dim_ok char_checked "
+                                                          "char_ok mismatches")):
+    """(fix-1)^2 for Sym(m), m = n + 1, n the dimension of the deleted
+    permutation module: the constituents' `dims` by name and whether they are
+    right (`dim_ok`), whether the characters were checked (`char_checked`)
+    and agree (`char_ok`, None if not checked), and the (mu, lhs, rhs)
+    `mismatches`."""
+
+    __slots__ = ()
 
 
 def tensor_square_check(n: int) -> TensorSquareReport:

@@ -15,13 +15,16 @@ Everything here is exact polynomial algebra over small finite fields:
   F_q minus {0,-1}, hence (x - alpha)^2 divides P there.  The x^n and
   constant terms of P cancel, so deg P = 2q - 2 and the leading coefficient
   is -binom(2q-1, 1) = 1 mod p, matching the degree of the factored side.
-  The pointwise steps are one synthetic-division pass over F_q, at every
-  point at once (`u_double_division`), and one Horner pass for P' (`u_eval`);
+  The pointwise steps are synthetic-division passes at every point at once
+  (`u_double_division`): one for P over F_q, and one for P' at the alphas,
+  whose first remainder is P'(alpha);
 * the F_p-linear span of the (2q-2)-nd roots of unity inside F_{q^2}: it is
   all of F_{q^2} = F_q + zeta F_q for the primitive root zeta, which has
-  relative trace zero to F_q;
-* the four-value virtual character table (2q-1, q-1, q-1, -1) on
-  F_q + F_q indexed by vanishing pattern.
+  relative trace zero to F_q.
+
+The virtual character table (2q-1, q-1, q-1, -1) on F_q + F_q, by vanishing
+pattern, sums to 2q-1 + 2(q-1)^2 - (q-1)^2 = q^2 for every q: a constant,
+whose row `cli` writes straight from q.
 
 Both sides of the split and grouped identities are degree-n forms, and a
 form is determined by its value at y = 1, so each is checked as the dense
@@ -36,10 +39,9 @@ q reads one P and one split product (`_split`).
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections import Counter, namedtuple
 from functools import lru_cache, partial, reduce
 from itertools import accumulate, combinations, zip_longest
-from typing import NamedTuple
 
 import numpy as np
 
@@ -90,15 +92,6 @@ def u_deriv(F, a):
     return np.trim_zeros(F.mul_codes_vec(a[1:], _int_codes(F, range(1, len(a)))), "b")
 
 
-def u_eval(F, a, x0):
-    """a(x0) at every code of x0 at once, by Horner."""
-    x0 = np.asarray(x0, dtype=np.int64)
-    r = np.zeros_like(x0)
-    for c in reversed(a):
-        r = F.add_codes_vec(F.mul_codes_vec(r, x0), c)
-    return r
-
-
 def u_double_division(F, a, x0):
     """Remainders of a by x - x0 and of that quotient by x - x0 again, a(x0)
     and a'(x0), at every code of x0 at once: one synthetic division whose
@@ -139,15 +132,13 @@ def mismatch_list(F: FieldDescriptor, n: int, lhs, rhs):
 
 # -- split identity over F_q ------------------------------------------------------
 
-class SplitIdentityReport(NamedTuple):
-    q: int
-    p: int
-    f: int
-    field_text: str
-    degree: int
-    factor_count: int
-    equal: bool
-    mismatches: tuple
+class SplitIdentityReport(namedtuple(
+        "SplitIdentityReport", "q p f field_text degree factor_count equal mismatches")):
+    """The split identity for q = p^f over F_q (`field_text`), of `degree` n:
+    its `factor_count` alphas, whether both sides are `equal`, and the
+    `mismatches` of `mismatch_list`."""
+
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -217,20 +208,19 @@ def _necklace_count(p: int, r: int) -> int:
 
 # -- grouped identity over F_p ------------------------------------------------------
 
-class GroupedIdentityReport(NamedTuple):
-    q: int
-    p: int
-    f: int
-    orbit_count: int
-    factor_degrees: tuple[int, ...]
-    degrees_sum_ok: bool            # sum of degrees = q - 2
-    prime_field_coeffs_ok: bool     # every orbit factor descends to F_p
-    irreducible_ok: bool            # each dehomogenized factor irreducible
-    complete_ok: bool               # factors = all monic irreducibles of
-                                    # degree dividing f except x and x + 1,
-                                    # by a count per degree (necklace count)
-    equal: bool                     # grouped identity holds in F_p[x, y]
-    mismatches: tuple
+class GroupedIdentityReport(namedtuple(
+        "GroupedIdentityReport", "q p f orbit_count factor_degrees degrees_sum_ok "
+        "prime_field_coeffs_ok irreducible_ok complete_ok equal mismatches")):
+    """The grouped identity for q = p^f: `orbit_count` Frobenius orbits whose
+    factors have the sorted `factor_degrees`.  The flags: the degrees sum to
+    q - 2 (`degrees_sum_ok`); every orbit factor descends to F_p
+    (`prime_field_coeffs_ok`); each dehomogenized factor is irreducible
+    (`irreducible_ok`); the factors are all monic irreducibles of degree
+    dividing f except x and x + 1, by a count per degree against the necklace
+    count (`complete_ok`); the grouped identity holds in F_p[x, y] (`equal`),
+    else its `mismatches`."""
+
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -296,17 +286,20 @@ def verify_identity_grouped(q: int) -> GroupedIdentityReport:
 
 # -- derivative bookkeeping ----------------------------------------------------------
 
-class DerivativeReport(NamedTuple):
-    q: int
-    n: int
-    degree: int                      # computed degree of P
-    degree_ok: bool                  # degree = 2q - 2 (x^n and 1 cancel)
-    leading_coeff_one: bool          # -binom(n, 1) = 1 mod p
-    vanishes_on_field: bool          # P(beta) = 0 for all beta in F_q
-    derivative_formula_ok: bool      # P' = -x^(n-1) + (x+1)^(n-1)
-    derivative_vanishes_ok: bool     # P'(alpha) = 0 off {0, -1}
-    double_root_division_ok: bool    # (x - alpha)^2 | P by actual division
-    product_form_ok: bool            # P = x (x+1) prod (x - alpha)^2
+class DerivativeReport(namedtuple(
+        "DerivativeReport", "q n degree degree_ok leading_coeff_one vanishes_on_field "
+        "derivative_formula_ok derivative_vanishes_ok double_root_division_ok "
+        "product_form_ok")):
+    """The derivative steps for q, n = 2q - 1, and P's computed `degree`.
+    The flags: degree = 2q - 2, as x^n and 1 cancel (`degree_ok`);
+    -binom(n, 1) = 1 mod p (`leading_coeff_one`); P(beta) = 0 for all beta in
+    F_q (`vanishes_on_field`); P' = -x^(n-1) + (x+1)^(n-1)
+    (`derivative_formula_ok`); P'(alpha) = 0 off {0, -1}
+    (`derivative_vanishes_ok`); (x - alpha)^2 | P by actual division
+    (`double_root_division_ok`); P = x (x+1) prod (x - alpha)^2
+    (`product_form_ok`)."""
+
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -327,7 +320,7 @@ def verify_derivative_steps(q: int) -> DerivativeReport:
     dP = u_deriv(F, P)
     dP_expected = np.trim_zeros(_int_codes(
         F, [c - (k == n - 1) for k, c in enumerate(_binomials(n - 1))]), "b")
-    dP_at_alpha = u_eval(F, dP, at_alpha)
+    dP_at_alpha = u_double_division(F, dP, at_alpha)[0]
 
     return DerivativeReport(
         q=q, n=n, degree=degree,
@@ -372,20 +365,17 @@ def _fp_rank(rows: list[np.ndarray], p: int) -> int:
     return r
 
 
-class WildInertiaReport(NamedTuple):
-    q: int
-    p: int
-    f: int
-    n: int
-    root_order: int                 # n - 1 = 2q - 2
-    field_text: str
-    field_degree: int               # must be 2f
-    zeta_log: int
-    dimension: int
-    dimension_ok: bool              # spans all of the quadratic extension
-    trace_zero_ok: bool             # Tr to F_q of zeta is 0
-    coset_ok: bool                  # roots = F_q^x union zeta * F_q^x
-    direct_sum_ok: bool             # F_q + zeta F_q has full rank 2f
+class WildInertiaReport(namedtuple(
+        "WildInertiaReport", "q p f n root_order field_text field_degree zeta_log "
+        "dimension dimension_ok trace_zero_ok coset_ok direct_sum_ok")):
+    """The span of the `root_order` = n - 1 = 2q - 2 roots of unity in L
+    (`field_text`, of `field_degree` over F_p, which must be 2f), zeta's code
+    offset `zeta_log` and the span's `dimension`.  The flags: it spans all of
+    the quadratic extension (`dimension_ok`); Tr to F_q of zeta is 0
+    (`trace_zero_ok`); roots = F_q^x union zeta * F_q^x (`coset_ok`);
+    F_q + zeta F_q has full rank 2f (`direct_sum_ok`)."""
+
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -428,33 +418,3 @@ def wild_inertia_span(q: int) -> WildInertiaReport:
         dimension_ok=(dimension == 2 * f),
         trace_zero_ok=trace_zero, coset_ok=coset_ok,
         direct_sum_ok=direct_sum_ok)
-
-
-# -- virtual character table -----------------------------------------------------------
-
-class VirtualCharacterTable(NamedTuple):
-    """Values of 2 Reg - 1 on F_q + F_q, by vanishing pattern of (a, b)."""
-
-    q: int
-    zero_zero: int
-    nonzero_zero: int
-    zero_nonzero: int
-    both_nonzero: int
-
-    def value(self, a_is_zero: bool, b_is_zero: bool) -> int:
-        if a_is_zero and b_is_zero:
-            return self.zero_zero
-        if a_is_zero or b_is_zero:
-            return self.zero_nonzero if a_is_zero else self.nonzero_zero
-        return self.both_nonzero
-
-    def weighted_sum(self) -> int:
-        q = self.q
-        return (self.zero_zero + (q - 1) * (self.nonzero_zero + self.zero_nonzero)
-                + (q - 1) ** 2 * self.both_nonzero)
-
-
-def virtual_character_table(q: int) -> VirtualCharacterTable:
-    return VirtualCharacterTable(q=q, zero_zero=2 * q - 1,
-                                 nonzero_zero=q - 1, zero_nonzero=q - 1,
-                                 both_nonzero=-1)

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from typing import NamedTuple
 
 import numpy as np
 
@@ -37,14 +36,12 @@ def regime_for(params: SystemParams, degree: int) -> tuple[str, str]:
 
 # -- moments -------------------------------------------------------------------
 
-class MomentRow(NamedTuple):
-    degree: int
-    field_order: int
-    m1: Fraction
-    m2: Fraction
-    m3: Fraction
-    m3_target: int
-    m3_deviation: float
+class MomentRow(namedtuple("MomentRow", "degree field_order m1 m2 m3 m3_target "
+                                        "m3_deviation")):
+    """A degree's #L, its exact moments M1-M3 (Fractions), the int M3 target
+    and the float |M3 - target|."""
+
+    __slots__ = ()
 
 
 def moment_report(params: SystemParams,
@@ -80,9 +77,11 @@ def _moment_row(table: TraceTable):
     return MomentRow(table.degree, table.denominator, m1, m2, m3, target,
                      abs(float(m3 - target))), counts
 
-class MembershipResult(NamedTuple):
-    rate: Fraction
-    offenders: tuple[tuple[int, int], ...]  # (t_index, integer trace value)
+class MembershipResult(namedtuple("MembershipResult", "rate offenders")):
+    """The Fraction of a table's entries in the oracle support, and the
+    others as (t_index, integer trace value) pairs."""
+
+    __slots__ = ()
 
     @property
     def full(self) -> bool:
@@ -121,10 +120,13 @@ def distribution_distance(table: TraceTable, oracle: dict[int, Fraction],
     return gap / 2
 
 
-class VerdictConfig(NamedTuple):
-    tv_max: float = 0.05       # TV threshold, enforced at the largest degree
-    m3_tol: float = 0.2        # third-moment deviation threshold
-    m3_min_order: int = 3**8   # enforce m3_tol on degrees with #L at least this
+class VerdictConfig(namedtuple("VerdictConfig", "tv_max m3_tol m3_min_order",
+                               defaults=(0.05, 0.2, 3**8))):
+    """The verdict's thresholds: `tv_max` bounds TV at the largest degree,
+    and `m3_tol` the third-moment deviation on degrees with #L at least
+    `m3_min_order`."""
+
+    __slots__ = ()
 
     def check(self) -> None:
         """Refuse a negative or NaN bound: NaN compares false both ways, so
@@ -143,13 +145,12 @@ class VerdictRow(namedtuple("VerdictRow", MomentRow._fields + (
     __slots__ = ()
 
 
-class VerdictReport(NamedTuple):
-    params: SystemParams
-    max_degree: int
-    config: VerdictConfig
-    rows: tuple[VerdictRow, ...]
-    passed: bool
-    failures: tuple[str, ...]
+class VerdictReport(namedtuple("VerdictReport", "params max_degree config rows "
+                                                "passed failures")):
+    """The verdict on the tower of `params` to `max_degree` under `config`:
+    a VerdictRow per degree, whether it `passed`, and the failure messages."""
+
+    __slots__ = ()
 
 
 def verdict(params: SystemParams, tables: dict[int, TraceTable], *,

@@ -5,6 +5,7 @@ nothing but dense coefficient lists mod p, sharing no code with the library,
 so table bugs and search-order bugs cannot cancel.
 """
 
+import math
 import random
 from itertools import product
 
@@ -416,3 +417,15 @@ def test_prime_helpers():
     assert [n for n in range(20) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19]
     assert prime_factors(720) == (2, 3, 5)
     assert prime_factors(3**8 - 1) == (2, 5, 41)
+
+
+def test_is_prime_matches_a_sieve():
+    """is_prime, read off prime_factors, against a sieve of Eratosthenes for
+    -5 <= n < 10^5: nothing below 2 is prime."""
+    top = 10**5
+    sieve = np.ones(top, dtype=bool)
+    sieve[:2] = False
+    for k in range(2, math.isqrt(top) + 1):
+        if sieve[k]:
+            sieve[k * k::k] = False
+    assert [n for n in range(-5, top) if is_prime(n)] == np.flatnonzero(sieve).tolist()

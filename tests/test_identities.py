@@ -11,6 +11,7 @@ differs from the rational one.
 
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -34,12 +35,10 @@ from altsums.identities import (
     require_ok,
     u_deriv,
     u_double_division,
-    u_eval,
     u_mul,
     verify_derivative_steps,
     verify_identity_grouped,
     verify_identity_split,
-    virtual_character_table,
     wild_inertia_span,
 )
 from oracles import brute_irreducible, enumerate_monic_irreducibles
@@ -321,20 +320,6 @@ def test_double_division_matches_long_division():
                     assert [got1, got2][:m] == [0] * m
 
 
-def test_u_eval_is_the_first_remainder():
-    """u_eval, the Horner pass that reads P' at the alphas, equals the first
-    remainder of u_double_division at every x0 of F_9, F_25 and F_27, for
-    random code arrays with planted simple and double roots."""
-    rng = random.Random(76)
-    for F in (build_field(3, 2), build_field(5, 2), build_field(3, 3)):
-        everywhere = np.arange(F.order)
-        for a, root, m in random_polys(F, rng):
-            got = u_eval(F, a, everywhere)
-            assert got.dtype == np.int64
-            assert np.array_equal(got, u_double_division(F, a, everywhere)[0])
-            assert m == 0 or got[root] == 0
-
-
 def test_u_deriv_product_rule():
     """(a b)' = a' b + a b' over F_5 and F_9, the sum taken by scalar
     addition in the test; u_deriv drops the high zero codes that k = 0 mod p
@@ -384,7 +369,8 @@ def test_derivative_steps_see_a_simple_root(monkeypatch, q):
     """P with (x - alpha)^2 replaced by x - alpha at one alpha still vanishes
     on all of F_q, but its second remainder at alpha is not zero, so the
     double-root check must fail on the division pass's second accumulator,
-    and its derivative, read by the Horner pass at the alphas, with it."""
+    and its derivative, read as the first remainder of its own division pass
+    at the alphas, with it."""
     p, f, n, F, alphas, P, prod = identities._split(q)
     alpha = alphas[-1]
     _, rhs = dehomogenized_sides(F, n, [[F.neg_code(a), 1] for a in alphas if a != alpha])
@@ -538,20 +524,16 @@ def test_identity_reads_one_split_product(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("q", IDENTITY_SIZES)
-def test_virtual_character_table(q):
-    table = virtual_character_table(q)
-    assert (table.zero_zero, table.nonzero_zero,
-            table.zero_nonzero, table.both_nonzero) == (2 * q - 1, q - 1, q - 1, -1)
-    assert table.weighted_sum() == q * q
-    assert table.value(True, True) == 2 * q - 1
-    assert table.value(False, True) == q - 1
-    assert table.value(True, False) == q - 1
-    assert table.value(False, False) == -1
-
-
-def test_virtual_character_weighted_sum_by_enumeration():
-    for q in [3, 5, 9]:
-        table = virtual_character_table(q)
-        total = sum(table.value(a == 0, b == 0)
-                    for a in range(q) for b in range(q))
-        assert total == q * q
+def test_virtual_character_table(q, capsys):
+    """The row `identity` writes straight from q is 2 Reg - 1 on F_q + F_q
+    by vanishing pattern, and its printed sum is q^2, the sum of its values
+    over every pair (a, b) of F_q x F_q, enumerated here."""
+    assert main(["identity", "--q", str(q)]) == 0
+    row = capsys.readouterr().out.splitlines()[-1]
+    match = re.fullmatch(r"virtual_character,1,values=(-?\d+)/(-?\d+)/(-?\d+)/(-?\d+)"
+                         r" sum=(\d+)", row)
+    *table, total = map(int, match.groups())
+    assert table == [2 * q - 1, q - 1, q - 1, -1]
+    # zero/zero, nonzero/zero, zero/nonzero and nonzero/nonzero, in print order
+    value = dict(zip([(True, True), (False, True), (True, False), (False, False)], table))
+    assert sum(value[a == 0, b == 0] for a in range(q) for b in range(q)) == total == q * q
