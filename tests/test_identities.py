@@ -523,17 +523,30 @@ def test_identity_reads_one_split_product(monkeypatch, capsys):
 # -- virtual character table ----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("q", IDENTITY_SIZES)
-def test_virtual_character_table(q, capsys):
-    """The row `identity` writes straight from q is 2 Reg - 1 on F_q + F_q
-    by vanishing pattern, and its printed sum is q^2, the sum of its values
-    over every pair (a, b) of F_q x F_q, enumerated here."""
+def printed_virtual_character(q, capsys):
+    """The values and the sum of the row `identity` writes straight from q."""
     assert main(["identity", "--q", str(q)]) == 0
     row = capsys.readouterr().out.splitlines()[-1]
     match = re.fullmatch(r"virtual_character,1,values=(-?\d+)/(-?\d+)/(-?\d+)/(-?\d+)"
                          r" sum=(\d+)", row)
     *table, total = map(int, match.groups())
+    return table, total
+
+
+@pytest.mark.parametrize("q", IDENTITY_SIZES)
+def test_virtual_character_table(q, capsys):
+    """The printed row is 2 Reg - 1 on F_q + F_q by vanishing pattern, and
+    its printed sum is q^2."""
+    table, total = printed_virtual_character(q, capsys)
     assert table == [2 * q - 1, q - 1, q - 1, -1]
-    # zero/zero, nonzero/zero, zero/nonzero and nonzero/nonzero, in print order
-    value = dict(zip([(True, True), (False, True), (True, False), (False, False)], table))
-    assert sum(value[a == 0, b == 0] for a in range(q) for b in range(q)) == total == q * q
+    assert total == q * q
+
+
+def test_virtual_character_weighted_sum_by_enumeration(capsys):
+    """The printed sum is the sum of the row's values over every pair (a, b)
+    of F_q x F_q, enumerated here."""
+    for q in [3, 5, 9]:
+        table, total = printed_virtual_character(q, capsys)
+        # zero/zero, nonzero/zero, zero/nonzero and nonzero/nonzero, in print order
+        value = dict(zip([(True, True), (False, True), (True, False), (False, False)], table))
+        assert sum(value[a == 0, b == 0] for a in range(q) for b in range(q)) == total == q * q
